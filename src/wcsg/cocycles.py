@@ -15,7 +15,7 @@ m_{t+s}(z) = m_t(z) m_s(phi_t(z)). Three constructions are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -29,8 +29,8 @@ from .errors import (
     UnboundedSignal,
     ZeroNotFixed,
 )
-from .flows import DEFAULT_FD_STEPS, GeneratorEstimate, Semiflow
-from .holo import DEFAULT_POLICY, OVERFLOW_GUARD, HoloFn, QuadPolicy, observed_order, richardson
+from .flows import DEFAULT_FD_STEPS, GeneratorEstimate, Semiflow, right_derivative
+from .holo import DEFAULT_POLICY, OVERFLOW_GUARD, HoloFn, QuadPolicy
 
 ZERO_GUARD = 1e-3
 BRANCH_TOL = 5e-2
@@ -79,10 +79,6 @@ def trivial_cocycle() -> Semicocycle:
         constant_in_z=True,
         g=None,
     )
-
-
-def explicit_cocycle(fn: Callable, name: str, constant_in_z: bool = False) -> Semicocycle:
-    return Semicocycle(eval=fn, provenance="explicit", name=name, constant_in_z=constant_in_z)
 
 
 @lru_cache(maxsize=32)
@@ -140,28 +136,20 @@ def cocycle_from_g(g: HoloFn, phi: Semiflow, policy: QuadPolicy = DEFAULT_POLICY
 
 
 def derivative_cocycle(phi: Semiflow) -> Semicocycle:
-    """m_t = phi_t' (a semicocycle by the chain rule)."""
-    if phi.prime is not None:
-        fn = lambda t, z: np.asarray(phi.prime(t, z))
-        const = phi.name in ("dilation", "rotation", "attracting", "translation-real", "identity")
-    else:
-        fn = lambda t, z: np.asarray(phi.space_derivative(t, z))
-        const = False
+    """m_t = phi_t' (a semicocycle by the chain rule).
+
+    Flows with a closed-form ``prime`` are affine, so m_t is constant in z.
+    """
     gprime = None
     if phi.generator is not None and phi.domain.kind != "real":
         gen = phi.generator
-
-        def gdash(z):
-            zs = np.asarray(z, dtype=complex)
-            radii = 0.5 * (phi.domain.radius - np.abs(zs)) if phi.domain.kind == "disc" else 0.5
-            return holo.cauchy_derivative_grid(gen.fn, zs, radii)
-
-        gprime = HoloFn(gdash, phi.domain, "composite", name=f"({gen.name or 'G'})'")
+        gprime = HoloFn(lambda z: holo.derivative_on_grid(gen, z), phi.domain, "composite",
+                        name=f"({gen.name or 'G'})'")
     return Semicocycle(
-        eval=fn,
+        eval=lambda t, z: np.asarray(phi.space_derivative(t, z)),
         provenance="derivative",
         name=f"{phi.name or 'phi'}-prime",
-        constant_in_z=const,
+        constant_in_z=phi.prime is not None,
         g=gprime,
     )
 
@@ -230,20 +218,16 @@ def g_from_coboundary(omega: HoloFn, G: HoloFn, orders: dict,
 
     def fn(z):
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        radii = 0.5 * (1.0 - np.abs(zs)) if omega.domain.kind == "disc" else 0.5
         out = np.empty(zs.shape, dtype=complex)
         near_any = np.zeros(zs.shape, dtype=bool)
         for b, n in zeros:
             near = np.abs(zs - b) <= zero_guard
             if np.any(near):
-                rr = radii[near] if np.ndim(radii) else radii
-                dG = holo.cauchy_derivative_grid(G.fn, zs[near], rr)
-                out[near] = n * dG
+                out[near] = n * holo.derivative_on_grid(G, zs[near])
                 near_any |= near
         far = ~near_any
         if np.any(far):
-            rr = radii[far] if np.ndim(radii) else radii
-            dw = holo.cauchy_derivative_grid(omega.fn, zs[far], rr)
+            dw = holo.derivative_on_grid(omega, zs[far])
             out[far] = np.asarray(G(zs[far])) * dw / np.asarray(omega(zs[far]))
         return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
 
@@ -266,17 +250,7 @@ def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:
 
 def mdot0(m: Semicocycle, z, steps=DEFAULT_FD_STEPS) -> GeneratorEstimate:
     """Richardson-extrapolated (m_h(z) - 1)/h."""
-    steps = tuple(float(h) for h in steps)
-    quotients = [(complex(np.asarray(m(h, z))) - 1.0) / h for h in steps]
-    diffs = [abs(a - b) for a, b in zip(quotients, quotients[1:])]
-    scale = max(1.0, max(abs(q) for q in quotients))
-    if len(diffs) >= 2 and diffs[-1] > 10.0 * diffs[0] + 1e-9 * scale:
-        raise NonConvergent("cocycle quotients diverge as h decreases")
-    return GeneratorEstimate(
-        value=richardson(quotients, steps, order=1.0),
-        order_evidence=observed_order(quotients, steps),
-        steps_used=steps,
-    )
+    return right_derivative(lambda h: (complex(np.asarray(m(h, z))) - 1.0) / h, steps, "cocycle")
 
 
 @dataclass(frozen=True)
@@ -302,11 +276,7 @@ def coboundary_admissibility(g: HoloFn, G: HoloFn, Gprime: HoloFn | None,
     records = []
     for b in fixed_pts:
         b = complex(b)
-        if Gprime is not None:
-            dG = complex(np.asarray(Gprime(b)))
-        else:
-            radius = 0.5 * (G.domain.radius - abs(b)) if G.domain.kind == "disc" else 0.5
-            dG = complex(holo.cauchy_derivative_grid(G.fn, np.asarray(b, dtype=complex), radius))
+        dG = complex(np.asarray(Gprime(b) if Gprime is not None else holo.derivative_on_grid(G, b)))
         if abs(dG) < tol:
             raise DegenerateFixedPoint(f"G'({b}) ~ 0: admissibility ratio undefined")
         ratio = complex(np.asarray(g(b))) / dG

@@ -1,256 +1,20 @@
 """Built-in configurations for every suite.
 
-These are the configs the CLI runs when no --config file is given; the JSON
-files under configs/ mirror them. All values are plain JSON-shaped data so a
-report's config echo is exactly what a user could feed back in.
+These are the configs the CLI runs when no --config file is given. They live
+as package data in ``wcsg/configs/<suite>.json``, one file per suite, keyed
+by the file stem. All values are plain JSON data, so a report's config echo
+is exactly what a user could feed back in.
 """
 
-LN2 = 0.6931471805599453
+import json
+from importlib import resources
 
-_FAST_POLICY = {"n_theta": 128, "n_radial": 64, "tol": 1e-6}
+from .suites import LN2  # noqa: F401  (bound-table's default time, re-exported)
+
+_CONFIG_DIR = resources.files(__package__) / "configs"
 
 DEFAULT_CONFIGS = {
-    "norm-table": {
-        "suite": "norm-table",
-        "spaces": [
-            {"kind": "hardy", "p": 1.0},
-            {"kind": "hardy", "p": 2.0},
-            {"kind": "hardy", "p": 4.0},
-            {"kind": "dirichlet"},
-            {"kind": "bergman", "alpha": 0.0, "p": 2.0},
-            {"kind": "bergman", "alpha": 1.0, "p": 2.0},
-            {"kind": "bergman", "alpha": 0.5, "p": 4.0},
-        ],
-        "max_degree": 8,
-        "saks": {
-            "spaces": [
-                {"kind": "hardy", "p": 2.0},
-                {"kind": "bergman", "alpha": 0.0, "p": 2.0},
-                {"kind": "dirichlet"},
-                {"kind": "bloch", "alpha": 1.0},
-                {"kind": "sup-holo", "weight": "one"},
-                {"kind": "sup-cont", "weight": "exp-decay"},
-            ],
-            "radii": [0.5, 0.9, 0.99, 0.999, 0.9999],
-            "gap_tol": 1e-3,
-        },
-    },
-    "semigroup-check": {
-        "suite": "semigroup-check",
-        "pairs": [
-            {
-                "label": "dilation-derivative",
-                "space": {"kind": "hardy", "p": 2.0},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "derivative"},
-                "tol": 1e-10,
-            },
-            {
-                "label": "rotation-trivial",
-                "space": {"kind": "sup-holo", "weight": "one"},
-                "flow": {"name": "rotation", "params": {"rate": 0.7}},
-                "cocycle": {"type": "trivial"},
-                "tol": 1e-10,
-            },
-            {
-                "label": "attracting-integral",
-                "space": {"kind": "hardy", "p": 2.0},
-                "flow": {"name": "attracting"},
-                "cocycle": {"type": "integral", "g": "z"},
-                "tol": 1e-7,
-            },
-            {
-                "label": "cubic-translation-weighted",
-                "space": {"kind": "sup-cont", "weight": "exp-decay"},
-                "flow": {"name": "translation-real"},
-                "cocycle": {"type": "integral", "g": "-1.0"},
-                "tol": 1e-7,
-            },
-        ],
-        "sweep": {"ts": [0.0, 0.1, 0.5, 1.0], "grid_rmax": 0.95, "grid_n": 12},
-    },
-    "cocycle-check": {
-        "suite": "cocycle-check",
-        "flow": {"name": "attracting"},
-        "cocycles": [
-            {"type": "trivial"},
-            {"type": "integral", "g": "-1.0"},
-            {"type": "integral", "g": "z"},
-            {"type": "derivative"},
-        ],
-        "sweep": {"ts": [0.0, 0.1, 0.5, 1.0], "grid_rmax": 0.95, "grid_n": 12},
-        "tolerances": {"law": 1e-7, "mdot0": 1e-5},
-    },
-    "bound-table": {
-        "suite": "bound-table",
-        "ts": [LN2, 1.0],
-        "slack": 1e-3,
-        "max_test_degree": 5,
-        "cases": [
-            {
-                "label": "hardy2-attracting-trivial",
-                "space": {"kind": "hardy", "p": 2.0},
-                "flow": {"name": "attracting"},
-                "cocycle": {"type": "trivial"},
-            },
-            {
-                "label": "hardy2-dilation-derivative",
-                "space": {"kind": "hardy", "p": 2.0},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "derivative"},
-            },
-            {
-                "label": "bergman02-dilation-trivial",
-                "space": {"kind": "bergman", "alpha": 0.0, "p": 2.0},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "trivial"},
-            },
-            {
-                "label": "bergman-neg-alpha-dilation",
-                "space": {"kind": "bergman", "alpha": -0.5, "p": 2.0},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "trivial"},
-            },
-            {
-                "label": "dirichlet-attracting-trivial",
-                "space": {"kind": "dirichlet", "policy": _FAST_POLICY},
-                "flow": {"name": "attracting"},
-                "cocycle": {"type": "trivial"},
-            },
-            {
-                "label": "dirichlet-dilation-derivative",
-                "space": {"kind": "dirichlet", "policy": _FAST_POLICY},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "derivative"},
-            },
-            {
-                "label": "bloch1-dilation-derivative",
-                "space": {"kind": "bloch", "alpha": 1.0},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "derivative"},
-            },
-            {
-                "label": "bloch2-attracting-trivial",
-                "space": {"kind": "bloch", "alpha": 2.0},
-                "flow": {"name": "attracting"},
-                "cocycle": {"type": "trivial"},
-            },
-            {
-                "label": "hinf-rotation-trivial",
-                "space": {"kind": "sup-holo", "weight": "one"},
-                "flow": {"name": "rotation", "params": {"rate": 0.2}},
-                "cocycle": {"type": "trivial"},
-            },
-            {
-                "label": "translation-exp-weight",
-                "space": {"kind": "sup-cont", "weight": "exp-decay"},
-                "flow": {"name": "translation-real"},
-                "cocycle": {"type": "trivial"},
-            },
-        ],
-    },
-    "generator-check": {
-        "suite": "generator-check",
-        "steps": [1e-2, 5e-3, 2.5e-3],
-        "radius": 0.9,
-        "tolerances": {"residual": 1e-4, "order_min": 0.9},
-        "cases": [
-            {
-                "label": "dilation-hardy2",
-                "space": {"kind": "hardy", "p": 2.0},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "trivial"},
-                "f": "z^2",
-            },
-            {
-                "label": "multiplication-sup",
-                "space": {"kind": "sup-holo", "weight": "one"},
-                "flow": {"name": "identity"},
-                "cocycle": {"type": "integral", "g": "z^2"},
-                "f": "z",
-            },
-            {
-                "label": "dilation-weighted-hardy2",
-                "space": {"kind": "hardy", "p": 2.0},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "integral", "g": "-1.0"},
-                "f": "z",
-            },
-            {
-                "label": "attracting-bergman",
-                "space": {"kind": "bergman", "alpha": 0.0, "p": 2.0},
-                "flow": {"name": "attracting"},
-                "cocycle": {"type": "trivial"},
-                "f": "z^2",
-            },
-            {
-                "label": "rotation-hardy2",
-                "space": {"kind": "hardy", "p": 2.0},
-                "flow": {"name": "rotation", "params": {"rate": 1.0}},
-                "cocycle": {"type": "trivial"},
-                "f": "z^3",
-            },
-            {
-                "label": "translation-weighted-real",
-                "space": {"kind": "sup-cont", "weight": "exp-decay"},
-                "flow": {"name": "translation-real"},
-                "cocycle": {"type": "integral", "g": "-1.0"},
-                "f": "1.0 / (1.0 + x^2)",
-            },
-        ],
-    },
-    "reconstruct": {
-        "suite": "reconstruct",
-        "cases": [
-            {
-                "label": "dilation",
-                "generator": "-z",
-                "reference": {"name": "dilation", "params": {"c": 1.0}},
-            },
-            {
-                "label": "attracting",
-                "generator": "1.0 - z",
-                "reference": {"name": "attracting"},
-            },
-        ],
-        "sweep": {"ts": [0.25, 0.5, 0.75, 1.0], "grid_rmax": 0.9, "grid_n": 6},
-        "tolerances": {"deviation": 1e-6, "generator_fd": 1e-5},
-    },
-    "continuity-probe": {
-        "suite": "continuity-probe",
-        "cases": [
-            {
-                "label": "hinf-rotation-dichotomy",
-                "space": {"kind": "sup-holo", "weight": "one"},
-                "flow": {"name": "rotation", "params": {"rate": 0.2}},
-                "cocycle": {"type": "trivial"},
-                "f": "singular-inner",
-                "ts": [0.1, 0.01, 0.001],
-                "radii": [0.5, 0.9],
-                "norm_cap": 1.000001,
-                "expect": {"gamma": True, "norm": False},
-            },
-            {
-                "label": "hinf-dilation-monomial",
-                "space": {"kind": "sup-holo", "weight": "one"},
-                "flow": {"name": "dilation", "params": {"c": 1.0}},
-                "cocycle": {"type": "trivial"},
-                "f": "e_1",
-                "ts": [0.1, 0.01, 0.001],
-                "radii": [0.5, 0.9],
-                "tolerances": {"co": 1e-2, "norm": 1e-2},
-                "expect": {"gamma": True, "norm": True},
-            },
-        ],
-    },
-    "admissibility": {
-        "suite": "admissibility",
-        "flow": {"name": "dilation", "params": {"c": 1.0}},
-        "tol": 1e-8,
-        "cases": [
-            {"label": "derivative-weight", "g": "-1.0", "expect_admissible": True},
-            {"label": "half-weight", "g": "-0.5", "expect_admissible": False},
-            {"label": "vanishing-weight", "g": "0.0", "expect_admissible": True},
-        ],
-    },
+    name.removesuffix(".json"): json.loads((_CONFIG_DIR / name).read_text())
+    for name in sorted(entry.name for entry in _CONFIG_DIR.iterdir())
+    if name.endswith(".json")
 }

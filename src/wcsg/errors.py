@@ -35,7 +35,7 @@ class UnknownCatalogEntry(WcsgError):
     """Requested a semiflow the catalog does not define."""
 
 
-class InvalidParam(WcsgError):
+class InvalidParam(WcsgError, ValueError):
     """Catalog or config parameter outside its admissible range."""
 
 

@@ -10,8 +10,6 @@ time as an error, never a silent clamp.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,8 +48,9 @@ class Semiflow:
 
     ``eval`` maps (t, z) -> point; z may be a numpy array for catalog flows.
     ``generator`` carries the closed-form vector field when known.
-    ``prime`` carries the closed-form space derivative phi_t'(z) when known
-    (affine catalog flows); otherwise differentiation goes through Cauchy.
+    ``prime`` carries the closed-form space derivative phi_t'(z) and is set
+    only for affine flows, whose derivative is constant in z; otherwise
+    differentiation goes through ``holo.derivative_on_grid``.
     """
 
     eval: Callable
@@ -65,24 +64,11 @@ class Semiflow:
     def __call__(self, t: float, z):
         return self.eval(t, z)
 
-    def at(self, t: float) -> HoloFn:
-        """phi_t as a function of the space variable."""
-        return HoloFn(
-            fn=lambda z, t=t: self.eval(t, z),
-            domain=self.domain,
-            kind="composite",
-            name=f"{self.name or 'phi'}_t(t={t:g})",
-        )
-
     def space_derivative(self, t: float, z):
-        """phi_t'(z), closed form when available, Cauchy quadrature otherwise."""
+        """phi_t'(z), closed form when available, numerical otherwise."""
         if self.prime is not None:
             return self.prime(t, np.asarray(z, dtype=complex) if self.domain.kind != "real" else np.asarray(z, dtype=float))
-        if self.domain.kind == "real":
-            return holo.real_derivative_grid(lambda x: self.eval(t, x), z)
-        zs = np.asarray(z, dtype=complex)
-        radii = 0.5 * (self.domain.radius - np.abs(zs)) if self.domain.kind == "disc" else 0.5
-        return holo.cauchy_derivative_grid(lambda w: self.eval(t, w), zs, radii)
+        return holo.derivative_on_grid(HoloFn(lambda w: self.eval(t, w), self.domain), z)
 
 
 @dataclass(frozen=True)
@@ -191,10 +177,6 @@ def real_sample_grid(xmax: float = 10.0, n: int = 21):
     return np.linspace(-xmax, xmax, n)
 
 
-def sample_grid_for(domain: Domain, rmax: float = 0.95):
-    return real_sample_grid() if domain.kind == "real" else disc_sample_grid(rmax)
-
-
 def semiflow_law_residual(phi: Semiflow, ts, grid) -> float:
     """max over samples of |phi_{t+s}(z) - phi_t(phi_s(z))| and |phi_0(z) - z|."""
     pts = np.asarray(grid)
@@ -215,22 +197,33 @@ def semiflow_law_residual(phi: Semiflow, ts, grid) -> float:
     return worst
 
 
+def right_derivative(quotient, steps, what: str) -> GeneratorEstimate:
+    """Richardson limit h -> 0+ of quotient(h) over a decreasing step ladder.
+
+    Raises NonConvergent("<what> quotients diverge ...") when the last
+    consecutive difference grows past ten times the first.
+    """
+    steps = tuple(float(h) for h in steps)
+    quotients = [quotient(h) for h in steps]
+    diffs = [abs(a - b) for a, b in zip(quotients, quotients[1:])]
+    scale = max(1.0, max(abs(q) for q in quotients))
+    if len(diffs) >= 2 and diffs[-1] > 10.0 * diffs[0] + 1e-9 * scale:
+        raise NonConvergent(f"{what} quotients diverge as h decreases")
+    return GeneratorEstimate(
+        value=richardson(quotients, steps, order=1.0),
+        order_evidence=observed_order(quotients, steps),
+        steps_used=steps,
+    )
+
+
 def generator_fd(phi: Semiflow, z, steps=DEFAULT_FD_STEPS) -> GeneratorEstimate:
     """One-sided difference (phi_h(z) - z)/h with Richardson extrapolation."""
     steps = tuple(float(h) for h in steps)
     if any(h <= 0 for h in steps) or any(b >= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("steps must be positive and strictly decreasing")
+        raise InvalidParam("steps must be positive and strictly decreasing")
     z0 = complex(z) if phi.domain.kind != "real" else float(z)
-    quotients = [(complex(np.asarray(phi(h, z0))) - complex(z0)) / h for h in steps]
-    diffs = [abs(a - b) for a, b in zip(quotients, quotients[1:])]
-    scale = max(1.0, max(abs(q) for q in quotients))
-    if len(diffs) >= 2 and diffs[-1] > 10.0 * diffs[0] + 1e-9 * scale:
-        raise NonConvergent("one-sided quotients diverge as h decreases")
-    value = richardson(quotients, steps, order=1.0)
-    return GeneratorEstimate(
-        value=value,
-        order_evidence=observed_order(quotients, steps),
-        steps_used=steps,
+    return right_derivative(
+        lambda h: (complex(np.asarray(phi(h, z0))) - complex(z0)) / h, steps, "one-sided"
     )
 
 
@@ -253,6 +246,8 @@ def _newton_refine(G: HoloFn, seed, tol: float, max_iter: int = 80):
     is_real = G.domain.kind == "real"
     z = float(np.real(seed)) if is_real else complex(seed)
     for _ in range(max_iter):
+        if G.domain.kind == "disc" and abs(z) >= G.domain.radius:
+            return None
         gz = complex(np.asarray(G(z)))
         if abs(gz) < tol:
             return z
@@ -261,16 +256,11 @@ def _newton_refine(G: HoloFn, seed, tol: float, max_iter: int = 80):
             h = max(1e-13, 0.05 * abs(z))
             dg = complex(holo.real_derivative_grid(G.fn, np.asarray([z]), h0=h)[0])
         else:
-            radius = 0.5 * (G.domain.radius - abs(z)) if G.domain.kind == "disc" else 0.5
-            if radius <= 0:
-                return None
-            dg = complex(holo.cauchy_derivative_grid(G.fn, np.asarray(z, dtype=complex), radius))
+            dg = complex(holo.derivative_on_grid(G, z))
         if abs(dg) < 1e-14:
             return None
         step = gz / dg
         z = float((z - step).real) if is_real else z - step
-        if G.domain.kind == "disc" and abs(z) >= G.domain.radius:
-            return None
     return None
 
 

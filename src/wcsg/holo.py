@@ -14,7 +14,7 @@ in fixed index order so repeated runs are bit-stable.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -396,9 +396,12 @@ def boundary_extrapolate(value_at_r1: float, value_at_r2: float, r1: float, r2: 
 
 def richardson(values, steps, order: float = 1.0):
     """Neville extrapolation of values(h) to h = 0, treating the error as a
-    polynomial in h**order. Steps must be positive and strictly decreasing."""
+    polynomial in h**order. Steps must be positive and strictly decreasing.
+
+    Values may be scalars or numpy arrays (extrapolated elementwise); the
+    arithmetic keeps their type."""
     hs = [float(h) ** order for h in steps]
-    tab = [complex(v) for v in values]
+    tab = list(values)
     n = len(tab)
     if n != len(hs) or n == 0:
         raise ValueError("values and steps must be equal-length and nonempty")
@@ -441,24 +444,17 @@ def real_derivative(f, x: float, h0: float = 1e-3, levels: int = 3):
 def real_derivative_grid(f, xs, h0: float = 1e-3, levels: int = 3):
     xs = np.asarray(xs, dtype=float)
     steps = [h0 / (2 ** k) for k in range(levels)]
-    quotients = [(f(xs + h) - f(xs - h)) / (2.0 * h) for h in steps]
-    hs = [h ** 2 for h in steps]
-    tab = [np.asarray(q) for q in quotients]
-    n = len(tab)
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            x0, x1 = hs[i], hs[i + level]
-            nxt.append((x0 * tab[i + 1] - x1 * tab[i]) / (x0 - x1))
-        tab = nxt
-    return tab[0]
+    quotients = [np.asarray((f(xs + h) - f(xs - h)) / (2.0 * h)) for h in steps]
+    return richardson(quotients, steps, order=2.0)
 
 
 def derivative_on_grid(f: HoloFn, zs, n_nodes: int = INNER_DERIV_NODES, safety: float = 0.5):
     """f' on an array of points, dispatching on the domain kind.
 
-    Disc domains use Cauchy circles of radius safety*(R - |z|); real domains
-    use central differences with Richardson.
+    The one derivative path of the package: disc domains use Cauchy circles
+    of radius safety*(R - |z|) (DomainExit at or outside the boundary), the
+    plane uses radius 0.5, real domains use central differences with
+    Richardson.
     """
     if f.domain.kind == "real":
         return real_derivative_grid(f.fn, zs)

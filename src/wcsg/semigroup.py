@@ -19,12 +19,10 @@ import numpy as np
 
 from . import holo, spaces
 from .cocycles import Semicocycle
-from .errors import UnsupportedSpaceBound
+from .errors import InvalidParam, UnsupportedSpaceBound
 from .flows import DEFAULT_FD_STEPS, Semiflow
 from .holo import HoloFn
 from .spaces import SeminormIndex, SpaceSpec, certified_sup, co_seminorm, norm
-
-CORPUS_VERSION = "1"
 
 DQ_LADDER = (1.0, 0.5, 0.1, 0.01, 0.001)
 
@@ -43,7 +41,7 @@ class WcSemigroup:
 def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:
     """The evaluator z -> m_t(z) f(phi_t(z)); holomorphy is preserved."""
     if t < 0:
-        raise ValueError("semigroup times must be >= 0")
+        raise InvalidParam("semigroup times must be >= 0")
 
     def fn(z, t=float(t)):
         moved = np.asarray(sg.phi(t, z))
@@ -278,8 +276,8 @@ def generator_residual(sg: WcSemigroup, G: HoloFn, g: HoloFn, f: HoloFn,
                        steps=DEFAULT_FD_STEPS, radius: float = 0.9,
                        dq_ladder=DQ_LADDER) -> GeneratorResidualReport:
     steps = tuple(float(h) for h in steps)
-    if any(b >= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("steps must be strictly decreasing")
+    if not steps or min(steps) <= 0 or any(b >= a for a, b in zip(steps, steps[1:])):
+        raise InvalidParam("steps must be positive and strictly decreasing")
     pts = _residual_grid(sg.space, radius)
     target = np.asarray(generator_formula_apply(G, g, f).fn(pts))
     f_vals = np.asarray(f.fn(pts))
@@ -292,16 +290,7 @@ def generator_residual(sg: WcSemigroup, G: HoloFn, g: HoloFn, f: HoloFn,
         per_h.append((h, float(np.max(np.abs(q - target)))))
 
     # pointwise Richardson across the step ladder, then sup
-    hs = list(steps)
-    tab = list(quotients)
-    n = len(tab)
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            x0, x1 = hs[i], hs[i + level]
-            nxt.append((x0 * tab[i + 1] - x1 * tab[i]) / (x0 - x1))
-        tab = nxt
-    extrapolated = float(np.max(np.abs(tab[0] - target)))
+    extrapolated = float(np.max(np.abs(holo.richardson(quotients, steps) - target)))
 
     res = [r for _, r in per_h]
     if min(res) > 0:
@@ -357,8 +346,8 @@ def continuity_probe(sg: WcSemigroup, f: HoloFn, ts, radii,
                      tol_co: float = 1e-3, tol_norm: float = 1e-3,
                      norm_cap: float | None = None) -> ContinuityProbe:
     ts = [float(t) for t in ts]
-    if any(b >= a for a, b in zip(ts, ts[1:])) or min(ts) <= 0:
-        raise ValueError("ts must be positive and decreasing toward 0")
+    if not ts or min(ts) <= 0 or any(b >= a for a, b in zip(ts, ts[1:])):
+        raise InvalidParam("ts must be positive and decreasing toward 0")
     if norm_cap is None:
         norm_cap = 10.0 * (norm(sg.space, f) + 1.0)
     records = []

@@ -15,18 +15,16 @@ last refinement delta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import holo
-from .errors import Unbounded
+from .errors import InvalidParam, Unbounded
 from .holo import (
     DEFAULT_POLICY,
-    INNER_DERIV_NODES,
     OVERFLOW_GUARD,
-    Domain,
     HoloFn,
     QuadPolicy,
     annulus_integral,
@@ -133,7 +131,7 @@ class SeminormIndex:
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
-            raise ValueError("seminorm radius must lie in (0, 1)")
+            raise InvalidParam("seminorm radius must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -255,30 +253,38 @@ def _is_numerically_zero(f: HoloFn, space: SpaceSpec) -> bool:
     return bool(np.max(np.abs(f(pts))) < 1e-15)
 
 
+def _density(space: SpaceSpec, f: HoloFn):
+    """Area integrand of a Bergman or Dirichlet functional, before scaling."""
+    if space.kind == "bergman":
+        a, p = space.alpha, space.p
+        return lambda z: np.abs(f.fn(z)) ** p * (1.0 - np.abs(z) ** 2) ** a
+    return lambda z: np.abs(derivative_on_grid(f, z)) ** 2
+
+
+def _area_scale(space: SpaceSpec, integral: float) -> float:
+    """Normalise an area integral of the density (Bergman: (a+1)/pi, Dirichlet: 1/pi)."""
+    if space.kind == "bergman":
+        return (space.alpha + 1.0) / np.pi * integral
+    return integral / np.pi
+
+
 def _radial_functional(space: SpaceSpec, f: HoloFn, r: float, certify: bool) -> float:
     """F(r): the p-power (or squared) integral functional truncated at r."""
     if space.kind == "hardy":
         return circle_mean_p(f, r, space.p, space.policy)
-    if space.kind == "bergman":
-        a, p = space.alpha, space.p
-
-        def integrand(z):
-            return np.abs(f.fn(z)) ** p * (1.0 - np.abs(z) ** 2) ** a
-
-        return (a + 1.0) / np.pi * disc_integral(integrand, r, space.policy, certify=certify)
+    area = _area_scale(space, disc_integral(_density(space, f), r, space.policy, certify=certify))
     if space.kind == "dirichlet":
-        def integrand(z):
-            radii = 0.5 * (1.0 - np.abs(z))
-            df = holo.cauchy_derivative_grid(f.fn, z, radii, INNER_DERIV_NODES)
-            return np.abs(df) ** 2
-
-        head = abs(complex(f(0.0))) ** 2
-        return head + disc_integral(integrand, r, space.policy, certify=certify) / np.pi
-    raise ValueError(f"no radial functional for {space.kind}")
+        return abs(complex(f(0.0))) ** 2 + area
+    return area
 
 
 def _tail_exponent(space: SpaceSpec) -> float:
     return space.alpha + 1.0 if space.kind == "bergman" else 1.0
+
+
+def _root(space: SpaceSpec) -> float:
+    """Exponent taking an integral functional to its norm."""
+    return 0.5 if space.kind == "dirichlet" else 1.0 / space.p
 
 
 def _annulus_increment(space: SpaceSpec, f: HoloFn, r1: float, r2: float) -> float:
@@ -286,17 +292,19 @@ def _annulus_increment(space: SpaceSpec, f: HoloFn, r1: float, r2: float) -> flo
         return _radial_functional(space, f, r2, certify=False) - _radial_functional(
             space, f, r1, certify=False
         )
-    if space.kind == "bergman":
-        a, p = space.alpha, space.p
-        g = lambda z: np.abs(f.fn(z)) ** p * (1.0 - np.abs(z) ** 2) ** a
-        return (a + 1.0) / np.pi * annulus_integral(g, r1, r2, n_theta=space.policy.n_theta)
+    return _area_scale(
+        space, annulus_integral(_density(space, f), r1, r2, n_theta=space.policy.n_theta)
+    )
 
-    def g(z):
-        radii = 0.5 * (1.0 - np.abs(z))
-        df = holo.cauchy_derivative_grid(f.fn, z, radii, INNER_DERIV_NODES)
-        return np.abs(df) ** 2
 
-    return annulus_integral(g, r1, r2, n_theta=space.policy.n_theta) / np.pi
+def _sup_functional(space: SpaceSpec, f: HoloFn):
+    """Pointwise functional whose grid sup gives a sup-type norm, plus the
+    |f(0)| head that the Bloch norm adds to it."""
+    vfn = space.v.fn
+    if space.kind == "bloch":
+        values_at = lambda z: np.abs(derivative_on_grid(f, z)) * np.real(vfn(z))
+        return values_at, abs(complex(f(0.0)))
+    return (lambda z: np.abs(f.fn(z)) * np.real(vfn(z))), 0.0
 
 
 def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
@@ -312,7 +320,7 @@ def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
             raise Unbounded(f"{space.label}: radial functional exceeded the overflow guard")
         ext = boundary_extrapolate(F1, F2, r1, r2, _tail_exponent(space))
         ext = max(ext, F2)  # the functionals are nondecreasing in r
-        root = 1.0 / space.p if space.kind != "dirichlet" else 0.5
+        root = _root(space)
         return NormEvaluation(
             value=float(ext ** root),
             method="truncated-extrapolated",
@@ -323,21 +331,10 @@ def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
             tail_exponent=_tail_exponent(space),
         )
 
-    if space.kind == "bloch":
-        vfn = space.v.fn
-
-        def grad_vals(z):
-            df = derivative_on_grid(f, z)
-            return np.abs(df) * np.real(vfn(z))
-
-        sup, delta = certified_sup(grad_vals, space)
-        head = abs(complex(f(0.0)))
-        return NormEvaluation(value=head + sup, method="certified-grid-sup", sup_delta=delta)
-
-    vfn = space.v.fn
-    sup, delta = certified_sup(lambda z: np.abs(f.fn(z)) * np.real(vfn(z)), space)
+    values_at, head = _sup_functional(space, f)
+    sup, delta = certified_sup(values_at, space)
     return NormEvaluation(
-        value=sup,
+        value=head + sup,
         method="certified-grid-sup",
         sup_delta=delta,
         real_halfwidth=space.real_halfwidth if space.is_real else None,
@@ -351,33 +348,12 @@ def norm(space: SpaceSpec, f: HoloFn) -> float:
 def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
     """Compact-open seminorm at radius idx.s (nondecreasing in s, below norm)."""
     s = idx.s
-    if space.kind == "hardy":
-        return float(circle_mean_p(f, s * (1.0 - 1e-6), space.p, space.policy) ** (1.0 / space.p))
-    if space.kind == "bergman":
-        a, p = space.alpha, space.p
-        g = lambda z: np.abs(f.fn(z)) ** p * (1.0 - np.abs(z) ** 2) ** a
-        val = (a + 1.0) / np.pi * disc_integral(g, s, space.policy, certify=False)
-        return float(val ** (1.0 / p))
-    if space.kind == "dirichlet":
-        def g(z):
-            radii = 0.5 * (1.0 - np.abs(z))
-            df = holo.cauchy_derivative_grid(f.fn, z, radii, INNER_DERIV_NODES)
-            return np.abs(df) ** 2
-
-        head = abs(complex(f(0.0))) ** 2
-        return float(np.sqrt(head + disc_integral(g, s, space.policy, certify=False) / np.pi))
-    if space.kind == "bloch":
-        vfn = space.v.fn
-
-        def grad_vals(z):
-            df = derivative_on_grid(f, z)
-            return np.abs(df) * np.real(vfn(z))
-
-        sup, _ = certified_sup(grad_vals, space, radius_scale=s)
-        return abs(complex(f(0.0))) + sup
-    vfn = space.v.fn
-    sup, _ = certified_sup(lambda z: np.abs(f.fn(z)) * np.real(vfn(z)), space, radius_scale=s)
-    return sup
+    if space.kind in INTEGRAL_KINDS:
+        r = s * (1.0 - 1e-6) if space.kind == "hardy" else s
+        return float(_radial_functional(space, f, r, certify=False) ** _root(space))
+    values_at, head = _sup_functional(space, f)
+    sup, _ = certified_sup(values_at, space, radius_scale=s)
+    return head + sup
 
 
 @dataclass(frozen=True)
@@ -396,8 +372,8 @@ class SaksReport:
 
 def saks_sup_check(space: SpaceSpec, f: HoloFn, radii, tol: float = 1e-3) -> SaksReport:
     radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must increase toward 1")
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InvalidParam("radii must be nonempty and increase toward 1")
     nrm = norm(space, f)
     vals = tuple((r, co_seminorm(space, f, SeminormIndex(r))) for r in radii)
     best = max(v for _, v in vals)

@@ -182,16 +182,16 @@ _NAMED_FUNCTIONS = {
 
 
 def build_function(spec, domain, path: str) -> HoloFn:
-    if isinstance(spec, str) and spec in _NAMED_FUNCTIONS:
+    if not isinstance(spec, str):
+        raise ConfigError(path, "expected a function name or expression string")
+    if spec in _NAMED_FUNCTIONS:
         return _NAMED_FUNCTIONS[spec](domain)
-    if isinstance(spec, str) and spec.startswith("e_"):
-        return holo.monomial(int(spec[2:]), domain)
-    if isinstance(spec, str):
-        try:
-            return exprs.to_holofn(spec, domain)
-        except ValueError as e:
-            raise ConfigError(path, f"bad function expression: {e}")
-    raise ConfigError(path, "expected a function name or expression string")
+    try:
+        if spec.startswith("e_"):
+            return holo.monomial(int(spec[2:]), domain)
+        return exprs.to_holofn(spec, domain)
+    except ValueError as e:
+        raise ConfigError(path, f"bad function expression: {e}")
 
 
 def _section(cfg: dict, key: str, path: str) -> dict:
@@ -211,6 +211,25 @@ def _tolerances(cfg: dict, path: str, defaults: dict) -> dict:
         out[k] = float(v)
     section.update(out)  # resolved tolerances appear in the config echo
     return out
+
+
+def _sweep(cfg: dict, ts, rmax: float, n: int):
+    """The sweep section: sample times, grid radius and grid density."""
+    sweep = _section(cfg, "sweep", "config")
+    _check_keys(sweep, {"ts", "grid_rmax", "grid_n"}, "sweep")
+    return (
+        [float(t) for t in _get(sweep, "ts", "sweep", ts)],
+        float(_get(sweep, "grid_rmax", "sweep", rmax)),
+        int(_get(sweep, "grid_n", "sweep", n)),
+    )
+
+
+def _build_semigroup(cfg: dict, path: str) -> WcSemigroup:
+    """Space, flow and cocycle (trivial by default) of one case."""
+    space = build_space(_get(cfg, "space", path, required=True), f"{path}.space")
+    phi = build_flow(_get(cfg, "flow", path, required=True), f"{path}.flow")
+    m = build_cocycle(_get(cfg, "cocycle", path, {"type": "trivial"}), phi, f"{path}.cocycle")
+    return WcSemigroup(phi, m, space)
 
 
 def _grid_for(domain, rmax: float = 0.95, n: int = 12):
@@ -306,11 +325,7 @@ def run_norm_table(cfg: dict) -> list:
 
 def run_semigroup_check(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "pairs", "sweep"}, "config")
-    sweep = _section(cfg, "sweep", "config")
-    _check_keys(sweep, {"ts", "grid_rmax", "grid_n"}, "sweep")
-    ts = [float(t) for t in _get(sweep, "ts", "sweep", [0.0, 0.1, 0.5, 1.0])]
-    rmax = float(_get(sweep, "grid_rmax", "sweep", 0.95))
-    grid_n = int(_get(sweep, "grid_n", "sweep", 12))
+    ts, rmax, grid_n = _sweep(cfg, [0.0, 0.1, 0.5, 1.0], 0.95, 12)
     cases = []
     for i, pcfg in enumerate(_get(cfg, "pairs", "config", required=True)):
         path = f"pairs[{i}]"
@@ -350,11 +365,7 @@ def run_semigroup_check(cfg: dict) -> list:
 def run_cocycle_check(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "flow", "cocycles", "sweep", "tolerances"}, "config")
     tols = _tolerances(cfg, "config", {"law": 1e-7, "mdot0": 1e-5})
-    sweep = _section(cfg, "sweep", "config")
-    _check_keys(sweep, {"ts", "grid_rmax", "grid_n"}, "sweep")
-    ts = [float(t) for t in _get(sweep, "ts", "sweep", [0.0, 0.1, 0.5, 1.0])]
-    rmax = float(_get(sweep, "grid_rmax", "sweep", 0.95))
-    grid_n = int(_get(sweep, "grid_n", "sweep", 12))
+    ts, rmax, grid_n = _sweep(cfg, [0.0, 0.1, 0.5, 1.0], 0.95, 12)
     phi = build_flow(_get(cfg, "flow", "config", required=True), "flow")
     grid = _grid_for(phi.domain, rmax, grid_n)
     cases = []
@@ -399,10 +410,8 @@ def run_bound_table(cfg: dict) -> list:
         cid = f"bound/{label}"
 
         def run(bcfg=bcfg, path=path, label=label, cid=cid):
-            space = build_space(_get(bcfg, "space", path, required=True), f"{path}.space")
-            phi = build_flow(_get(bcfg, "flow", path, required=True), f"{path}.flow")
-            m = build_cocycle(_get(bcfg, "cocycle", path, {"type": "trivial"}), phi, f"{path}.cocycle")
-            sg = WcSemigroup(phi, m, space)
+            sg = _build_semigroup(bcfg, path)
+            space, phi, m = sg.space, sg.phi, sg.m
             testset = semigroup.default_test_functions(space, max_degree=max_deg)
             ref_norms = [spaces.norm(space, f) for f in testset]
             rows, ok = [], True
@@ -446,10 +455,8 @@ def run_generator_check(cfg: dict) -> list:
         cid = f"generator/{label}"
 
         def run(gcfg=gcfg, path=path, cid=cid):
-            space = build_space(_get(gcfg, "space", path, required=True), f"{path}.space")
-            phi = build_flow(_get(gcfg, "flow", path, required=True), f"{path}.flow")
-            m = build_cocycle(_get(gcfg, "cocycle", path, {"type": "trivial"}), phi, f"{path}.cocycle")
-            sg = WcSemigroup(phi, m, space)
+            sg = _build_semigroup(gcfg, path)
+            space, phi, m = sg.space, sg.phi, sg.m
             f = build_function(_get(gcfg, "f", path, required=True), phi.domain, f"{path}.f")
             G = phi.generator
             if G is None:
@@ -480,11 +487,7 @@ def run_generator_check(cfg: dict) -> list:
 def run_reconstruct(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "cases", "sweep", "tolerances", "ode"}, "config")
     tols = _tolerances(cfg, "config", {"deviation": 1e-6, "generator_fd": 1e-5})
-    sweep = _section(cfg, "sweep", "config")
-    _check_keys(sweep, {"ts", "grid_rmax", "grid_n"}, "sweep")
-    ts = [float(t) for t in _get(sweep, "ts", "sweep", [0.25, 0.5, 0.75, 1.0])]
-    rmax = float(_get(sweep, "grid_rmax", "sweep", 0.9))
-    grid_n = int(_get(sweep, "grid_n", "sweep", 6))
+    ts, rmax, grid_n = _sweep(cfg, [0.25, 0.5, 0.75, 1.0], 0.9, 6)
     ode_cfg = _section(cfg, "ode", "config")
     cases = []
     for i, rcfg in enumerate(_get(cfg, "cases", "config", required=True)):
@@ -543,10 +546,8 @@ def run_continuity_probe(cfg: dict) -> list:
         cid = f"continuity/{label}"
 
         def run(pcfg=pcfg, path=path, cid=cid):
-            space = build_space(_get(pcfg, "space", path, required=True), f"{path}.space")
-            phi = build_flow(_get(pcfg, "flow", path, required=True), f"{path}.flow")
-            m = build_cocycle(_get(pcfg, "cocycle", path, {"type": "trivial"}), phi, f"{path}.cocycle")
-            sg = WcSemigroup(phi, m, space)
+            sg = _build_semigroup(pcfg, path)
+            space, phi, m = sg.space, sg.phi, sg.m
             f = build_function(_get(pcfg, "f", path, required=True), phi.domain, f"{path}.f")
             ts = [float(t) for t in _get(pcfg, "ts", path, [0.1, 0.01, 0.001])]
             radii = [float(r) for r in _get(pcfg, "radii", path, [0.5, 0.9])]

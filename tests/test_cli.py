@@ -3,6 +3,11 @@
 import copy
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from importlib import resources
 
 import pytest
 
@@ -11,6 +16,8 @@ from wcsg.defaults import DEFAULT_CONFIGS
 from wcsg.errors import ConfigError
 from wcsg.reporting import Case, Report, emit_csv, report_to_dict, report_to_json
 from wcsg.suites import SUITES, build_space
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -68,6 +75,79 @@ class TestExitCodes:
         assert "error" in verdicts and True in verdicts
 
 
+_HARDY2 = {"kind": "hardy", "p": 2.0}
+_DILATION = {"name": "dilation", "params": {"c": 1.0}}
+
+# Each config breaks one input check; per case the expected verdict, "error"
+# for the cases the bad input reaches.
+_BAD_INPUTS = {
+    "generator-check-steps": (
+        {
+            "suite": "generator-check",
+            "steps": [2.5e-3, 5e-3, 1e-2],
+            "cases": [
+                {"label": "a", "space": _HARDY2, "flow": _DILATION, "f": "z^2"},
+                {"label": "b", "space": _HARDY2, "flow": {"name": "attracting"}, "f": "z"},
+            ],
+        },
+        {"generator/a": "error", "generator/b": "error"},
+    ),
+    "norm-table-saks-radii": (
+        {
+            "suite": "norm-table",
+            "spaces": [_HARDY2],
+            "max_degree": 1,
+            "saks": {"spaces": [_HARDY2], "radii": [0.9, 0.5]},
+        },
+        {"norm/H^2/e_0": True, "norm/H^2/e_1": True,
+         **{f"saks/H^2/{f}": "error" for f in ("one", "e_1", "e_2", "poly[1.0, 1.0]", "exp(0.5z)")}},
+    ),
+    "continuity-probe-ts": (
+        {
+            "suite": "continuity-probe",
+            "cases": [
+                {"label": "increasing", "space": {"kind": "sup-holo"}, "flow": _DILATION,
+                 "f": "e_1", "ts": [0.001, 0.01, 0.1]},
+                {"label": "no-ts", "space": {"kind": "sup-holo"}, "flow": _DILATION,
+                 "f": "e_1", "ts": []},
+                {"label": "radius-one", "space": {"kind": "sup-holo"}, "flow": _DILATION,
+                 "f": "e_1", "radii": [0.5, 1.0]},
+                {"label": "bad-monomial", "space": {"kind": "sup-holo"}, "flow": _DILATION,
+                 "f": "e_x"},
+                {"label": "decreasing", "space": {"kind": "sup-holo"}, "flow": _DILATION,
+                 "f": "e_1", "ts": [0.1, 0.01, 0.001], "tolerances": {"co": 1e-2, "norm": 1e-2}},
+            ],
+        },
+        {"continuity/increasing": "error", "continuity/no-ts": "error",
+         "continuity/radius-one": "error", "continuity/bad-monomial": "error",
+         "continuity/decreasing": True},
+    ),
+    "bound-table-negative-t": (
+        {"suite": "bound-table", "ts": [-0.5], "cases": [{"label": "a", "space": _HARDY2,
+                                                          "flow": _DILATION}]},
+        {"bound/a": "error"},
+    ),
+}
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+    def test_bad_input_is_an_error_case_not_a_traceback(self, tmp_path, name):
+        cfg, expected = _BAD_INPUTS[name]
+        out = tmp_path / "r.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wcsg.cli", cfg["suite"], "--config",
+             write_config(tmp_path, cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        doc = json.loads(out.read_text())
+        assert {c["id"]: c["verdict"] for c in doc["cases"]} == expected
+
+
 class TestConfigValidation:
     def test_unknown_nested_key_path(self):
         with pytest.raises(ConfigError) as exc:
@@ -76,6 +156,13 @@ class TestConfigValidation:
 
     def test_all_suites_have_defaults(self):
         assert set(DEFAULT_CONFIGS) == set(SUITES)
+
+    def test_packaged_config_names_its_suite(self):
+        configs = resources.files("wcsg") / "configs"
+        names = sorted(e.name for e in configs.iterdir() if e.name.endswith(".json"))
+        assert names == [f"{suite}.json" for suite in sorted(SUITES)]
+        for name in names:
+            assert json.loads((configs / name).read_text())["suite"] == name[: -len(".json")]
 
     def test_tol_override_applies(self, tmp_path):
         cfg = copy.deepcopy(DEFAULT_CONFIGS["reconstruct"])

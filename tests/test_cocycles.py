@@ -154,6 +154,25 @@ class TestMdot0:
         assert abs(est.value) < 1e-12
 
 
+class TestDerivativeCocycle:
+    def test_constant_in_z_exactly_for_flows_with_prime(self):
+        from wcsg.flows import semiflow_from_generator
+
+        affine = [make_catalog_semiflow(n) for n in ("dilation", "rotation", "attracting",
+                                                     "translation-real", "identity")]
+        others = [make_catalog_semiflow("cubic-real"), semiflow_from_generator(holo.monomial(2) * -1.0)]
+        assert all(derivative_cocycle(phi).constant_in_z for phi in affine)
+        assert not any(derivative_cocycle(phi).constant_in_z for phi in others)
+
+    def test_ode_flow_derivative_matches_closed_form(self):
+        from wcsg.flows import semiflow_from_generator
+
+        ode = derivative_cocycle(semiflow_from_generator(holo.coordinate() * -1.0))
+        pts = np.array([0.0, 0.3 + 0.2j])
+        assert np.allclose(ode(0.5, pts), math.exp(-0.5), atol=1e-8)
+        assert np.allclose(ode.g(pts), -1.0, atol=1e-10)
+
+
 class TestAdmissibility:
     def test_derivative_cocycle_of_dilation_is_admissible(self):
         # G = -z, G' = -1, g = -1 at the fixed point 0: ratio 1, order 1

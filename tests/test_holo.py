@@ -145,6 +145,46 @@ class TestExtrapolation:
         assert real_derivative(lambda x: np.sin(x), 0.7) == pytest.approx(math.cos(0.7), abs=1e-10)
 
 
+def _neville_reference(values, steps, order):
+    """The elementwise Neville tableau richardson replaced, kept as the oracle."""
+    hs = [h ** order for h in steps]
+    tab = list(values)
+    n = len(tab)
+    for level in range(1, n):
+        nxt = []
+        for i in range(n - level):
+            x0, x1 = hs[i], hs[i + level]
+            nxt.append((x0 * tab[i + 1] - x1 * tab[i]) / (x0 - x1))
+        tab = nxt
+    return tab[0]
+
+
+class TestRichardsonTypes:
+    steps = [1e-2, 5e-3, 2.5e-3]
+
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    def test_real_arrays_exact(self, order):
+        xs = np.linspace(-1.0, 1.0, 17)
+        values = [np.sin(xs + h) / (1.0 + h) for h in self.steps]
+        got = richardson(values, self.steps, order=order)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _neville_reference(values, self.steps, order))
+
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    def test_complex_arrays_exact(self, order):
+        zs = 0.7 * np.exp(2j * np.pi * np.arange(12) / 12)
+        values = [np.exp(zs * (1.0 + h)) for h in self.steps]
+        got = richardson(values, self.steps, order=order)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, _neville_reference(values, self.steps, order))
+
+    def test_python_complex_scalars_exact(self):
+        values = [complex(math.cos(h), 0.3 + h * h) / 3.0 for h in self.steps]
+        got = richardson(values, self.steps)
+        assert type(got) is complex
+        assert got == _neville_reference(values, self.steps, 1.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=12), st.floats(min_value=0.1, max_value=0.9))
 def test_circle_mean_monomial_property(n, r):
