@@ -113,7 +113,8 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
             domain=UNIT_DISC,
             name="dilation",
             params={"c": c},
-            generator=HoloFn(lambda z, c=c: -c * z, UNIT_DISC, name="-c*z"),
+            generator=HoloFn(lambda z, c=c: -c * z, UNIT_DISC, name="-c*z",
+                              deriv=lambda z, c=c: np.full(np.shape(z), -c, dtype=complex)),
             prime=lambda t, z, c=c: np.full(np.shape(z), np.exp(-c * t), dtype=complex),
         )
     if name == "rotation":
@@ -124,7 +125,8 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
             domain=UNIT_DISC,
             name="rotation",
             params={"rate": rate},
-            generator=HoloFn(lambda z, w=w: w * z, UNIT_DISC, name="i*rate*z"),
+            generator=HoloFn(lambda z, w=w: w * z, UNIT_DISC, name="i*rate*z",
+                              deriv=lambda z, w=w: np.full(np.shape(z), w, dtype=complex)),
             prime=lambda t, z, w=w: np.full(np.shape(z), np.exp(w * t), dtype=complex),
         )
     if name == "attracting":
@@ -132,7 +134,8 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
             eval=lambda t, z: np.exp(-t) * np.asarray(z, dtype=complex) + 1.0 - np.exp(-t),
             domain=UNIT_DISC,
             name="attracting",
-            generator=HoloFn(lambda z: 1.0 - z, UNIT_DISC, name="1-z"),
+            generator=HoloFn(lambda z: 1.0 - z, UNIT_DISC, name="1-z",
+                              deriv=lambda z: np.full(np.shape(z), -1.0, dtype=complex)),
             prime=lambda t, z: np.full(np.shape(z), np.exp(-t), dtype=complex),
         )
     if name == "translation-real":

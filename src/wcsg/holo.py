@@ -1,11 +1,15 @@
 """Complex-analytic function calculus shared by all higher modules.
 
 Functions are evaluator-backed: a :class:`HoloFn` wraps a vectorized callable
-over a declared domain, and differentiation goes through Cauchy's integral
-formula on circles (trapezoidal rule, which is spectrally accurate for
-analytic integrands) rather than through symbolic manipulation. Real-domain
-functions reuse the same wrapper with a real domain tag; "derivative" then
-means central finite differences with Richardson extrapolation.
+over a declared domain, optionally with a vectorized closed-form derivative.
+The catalog constructors supply that derivative, the combinators propagate it
+(sum, product and quotient rules), and differentiation uses it when present.
+Otherwise differentiation falls back to Cauchy's integral formula on circles
+(trapezoidal rule, which is spectrally accurate for analytic integrands); the
+Cauchy path also serves as the oracle the closed forms are tested against.
+Real-domain functions reuse the same wrapper with a real domain tag; the
+fallback "derivative" then means central finite differences with Richardson
+extrapolation.
 
 All operations are pure functions of immutable inputs. Quadrature sums run
 in fixed index order so repeated runs are bit-stable.
@@ -94,12 +98,15 @@ class HoloFn:
     ``fn`` must accept numpy arrays (complex for disc/plane domains, float for
     real domains) and vectorize elementwise; all catalog constructors below
     do. ``kind`` is one of closed-form | series | composite | weight.
+    ``deriv``, when set, is f' with the same calling convention; without it
+    :func:`derivative_on_grid` differentiates numerically.
     """
 
     fn: Callable
     domain: Domain = UNIT_DISC
     kind: str = "closed-form"
     name: str = ""
+    deriv: Callable | None = None
 
     def __call__(self, z):
         if self.domain.kind == "real":
@@ -111,36 +118,44 @@ class HoloFn:
             return complex(out) if np.iscomplexobj(out) else float(out)
         return out
 
-    # Small combinator algebra; composites keep the left operand's domain.
-    def _combine(self, other, op, sym):
+    # Small combinator algebra; composites keep the left operand's domain and
+    # carry a derivative when both operands do (a scalar has derivative 0).
+    def _combine(self, other, op, dop, sym):
         if isinstance(other, HoloFn):
-            g = other.fn
+            g, dg = other.fn, other.deriv
             oname = other.name or "?"
         else:
             const = complex(other)
             g = lambda z, c=const: np.full(np.shape(z), c, dtype=complex)
+            dg = lambda z: np.zeros(np.shape(z), dtype=complex)
             oname = repr(other)
+        deriv = None
+        if self.deriv is not None and dg is not None:
+            deriv = lambda z, f=self.fn, df=self.deriv, g=g, dg=dg: dop(f(z), df(z), g(z), dg(z))
         return HoloFn(
             fn=lambda z, f=self.fn, g=g: op(f(z), g(z)),
             domain=self.domain,
             kind="composite",
             name=f"({self.name or '?'}{sym}{oname})",
+            deriv=deriv,
         )
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b, "+")
+        return self._combine(other, lambda a, b: a + b, lambda a, da, b, db: da + db, "+")
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b, "-")
+        return self._combine(other, lambda a, b: a - b, lambda a, da, b, db: da - db, "-")
 
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b, "*")
+        return self._combine(other, lambda a, b: a * b, lambda a, da, b, db: da * b + a * db, "*")
 
     def __rmul__(self, other):
-        return self._combine(other, lambda a, b: b * a, "*")
+        return self._combine(other, lambda a, b: b * a, lambda a, da, b, db: db * a + b * da, "*")
 
     def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b, "/")
+        return self._combine(
+            other, lambda a, b: a / b, lambda a, da, b, db: (da * b - a * db) / (b * b), "/"
+        )
 
 
 def ensure_finite(values, what: str):
@@ -160,7 +175,8 @@ def constant(c, domain: Domain = UNIT_DISC) -> HoloFn:
     def fn(z):
         return np.full(np.shape(z), c, dtype=complex)
 
-    return HoloFn(fn, domain, "closed-form", name=f"const({c:g})" if c.imag == 0 else f"const({c})")
+    return HoloFn(fn, domain, "closed-form", name=f"const({c:g})" if c.imag == 0 else f"const({c})",
+                  deriv=lambda z: np.zeros(np.shape(z), dtype=complex))
 
 
 def one(domain: Domain = UNIT_DISC) -> HoloFn:
@@ -168,26 +184,29 @@ def one(domain: Domain = UNIT_DISC) -> HoloFn:
 
 
 def coordinate(domain: Domain = UNIT_DISC) -> HoloFn:
-    return HoloFn(lambda z: z, domain, "closed-form", name="id")
+    return HoloFn(lambda z: z, domain, "closed-form", name="id", deriv=np.ones_like)
 
 
 def monomial(n: int, domain: Domain = UNIT_DISC) -> HoloFn:
     if n < 0:
         raise ValueError("monomial degree must be >= 0")
-    return HoloFn(lambda z: z ** n, domain, "closed-form", name=f"e_{n}")
+    deriv = np.zeros_like if n == 0 else (lambda z: n * z ** (n - 1))
+    return HoloFn(lambda z: z ** n, domain, "closed-form", name=f"e_{n}", deriv=deriv)
 
 
 def poly(coeffs, domain: Domain = UNIT_DISC) -> HoloFn:
     """Polynomial with coefficients in increasing degree order."""
     cs = [complex(c) for c in coeffs]
+    dcs = [k * c for k, c in enumerate(cs)][1:]
 
-    def fn(z):
+    def horner(ks, z):
         acc = np.zeros(np.shape(z), dtype=complex)
-        for c in reversed(cs):
+        for c in reversed(ks):
             acc = acc * z + c
         return acc
 
-    return HoloFn(fn, domain, "closed-form", name="poly" + repr([_fmt(c) for c in cs]))
+    return HoloFn(lambda z: horner(cs, z), domain, "closed-form",
+                  name="poly" + repr([_fmt(c) for c in cs]), deriv=lambda z: horner(dcs, z))
 
 
 def _fmt(c: complex):
@@ -197,7 +216,8 @@ def _fmt(c: complex):
 def exp_fn(scale=1.0, domain: Domain = UNIT_DISC) -> HoloFn:
     s = complex(scale)
     label = f"exp({s.real:g}z)" if s.imag == 0 else f"exp(({s})z)"
-    return HoloFn(lambda z: np.exp(s * z), domain, "closed-form", name=label)
+    return HoloFn(lambda z: np.exp(s * z), domain, "closed-form", name=label,
+                  deriv=lambda z: s * np.exp(s * z))
 
 
 def mobius(a) -> HoloFn:
@@ -206,7 +226,8 @@ def mobius(a) -> HoloFn:
     if abs(a) >= 1:
         raise ValueError("mobius parameter must lie in the open unit disc")
     ac = np.conj(a)
-    return HoloFn(lambda z: (a - z) / (1.0 - ac * z), UNIT_DISC, "closed-form", name=f"mobius({a})")
+    return HoloFn(lambda z: (a - z) / (1.0 - ac * z), UNIT_DISC, "closed-form", name=f"mobius({a})",
+                  deriv=lambda z: (abs(a) ** 2 - 1.0) / (1.0 - ac * z) ** 2)
 
 
 def mobius_kernel(a) -> HoloFn:
@@ -215,12 +236,15 @@ def mobius_kernel(a) -> HoloFn:
     if abs(a) >= 1:
         raise ValueError("kernel parameter must lie in the open unit disc")
     ac = np.conj(a)
-    return HoloFn(lambda z: 1.0 / (1.0 - ac * z), UNIT_DISC, "closed-form", name=f"kernel({a})")
+    return HoloFn(lambda z: 1.0 / (1.0 - ac * z), UNIT_DISC, "closed-form", name=f"kernel({a})",
+                  deriv=lambda z: ac / (1.0 - ac * z) ** 2)
 
 
 def singular_inner() -> HoloFn:
     """exp((z+1)/(z-1)): bounded by 1 on the disc, essential singularity at 1."""
-    return HoloFn(lambda z: np.exp((z + 1.0) / (z - 1.0)), UNIT_DISC, "closed-form", name="singular_inner")
+    return HoloFn(lambda z: np.exp((z + 1.0) / (z - 1.0)), UNIT_DISC, "closed-form",
+                  name="singular_inner",
+                  deriv=lambda z: -2.0 / (z - 1.0) ** 2 * np.exp((z + 1.0) / (z - 1.0)))
 
 
 # positive continuous weights (returned values are real)
@@ -451,12 +475,15 @@ def real_derivative_grid(f, xs, h0: float = 1e-3, levels: int = 3):
 def derivative_on_grid(f: HoloFn, zs, n_nodes: int = INNER_DERIV_NODES, safety: float = 0.5):
     """f' on an array of points, dispatching on the domain kind.
 
-    The one derivative path of the package: disc domains use Cauchy circles
-    of radius safety*(R - |z|) (DomainExit at or outside the boundary), the
-    plane uses radius 0.5, real domains use central differences with
-    Richardson.
+    The one derivative path of the package: ``f.deriv`` when the function
+    carries a closed form; otherwise disc domains use Cauchy circles of radius
+    safety*(R - |z|), the plane uses radius 0.5, and real domains use central
+    differences with Richardson. On disc domains a point at or outside the
+    boundary raises DomainExit either way.
     """
     if f.domain.kind == "real":
+        if f.deriv is not None:
+            return f.deriv(np.asarray(zs, dtype=float))
         return real_derivative_grid(f.fn, zs)
     zs = np.asarray(zs, dtype=complex)
     if f.domain.kind == "disc":
@@ -465,4 +492,6 @@ def derivative_on_grid(f: HoloFn, zs, n_nodes: int = INNER_DERIV_NODES, safety: 
             raise DomainExit("derivative requested outside the open disc")
     else:
         radii = np.full(zs.shape, 0.5)
+    if f.deriv is not None:
+        return f.deriv(zs)
     return cauchy_derivative_grid(f.fn, zs, radii, n_nodes)

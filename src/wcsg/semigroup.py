@@ -39,7 +39,12 @@ class WcSemigroup:
 
 
 def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:
-    """The evaluator z -> m_t(z) f(phi_t(z)); holomorphy is preserved."""
+    """The evaluator z -> m_t(z) f(phi_t(z)); holomorphy is preserved.
+
+    The result carries the chain-rule derivative m_t f'(phi_t) phi_t' when f
+    has a closed-form derivative, phi_t' is closed form and m_t is constant
+    in z; otherwise it is differentiated numerically.
+    """
     if t < 0:
         raise InvalidParam("semigroup times must be >= 0")
 
@@ -47,7 +52,14 @@ def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:
         moved = np.asarray(sg.phi(t, z))
         return np.asarray(sg.m(t, z)) * np.asarray(f.fn(moved))
 
-    return HoloFn(fn, sg.phi.domain, "composite", name=f"C({t:g}){f.name or 'f'}")
+    deriv = None
+    if f.deriv is not None and sg.phi.prime is not None and sg.m.constant_in_z:
+        def deriv(z, t=float(t)):
+            moved = np.asarray(sg.phi(t, z))
+            return (np.asarray(sg.m(t, z)) * np.asarray(f.deriv(moved))
+                    * np.asarray(sg.phi.prime(t, z)))
+
+    return HoloFn(fn, sg.phi.domain, "composite", name=f"C({t:g}){f.name or 'f'}", deriv=deriv)
 
 
 def semigroup_residual(sg: WcSemigroup, t: float, s: float, grid, testset=None) -> float:

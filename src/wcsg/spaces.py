@@ -203,26 +203,48 @@ def real_sup_points(level: int, halfwidth: float):
     return np.linspace(-halfwidth, halfwidth, 2048 * 2 ** level + 1)
 
 
+@lru_cache(maxsize=32)
+def _level1_index(is_real: bool, param: float):
+    """Positions of the level-1 sup-grid points inside the level-2 grid.
+
+    ``param`` is the real half-width or the disc truncation radius. Every
+    level-1 point is bit-for-bit a level-2 point, so one level-2 evaluation
+    yields both refinement levels.
+    """
+    if is_real:
+        fine, coarse = real_sup_points(2, param), real_sup_points(1, param)
+        idx = np.arange(0, fine.size, 2)
+    else:
+        fine, coarse = disc_sup_points(2, param), disc_sup_points(1, param)
+        angles = _disc_angles(2)
+        rows = np.searchsorted(_disc_radii(2, param), _disc_radii(1, param))
+        cols = np.searchsorted(angles, _disc_angles(1))
+        idx = (rows[:, None] * angles.size + cols[None, :]).ravel()
+    if idx.shape != coarse.shape or not np.array_equal(fine[idx], coarse):
+        raise AssertionError("the level-1 sup grid is not a subset of the level-2 grid")
+    return idx
+
+
 def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0):
     """Certified grid maximum of a pointwise functional.
 
     ``values_at`` maps a point array to nonnegative reals. Returns the level-2
-    value (a lower bound for the true sup) and the delta gained by the last
-    refinement.
+    value (a lower bound for the true sup) and the delta gained over the
+    level-1 subgrid, whose maximum is read off the same evaluation.
     """
-    sups = []
-    for level in (1, 2):
-        if space.is_real:
-            pts = real_sup_points(level, space.real_halfwidth) * radius_scale
-        else:
-            pts = disc_sup_points(level, space.policy.r_cap)
-            if radius_scale != 1.0:
-                pts = pts * (radius_scale / space.policy.r_cap)
-        vals = np.asarray(values_at(pts), dtype=float)
-        if not np.all(np.isfinite(vals)) or np.max(vals) > OVERFLOW_GUARD:
-            raise Unbounded("sup evaluation exceeded the overflow guard")
-        sups.append(float(np.max(vals)))
-    return sups[-1], sups[-1] - sups[-2]
+    if space.is_real:
+        param = space.real_halfwidth
+        pts = real_sup_points(2, param) * radius_scale
+    else:
+        param = space.policy.r_cap
+        pts = disc_sup_points(2, param)
+        if radius_scale != 1.0:
+            pts = pts * (radius_scale / param)
+    vals = np.asarray(values_at(pts), dtype=float)
+    if not np.all(np.isfinite(vals)) or np.max(vals) > OVERFLOW_GUARD:
+        raise Unbounded("sup evaluation exceeded the overflow guard")
+    sup = float(np.max(vals))
+    return sup, sup - float(np.max(vals[_level1_index(space.is_real, param)]))
 
 
 # ---------------------------------------------------------------------------

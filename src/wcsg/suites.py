@@ -49,11 +49,33 @@ def _get(cfg: dict, key: str, path: str, default=None, required: bool = False):
     return cfg[key]
 
 
+def _number(v, path: str, cast=float):
+    """Coerce one config scalar; anything that is not a number is a ConfigError."""
+    try:
+        return cast(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"expected a number, got {v!r}") from None
+
+
+def _num(cfg: dict, key: str, path: str, default=None, cast=float, required: bool = False):
+    """A scalar config key, coerced by :func:`_number`."""
+    return _number(_get(cfg, key, path, default, required), f"{path}.{key}", cast)
+
+
+def _nums(cfg: dict, key: str, path: str, default, cast=float) -> list:
+    """A list-of-scalars config key, each entry coerced by :func:`_number`."""
+    vals = _get(cfg, key, path, default)
+    if not isinstance(vals, (list, tuple)):
+        raise ConfigError(f"{path}.{key}", f"expected a list of numbers, got {vals!r}")
+    return [_number(v, f"{path}.{key}[{i}]", cast) for i, v in enumerate(vals)]
+
+
 def _as_complex(v, path: str) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, dict) and set(v) <= {"re", "im"}:
-        return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
+        return complex(_number(v.get("re", 0.0), f"{path}.re"),
+                       _number(v.get("im", 0.0), f"{path}.im"))
     raise ConfigError(path, "expected a number or {re, im}")
 
 
@@ -63,10 +85,10 @@ def build_policy(cfg: dict | None, path: str) -> QuadPolicy:
     _check_keys(cfg, {"n_theta", "n_radial", "r_cap", "tol"}, path)
     try:
         return QuadPolicy(
-            n_theta=int(_get(cfg, "n_theta", path, 256)),
-            n_radial=int(_get(cfg, "n_radial", path, 128)),
-            r_cap=float(_get(cfg, "r_cap", path, 1.0 - 1e-6)),
-            tol=float(_get(cfg, "tol", path, 1e-8)),
+            n_theta=_num(cfg, "n_theta", path, 256, int),
+            n_radial=_num(cfg, "n_radial", path, 128, int),
+            r_cap=_num(cfg, "r_cap", path, 1.0 - 1e-6),
+            tol=_num(cfg, "tol", path, 1e-8),
         )
     except ValueError as e:
         raise ConfigError(path, str(e))
@@ -91,17 +113,17 @@ def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
     policy = build_policy(_get(cfg, "policy", path), f"{path}.policy")
     try:
         if kind == "hardy":
-            return SpaceSpec.hardy(float(_get(cfg, "p", path, 2.0)), policy)
+            return SpaceSpec.hardy(_num(cfg, "p", path, 2.0), policy)
         if kind == "bergman":
             return SpaceSpec.bergman(
-                float(_get(cfg, "alpha", path, required=True)),
-                float(_get(cfg, "p", path, 2.0)),
+                _num(cfg, "alpha", path, required=True),
+                _num(cfg, "p", path, 2.0),
                 policy,
             )
         if kind == "dirichlet":
             return SpaceSpec.dirichlet(policy)
         if kind == "bloch":
-            return SpaceSpec.bloch(float(_get(cfg, "alpha", path, 1.0)), policy)
+            return SpaceSpec.bloch(_num(cfg, "alpha", path, 1.0), policy)
         if kind == "sup-holo":
             w = _build_weight(_get(cfg, "weight", path, "one"), UNIT_DISC, f"{path}.weight")
             return SpaceSpec.sup_holo(w, policy)
@@ -109,7 +131,7 @@ def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
             w = _build_weight(
                 _get(cfg, "weight", path, "exp-decay"), REAL_LINE, f"{path}.weight"
             )
-            return SpaceSpec.sup_cont(w, float(_get(cfg, "halfwidth", path, 40.0)), policy)
+            return SpaceSpec.sup_cont(w, _num(cfg, "halfwidth", path, 40.0), policy)
     except ConfigError:
         raise
     except (ValueError, WcsgError) as e:
@@ -138,12 +160,14 @@ def build_flow(cfg: dict, path: str = "flow") -> Semiflow:
     _check_keys(ode_cfg, {"h0", "tol_step", "exit_margin"}, f"{path}.ode")
     try:
         cfg_obj = OdeCfg(
-            h0=float(ode_cfg.get("h0", 1e-3)),
-            tol_step=float(ode_cfg.get("tol_step", 1e-10)),
-            exit_margin=float(ode_cfg.get("exit_margin", 1e-9)),
+            h0=_number(ode_cfg.get("h0", 1e-3), f"{path}.ode.h0"),
+            tol_step=_number(ode_cfg.get("tol_step", 1e-10), f"{path}.ode.tol_step"),
+            exit_margin=_number(ode_cfg.get("exit_margin", 1e-9), f"{path}.ode.exit_margin"),
         )
         G = exprs.to_holofn(gen)
         return semiflow_from_generator(G, cfg_obj)
+    except ConfigError:
+        raise
     except (ValueError, WcsgError) as e:
         raise ConfigError(path, str(e))
 
@@ -165,8 +189,10 @@ def build_cocycle(cfg: dict, phi: Semiflow, path: str = "cocycle") -> cocycles.S
             orders = {}
             for i, item in enumerate(zeros_cfg):
                 _check_keys(item, {"re", "im", "order"}, f"{path}.zeros[{i}]")
-                b = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-                orders[b] = int(item["order"])
+                zpath = f"{path}.zeros[{i}]"
+                b = complex(_number(item.get("re", 0.0), f"{zpath}.re"),
+                            _number(item.get("im", 0.0), f"{zpath}.im"))
+                orders[b] = _num(item, "order", zpath, cast=int, required=True)
             return cocycles.coboundary(omega, phi, orders)
     except ConfigError:
         raise
@@ -208,20 +234,26 @@ def _tolerances(cfg: dict, path: str, defaults: dict) -> dict:
     _check_keys(section, set(defaults), f"{path}.tolerances")
     out = dict(defaults)
     for k, v in section.items():
-        out[k] = float(v)
+        out[k] = _number(v, f"{path}.tolerances.{k}")
     section.update(out)  # resolved tolerances appear in the config echo
     return out
 
 
 def _sweep(cfg: dict, ts, rmax: float, n: int):
-    """The sweep section: sample times, grid radius and grid density."""
+    """The sweep section: sample times, grid radius and grid density.
+
+    A grid with no angles or no radius collapses to the origin, where every
+    law holds trivially, so both are rejected."""
     sweep = _section(cfg, "sweep", "config")
     _check_keys(sweep, {"ts", "grid_rmax", "grid_n"}, "sweep")
-    return (
-        [float(t) for t in _get(sweep, "ts", "sweep", ts)],
-        float(_get(sweep, "grid_rmax", "sweep", rmax)),
-        int(_get(sweep, "grid_n", "sweep", n)),
-    )
+    ts = _nums(sweep, "ts", "sweep", ts)
+    rmax = _num(sweep, "grid_rmax", "sweep", rmax)
+    n = _num(sweep, "grid_n", "sweep", n, int)
+    if not rmax > 0:
+        raise ConfigError("sweep.grid_rmax", f"must be positive, got {rmax!r}")
+    if n < 1:
+        raise ConfigError("sweep.grid_n", f"must be >= 1, got {n!r}")
+    return ts, rmax, n
 
 
 def _build_semigroup(cfg: dict, path: str) -> WcSemigroup:
@@ -256,7 +288,7 @@ def _beta(a: float, b: float) -> float:
 def run_norm_table(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "spaces", "max_degree", "saks", "tolerances"}, "config")
     tols = _tolerances(cfg, "config", {"hardy": 1e-8, "dirichlet": 1e-6, "bergman": 1e-6})
-    max_deg = int(_get(cfg, "max_degree", "config", 8))
+    max_deg = _num(cfg, "max_degree", "config", 8, int)
     cases = []
     for i, scfg in enumerate(_get(cfg, "spaces", "config", required=True)):
         space = build_space(scfg, f"spaces[{i}]")
@@ -296,8 +328,8 @@ def run_norm_table(cfg: dict) -> list:
     saks_cfg = _get(cfg, "saks", "config")
     if saks_cfg:
         _check_keys(saks_cfg, {"spaces", "radii", "gap_tol"}, "saks")
-        radii = [float(r) for r in _get(saks_cfg, "radii", "saks", [0.5, 0.9, 0.99, 0.999, 0.9999])]
-        gap_tol = float(_get(saks_cfg, "gap_tol", "saks", 1e-3))
+        radii = _nums(saks_cfg, "radii", "saks", [0.5, 0.9, 0.99, 0.999, 0.9999])
+        gap_tol = _num(saks_cfg, "gap_tol", "saks", 1e-3)
         for i, scfg in enumerate(_get(saks_cfg, "spaces", "saks", required=True)):
             space = build_space(scfg, f"saks.spaces[{i}]")
             corpus = spaces.default_corpus(real=space.is_real)
@@ -331,7 +363,7 @@ def run_semigroup_check(cfg: dict) -> list:
         path = f"pairs[{i}]"
         _check_keys(pcfg, {"label", "space", "flow", "cocycle", "tol"}, path)
         label = _get(pcfg, "label", path, f"pair{i}")
-        tol = float(_get(pcfg, "tol", path, 1e-10))
+        tol = _num(pcfg, "tol", path, 1e-10)
 
         def run(pcfg=pcfg, path=path, label=label, tol=tol):
             space = build_space(_get(pcfg, "space", path, {"kind": "hardy", "p": 2.0}), f"{path}.space")
@@ -399,9 +431,9 @@ def run_cocycle_check(cfg: dict) -> list:
 
 def run_bound_table(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "cases", "ts", "slack", "max_test_degree"}, "config")
-    ts = [float(t) for t in _get(cfg, "ts", "config", [0.25, LN2, 1.0])]
-    slack = float(_get(cfg, "slack", "config", 1e-3))
-    max_deg = int(_get(cfg, "max_test_degree", "config", 8))
+    ts = _nums(cfg, "ts", "config", [0.25, LN2, 1.0])
+    slack = _num(cfg, "slack", "config", 1e-3)
+    max_deg = _num(cfg, "max_test_degree", "config", 8, int)
     cases = []
     for i, bcfg in enumerate(_get(cfg, "cases", "config", required=True)):
         path = f"cases[{i}]"
@@ -445,8 +477,8 @@ def run_bound_table(cfg: dict) -> list:
 def run_generator_check(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "cases", "steps", "radius", "tolerances"}, "config")
     tols = _tolerances(cfg, "config", {"residual": 1e-4, "order_min": 0.9})
-    steps = tuple(float(h) for h in _get(cfg, "steps", "config", list(flows.DEFAULT_FD_STEPS)))
-    radius = float(_get(cfg, "radius", "config", 0.9))
+    steps = tuple(_nums(cfg, "steps", "config", list(flows.DEFAULT_FD_STEPS)))
+    radius = _num(cfg, "radius", "config", 0.9)
     cases = []
     for i, gcfg in enumerate(_get(cfg, "cases", "config", required=True)):
         path = f"cases[{i}]"
@@ -549,8 +581,8 @@ def run_continuity_probe(cfg: dict) -> list:
             sg = _build_semigroup(pcfg, path)
             space, phi, m = sg.space, sg.phi, sg.m
             f = build_function(_get(pcfg, "f", path, required=True), phi.domain, f"{path}.f")
-            ts = [float(t) for t in _get(pcfg, "ts", path, [0.1, 0.01, 0.001])]
-            radii = [float(r) for r in _get(pcfg, "radii", path, [0.5, 0.9])]
+            ts = _nums(pcfg, "ts", path, [0.1, 0.01, 0.001])
+            radii = _nums(pcfg, "radii", path, [0.5, 0.9])
             tols = _section(pcfg, "tolerances", path)
             _check_keys(tols, {"co", "norm"}, f"{path}.tolerances")
             cap = _get(pcfg, "norm_cap", path)
@@ -559,9 +591,9 @@ def run_continuity_probe(cfg: dict) -> list:
                 f,
                 ts,
                 radii,
-                tol_co=float(tols.get("co", 1e-3)),
-                tol_norm=float(tols.get("norm", 1e-3)),
-                norm_cap=float(cap) if cap is not None else None,
+                tol_co=_number(tols.get("co", 1e-3), f"{path}.tolerances.co"),
+                tol_norm=_number(tols.get("norm", 1e-3), f"{path}.tolerances.norm"),
+                norm_cap=_number(cap, f"{path}.norm_cap") if cap is not None else None,
             )
             expect = _section(pcfg, "expect", path)
             _check_keys(expect, {"gamma", "norm"}, f"{path}.expect")
@@ -596,7 +628,7 @@ def run_continuity_probe(cfg: dict) -> list:
 
 def run_admissibility(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "flow", "cases", "tol"}, "config")
-    tol = float(_get(cfg, "tol", "config", 1e-8))
+    tol = _num(cfg, "tol", "config", 1e-8)
     phi = build_flow(_get(cfg, "flow", "config", required=True), "flow")
     if phi.generator is None:
         raise ConfigError("flow", "admissibility needs a flow with a generator")

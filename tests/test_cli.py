@@ -130,22 +130,63 @@ _BAD_INPUTS = {
 }
 
 
+_RECONSTRUCT = {"label": "a", "generator": "-z", "reference": _DILATION}
+
+# Each config has a top-level value that no case can run with; per config the
+# field path the error must name.
+_BAD_CONFIGS = {
+    "norm-table-max-degree-string": (
+        {"suite": "norm-table", "spaces": [{"kind": "hardy"}], "max_degree": "two"},
+        "config.max_degree",
+    ),
+    "bound-table-ts-string": (
+        {"suite": "bound-table", "ts": ["x"], "cases": []},
+        "config.ts[0]",
+    ),
+    "reconstruct-grid-n-zero": (
+        {"suite": "reconstruct", "sweep": {"grid_n": 0}, "cases": [_RECONSTRUCT]},
+        "sweep.grid_n",
+    ),
+    "reconstruct-grid-rmax-zero": (
+        {"suite": "reconstruct", "sweep": {"grid_rmax": 0.0}, "cases": [_RECONSTRUCT]},
+        "sweep.grid_rmax",
+    ),
+    "semigroup-check-grid-n-negative": (
+        {"suite": "semigroup-check", "sweep": {"grid_n": -3},
+         "pairs": [{"flow": _DILATION, "cocycle": {"type": "trivial"}}]},
+        "sweep.grid_n",
+    ),
+}
+
+
+def run_cli(tmp_path, cfg, *extra):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "wcsg.cli", cfg["suite"], "--config",
+         write_config(tmp_path, cfg), *extra],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
     def test_bad_input_is_an_error_case_not_a_traceback(self, tmp_path, name):
         cfg, expected = _BAD_INPUTS[name]
         out = tmp_path / "r.json"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "wcsg.cli", cfg["suite"], "--config",
-             write_config(tmp_path, cfg), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_cli(tmp_path, cfg, "--out", str(out))
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 1
         doc = json.loads(out.read_text())
         assert {c["id"]: c["verdict"] for c in doc["cases"]} == expected
+
+    @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
+    def test_bad_config_value_is_a_config_error(self, tmp_path, name):
+        cfg, field = _BAD_CONFIGS[name]
+        proc = run_cli(tmp_path, cfg)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 2
+        assert f"config error: {field}:" in proc.stderr
 
 
 class TestConfigValidation:
