@@ -20,23 +20,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from wcsg.cli import run
 from wcsg.defaults import DEFAULT_CONFIGS
 from wcsg.reporting import emit_csv, emit_json
-
-SUITE_ORDER = [
-    "norm-table",
-    "semigroup-check",
-    "cocycle-check",
-    "bound-table",
-    "generator-check",
-    "reconstruct",
-    "continuity-probe",
-    "admissibility",
-]
+from wcsg.suites import SUITES
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="reports")
-    parser.add_argument("--suites", nargs="*", default=SUITE_ORDER)
+    parser.add_argument("--suites", nargs="*", default=list(SUITES))
     args = parser.parse_args(argv)
 
     out = pathlib.Path(args.out_dir)

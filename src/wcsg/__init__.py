@@ -2,14 +2,14 @@
 C(t)f = m_t (f o phi_t) on spaces of holomorphic and continuous functions.
 
 Modules: holo (complex-analytic calculus and quadrature), spaces (norms,
-compact-open seminorms, mixed-topology diagnostics), flows (semiflow catalog
+compact-open seminorms, Saks check), flows (semiflow catalog
 and ODE reconstruction), cocycles (integral/coboundary/derivative weights),
 semigroup (operators, bounds, generator and continuity probes), exprs (the
 small configuration expression grammar), suites/cli (experiment runner).
 """
 
 from .holo import Domain, HoloFn, QuadPolicy, UNIT_DISC, REAL_LINE, PLANE
-from .spaces import NullSequence, SeminormIndex, SpaceSpec
+from .spaces import SeminormIndex, SpaceSpec
 from .flows import OdeCfg, Semiflow, make_catalog_semiflow, semiflow_from_generator
 from .cocycles import Semicocycle, cocycle_from_g, coboundary, derivative_cocycle, trivial_cocycle
 from .semigroup import WcSemigroup
@@ -23,7 +23,6 @@ __all__ = [
     "UNIT_DISC",
     "REAL_LINE",
     "PLANE",
-    "NullSequence",
     "SeminormIndex",
     "SpaceSpec",
     "OdeCfg",

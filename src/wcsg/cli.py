@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-    wcsg <suite> [--config FILE] [--out report.json] [--csv report.csv]
-                 [--tol X] [--grid N] [--timings]
+    wcsg <suite> [--config FILE] [--out report.json] [--csv report.csv] [--timings]
 
 Exit codes: 0 all verdicts pass, 1 some verdict fails, 2 config/IO error.
 Reports are deterministic: identical configs on the same build produce
@@ -20,38 +19,6 @@ from .defaults import DEFAULT_CONFIGS
 from .errors import ConfigError, WcsgError
 from .reporting import Report, emit_csv, emit_json
 from .suites import SUITES
-
-
-def _apply_tol_override(cfg: dict, tol: float) -> None:
-    """Replace every tolerance-like scalar in the config with the override."""
-    suite = cfg.get("suite")
-    if suite == "norm-table":
-        cfg["tolerances"] = {k: tol for k in ("hardy", "dirichlet", "bergman")}
-        if cfg.get("saks"):
-            cfg["saks"]["gap_tol"] = tol
-    elif suite == "semigroup-check":
-        for pair in cfg.get("pairs", []):
-            pair["tol"] = tol
-    elif suite == "cocycle-check":
-        cfg.setdefault("tolerances", {})["law"] = tol
-    elif suite == "bound-table":
-        cfg["slack"] = tol
-    elif suite == "generator-check":
-        cfg.setdefault("tolerances", {})["residual"] = tol
-    elif suite == "reconstruct":
-        cfg.setdefault("tolerances", {})["deviation"] = tol
-    elif suite == "continuity-probe":
-        for case in cfg.get("cases", []):
-            case.setdefault("tolerances", {})["co"] = tol
-            case["tolerances"]["norm"] = tol
-    elif suite == "admissibility":
-        cfg["tol"] = tol
-
-
-def _apply_grid_override(cfg: dict, n: int) -> None:
-    suite = cfg.get("suite")
-    if suite in ("semigroup-check", "cocycle-check", "reconstruct"):
-        cfg.setdefault("sweep", {})["grid_n"] = n
 
 
 def run(config: dict) -> Report:
@@ -78,8 +45,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config file (built-in default otherwise)")
     parser.add_argument("--out", help="write the JSON report here")
     parser.add_argument("--csv", help="write the flattened CSV here")
-    parser.add_argument("--tol", type=float, help="override the suite's tolerances")
-    parser.add_argument("--grid", type=int, help="override the sweep grid density")
     parser.add_argument(
         "--timings", action="store_true", help="include wall-clock in the JSON report"
     )
@@ -91,13 +56,11 @@ def main(argv=None) -> int:
                 config = json.load(fh)
         else:
             config = copy.deepcopy(DEFAULT_CONFIGS[args.suite])
+        if not isinstance(config, dict):
+            raise ConfigError("config", f"expected an object, got {type(config).__name__}")
         config.setdefault("suite", args.suite)
         if config["suite"] != args.suite:
             raise ConfigError("suite", f"config is for {config['suite']!r}, not {args.suite!r}")
-        if args.tol is not None:
-            _apply_tol_override(config, args.tol)
-        if args.grid is not None:
-            _apply_grid_override(config, args.grid)
         report = run(config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -56,7 +56,8 @@ class Semicocycle:
 
     @property
     def trivial(self) -> bool:
-        return self.name == "one"
+        """m_t = 1; set only by :func:`trivial_cocycle`, whatever the name."""
+        return self.provenance == "trivial"
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class GrowthFit:
 def trivial_cocycle() -> Semicocycle:
     return Semicocycle(
         eval=lambda t, z: np.ones(np.shape(z), dtype=complex),
-        provenance="explicit",
+        provenance="trivial",
         name="one",
         constant_in_z=True,
         g=None,
@@ -143,7 +144,7 @@ def derivative_cocycle(phi: Semiflow) -> Semicocycle:
     gprime = None
     if phi.generator is not None and phi.domain.kind != "real":
         gen = phi.generator
-        gprime = HoloFn(lambda z: holo.derivative_on_grid(gen, z), phi.domain, "composite",
+        gprime = HoloFn(lambda z: holo.derivative_on_grid(gen, z), phi.domain,
                         name=f"({gen.name or 'G'})'")
     return Semicocycle(
         eval=lambda t, z: np.asarray(phi.space_derivative(t, z)),
@@ -231,7 +232,7 @@ def g_from_coboundary(omega: HoloFn, G: HoloFn, orders: dict,
             out[far] = np.asarray(G(zs[far])) * dw / np.asarray(omega(zs[far]))
         return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
 
-    return HoloFn(fn, omega.domain, "composite", name=f"g[{omega.name or 'omega'}]")
+    return HoloFn(fn, omega.domain, name=f"g[{omega.name or 'omega'}]")
 
 
 def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:

@@ -298,8 +298,6 @@ def to_callable(node, real: bool = False):
             base = ev(n.base, w)
             if n.den == 1:
                 return base ** n.num
-            if not real:
-                raise ValueError("cube-root powers are only defined on the real line")
             return np.cbrt(np.real(base)) ** n.num
         if isinstance(n, Exp):
             return np.exp(ev(n.arg, w))
@@ -324,4 +322,4 @@ def to_holofn(src: str, domain: Domain | None = None) -> HoloFn:
             return np.full(np.shape(w), out, dtype=complex)
         return out
 
-    return HoloFn(wrapped, domain, "closed-form", name=print_expr(node))
+    return HoloFn(wrapped, domain, name=print_expr(node))

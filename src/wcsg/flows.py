@@ -10,7 +10,7 @@ time as an error, never a silent clamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,7 @@ class OdeCfg:
 
 @dataclass(frozen=True)
 class Semiflow:
-    """Time-indexed family phi_t with evaluation and provenance.
+    """Time-indexed family phi_t.
 
     ``eval`` maps (t, z) -> point; z may be a numpy array for catalog flows.
     ``generator`` carries the closed-form vector field when known.
@@ -55,9 +55,7 @@ class Semiflow:
 
     eval: Callable
     domain: Domain = UNIT_DISC
-    provenance: str = "catalog"
     name: str = ""
-    params: dict = field(default_factory=dict)
     generator: HoloFn | None = None
     prime: Callable | None = None
 
@@ -84,16 +82,12 @@ class GeneratorEstimate:
 class FixedPointSearch:
     """Zeros of the vector field that the semiflow actually fixes.
 
-    ``trivial`` flags the degenerate identity flow (G vanishes everywhere);
-    ``min_revisit_time`` is the smallest sampled time at which a trajectory
-    started from one zero of G came within tol of a different zero, or None
-    if that was never observed (evidence only, not a certificate).
+    ``trivial`` flags the degenerate identity flow (G vanishes everywhere).
     """
 
     points: tuple
     trivial: bool = False
     rejected: tuple = ()
-    min_revisit_time: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +106,20 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
             eval=lambda t, z, c=c: np.exp(-c * t) * np.asarray(z, dtype=complex),
             domain=UNIT_DISC,
             name="dilation",
-            params={"c": c},
             generator=HoloFn(lambda z, c=c: -c * z, UNIT_DISC, name="-c*z",
                               deriv=lambda z, c=c: np.full(np.shape(z), -c, dtype=complex)),
             prime=lambda t, z, c=c: np.full(np.shape(z), np.exp(-c * t), dtype=complex),
         )
     if name == "rotation":
-        rate = float(params.get("rate", 1.0))
+        try:
+            rate = float(params.get("rate", 1.0))
+        except (TypeError, ValueError):
+            raise InvalidParam(f"rotation rate must be a real number, got {params['rate']!r}") from None
         w = 1j * rate
         return Semiflow(
             eval=lambda t, z, w=w: np.exp(w * t) * np.asarray(z, dtype=complex),
             domain=UNIT_DISC,
             name="rotation",
-            params={"rate": rate},
             generator=HoloFn(lambda z, w=w: w * z, UNIT_DISC, name="i*rate*z",
                               deriv=lambda z, w=w: np.full(np.shape(z), w, dtype=complex)),
             prime=lambda t, z, w=w: np.full(np.shape(z), np.exp(w * t), dtype=complex),
@@ -154,7 +149,10 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
             generator=HoloFn(lambda x: np.cbrt(np.asarray(x, dtype=float)) ** 2, REAL_LINE, name="x^(2/3)"),
         )
     if name == "identity":
-        dom = {"disc": UNIT_DISC, "real": REAL_LINE, "plane": PLANE}[params.get("domain", "disc")]
+        key = params.get("domain", "disc")
+        if key not in ("disc", "real", "plane"):
+            raise InvalidParam(f"identity domain must be disc, real or plane, got {key!r}")
+        dom = {"disc": UNIT_DISC, "real": REAL_LINE, "plane": PLANE}[key]
         zero = HoloFn(lambda z: np.zeros(np.shape(z), dtype=complex if dom.kind != "real" else float), dom, name="0")
         return Semiflow(
             eval=lambda t, z: np.asarray(z, dtype=float if dom.kind == "real" else complex) + 0,
@@ -230,17 +228,6 @@ def generator_fd(phi: Semiflow, z, steps=DEFAULT_FD_STEPS) -> GeneratorEstimate:
     )
 
 
-def chain_rule_residual(phi: Semiflow, G: HoloFn, ts, grid) -> float:
-    """max over samples of |G(phi_t(z)) - phi_t'(z) G(z)|."""
-    pts = np.asarray(grid, dtype=complex)
-    worst = 0.0
-    for t in ts:
-        lhs = np.asarray(G(np.asarray(phi(t, pts))))
-        rhs = np.asarray(phi.space_derivative(t, pts)) * np.asarray(G(pts))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------
@@ -294,19 +281,7 @@ def fixed_points(phi: Semiflow, G: HoloFn, grid, tol: float = 1e-8,
     for b in found:
         drift = max(abs(complex(np.asarray(phi(t, b))) - complex(b)) for t in ts)
         (verified if drift < tol * 10 else rejected).append(b)
-    revisit = None
-    for b in found:
-        for t in sorted(ts):
-            pos = complex(np.asarray(phi(t, b)))
-            for other in found:
-                if abs(complex(other) - complex(b)) > 1e-6 and abs(pos - complex(other)) < tol * 10:
-                    revisit = t if revisit is None else min(revisit, t)
-    return FixedPointSearch(
-        points=tuple(verified),
-        trivial=False,
-        rejected=tuple(rejected),
-        min_revisit_time=revisit,
-    )
+    return FixedPointSearch(points=tuple(verified), rejected=tuple(rejected))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +353,6 @@ def semiflow_from_generator(G: HoloFn, cfg: OdeCfg = OdeCfg()) -> Semiflow:
     return Semiflow(
         eval=eval_fn,
         domain=G.domain,
-        provenance="ode",
         name=f"ode[{G.name or 'G'}]",
-        params={"h0": cfg.h0, "tol_step": cfg.tol_step, "exit_margin": cfg.exit_margin},
         generator=G,
     )

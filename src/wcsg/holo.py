@@ -97,14 +97,12 @@ class HoloFn:
 
     ``fn`` must accept numpy arrays (complex for disc/plane domains, float for
     real domains) and vectorize elementwise; all catalog constructors below
-    do. ``kind`` is one of closed-form | series | composite | weight.
-    ``deriv``, when set, is f' with the same calling convention; without it
+    do. ``deriv``, when set, is f' with the same calling convention; without it
     :func:`derivative_on_grid` differentiates numerically.
     """
 
     fn: Callable
     domain: Domain = UNIT_DISC
-    kind: str = "closed-form"
     name: str = ""
     deriv: Callable | None = None
 
@@ -135,7 +133,6 @@ class HoloFn:
         return HoloFn(
             fn=lambda z, f=self.fn, g=g: op(f(z), g(z)),
             domain=self.domain,
-            kind="composite",
             name=f"({self.name or '?'}{sym}{oname})",
             deriv=deriv,
         )
@@ -175,7 +172,7 @@ def constant(c, domain: Domain = UNIT_DISC) -> HoloFn:
     def fn(z):
         return np.full(np.shape(z), c, dtype=complex)
 
-    return HoloFn(fn, domain, "closed-form", name=f"const({c:g})" if c.imag == 0 else f"const({c})",
+    return HoloFn(fn, domain, name=f"const({c:g})" if c.imag == 0 else f"const({c})",
                   deriv=lambda z: np.zeros(np.shape(z), dtype=complex))
 
 
@@ -184,14 +181,14 @@ def one(domain: Domain = UNIT_DISC) -> HoloFn:
 
 
 def coordinate(domain: Domain = UNIT_DISC) -> HoloFn:
-    return HoloFn(lambda z: z, domain, "closed-form", name="id", deriv=np.ones_like)
+    return HoloFn(lambda z: z, domain, name="id", deriv=np.ones_like)
 
 
 def monomial(n: int, domain: Domain = UNIT_DISC) -> HoloFn:
     if n < 0:
         raise ValueError("monomial degree must be >= 0")
     deriv = np.zeros_like if n == 0 else (lambda z: n * z ** (n - 1))
-    return HoloFn(lambda z: z ** n, domain, "closed-form", name=f"e_{n}", deriv=deriv)
+    return HoloFn(lambda z: z ** n, domain, name=f"e_{n}", deriv=deriv)
 
 
 def poly(coeffs, domain: Domain = UNIT_DISC) -> HoloFn:
@@ -205,7 +202,7 @@ def poly(coeffs, domain: Domain = UNIT_DISC) -> HoloFn:
             acc = acc * z + c
         return acc
 
-    return HoloFn(lambda z: horner(cs, z), domain, "closed-form",
+    return HoloFn(lambda z: horner(cs, z), domain,
                   name="poly" + repr([_fmt(c) for c in cs]), deriv=lambda z: horner(dcs, z))
 
 
@@ -216,7 +213,7 @@ def _fmt(c: complex):
 def exp_fn(scale=1.0, domain: Domain = UNIT_DISC) -> HoloFn:
     s = complex(scale)
     label = f"exp({s.real:g}z)" if s.imag == 0 else f"exp(({s})z)"
-    return HoloFn(lambda z: np.exp(s * z), domain, "closed-form", name=label,
+    return HoloFn(lambda z: np.exp(s * z), domain, name=label,
                   deriv=lambda z: s * np.exp(s * z))
 
 
@@ -226,7 +223,7 @@ def mobius(a) -> HoloFn:
     if abs(a) >= 1:
         raise ValueError("mobius parameter must lie in the open unit disc")
     ac = np.conj(a)
-    return HoloFn(lambda z: (a - z) / (1.0 - ac * z), UNIT_DISC, "closed-form", name=f"mobius({a})",
+    return HoloFn(lambda z: (a - z) / (1.0 - ac * z), UNIT_DISC, name=f"mobius({a})",
                   deriv=lambda z: (abs(a) ** 2 - 1.0) / (1.0 - ac * z) ** 2)
 
 
@@ -236,33 +233,30 @@ def mobius_kernel(a) -> HoloFn:
     if abs(a) >= 1:
         raise ValueError("kernel parameter must lie in the open unit disc")
     ac = np.conj(a)
-    return HoloFn(lambda z: 1.0 / (1.0 - ac * z), UNIT_DISC, "closed-form", name=f"kernel({a})",
+    return HoloFn(lambda z: 1.0 / (1.0 - ac * z), UNIT_DISC, name=f"kernel({a})",
                   deriv=lambda z: ac / (1.0 - ac * z) ** 2)
 
 
 def singular_inner() -> HoloFn:
     """exp((z+1)/(z-1)): bounded by 1 on the disc, essential singularity at 1."""
-    return HoloFn(lambda z: np.exp((z + 1.0) / (z - 1.0)), UNIT_DISC, "closed-form",
-                  name="singular_inner",
+    return HoloFn(lambda z: np.exp((z + 1.0) / (z - 1.0)), UNIT_DISC, name="singular_inner",
                   deriv=lambda z: -2.0 / (z - 1.0) ** 2 * np.exp((z + 1.0) / (z - 1.0)))
 
 
 # positive continuous weights (returned values are real)
 
 def unit_weight(domain: Domain = UNIT_DISC) -> HoloFn:
-    return HoloFn(lambda z: np.ones(np.shape(z), dtype=float), domain, "weight", name="one")
+    return HoloFn(lambda z: np.ones(np.shape(z), dtype=float), domain, name="one")
 
 
 def bloch_weight(alpha: float) -> HoloFn:
     if alpha <= 0:
         raise ValueError("bloch weight exponent must be positive")
-    return HoloFn(
-        lambda z: (1.0 - np.abs(z) ** 2) ** alpha, UNIT_DISC, "weight", name=f"v_{alpha:g}"
-    )
+    return HoloFn(lambda z: (1.0 - np.abs(z) ** 2) ** alpha, UNIT_DISC, name=f"v_{alpha:g}")
 
 
 def exp_abs_decay_weight() -> HoloFn:
-    return HoloFn(lambda x: np.exp(-np.abs(x)), REAL_LINE, "weight", name="exp(-|x|)")
+    return HoloFn(lambda x: np.exp(-np.abs(x)), REAL_LINE, name="exp(-|x|)")
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +287,6 @@ def cauchy_derivative_grid(f, zs, radii, n_nodes: int = INNER_DERIV_NODES):
     zeta = zs[..., None] + rr[..., None] * ring
     vals = f(zeta)
     return np.mean(vals * np.conj(ring), axis=-1) / rr
-
-
-def cauchy_derivative(f: HoloFn, z, radius: float, policy: QuadPolicy = DEFAULT_POLICY):
-    """f'(z) = (1/2 pi i) contour integral of f(zeta)/(zeta - z)^2.
-
-    Trapezoidal rule on the circle of the given radius around z, with the
-    doubled-node agreement certificate from the policy.
-    """
-    z = complex(z)
-    if not np.isfinite([z.real, z.imag]).all():
-        raise DomainExit("evaluation point is not finite", point=z)
-    if radius <= 0:
-        raise DomainExit("circle radius must be positive", point=z)
-    if f.domain.kind == "real":
-        raise DomainExit("Cauchy differentiation needs a complex domain; use real_derivative")
-    if f.domain.kind == "disc" and abs(z) + radius >= f.domain.radius:
-        raise DomainExit(
-            f"circle of radius {radius:g} about {z} leaves the domain", point=z
-        )
-    coarse = cauchy_derivative_grid(f, z, radius, policy.n_theta)
-    fine = cauchy_derivative_grid(f, z, radius, 2 * policy.n_theta)
-    if abs(coarse - fine) > 100.0 * policy.tol * max(1.0, abs(fine)):
-        raise NonConvergent(
-            f"Cauchy derivative at {z}: node doubling moved the value by {abs(coarse - fine):.3e}"
-        )
-    return complex(fine)
 
 
 def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_POLICY) -> float:
@@ -455,14 +423,6 @@ def observed_order(values, steps) -> float:
     if d1 < 1e-14 * max(1.0, scale):
         return float("inf")
     return float(np.log(d1 / d2) / np.log(hs[0] / hs[1]))
-
-
-def real_derivative(f, x: float, h0: float = 1e-3, levels: int = 3):
-    """Central finite difference with Richardson (even-power error series)."""
-    steps = [h0 / (2 ** k) for k in range(levels)]
-    quotients = [(f(x + h) - f(x - h)) / (2.0 * h) for h in steps]
-    val = richardson(quotients, steps, order=2.0)
-    return float(np.real(val)) if abs(np.imag(val)) < 1e-13 else complex(val)
 
 
 def real_derivative_grid(f, xs, h0: float = 1e-3, levels: int = 3):

@@ -3,8 +3,8 @@
 Provides the operator itself, its semigroup-law residual, theoretical
 operator-norm bounds with empirical lower-bound witnesses, generator
 diagnostics (difference quotients against G f' + g f, with the bounded
-difference-quotient evidence), and probes for mixed-topology versus norm
-strong continuity and for compact-open equicontinuity.
+difference-quotient evidence), and a probe for mixed-topology versus norm
+strong continuity.
 
 Operator norms are bracketed, never claimed exact: a closed-form upper bound
 above, a sup over a fixed, versioned test-function set below.
@@ -20,7 +20,7 @@ import numpy as np
 from . import holo, spaces
 from .cocycles import Semicocycle
 from .errors import InvalidParam, UnsupportedSpaceBound
-from .flows import DEFAULT_FD_STEPS, Semiflow
+from .flows import DEFAULT_FD_STEPS, Semiflow, disc_sample_grid, real_sample_grid
 from .holo import HoloFn
 from .spaces import SeminormIndex, SpaceSpec, certified_sup, co_seminorm, norm
 
@@ -59,7 +59,7 @@ def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:
             return (np.asarray(sg.m(t, z)) * np.asarray(f.deriv(moved))
                     * np.asarray(sg.phi.prime(t, z)))
 
-    return HoloFn(fn, sg.phi.domain, "composite", name=f"C({t:g}){f.name or 'f'}", deriv=deriv)
+    return HoloFn(fn, sg.phi.domain, name=f"C({t:g}){f.name or 'f'}", deriv=deriv)
 
 
 def semigroup_residual(sg: WcSemigroup, t: float, s: float, grid, testset=None) -> float:
@@ -177,7 +177,7 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
         return sup_m
     if space.kind == "bloch" and space.alpha is not None:
         a = space.alpha
-        m_t = HoloFn(lambda z: np.asarray(sg.m(t, z)), sg.phi.domain, "composite", name="m_t")
+        m_t = HoloFn(lambda z: np.asarray(sg.m(t, z)), sg.phi.domain, name="m_t")
         if a > 1.0:
             L = 2.0 ** (a - 1.0) / (a - 1.0)
             fac = (3.0 + L) * sup_m
@@ -256,15 +256,7 @@ def generator_formula_apply(G: HoloFn, g: HoloFn, f: HoloFn) -> HoloFn:
         df = holo.derivative_on_grid(f, z)
         return np.asarray(G(z)) * df + np.asarray(g(z)) * np.asarray(f.fn(z))
 
-    return HoloFn(fn, f.domain, "composite", name=f"A[{f.name or 'f'}]")
-
-
-def _residual_grid(space: SpaceSpec, radius: float):
-    if space.is_real:
-        return np.linspace(-radius, radius, 33)
-    rings = np.array([0.25, 0.5, 0.75, 1.0]) * radius
-    ang = np.exp(2j * np.pi * np.arange(16) / 16)
-    return np.concatenate([[0.0 + 0.0j], (rings[:, None] * ang[None, :]).ravel()])
+    return HoloFn(fn, f.domain, name=f"A[{f.name or 'f'}]")
 
 
 @dataclass(frozen=True)
@@ -288,9 +280,12 @@ def generator_residual(sg: WcSemigroup, G: HoloFn, g: HoloFn, f: HoloFn,
                        steps=DEFAULT_FD_STEPS, radius: float = 0.9,
                        dq_ladder=DQ_LADDER) -> GeneratorResidualReport:
     steps = tuple(float(h) for h in steps)
-    if not steps or min(steps) <= 0 or any(b >= a for a, b in zip(steps, steps[1:])):
-        raise InvalidParam("steps must be positive and strictly decreasing")
-    pts = _residual_grid(sg.space, radius)
+    if len(steps) < 2 or min(steps) <= 0 or any(b >= a for a, b in zip(steps, steps[1:])):
+        raise InvalidParam("steps must be two or more positive, strictly decreasing values")
+    if sg.space.is_real:
+        pts = real_sample_grid(radius, 33)
+    else:
+        pts = disc_sample_grid(radius, 4, 16)
     target = np.asarray(generator_formula_apply(G, g, f).fn(pts))
     f_vals = np.asarray(f.fn(pts))
 
@@ -327,7 +322,7 @@ def generator_residual(sg: WcSemigroup, G: HoloFn, g: HoloFn, f: HoloFn,
 
 
 # ---------------------------------------------------------------------------
-# continuity and equicontinuity probes
+# continuity probe
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -386,48 +381,4 @@ def continuity_probe(sg: WcSemigroup, f: HoloFn, ts, radii,
         tol_co=tol_co,
         tol_norm=tol_norm,
         norm_cap=norm_cap,
-    )
-
-
-@dataclass(frozen=True)
-class EquicontinuityReport:
-    """Orbit compactness and cocycle boundedness over a compact time window.
-
-    When the verdict holds, sup_{|z|<=K, t<=t0} |C(t)f(z)| is certified to be
-    at most sup_m times the sup of |f| over the disc of radius sup_phi.
-    """
-
-    t0: float
-    K_radius: float
-    sup_phi: float
-    sup_m: float
-    margin: float
-    verdict: bool
-
-
-def equicontinuity_probe(sg: WcSemigroup, t0: float, K_radius: float,
-                         margin: float = 1e-3, n_times: int = 17) -> EquicontinuityReport:
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
-    if sg.space.is_real:
-        pts = np.linspace(-K_radius, K_radius, 65)
-    else:
-        rings = np.array([0.25, 0.5, 0.75, 1.0]) * K_radius
-        ang = np.exp(2j * np.pi * np.arange(24) / 24)
-        pts = np.concatenate([[0.0 + 0.0j], (rings[:, None] * ang[None, :]).ravel()])
-    sup_phi, sup_m = 0.0, 0.0
-    for t in np.linspace(0.0, t0, n_times):
-        sup_phi = max(sup_phi, float(np.max(np.abs(np.asarray(sg.phi(t, pts))))))
-        sup_m = max(sup_m, float(np.max(np.abs(np.asarray(sg.m(t, pts))))))
-    if sg.space.is_real:
-        ok = sup_m < holo.OVERFLOW_GUARD and np.isfinite(sup_phi)
-    else:
-        ok = sup_phi < sg.phi.domain.radius - margin and sup_m < holo.OVERFLOW_GUARD
-    return EquicontinuityReport(
-        t0=t0,
-        K_radius=K_radius,
-        sup_phi=sup_phi,
-        sup_m=sup_m,
-        margin=margin,
-        verdict=bool(ok),
     )

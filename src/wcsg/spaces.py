@@ -1,4 +1,4 @@
-"""Norms, compact-open seminorms, and mixed-topology diagnostics.
+"""Norms, compact-open seminorms, and the Saks identity check.
 
 Supported spaces: Hardy circle-mean norms, weighted Bergman area norms,
 the Dirichlet energy norm, weighted Bloch norms, and sup-weighted spaces of
@@ -82,10 +82,6 @@ class SpaceSpec:
         return cls("bloch", alpha=alpha, v=holo.bloch_weight(alpha), policy=policy)
 
     @classmethod
-    def bloch_weighted(cls, v: HoloFn, policy: QuadPolicy = DEFAULT_POLICY):
-        return cls("bloch", v=v, policy=policy)
-
-    @classmethod
     def sup_holo(cls, v: HoloFn | None = None, policy: QuadPolicy = DEFAULT_POLICY):
         return cls("sup-holo", v=v if v is not None else holo.unit_weight(), policy=policy)
 
@@ -132,39 +128,6 @@ class SeminormIndex:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise InvalidParam("seminorm radius must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class NullSequence:
-    """Weighted family (s_n, a_n) with weights decaying to zero.
-
-    A finite prefix of a genuine null sequence should end with a (near-)zero
-    sentinel weight so the decay invariant is checkable.
-    """
-
-    radii: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        radii = tuple(float(s) for s in self.radii)
-        weights = tuple(float(a) for a in self.weights)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "weights", weights)
-        if len(radii) != len(weights) or not radii:
-            raise ValueError("radii and weights must be equal-length and nonempty")
-        if not all(0.0 < s < 1.0 for s in radii):
-            raise ValueError("all radii must lie in (0, 1)")
-        if not all(a >= 0.0 for a in weights):
-            raise ValueError("weights must be nonnegative")
-        peak = max(weights)
-        if peak <= 0.0:
-            raise ValueError("weights must not all vanish")
-        k0 = weights.index(peak)
-        tail = weights[k0:]
-        if any(a < b - 1e-15 for a, b in zip(tail, tail[1:])):
-            raise ValueError("weight tail must be nonincreasing")
-        if weights[-1] >= 1e-6 * peak:
-            raise ValueError("final weight must be < 1e-6 of the peak (null sequence)")
 
 
 # ---------------------------------------------------------------------------
@@ -409,58 +372,6 @@ def saks_sup_check(space: SpaceSpec, f: HoloFn, radii, tol: float = 1e-3) -> Sak
         gap=gap,
         tol=tol,
         verdict=bool(gap < tol),
-    )
-
-
-def submixed_seminorm(space: SpaceSpec, f: HoloFn, ns: NullSequence) -> float:
-    """sup_n a_n * p_{s_n}(f); terms that cannot beat the running max are skipped."""
-    nrm = norm(space, f)
-    best = 0.0
-    for s, a in zip(ns.radii, ns.weights):
-        if a <= 0.0 or a * nrm <= best:
-            continue
-        best = max(best, a * co_seminorm(space, f, SeminormIndex(s)))
-    return best
-
-
-@dataclass(frozen=True)
-class GammaVerdict:
-    """Sequential mixed-topology convergence check.
-
-    A sequence converges in the mixed topology iff it converges compact-openly
-    and is norm-bounded; this records both halves.
-    """
-
-    co_residuals: tuple
-    norms: tuple
-    tol_conv: float
-    norm_cap: float
-    co_convergent: bool
-    norm_bounded: bool
-    gamma_convergent: bool
-
-
-def gamma_convergence_probe(space: SpaceSpec, seq, limit: HoloFn, radii,
-                            tol_conv: float = 1e-3, norm_cap: float = 100.0) -> GammaVerdict:
-    if not seq:
-        raise ValueError("sequence must be nonempty")
-    idxs = [SeminormIndex(float(r)) for r in radii]
-    residuals = []
-    norms = []
-    for fk in seq:
-        diff = fk - limit
-        residuals.append(max(co_seminorm(space, diff, idx) for idx in idxs))
-        norms.append(norm(space, fk))
-    co_ok = residuals[-1] < tol_conv
-    bounded = max(norms) < norm_cap
-    return GammaVerdict(
-        co_residuals=tuple(residuals),
-        norms=tuple(norms),
-        tol_conv=tol_conv,
-        norm_cap=norm_cap,
-        co_convergent=bool(co_ok),
-        norm_bounded=bool(bounded),
-        gamma_convergent=bool(co_ok and bounded),
     )
 
 

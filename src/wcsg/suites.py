@@ -62,11 +62,20 @@ def _num(cfg: dict, key: str, path: str, default=None, cast=float, required: boo
     return _number(_get(cfg, key, path, default, required), f"{path}.{key}", cast)
 
 
+def _list(cfg: dict, key: str, path: str, default=None) -> list:
+    """A list-valued config key, required unless a default is given."""
+    vals = _get(cfg, key, path, default, required=default is None)
+    if not isinstance(vals, list):
+        raise ConfigError(f"{path}.{key}", f"expected a list, got {type(vals).__name__}")
+    return vals
+
+
 def _nums(cfg: dict, key: str, path: str, default, cast=float) -> list:
-    """A list-of-scalars config key, each entry coerced by :func:`_number`."""
-    vals = _get(cfg, key, path, default)
-    if not isinstance(vals, (list, tuple)):
-        raise ConfigError(f"{path}.{key}", f"expected a list of numbers, got {vals!r}")
+    """A nonempty list-of-scalars config key (every such list is a sampling
+    ladder), each entry coerced by :func:`_number`."""
+    vals = _list(cfg, key, path, default)
+    if not vals:
+        raise ConfigError(f"{path}.{key}", "expected a nonempty list of numbers")
     return [_number(v, f"{path}.{key}[{i}]", cast) for i, v in enumerate(vals)]
 
 
@@ -94,17 +103,22 @@ def build_policy(cfg: dict | None, path: str) -> QuadPolicy:
         raise ConfigError(path, str(e))
 
 
+def _expr(spec, domain, path: str) -> HoloFn:
+    """Compile a config expression string; anything else is a ConfigError."""
+    if not isinstance(spec, str):
+        raise ConfigError(path, f"expected an expression string, got {spec!r}")
+    try:
+        return exprs.to_holofn(spec, domain)
+    except ValueError as e:
+        raise ConfigError(path, f"bad expression: {e}")
+
+
 def _build_weight(spec, domain, path: str) -> HoloFn:
     if spec == "one":
         return holo.unit_weight(domain)
     if spec == "exp-decay":
         return holo.exp_abs_decay_weight()
-    if isinstance(spec, str):
-        try:
-            return exprs.to_holofn(spec, domain)
-        except ValueError as e:
-            raise ConfigError(path, f"bad weight expression: {e}")
-    raise ConfigError(path, "weight must be 'one', 'exp-decay', or an expression")
+    return _expr(spec, domain, path)
 
 
 def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
@@ -164,30 +178,31 @@ def build_flow(cfg: dict, path: str = "flow") -> Semiflow:
             tol_step=_number(ode_cfg.get("tol_step", 1e-10), f"{path}.ode.tol_step"),
             exit_margin=_number(ode_cfg.get("exit_margin", 1e-9), f"{path}.ode.exit_margin"),
         )
-        G = exprs.to_holofn(gen)
-        return semiflow_from_generator(G, cfg_obj)
+        return semiflow_from_generator(_expr(gen, None, f"{path}.generator"), cfg_obj)
     except ConfigError:
         raise
     except (ValueError, WcsgError) as e:
         raise ConfigError(path, str(e))
 
 
+_COCYCLE_KEYS = {"type", "g", "omega", "zeros"}
+
+
 def build_cocycle(cfg: dict, phi: Semiflow, path: str = "cocycle") -> cocycles.Semicocycle:
-    _check_keys(cfg, {"type", "g", "omega", "zeros"}, path)
+    _check_keys(cfg, _COCYCLE_KEYS, path)
     kind = _get(cfg, "type", path, required=True)
     try:
         if kind == "trivial":
             return cocycles.trivial_cocycle()
         if kind == "integral":
-            g = exprs.to_holofn(_get(cfg, "g", path, required=True), phi.domain)
+            g = _expr(_get(cfg, "g", path, required=True), phi.domain, f"{path}.g")
             return cocycles.cocycle_from_g(g, phi)
         if kind == "derivative":
             return cocycles.derivative_cocycle(phi)
         if kind == "coboundary":
-            omega = exprs.to_holofn(_get(cfg, "omega", path, required=True), phi.domain)
-            zeros_cfg = _get(cfg, "zeros", path, [])
+            omega = _expr(_get(cfg, "omega", path, required=True), phi.domain, f"{path}.omega")
             orders = {}
-            for i, item in enumerate(zeros_cfg):
+            for i, item in enumerate(_list(cfg, "zeros", path, [])):
                 _check_keys(item, {"re", "im", "order"}, f"{path}.zeros[{i}]")
                 zpath = f"{path}.zeros[{i}]"
                 b = complex(_number(item.get("re", 0.0), f"{zpath}.re"),
@@ -212,12 +227,12 @@ def build_function(spec, domain, path: str) -> HoloFn:
         raise ConfigError(path, "expected a function name or expression string")
     if spec in _NAMED_FUNCTIONS:
         return _NAMED_FUNCTIONS[spec](domain)
-    try:
-        if spec.startswith("e_"):
+    if spec.startswith("e_"):
+        try:
             return holo.monomial(int(spec[2:]), domain)
-        return exprs.to_holofn(spec, domain)
-    except ValueError as e:
-        raise ConfigError(path, f"bad function expression: {e}")
+        except ValueError as e:
+            raise ConfigError(path, f"bad monomial name: {e}")
+    return _expr(spec, domain, path)
 
 
 def _section(cfg: dict, key: str, path: str) -> dict:
@@ -277,6 +292,25 @@ def _guarded(case_id: str, inputs: dict, fn) -> Case:
         return Case(id=case_id, inputs=inputs, numbers={}, verdict="error", error=str(e))
 
 
+def _run_cases(cfg: dict, key: str, allowed, id_prefix: str, run) -> list:
+    """The case loop: ``run(entry, path, cid)`` for each entry of ``cfg[key]``.
+
+    Each entry is checked against ``allowed``; its label defaults to
+    ``case<i>`` (``pair<i>`` for ``pairs``) and the case id is
+    ``<id_prefix>/<label>``. A case that fails is recorded as an error case.
+    """
+    noun = key[:-1]
+    cases = []
+    for i, entry in enumerate(_list(cfg, key, "config")):
+        path = f"{key}[{i}]"
+        _check_keys(entry, allowed, path)
+        label = _get(entry, "label", path, f"{noun}{i}")
+        cid = f"{id_prefix}/{label}"
+        inputs = {"pair": label} if noun == "pair" else {"label": label}
+        cases.append(_guarded(cid, inputs, lambda: run(entry, path, cid)))
+    return cases
+
+
 def _beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
@@ -290,7 +324,7 @@ def run_norm_table(cfg: dict) -> list:
     tols = _tolerances(cfg, "config", {"hardy": 1e-8, "dirichlet": 1e-6, "bergman": 1e-6})
     max_deg = _num(cfg, "max_degree", "config", 8, int)
     cases = []
-    for i, scfg in enumerate(_get(cfg, "spaces", "config", required=True)):
+    for i, scfg in enumerate(_list(cfg, "spaces", "config")):
         space = build_space(scfg, f"spaces[{i}]")
         for n in range(max_deg + 1):
             cid = f"norm/{space.label}/e_{n}"
@@ -330,7 +364,7 @@ def run_norm_table(cfg: dict) -> list:
         _check_keys(saks_cfg, {"spaces", "radii", "gap_tol"}, "saks")
         radii = _nums(saks_cfg, "radii", "saks", [0.5, 0.9, 0.99, 0.999, 0.9999])
         gap_tol = _num(saks_cfg, "gap_tol", "saks", 1e-3)
-        for i, scfg in enumerate(_get(saks_cfg, "spaces", "saks", required=True)):
+        for i, scfg in enumerate(_list(saks_cfg, "spaces", "saks")):
             space = build_space(scfg, f"saks.spaces[{i}]")
             corpus = spaces.default_corpus(real=space.is_real)
             for f in corpus:
@@ -358,40 +392,34 @@ def run_norm_table(cfg: dict) -> list:
 def run_semigroup_check(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "pairs", "sweep"}, "config")
     ts, rmax, grid_n = _sweep(cfg, [0.0, 0.1, 0.5, 1.0], 0.95, 12)
-    cases = []
-    for i, pcfg in enumerate(_get(cfg, "pairs", "config", required=True)):
-        path = f"pairs[{i}]"
-        _check_keys(pcfg, {"label", "space", "flow", "cocycle", "tol"}, path)
-        label = _get(pcfg, "label", path, f"pair{i}")
+
+    def run(pcfg, path, cid):
         tol = _num(pcfg, "tol", path, 1e-10)
+        space = build_space(_get(pcfg, "space", path, {"kind": "hardy", "p": 2.0}), f"{path}.space")
+        phi = build_flow(_get(pcfg, "flow", path, required=True), f"{path}.flow")
+        m = build_cocycle(_get(pcfg, "cocycle", path, required=True), phi, f"{path}.cocycle")
+        sg = WcSemigroup(phi, m, space)
+        grid = _grid_for(phi.domain, rmax, grid_n)
+        r_flow = flows.semiflow_law_residual(phi, ts, grid)
+        r_coc = cocycles.cocycle_law_residual(m, phi, ts, grid)
+        r_sg = max(
+            semigroup.semigroup_residual(sg, t, s, grid) for t in ts for s in ts
+        )
+        numbers = {
+            "semiflow_residual": r_flow,
+            "cocycle_residual": r_coc,
+            "semigroup_residual": r_sg,
+            "tol": tol,
+        }
+        return Case(
+            id=cid,
+            inputs={"pair": pcfg["label"]},
+            numbers=numbers,
+            verdict=bool(max(r_flow, r_coc, r_sg) < tol),
+            rows=[numbers],
+        )
 
-        def run(pcfg=pcfg, path=path, label=label, tol=tol):
-            space = build_space(_get(pcfg, "space", path, {"kind": "hardy", "p": 2.0}), f"{path}.space")
-            phi = build_flow(_get(pcfg, "flow", path, required=True), f"{path}.flow")
-            m = build_cocycle(_get(pcfg, "cocycle", path, required=True), phi, f"{path}.cocycle")
-            sg = WcSemigroup(phi, m, space)
-            grid = _grid_for(phi.domain, rmax, grid_n)
-            r_flow = flows.semiflow_law_residual(phi, ts, grid)
-            r_coc = cocycles.cocycle_law_residual(m, phi, ts, grid)
-            r_sg = max(
-                semigroup.semigroup_residual(sg, t, s, grid) for t in ts for s in ts
-            )
-            numbers = {
-                "semiflow_residual": r_flow,
-                "cocycle_residual": r_coc,
-                "semigroup_residual": r_sg,
-                "tol": tol,
-            }
-            return Case(
-                id=f"laws/{label}",
-                inputs={"pair": label},
-                numbers=numbers,
-                verdict=bool(max(r_flow, r_coc, r_sg) < tol),
-                rows=[numbers],
-            )
-
-        cases.append(_guarded(f"laws/{label}", {"pair": label}, run))
-    return cases
+    return _run_cases(cfg, "pairs", {"label", "space", "flow", "cocycle", "tol"}, "laws", run)
 
 
 def run_cocycle_check(cfg: dict) -> list:
@@ -401,8 +429,9 @@ def run_cocycle_check(cfg: dict) -> list:
     phi = build_flow(_get(cfg, "flow", "config", required=True), "flow")
     grid = _grid_for(phi.domain, rmax, grid_n)
     cases = []
-    for i, ccfg in enumerate(_get(cfg, "cocycles", "config", required=True)):
+    for i, ccfg in enumerate(_list(cfg, "cocycles", "config")):
         path = f"cocycles[{i}]"
+        _check_keys(ccfg, _COCYCLE_KEYS, path)
         cid = f"cocycle/{_get(ccfg, 'type', path, '?')}{i}"
 
         def run(ccfg=ccfg, path=path, cid=cid):
@@ -434,44 +463,37 @@ def run_bound_table(cfg: dict) -> list:
     ts = _nums(cfg, "ts", "config", [0.25, LN2, 1.0])
     slack = _num(cfg, "slack", "config", 1e-3)
     max_deg = _num(cfg, "max_test_degree", "config", 8, int)
-    cases = []
-    for i, bcfg in enumerate(_get(cfg, "cases", "config", required=True)):
-        path = f"cases[{i}]"
-        _check_keys(bcfg, {"label", "space", "flow", "cocycle"}, path)
-        label = _get(bcfg, "label", path, f"case{i}")
-        cid = f"bound/{label}"
 
-        def run(bcfg=bcfg, path=path, label=label, cid=cid):
-            sg = _build_semigroup(bcfg, path)
-            space, phi, m = sg.space, sg.phi, sg.m
-            testset = semigroup.default_test_functions(space, max_degree=max_deg)
-            ref_norms = [spaces.norm(space, f) for f in testset]
-            rows, ok = [], True
-            for t in ts:
-                res = semigroup.theoretical_bound(sg, t)
-                res.empirical_lower = semigroup.operator_norm_lower_bound(
-                    sg, t, testset=testset, ref_norms=ref_norms
-                )
-                rows.append(
-                    {
-                        "t": t,
-                        "theoretical": res.theoretical,
-                        "empirical_lower": res.empirical_lower,
-                        "formula": res.formula_tag,
-                    }
-                )
-                ok = ok and res.dominance_ok(slack)
-            worst_ratio = max(r["empirical_lower"] / r["theoretical"] for r in rows)
-            return Case(
-                id=cid,
-                inputs={"space": space.label, "flow": phi.name, "cocycle": m.name},
-                numbers={"worst_ratio": worst_ratio, "slack": slack},
-                verdict=bool(ok),
-                rows=rows,
+    def run(bcfg, path, cid):
+        sg = _build_semigroup(bcfg, path)
+        space, phi, m = sg.space, sg.phi, sg.m
+        testset = semigroup.default_test_functions(space, max_degree=max_deg)
+        ref_norms = [spaces.norm(space, f) for f in testset]
+        rows, ok = [], True
+        for t in ts:
+            res = semigroup.theoretical_bound(sg, t)
+            res.empirical_lower = semigroup.operator_norm_lower_bound(
+                sg, t, testset=testset, ref_norms=ref_norms
             )
+            rows.append(
+                {
+                    "t": t,
+                    "theoretical": res.theoretical,
+                    "empirical_lower": res.empirical_lower,
+                    "formula": res.formula_tag,
+                }
+            )
+            ok = ok and res.dominance_ok(slack)
+        worst_ratio = max(r["empirical_lower"] / r["theoretical"] for r in rows)
+        return Case(
+            id=cid,
+            inputs={"space": space.label, "flow": phi.name, "cocycle": m.name},
+            numbers={"worst_ratio": worst_ratio, "slack": slack},
+            verdict=bool(ok),
+            rows=rows,
+        )
 
-        cases.append(_guarded(cid, {"label": label}, run))
-    return cases
+    return _run_cases(cfg, "cases", {"label", "space", "flow", "cocycle"}, "bound", run)
 
 
 def run_generator_check(cfg: dict) -> list:
@@ -479,41 +501,34 @@ def run_generator_check(cfg: dict) -> list:
     tols = _tolerances(cfg, "config", {"residual": 1e-4, "order_min": 0.9})
     steps = tuple(_nums(cfg, "steps", "config", list(flows.DEFAULT_FD_STEPS)))
     radius = _num(cfg, "radius", "config", 0.9)
-    cases = []
-    for i, gcfg in enumerate(_get(cfg, "cases", "config", required=True)):
-        path = f"cases[{i}]"
-        _check_keys(gcfg, {"label", "space", "flow", "cocycle", "f"}, path)
-        label = _get(gcfg, "label", path, f"case{i}")
-        cid = f"generator/{label}"
 
-        def run(gcfg=gcfg, path=path, cid=cid):
-            sg = _build_semigroup(gcfg, path)
-            space, phi, m = sg.space, sg.phi, sg.m
-            f = build_function(_get(gcfg, "f", path, required=True), phi.domain, f"{path}.f")
-            G = phi.generator
-            if G is None:
-                raise ConfigError(f"{path}.flow", "flow has no generator available")
-            g = m.g if m.g is not None else holo.constant(0.0, phi.domain)
-            rep = semigroup.generator_residual(sg, G, g, f, steps=steps, radius=radius)
-            numbers = {
-                "residual": rep.extrapolated,
-                "order": rep.order,
-                "dq_bounded": rep.dq_bounded,
-            }
-            ok = rep.extrapolated < tols["residual"] and (
-                rep.order >= tols["order_min"] or rep.order == float("inf")
-            )
-            rows = [{"h": h, "sup_residual": r} for h, r in rep.per_h]
-            return Case(
-                id=cid,
-                inputs={"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name},
-                numbers=numbers,
-                verdict=bool(ok),
-                rows=rows,
-            )
+    def run(gcfg, path, cid):
+        sg = _build_semigroup(gcfg, path)
+        space, phi, m = sg.space, sg.phi, sg.m
+        f = build_function(_get(gcfg, "f", path, required=True), phi.domain, f"{path}.f")
+        G = phi.generator
+        if G is None:
+            raise ConfigError(f"{path}.flow", "flow has no generator available")
+        g = m.g if m.g is not None else holo.constant(0.0, phi.domain)
+        rep = semigroup.generator_residual(sg, G, g, f, steps=steps, radius=radius)
+        numbers = {
+            "residual": rep.extrapolated,
+            "order": rep.order,
+            "dq_bounded": rep.dq_bounded,
+        }
+        ok = rep.extrapolated < tols["residual"] and (
+            rep.order >= tols["order_min"] or rep.order == float("inf")
+        )
+        rows = [{"h": h, "sup_residual": r} for h, r in rep.per_h]
+        return Case(
+            id=cid,
+            inputs={"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name},
+            numbers=numbers,
+            verdict=bool(ok),
+            rows=rows,
+        )
 
-        cases.append(_guarded(cid, {"label": label}, run))
-    return cases
+    return _run_cases(cfg, "cases", {"label", "space", "flow", "cocycle", "f"}, "generator", run)
 
 
 def run_reconstruct(cfg: dict) -> list:
@@ -521,109 +536,88 @@ def run_reconstruct(cfg: dict) -> list:
     tols = _tolerances(cfg, "config", {"deviation": 1e-6, "generator_fd": 1e-5})
     ts, rmax, grid_n = _sweep(cfg, [0.25, 0.5, 0.75, 1.0], 0.9, 6)
     ode_cfg = _section(cfg, "ode", "config")
-    cases = []
-    for i, rcfg in enumerate(_get(cfg, "cases", "config", required=True)):
-        path = f"cases[{i}]"
-        _check_keys(rcfg, {"label", "generator", "reference"}, path)
-        label = _get(rcfg, "label", path, f"case{i}")
-        cid = f"reconstruct/{label}"
 
-        def run(rcfg=rcfg, path=path, cid=cid):
-            phi_ode = build_flow(
-                {"generator": _get(rcfg, "generator", path, required=True), "ode": ode_cfg},
-                f"{path}",
-            )
-            ref = build_flow(_get(rcfg, "reference", path, required=True), f"{path}.reference")
-            grid = _grid_for(ref.domain, rmax, grid_n)
-            dev = 0.0
-            for t in ts:
-                a = np.asarray(phi_ode(t, grid))
-                b = np.asarray(ref(t, grid))
-                dev = max(dev, float(np.max(np.abs(a - b))))
-            fd_err = 0.0
-            for z in grid[:: max(1, len(grid) // 5)]:
-                est = flows.generator_fd(phi_ode, z)
-                ref_val = complex(np.asarray(phi_ode.generator(z)))
-                fd_err = max(fd_err, abs(est.value - ref_val))
-            numbers = {"max_deviation": dev, "generator_fd_error": fd_err}
-            ok = dev < tols["deviation"] and fd_err < tols["generator_fd"]
-            return Case(
-                id=cid,
-                inputs={"generator": phi_ode.name, "reference": ref.name},
-                numbers=numbers,
-                verdict=bool(ok),
-                rows=[numbers],
-            )
+    def run(rcfg, path, cid):
+        phi_ode = build_flow(
+            {"generator": _get(rcfg, "generator", path, required=True), "ode": ode_cfg},
+            f"{path}",
+        )
+        ref = build_flow(_get(rcfg, "reference", path, required=True), f"{path}.reference")
+        grid = _grid_for(ref.domain, rmax, grid_n)
+        dev = 0.0
+        for t in ts:
+            a = np.asarray(phi_ode(t, grid))
+            b = np.asarray(ref(t, grid))
+            dev = max(dev, float(np.max(np.abs(a - b))))
+        fd_err = 0.0
+        for z in grid[:: max(1, len(grid) // 5)]:
+            est = flows.generator_fd(phi_ode, z)
+            ref_val = complex(np.asarray(phi_ode.generator(z)))
+            fd_err = max(fd_err, abs(est.value - ref_val))
+        numbers = {"max_deviation": dev, "generator_fd_error": fd_err}
+        ok = dev < tols["deviation"] and fd_err < tols["generator_fd"]
+        return Case(
+            id=cid,
+            inputs={"generator": phi_ode.name, "reference": ref.name},
+            numbers=numbers,
+            verdict=bool(ok),
+            rows=[numbers],
+        )
 
-        cases.append(_guarded(cid, {"label": label}, run))
-    return cases
+    return _run_cases(cfg, "cases", {"label", "generator", "reference"}, "reconstruct", run)
 
 
 def run_continuity_probe(cfg: dict) -> list:
-    _check_keys(
-        cfg,
-        {"suite", "cases"},
-        "config",
-    )
-    cases = []
-    for i, pcfg in enumerate(_get(cfg, "cases", "config", required=True)):
-        path = f"cases[{i}]"
-        _check_keys(
-            pcfg,
-            {"label", "space", "flow", "cocycle", "f", "ts", "radii", "tolerances",
-             "norm_cap", "expect"},
-            path,
+    _check_keys(cfg, {"suite", "cases"}, "config")
+
+    def run(pcfg, path, cid):
+        sg = _build_semigroup(pcfg, path)
+        space, phi, m = sg.space, sg.phi, sg.m
+        f = build_function(_get(pcfg, "f", path, required=True), phi.domain, f"{path}.f")
+        ts = _nums(pcfg, "ts", path, [0.1, 0.01, 0.001])
+        radii = _nums(pcfg, "radii", path, [0.5, 0.9])
+        tols = _section(pcfg, "tolerances", path)
+        _check_keys(tols, {"co", "norm"}, f"{path}.tolerances")
+        cap = _get(pcfg, "norm_cap", path)
+        probe = semigroup.continuity_probe(
+            sg,
+            f,
+            ts,
+            radii,
+            tol_co=_number(tols.get("co", 1e-3), f"{path}.tolerances.co"),
+            tol_norm=_number(tols.get("norm", 1e-3), f"{path}.tolerances.norm"),
+            norm_cap=_number(cap, f"{path}.norm_cap") if cap is not None else None,
         )
-        label = _get(pcfg, "label", path, f"case{i}")
-        cid = f"continuity/{label}"
+        expect = _section(pcfg, "expect", path)
+        _check_keys(expect, {"gamma", "norm"}, f"{path}.expect")
+        ok = True
+        if "gamma" in expect:
+            ok = ok and probe.gamma_verdict == bool(expect["gamma"])
+        if "norm" in expect:
+            ok = ok and probe.norm_verdict == bool(expect["norm"])
+        rows = [
+            {
+                "t": rec.t,
+                "norm_residual": rec.norm_residual,
+                "norm_of_Cf": rec.norm_of_Cf,
+                **{f"co_residual_r{r:g}": v for r, v in rec.co_residuals},
+            }
+            for rec in probe.records
+        ]
+        return Case(
+            id=cid,
+            inputs={"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name},
+            numbers={
+                "gamma_verdict": probe.gamma_verdict,
+                "norm_verdict": probe.norm_verdict,
+            },
+            verdict=bool(ok),
+            rows=rows,
+        )
 
-        def run(pcfg=pcfg, path=path, cid=cid):
-            sg = _build_semigroup(pcfg, path)
-            space, phi, m = sg.space, sg.phi, sg.m
-            f = build_function(_get(pcfg, "f", path, required=True), phi.domain, f"{path}.f")
-            ts = _nums(pcfg, "ts", path, [0.1, 0.01, 0.001])
-            radii = _nums(pcfg, "radii", path, [0.5, 0.9])
-            tols = _section(pcfg, "tolerances", path)
-            _check_keys(tols, {"co", "norm"}, f"{path}.tolerances")
-            cap = _get(pcfg, "norm_cap", path)
-            probe = semigroup.continuity_probe(
-                sg,
-                f,
-                ts,
-                radii,
-                tol_co=_number(tols.get("co", 1e-3), f"{path}.tolerances.co"),
-                tol_norm=_number(tols.get("norm", 1e-3), f"{path}.tolerances.norm"),
-                norm_cap=_number(cap, f"{path}.norm_cap") if cap is not None else None,
-            )
-            expect = _section(pcfg, "expect", path)
-            _check_keys(expect, {"gamma", "norm"}, f"{path}.expect")
-            ok = True
-            if "gamma" in expect:
-                ok = ok and probe.gamma_verdict == bool(expect["gamma"])
-            if "norm" in expect:
-                ok = ok and probe.norm_verdict == bool(expect["norm"])
-            rows = [
-                {
-                    "t": rec.t,
-                    "norm_residual": rec.norm_residual,
-                    "norm_of_Cf": rec.norm_of_Cf,
-                    **{f"co_residual_r{r:g}": v for r, v in rec.co_residuals},
-                }
-                for rec in probe.records
-            ]
-            return Case(
-                id=cid,
-                inputs={"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name},
-                numbers={
-                    "gamma_verdict": probe.gamma_verdict,
-                    "norm_verdict": probe.norm_verdict,
-                },
-                verdict=bool(ok),
-                rows=rows,
-            )
-
-        cases.append(_guarded(cid, {"label": label}, run))
-    return cases
+    allowed = {"label", "space", "flow", "cocycle", "f", "ts", "radii", "tolerances",
+               "norm_cap", "expect"}
+    return _run_cases(cfg, "cases", allowed, "continuity", run)
 
 
 def run_admissibility(cfg: dict) -> list:
@@ -633,40 +627,33 @@ def run_admissibility(cfg: dict) -> list:
     if phi.generator is None:
         raise ConfigError("flow", "admissibility needs a flow with a generator")
     search = flows.fixed_points(phi, phi.generator, _grid_for(phi.domain, 0.9))
-    cases = []
-    for i, acfg in enumerate(_get(cfg, "cases", "config", required=True)):
-        path = f"cases[{i}]"
-        _check_keys(acfg, {"label", "g", "expect_admissible"}, path)
-        label = _get(acfg, "label", path, f"case{i}")
-        cid = f"admissibility/{label}"
 
-        def run(acfg=acfg, path=path, cid=cid):
-            g = exprs.to_holofn(_get(acfg, "g", path, required=True), phi.domain)
-            verdict = cocycles.coboundary_admissibility(
-                g, phi.generator, None, list(search.points), tol=tol
-            )
-            expect = _get(acfg, "expect_admissible", path)
-            ok = verdict.admissible if expect is None else verdict.admissible == bool(expect)
-            rows = [
-                {
-                    "point": r.point,
-                    "ratio": r.ratio,
-                    "nearest_order": r.nearest_order,
-                    "distance": r.distance,
-                    "admissible": r.admissible,
-                }
-                for r in verdict.records
-            ]
-            return Case(
-                id=cid,
-                inputs={"flow": phi.name, "g": g.name, "fixed_points": list(search.points)},
-                numbers={"admissible": verdict.admissible},
-                verdict=bool(ok),
-                rows=rows,
-            )
+    def run(acfg, path, cid):
+        g = _expr(_get(acfg, "g", path, required=True), phi.domain, f"{path}.g")
+        verdict = cocycles.coboundary_admissibility(
+            g, phi.generator, None, list(search.points), tol=tol
+        )
+        expect = _get(acfg, "expect_admissible", path)
+        ok = verdict.admissible if expect is None else verdict.admissible == bool(expect)
+        rows = [
+            {
+                "point": r.point,
+                "ratio": r.ratio,
+                "nearest_order": r.nearest_order,
+                "distance": r.distance,
+                "admissible": r.admissible,
+            }
+            for r in verdict.records
+        ]
+        return Case(
+            id=cid,
+            inputs={"flow": phi.name, "g": g.name, "fixed_points": list(search.points)},
+            numbers={"admissible": verdict.admissible},
+            verdict=bool(ok),
+            rows=rows,
+        )
 
-        cases.append(_guarded(cid, {"label": label}, run))
-    return cases
+    return _run_cases(cfg, "cases", {"label", "g", "expect_admissible"}, "admissibility", run)
 
 
 SUITES = {

@@ -7,9 +7,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcsg import cli
 from wcsg.defaults import DEFAULT_CONFIGS
@@ -46,6 +48,9 @@ class TestExitCodes:
         cfg["surprise"] = 1
         code = cli.main(["admissibility", "--config", write_config(tmp_path, cfg)])
         assert code == 2
+
+    def test_config_not_an_object_returns_two(self, tmp_path):
+        assert cli.main(["admissibility", "--config", write_config(tmp_path, [1])]) == 2
 
     def test_missing_config_file_returns_two(self):
         assert cli.main(["admissibility", "--config", "/nonexistent/x.json"]) == 2
@@ -110,6 +115,8 @@ _BAD_INPUTS = {
                  "f": "e_1", "ts": [0.001, 0.01, 0.1]},
                 {"label": "no-ts", "space": {"kind": "sup-holo"}, "flow": _DILATION,
                  "f": "e_1", "ts": []},
+                {"label": "no-radii", "space": {"kind": "sup-holo"}, "flow": _DILATION,
+                 "f": "e_1", "radii": []},
                 {"label": "radius-one", "space": {"kind": "sup-holo"}, "flow": _DILATION,
                  "f": "e_1", "radii": [0.5, 1.0]},
                 {"label": "bad-monomial", "space": {"kind": "sup-holo"}, "flow": _DILATION,
@@ -119,6 +126,7 @@ _BAD_INPUTS = {
             ],
         },
         {"continuity/increasing": "error", "continuity/no-ts": "error",
+         "continuity/no-radii": "error",
          "continuity/radius-one": "error", "continuity/bad-monomial": "error",
          "continuity/decreasing": True},
     ),
@@ -126,6 +134,45 @@ _BAD_INPUTS = {
         {"suite": "bound-table", "ts": [-0.5], "cases": [{"label": "a", "space": _HARDY2,
                                                           "flow": _DILATION}]},
         {"bound/a": "error"},
+    ),
+    "generator-check-one-step": (
+        {"suite": "generator-check", "steps": [1e-2],
+         "cases": [{"label": "a", "space": _HARDY2, "flow": _DILATION, "f": "z^2"}]},
+        {"generator/a": "error"},
+    ),
+    "cocycle-check-entry-types": (
+        {
+            "suite": "cocycle-check",
+            "flow": _DILATION,
+            "cocycles": [
+                {"type": "coboundary", "omega": "z", "zeros": 5},
+                {"type": "integral", "g": ["z"]},
+                {"type": "trivial"},
+            ],
+        },
+        {"cocycle/coboundary0": "error", "cocycle/integral1": "error", "cocycle/trivial2": True},
+    ),
+    "semigroup-check-catalog-params": (
+        {
+            "suite": "semigroup-check",
+            "pairs": [
+                {"label": "rate", "flow": {"name": "rotation", "params": {"rate": "fast"}},
+                 "cocycle": {"type": "trivial"}},
+                {"label": "domain", "flow": {"name": "identity", "params": {"domain": "torus"}},
+                 "cocycle": {"type": "trivial"}},
+                {"label": "generator", "flow": {"generator": 5}, "cocycle": {"type": "trivial"}},
+            ],
+        },
+        {"laws/rate": "error", "laws/domain": "error", "laws/generator": "error"},
+    ),
+    "admissibility-g-not-a-string": (
+        {"suite": "admissibility", "flow": _DILATION,
+         "cases": [{"label": "a", "g": 5}, {"label": "b", "g": "-1"}]},
+        {"admissibility/a": "error", "admissibility/b": True},
+    ),
+    "reconstruct-generator-not-a-string": (
+        {"suite": "reconstruct", "cases": [{"label": "a", "generator": 5, "reference": _DILATION}]},
+        {"reconstruct/a": "error"},
     ),
 }
 
@@ -155,6 +202,31 @@ _BAD_CONFIGS = {
         {"suite": "semigroup-check", "sweep": {"grid_n": -3},
          "pairs": [{"flow": _DILATION, "cocycle": {"type": "trivial"}}]},
         "sweep.grid_n",
+    ),
+    "semigroup-check-ts-empty": (
+        {"suite": "semigroup-check", "sweep": {"ts": []},
+         "pairs": [{"flow": _DILATION, "cocycle": {"type": "trivial"}}]},
+        "sweep.ts",
+    ),
+    "bound-table-ts-empty": (
+        {"suite": "bound-table", "ts": [], "cases": [{"space": _HARDY2, "flow": _DILATION}]},
+        "config.ts",
+    ),
+    "bound-table-cases-not-a-list": (
+        {"suite": "bound-table", "cases": {"label": "x"}},
+        "config.cases",
+    ),
+    "norm-table-spaces-not-a-list": (
+        {"suite": "norm-table", "spaces": 5},
+        "config.spaces",
+    ),
+    "norm-table-saks-spaces-not-a-list": (
+        {"suite": "norm-table", "spaces": [_HARDY2], "saks": {"spaces": 3}},
+        "saks.spaces",
+    ),
+    "cocycle-check-cocycle-not-an-object": (
+        {"suite": "cocycle-check", "flow": _DILATION, "cocycles": [5]},
+        "cocycles[0]",
     ),
 }
 
@@ -189,6 +261,114 @@ class TestErrorContract:
         assert f"config error: {field}:" in proc.stderr
 
 
+# One small config per suite, fast enough to run many times; the fuzz test
+# breaks one entry of one of them at a time.
+_TINY_CONFIGS = {
+    "norm-table": {
+        "suite": "norm-table",
+        "spaces": [{"kind": "hardy", "p": 2.0, "policy": {"n_theta": 64, "n_radial": 16}},
+                   {"kind": "sup-cont", "weight": "exp-decay", "halfwidth": 10.0}],
+        "max_degree": 1,
+        "saks": {"spaces": [{"kind": "hardy"}], "radii": [0.99, 0.9999], "gap_tol": 1e-3},
+        "tolerances": {"hardy": 1e-8},
+    },
+    "semigroup-check": {
+        "suite": "semigroup-check",
+        "sweep": {"ts": [0.0, 0.5], "grid_rmax": 0.9, "grid_n": 4},
+        "pairs": [{"label": "p", "space": _HARDY2, "flow": _DILATION,
+                   "cocycle": {"type": "integral", "g": "z"}, "tol": 1e-8}],
+    },
+    "cocycle-check": {
+        "suite": "cocycle-check",
+        "flow": _DILATION,
+        "sweep": {"ts": [0.0, 0.5], "grid_rmax": 0.9, "grid_n": 4},
+        "cocycles": [{"type": "coboundary", "omega": "z",
+                      "zeros": [{"re": 0.0, "im": 0.0, "order": 1}]},
+                     {"type": "integral", "g": "z"}],
+        "tolerances": {"law": 1e-7, "mdot0": 1e-5},
+    },
+    "bound-table": {
+        "suite": "bound-table",
+        "ts": [0.5],
+        "slack": 1e-3,
+        "max_test_degree": 2,
+        "cases": [{"label": "b", "space": _HARDY2, "flow": _DILATION,
+                   "cocycle": {"type": "trivial"}}],
+    },
+    "generator-check": {
+        "suite": "generator-check",
+        "steps": [1e-2, 5e-3, 2.5e-3],
+        "radius": 0.9,
+        "tolerances": {"residual": 1e-4, "order_min": 0.9},
+        "cases": [{"label": "g", "space": _HARDY2, "flow": _DILATION,
+                   "cocycle": {"type": "trivial"}, "f": "z^2"}],
+    },
+    "reconstruct": {
+        "suite": "reconstruct",
+        "sweep": {"ts": [0.5], "grid_rmax": 0.5, "grid_n": 2},
+        "ode": {"h0": 1e-2, "tol_step": 1e-10, "exit_margin": 1e-9},
+        "tolerances": {"deviation": 1e-6, "generator_fd": 1e-5},
+        "cases": [_RECONSTRUCT],
+    },
+    "continuity-probe": {
+        "suite": "continuity-probe",
+        "cases": [{"label": "c", "space": _HARDY2, "flow": _DILATION,
+                   "cocycle": {"type": "trivial"}, "f": "e_1", "ts": [0.1, 0.01],
+                   "radii": [0.5], "tolerances": {"co": 1e-2, "norm": 1e-2},
+                   "norm_cap": 10.0, "expect": {"gamma": True}}],
+    },
+    "admissibility": {
+        "suite": "admissibility",
+        "flow": _DILATION,
+        "tol": 1e-8,
+        "cases": [{"label": "a", "g": "-1", "expect_admissible": True}],
+    },
+}
+
+_DROP = object()
+_MUTATIONS = [_DROP, None, -1, "x", [], {}, [1]]
+
+
+def _entry_paths(node, prefix=()):
+    """The path of every object key and list entry below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _entry_paths(value, prefix + (key,))
+
+
+def _mutated(cfg, path, mutation):
+    out = copy.deepcopy(cfg)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(mutation)
+    return out
+
+
+_FUZZ_TARGETS = [(suite, path) for suite, cfg in _TINY_CONFIGS.items()
+                 for path in _entry_paths(cfg)]
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("suite", sorted(_TINY_CONFIGS))
+    def test_tiny_configs_pass(self, tmp_path, suite):
+        assert cli.main([suite, "--config", write_config(tmp_path, _TINY_CONFIGS[suite])]) == 0
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.sampled_from(_FUZZ_TARGETS), st.sampled_from(_MUTATIONS))
+    def test_one_broken_entry_is_an_exit_code_not_an_exception(self, target, mutation):
+        suite, path = target
+        cfg = _mutated(_TINY_CONFIGS[suite], path, mutation)
+        with tempfile.TemporaryDirectory() as tmp:
+            code = cli.main([suite, "--config", write_config(pathlib.Path(tmp), cfg)])
+        assert code in (0, 1, 2)
+
+
 class TestConfigValidation:
     def test_unknown_nested_key_path(self):
         with pytest.raises(ConfigError) as exc:
@@ -204,17 +384,6 @@ class TestConfigValidation:
         assert names == [f"{suite}.json" for suite in sorted(SUITES)]
         for name in names:
             assert json.loads((configs / name).read_text())["suite"] == name[: -len(".json")]
-
-    def test_tol_override_applies(self, tmp_path):
-        cfg = copy.deepcopy(DEFAULT_CONFIGS["reconstruct"])
-        out = tmp_path / "r.json"
-        code = cli.main(
-            ["reconstruct", "--config", write_config(tmp_path, cfg), "--tol", "1e-30",
-             "--out", str(out)]
-        )
-        assert code == 1
-        doc = json.loads(out.read_text())
-        assert doc["config"]["tolerances"]["deviation"] == 1e-30
 
 
 class TestEmission:

@@ -10,7 +10,6 @@ from wcsg import holo
 from wcsg.errors import EscapedDomain, InvalidParam, UnknownCatalogEntry
 from wcsg.flows import (
     OdeCfg,
-    chain_rule_residual,
     disc_sample_grid,
     fixed_points,
     generator_fd,
@@ -120,11 +119,6 @@ class TestFixedPoints:
         assert res.trivial
         assert res.points == ()
 
-    def test_no_revisit_observed_for_single_zero(self):
-        phi = make_catalog_semiflow("dilation", {"c": 1.0})
-        res = fixed_points(phi, phi.generator, disc_sample_grid(0.9))
-        assert res.min_revisit_time is None
-
     def test_cubic_zero_of_field_is_not_fixed(self):
         # G(0) = 0 but the flow escapes: the phi-side check must reject 0
         phi = make_catalog_semiflow("cubic-real")
@@ -175,23 +169,6 @@ class TestOdeReconstruction:
                 exact = math.exp(-t) * z + 1.0 - math.exp(-t)
                 worst = max(worst, abs(complex(phi(t, z)) - exact))
         assert worst < 1e-6
-
-
-class TestChainRule:
-    def test_dilation(self):
-        phi = make_catalog_semiflow("dilation", {"c": 1.0})
-        res = chain_rule_residual(phi, phi.generator, (0.1, 0.5, 1.0), disc_sample_grid(0.9))
-        assert res < 1e-9
-
-    def test_identity_zero_field(self):
-        phi = make_catalog_semiflow("identity")
-        res = chain_rule_residual(phi, phi.generator, (0.1, 1.0), disc_sample_grid(0.9))
-        assert res == 0.0
-
-    def test_attracting(self):
-        phi = make_catalog_semiflow("attracting")
-        res = chain_rule_residual(phi, phi.generator, (0.1, 0.5, 1.0), disc_sample_grid(0.9))
-        assert res < 1e-9
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wcsg import holo
-from wcsg.cocycles import cocycle_from_g, derivative_cocycle, trivial_cocycle
+from wcsg.cocycles import Semicocycle, cocycle_from_g, derivative_cocycle, trivial_cocycle
 from wcsg.errors import UnsupportedSpaceBound
 from wcsg.flows import disc_sample_grid, make_catalog_semiflow
 from wcsg.semigroup import (
@@ -14,7 +14,6 @@ from wcsg.semigroup import (
     apply,
     continuity_probe,
     default_test_functions,
-    equicontinuity_probe,
     generator_formula_apply,
     generator_residual,
     operator_norm_lower_bound,
@@ -277,29 +276,6 @@ class TestContinuityProbe:
                 assert probe.gamma_verdict
 
 
-class TestEquicontinuity:
-    def test_dilation(self):
-        sg = sg_dilation_derivative(SpaceSpec.hardy(2.0))
-        rep = equicontinuity_probe(sg, 1.0, 0.9)
-        assert rep.sup_phi == pytest.approx(0.9, abs=1e-12)  # largest at t = 0
-        assert rep.sup_m == pytest.approx(1.0, abs=1e-12)
-        assert rep.verdict
-
-    def test_identity(self):
-        phi = make_catalog_semiflow("identity")
-        sg = WcSemigroup(phi, trivial_cocycle(), SpaceSpec.sup_holo())
-        rep = equicontinuity_probe(sg, 1.0, 0.7)
-        assert rep.sup_phi == pytest.approx(0.7, abs=1e-12)
-        assert rep.sup_m == 1.0
-
-    def test_attracting_orbit_stays_compact(self):
-        sg = sg_trivial(SpaceSpec.hardy(2.0))
-        rep = equicontinuity_probe(sg, 1.0, 0.9)
-        expected = 1.0 - 0.1 * math.exp(-1.0)  # sup at t = 1, z = 0.9
-        assert rep.sup_phi == pytest.approx(expected, abs=1e-9)
-        assert rep.verdict
-
-
 class TestMultiplierAndSplit:
     @pytest.mark.parametrize(
         "space",
@@ -313,6 +289,16 @@ class TestMultiplierAndSplit:
         for f in (holo.monomial(1), holo.poly([1, 1])):
             mf = HoloTimes(m, t, f)
             assert norm(space, mf) <= sup_m * norm(space, f) * (1.0 + 1e-6)
+
+    def test_cocycle_named_one_keeps_its_multiplier(self):
+        # triviality is a constructor flag, not the name "one"
+        m = Semicocycle(eval=lambda t, z: np.full(np.shape(z), 2.0, dtype=complex),
+                        name="one", constant_in_z=True)
+        sg = WcSemigroup(make_catalog_semiflow("attracting"), m, SpaceSpec.hardy(2.0))
+        res = theoretical_bound(sg, 0.5)
+        assert res.components["multiplier"] == pytest.approx(2.0)
+        assert res.formula_tag == "product-split"
+        assert res.theoretical == pytest.approx(2.0 * res.components["composition"])
 
     def test_split_estimate_hardy(self):
         sg = sg_dilation_derivative(SpaceSpec.hardy(2.0))
@@ -328,6 +314,5 @@ def HoloTimes(m, t, f):
     return holo.HoloFn(
         lambda z: np.asarray(m(t, z)) * np.asarray(f.fn(z)),
         f.domain,
-        "composite",
         name=f"m_t*{f.name}",
     )

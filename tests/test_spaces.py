@@ -13,17 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from wcsg import holo
 from wcsg.spaces import (
-    GammaVerdict,
-    NullSequence,
     SeminormIndex,
     SpaceSpec,
     co_seminorm,
     default_corpus,
-    gamma_convergence_probe,
     norm,
     norm_detail,
     saks_sup_check,
-    submixed_seminorm,
 )
 
 
@@ -141,63 +137,6 @@ class TestSaks:
             saks_sup_check(SpaceSpec.hardy(2.0), holo.one(), [0.9, 0.5])
 
 
-class TestSubmixed:
-    def test_constant_attains_peak_weight(self):
-        ns = NullSequence(
-            radii=tuple(1.0 - 1.0 / (k + 1) for k in range(1, 25)),
-            weights=tuple(1.0 / k for k in range(1, 24)) + (0.0,),
-        )
-        val = submixed_seminorm(SpaceSpec.hardy(2.0), holo.one(), ns)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_monomial_max_of_weighted_radii(self):
-        # p_{s_n}(e_1) = s_n for Hardy(2), so the value is max_n s_n / n
-        radii = tuple(1.0 - 2.0 ** (-k) for k in range(1, 30)) + (0.5,)
-        weights = tuple(1.0 / k for k in range(1, 30)) + (0.0,)
-        ns = NullSequence(radii=radii, weights=weights)
-        val = submixed_seminorm(SpaceSpec.hardy(2.0), holo.monomial(1), ns)
-        expected = max(s / k for k, s in zip(range(1, 30), radii[:-1]))
-        assert val == pytest.approx(expected, abs=1e-5)
-
-    def test_zero_function(self):
-        ns = NullSequence(radii=(0.5, 0.6), weights=(1.0, 0.0))
-        assert submixed_seminorm(SpaceSpec.hardy(2.0), holo.constant(0.0), ns) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NullSequence(radii=(0.5, 0.6), weights=(1.0, 0.5))  # tail not null
-        with pytest.raises(ValueError):
-            NullSequence(radii=(0.5, 1.1), weights=(1.0, 0.0))
-
-
-class TestGammaProbe:
-    def test_scalar_multiples_converge(self):
-        space = SpaceSpec.hardy(2.0)
-        e1 = holo.monomial(1)
-        seq = [(1.0 - 1.0 / k) * e1 for k in range(1, 129)]
-        verdict = gamma_convergence_probe(space, seq, e1, [0.5, 0.9], tol_conv=1e-2)
-        assert verdict.gamma_convergent
-        assert max(verdict.norms) <= 1.0 + 1e-6
-
-    def test_monomials_gamma_null_but_not_norm_null(self):
-        space = SpaceSpec.sup_holo()
-        seq = [holo.monomial(k) for k in range(1, 49)]
-        verdict = gamma_convergence_probe(
-            space, seq, holo.constant(0.0), [0.5, 0.9], tol_conv=1e-2
-        )
-        # compact-open residual s^k dies, norms stay pinned at ~1
-        assert verdict.gamma_convergent
-        assert verdict.norms[-1] > 0.99
-        assert verdict.co_residuals[-1] == pytest.approx(0.9 ** 48, rel=1e-2)
-
-    def test_constant_sequence(self):
-        space = SpaceSpec.hardy(2.0)
-        f = holo.poly([1, 1])
-        verdict = gamma_convergence_probe(space, [f, f, f], f, [0.5, 0.9])
-        assert verdict.gamma_convergent
-        assert max(verdict.co_residuals) < 1e-12
-
-
 class TestSpaceInvariants:
     @pytest.mark.parametrize(
         "space",
@@ -222,7 +161,7 @@ class TestSpaceInvariants:
             assert max(ratios) < 1e3
 
     def test_weight_positivity_checked(self):
-        bad = holo.HoloFn(lambda z: np.real(z), holo.UNIT_DISC, "weight", name="signed")
+        bad = holo.HoloFn(lambda z: np.real(z), holo.UNIT_DISC, name="signed")
         with pytest.raises(ValueError):
             SpaceSpec.sup_holo(bad)
 
