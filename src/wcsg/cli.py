@@ -24,7 +24,7 @@ from .suites import SUITES
 def run(config: dict) -> Report:
     """Dispatch a validated config to its suite and assemble the report."""
     suite = config.get("suite")
-    if suite not in SUITES:
+    if not isinstance(suite, str) or suite not in SUITES:
         raise ConfigError("suite", f"unknown suite {suite!r}")
     start = time.perf_counter()
     cases = SUITES[suite](config)

@@ -24,6 +24,7 @@ import numpy as np
 from . import holo
 from .errors import (
     DegenerateFixedPoint,
+    InvalidParam,
     NonConvergent,
     OrderMismatch,
     UnboundedSignal,
@@ -155,6 +156,27 @@ def derivative_cocycle(phi: Semiflow) -> Semicocycle:
     )
 
 
+def _by_zeros(z, zeros, zero_guard: float, omega: HoloFn, near, far):
+    """near(points, order) within zero_guard of each declared zero (b, order)
+    of omega, far(points) / omega(points) at every other point. omega
+    vanishing at one of those is an undeclared zero (InvalidParam)."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty(zs.shape, dtype=complex)
+    rest = np.ones(zs.shape, dtype=bool)
+    for b, n in zeros:
+        mask = np.abs(zs - b) <= zero_guard
+        if np.any(mask):
+            out[mask] = near(zs[mask], n)
+            rest &= ~mask
+    if np.any(rest):
+        w = np.asarray(omega(zs[rest]))
+        if np.any(w == 0):
+            raise InvalidParam(f"omega vanishes at {complex(zs[rest][np.argmax(w == 0)])}, "
+                               "which is not a declared zero")
+        out[rest] = np.asarray(far(zs[rest])) / w
+    return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
+
+
 def coboundary(omega: HoloFn, phi: Semiflow, orders: dict,
                zero_guard: float = ZERO_GUARD, branch_tol: float = BRANCH_TOL,
                check_ts=(0.25, 1.0), tol_fixed: float = 1e-8) -> Semicocycle:
@@ -176,20 +198,9 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict,
 
     def eval_fn(t, z):
         t = float(t)
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.empty(zs.shape, dtype=complex)
-        near_any = np.zeros(zs.shape, dtype=bool)
-        for b, n in zeros:
-            near = np.abs(zs - b) <= zero_guard
-            if np.any(near):
-                dphi = np.asarray(phi.space_derivative(t, zs[near]))
-                out[near] = dphi ** n
-                near_any |= near
-        far = ~near_any
-        if np.any(far):
-            w_far = np.asarray(omega(zs[far]))
-            out[far] = np.asarray(omega(np.asarray(phi(t, zs[far])))) / w_far
-        return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
+        return _by_zeros(z, zeros, zero_guard, omega,
+                         lambda w, n: np.asarray(phi.space_derivative(t, w)) ** n,
+                         lambda w: omega(np.asarray(phi(t, w))))
 
     # branch agreement on the guard circle
     ring = np.exp(2j * np.pi * np.arange(16) / 16)
@@ -218,19 +229,9 @@ def g_from_coboundary(omega: HoloFn, G: HoloFn, orders: dict,
     zeros = [(complex(b), int(n)) for b, n in orders.items()]
 
     def fn(z):
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.empty(zs.shape, dtype=complex)
-        near_any = np.zeros(zs.shape, dtype=bool)
-        for b, n in zeros:
-            near = np.abs(zs - b) <= zero_guard
-            if np.any(near):
-                out[near] = n * holo.derivative_on_grid(G, zs[near])
-                near_any |= near
-        far = ~near_any
-        if np.any(far):
-            dw = holo.derivative_on_grid(omega, zs[far])
-            out[far] = np.asarray(G(zs[far])) * dw / np.asarray(omega(zs[far]))
-        return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
+        return _by_zeros(z, zeros, zero_guard, omega,
+                         lambda w, n: n * holo.derivative_on_grid(G, w),
+                         lambda w: np.asarray(G(w)) * holo.derivative_on_grid(omega, w))
 
     return HoloFn(fn, omega.domain, name=f"g[{omega.name or 'omega'}]")
 

@@ -271,8 +271,9 @@ def to_callable(node, real: bool = False):
     vs = variables(node)
     if len(vs) > 1:
         raise ValueError(f"expression mixes variables {sorted(vs)}")
-    if real and vs == {"z"}:
-        raise ValueError("real-domain expressions use the variable x")
+    kind, var = ("real", "x") if real else ("complex", "z")
+    if vs - {var}:
+        raise ValueError(f"{kind}-domain expressions use the variable {var}")
     if not real and _has_cube_root(node):
         raise ValueError("cube-root powers are only defined on the real line")
 

@@ -297,32 +297,39 @@ def _rk4_step(G, y, h):
 
 
 def _integrate(G, z, t_target: float, cfg: OdeCfg, domain: Domain):
-    if t_target == 0.0:
-        return z
-    y, t, h = z, 0.0, min(cfg.h0, t_target)
-    is_disc = domain.kind == "disc"
-    while t < t_target:
-        h = min(h, t_target - t)
-        if h < 1e-14:
-            raise StepUnderflow(f"step size underflow at t={t:g}")
-        full = _rk4_step(G, y, h)
-        half = _rk4_step(G, _rk4_step(G, y, 0.5 * h), 0.5 * h)
-        err = abs(half - full)
-        if err > cfg.tol_step:
-            h *= 0.5
+    """RK4 from each start point of the 1-d array z, with per-point t, step h
+    and accept/halve/double decisions. A failed point stops stepping, as do
+    all later ones, and the first failure in array order is raised."""
+    y, t, h = z.copy(), np.zeros(z.shape), np.full(z.shape, min(cfg.h0, t_target))
+    bound, first, failure = domain.radius - cfg.exit_margin, len(z), None
+    while (idx := np.flatnonzero(t[:first] < t_target)).size:
+        hi = np.minimum(h[idx], t_target - t[idx])
+        if np.any(hi < 1e-14):
+            first = int(idx[np.argmax(hi < 1e-14)])
+            failure = StepUnderflow(f"step size underflow at t={t[first]:g}")
             continue
-        y_new = half + (half - full) / 15.0  # local 5th-order correction
-        if is_disc and abs(y_new) >= domain.radius - cfg.exit_margin:
-            bound = domain.radius - cfg.exit_margin
-            frac = (bound - abs(y)) / max(abs(y_new) - abs(y), 1e-300)
-            raise EscapedDomain(
-                f"trajectory from {z} reached the boundary near t={t + frac * h:g}",
-                tau_estimate=t + min(max(frac, 0.0), 1.0) * h,
+        full = _rk4_step(G, y[idx], hi)
+        half = _rk4_step(G, _rk4_step(G, y[idx], 0.5 * hi), 0.5 * hi)
+        diff = half - full  # hypot and division by parts round as Python's complex abs and / do
+        err = np.hypot(diff.real, diff.imag)
+        ok = ~(err > cfg.tol_step)
+        y_new = half + (diff.view(float) / 15.0).view(diff.dtype)  # local 5th-order correction
+        out = ok & (np.hypot(y_new.real, y_new.imag) >= bound) & (domain.kind == "disc")
+        if np.any(out):
+            j = int(np.argmax(out))
+            first = int(idx[j])
+            t0, h0, r0 = t[first].item(), hi[j].item(), abs(y[first].item())
+            frac = (bound - r0) / max(abs(y_new[j].item()) - r0, 1e-300)
+            failure = EscapedDomain(
+                f"trajectory from {z[first].item()} reached the boundary near t={t0 + frac * h0:g}",
+                tau_estimate=t0 + min(max(frac, 0.0), 1.0) * h0,
             )
-        y = y_new
-        t += h
-        if err < cfg.tol_step / 32.0:
-            h *= 2.0
+            continue
+        y[idx[ok]] = y_new[ok]
+        t[idx[ok]] += hi[ok]
+        h[idx] = np.where(ok, np.where(err < cfg.tol_step / 32.0, 2.0 * hi, hi), 0.5 * hi)
+    if failure is not None:
+        raise failure
     return y
 
 
@@ -334,21 +341,14 @@ def semiflow_from_generator(G: HoloFn, cfg: OdeCfg = OdeCfg()) -> Semiflow:
     case is surfaced, not clamped.
     """
     is_real = G.domain.kind == "real"
+    field = (lambda y: np.real(G(y))) if is_real else (lambda y: np.asarray(G(y), dtype=complex))
 
     def eval_fn(t, z):
         if t < 0:
             raise DomainExit("semiflow times must be >= 0", t=t)
         zs = np.asarray(z, dtype=float if is_real else complex)
-        if zs.ndim == 0:
-            scalar = float(zs) if is_real else complex(zs)
-            out = _integrate(lambda y: (np.real(G(y)) if is_real else complex(G(y))), scalar, float(t), cfg, G.domain)
-            return out
-        flat = zs.ravel()
-        out = np.empty(flat.shape, dtype=zs.dtype)
-        for i, w in enumerate(flat):
-            scalar = float(w) if is_real else complex(w)
-            out[i] = _integrate(lambda y: (np.real(G(y)) if is_real else complex(G(y))), scalar, float(t), cfg, G.domain)
-        return out.reshape(zs.shape)
+        out = _integrate(field, zs.ravel(), float(t), cfg, G.domain)
+        return out.reshape(zs.shape) if zs.ndim else out[0].item()
 
     return Semiflow(
         eval=eval_fn,

@@ -543,6 +543,9 @@ def run_reconstruct(cfg: dict) -> list:
             f"{path}",
         )
         ref = build_flow(_get(rcfg, "reference", path, required=True), f"{path}.reference")
+        if phi_ode.domain.kind != ref.domain.kind:
+            raise ConfigError(f"{path}.generator", f"a {phi_ode.domain.kind}-domain generator "
+                              f"cannot rebuild the {ref.domain.kind}-domain flow {ref.name}")
         grid = _grid_for(ref.domain, rmax, grid_n)
         dev = 0.0
         for t in ts:

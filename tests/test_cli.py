@@ -2,12 +2,12 @@
 
 import copy
 import csv
+import functools
 import json
 import os
 import pathlib
 import subprocess
 import sys
-import tempfile
 from importlib import resources
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from wcsg import cli
 from wcsg.defaults import DEFAULT_CONFIGS
-from wcsg.errors import ConfigError
+from wcsg.errors import ConfigError, WcsgError
 from wcsg.reporting import Case, Report, emit_csv, report_to_dict, report_to_json
 from wcsg.suites import SUITES, build_space
 
@@ -82,6 +82,7 @@ class TestExitCodes:
 
 _HARDY2 = {"kind": "hardy", "p": 2.0}
 _DILATION = {"name": "dilation", "params": {"c": 1.0}}
+_ATTRACTING = {"name": "attracting"}
 
 # Each config breaks one input check; per case the expected verdict, "error"
 # for the cases the bad input reaches.
@@ -174,6 +175,30 @@ _BAD_INPUTS = {
         {"suite": "reconstruct", "cases": [{"label": "a", "generator": 5, "reference": _DILATION}]},
         {"reconstruct/a": "error"},
     ),
+    "reconstruct-generator-domain": (
+        {"suite": "reconstruct",
+         "cases": [{"label": "a", "generator": "x", "reference": _DILATION},
+                   {"label": "b", "generator": "-z", "reference": _DILATION}]},
+        {"reconstruct/a": "error", "reconstruct/b": True},
+    ),
+    "cocycle-check-x-on-the-disc": (
+        {"suite": "cocycle-check", "flow": _DILATION,
+         "cocycles": [{"type": "integral", "g": "x"}, {"type": "trivial"}]},
+        {"cocycle/integral0": "error", "cocycle/trivial1": True},
+    ),
+    "cocycle-check-undeclared-zero": (
+        {"suite": "cocycle-check", "flow": _DILATION,
+         "cocycles": [{"type": "coboundary", "omega": "z"}, {"type": "trivial"}]},
+        {"cocycle/coboundary0": "error", "cocycle/trivial1": True},
+    ),
+}
+
+# What the error of a case in _BAD_INPUTS must name.
+_ERROR_TEXT = {
+    "reconstruct-generator-domain": {
+        "reconstruct/a": "cases[0].generator: a real-domain generator"},
+    "cocycle-check-x-on-the-disc": {"cocycle/integral0": "cocycles[0].g: bad expression"},
+    "cocycle-check-undeclared-zero": {"cocycle/coboundary0": "omega vanishes at 0j"},
 }
 
 
@@ -252,6 +277,16 @@ class TestErrorContract:
         doc = json.loads(out.read_text())
         assert {c["id"]: c["verdict"] for c in doc["cases"]} == expected
 
+    @pytest.mark.parametrize("name", sorted(_ERROR_TEXT))
+    def test_error_case_names_its_cause_without_a_warning(self, tmp_path, name):
+        out = tmp_path / "r.json"
+        proc = run_cli(tmp_path, _BAD_INPUTS[name][0], "--out", str(out))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        errors = {c["id"]: c.get("error") for c in json.loads(out.read_text())["cases"]}
+        for cid, text in _ERROR_TEXT[name].items():
+            assert text in errors[cid]
+
     @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
     def test_bad_config_value_is_a_config_error(self, tmp_path, name):
         cfg, field = _BAD_CONFIGS[name]
@@ -262,7 +297,8 @@ class TestErrorContract:
 
 
 # One small config per suite, fast enough to run many times; the fuzz test
-# breaks one entry of one of them at a time.
+# breaks one entry of one of them at a time. Each case list has two entries,
+# so a broken entry leaves a case whose verdict must not move.
 _TINY_CONFIGS = {
     "norm-table": {
         "suite": "norm-table",
@@ -276,7 +312,9 @@ _TINY_CONFIGS = {
         "suite": "semigroup-check",
         "sweep": {"ts": [0.0, 0.5], "grid_rmax": 0.9, "grid_n": 4},
         "pairs": [{"label": "p", "space": _HARDY2, "flow": _DILATION,
-                   "cocycle": {"type": "integral", "g": "z"}, "tol": 1e-8}],
+                   "cocycle": {"type": "integral", "g": "z"}, "tol": 1e-8},
+                  {"label": "q", "space": _HARDY2, "flow": _ATTRACTING,
+                   "cocycle": {"type": "trivial"}}],
     },
     "cocycle-check": {
         "suite": "cocycle-check",
@@ -293,7 +331,8 @@ _TINY_CONFIGS = {
         "slack": 1e-3,
         "max_test_degree": 2,
         "cases": [{"label": "b", "space": _HARDY2, "flow": _DILATION,
-                   "cocycle": {"type": "trivial"}}],
+                   "cocycle": {"type": "trivial"}},
+                  {"label": "c", "space": _HARDY2, "flow": _ATTRACTING}],
     },
     "generator-check": {
         "suite": "generator-check",
@@ -301,27 +340,32 @@ _TINY_CONFIGS = {
         "radius": 0.9,
         "tolerances": {"residual": 1e-4, "order_min": 0.9},
         "cases": [{"label": "g", "space": _HARDY2, "flow": _DILATION,
-                   "cocycle": {"type": "trivial"}, "f": "z^2"}],
+                   "cocycle": {"type": "trivial"}, "f": "z^2"},
+                  {"label": "h", "space": _HARDY2, "flow": _ATTRACTING, "f": "z"}],
     },
     "reconstruct": {
         "suite": "reconstruct",
         "sweep": {"ts": [0.5], "grid_rmax": 0.5, "grid_n": 2},
         "ode": {"h0": 1e-2, "tol_step": 1e-10, "exit_margin": 1e-9},
         "tolerances": {"deviation": 1e-6, "generator_fd": 1e-5},
-        "cases": [_RECONSTRUCT],
+        "cases": [_RECONSTRUCT,
+                  {"label": "b", "generator": "1.0 - z", "reference": _ATTRACTING}],
     },
     "continuity-probe": {
         "suite": "continuity-probe",
         "cases": [{"label": "c", "space": _HARDY2, "flow": _DILATION,
                    "cocycle": {"type": "trivial"}, "f": "e_1", "ts": [0.1, 0.01],
                    "radii": [0.5], "tolerances": {"co": 1e-2, "norm": 1e-2},
-                   "norm_cap": 10.0, "expect": {"gamma": True}}],
+                   "norm_cap": 10.0, "expect": {"gamma": True}},
+                  {"label": "d", "space": _HARDY2, "flow": _ATTRACTING, "f": "e_1",
+                   "ts": [0.1, 0.01], "radii": [0.5]}],
     },
     "admissibility": {
         "suite": "admissibility",
         "flow": _DILATION,
         "tol": 1e-8,
-        "cases": [{"label": "a", "g": "-1", "expect_admissible": True}],
+        "cases": [{"label": "a", "g": "-1", "expect_admissible": True},
+                  {"label": "b", "g": "-2"}],
     },
 }
 
@@ -339,7 +383,7 @@ def _entry_paths(node, prefix=()):
 
 
 def _mutated(cfg, path, mutation):
-    out = copy.deepcopy(cfg)
+    out = json.loads(json.dumps(cfg))  # as read from a file: no entry shares an object
     parent = out
     for key in path[:-1]:
         parent = parent[key]
@@ -348,6 +392,12 @@ def _mutated(cfg, path, mutation):
     else:
         parent[path[-1]] = copy.deepcopy(mutation)
     return out
+
+
+@functools.cache
+def _tiny_verdicts(suite) -> dict:
+    """Case id to verdict of the unbroken tiny config, in entry order."""
+    return {c.id: c.verdict for c in cli.run(copy.deepcopy(_TINY_CONFIGS[suite])).cases}
 
 
 _FUZZ_TARGETS = [(suite, path) for suite, cfg in _TINY_CONFIGS.items()
@@ -362,11 +412,22 @@ class TestConfigFuzz:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(st.sampled_from(_FUZZ_TARGETS), st.sampled_from(_MUTATIONS))
     def test_one_broken_entry_is_an_exit_code_not_an_exception(self, target, mutation):
+        """A WcsgError out of ``cli.run`` is exit code 2; any other exception
+        fails the test. A report must still hold every case that the broken
+        entry does not belong to, with its verdict unchanged."""
         suite, path = target
         cfg = _mutated(_TINY_CONFIGS[suite], path, mutation)
-        with tempfile.TemporaryDirectory() as tmp:
-            code = cli.main([suite, "--config", write_config(pathlib.Path(tmp), cfg)])
-        assert code in (0, 1, 2)
+        cfg.setdefault("suite", suite)  # as cli.main does
+        try:
+            report = cli.run(cfg)
+        except WcsgError:
+            return
+        verdicts = {c.id: c.verdict for c in report.cases}
+        if path[0] in ("cases", "pairs") and len(path) > 1:
+            untouched = [cid for i, cid in enumerate(_tiny_verdicts(suite)) if i != path[1]]
+            assert untouched
+            for cid in untouched:
+                assert verdicts.get(cid, "missing") == _tiny_verdicts(suite)[cid], cid
 
 
 class TestConfigValidation:

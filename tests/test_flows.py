@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcsg import holo
+from wcsg import exprs, holo
 from wcsg.errors import EscapedDomain, InvalidParam, UnknownCatalogEntry
 from wcsg.flows import (
     OdeCfg,
@@ -185,3 +185,54 @@ def test_semigroup_law_property(t, s, re, im):
         lhs = complex(phi(t + s, z))
         rhs = complex(phi(t, complex(phi(s, z))))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestArrayPath:
+    """One RK4 loop over point arrays, with per-point step control."""
+
+    @pytest.mark.parametrize("src", [
+        "-0.9*z + (0.1 + 0.2*i)*z^2",
+        "-z*exp(z)",
+        "-z*(1 + mobius(0.3 + 0.2*i))",
+        "1.0 - z",
+        "1/(1+x^2)",
+        "x^(2/3)",
+    ])
+    @pytest.mark.parametrize("t", [0.0, 0.013, 0.5, 1.7])
+    def test_batch_equals_points_alone(self, src, t):
+        G = exprs.to_holofn(src)
+        phi = semiflow_from_generator(G)
+        if G.domain.kind == "real":
+            grid = real_sample_grid(3.0, 13)
+        else:
+            grid = disc_sample_grid(0.9, n_radii=3, n_angles=5)
+        batch = phi(t, grid)
+        alone = np.array([phi(t, z) for z in grid])
+        assert batch.shape == grid.shape and batch.dtype == grid.dtype
+        assert np.array_equal(batch, alone)
+
+    def test_scalar_in_scalar_out(self):
+        assert type(semiflow_from_generator(exprs.to_holofn("-z"))(0.5, 0.3)) is complex
+        assert type(semiflow_from_generator(exprs.to_holofn("x^(2/3)"))(0.5, 2.0)) is float
+
+    def test_first_escape_in_array_order_is_raised(self):
+        # u' = u^2 leaves the disc from 0.95 at t ~ 0.053, before 0.9 at t ~ 0.111
+        phi = semiflow_from_generator(exprs.to_holofn("z^2"))
+        with pytest.raises(EscapedDomain) as batch:
+            phi(0.5, np.array([0.1, 0.9, 0.95, -0.5]))
+        with pytest.raises(EscapedDomain) as alone:
+            phi(0.5, 0.9)
+        assert str(batch.value) == str(alone.value)
+        assert "from (0.9+0j)" in str(batch.value)
+        assert batch.value.tau_estimate == alone.value.tau_estimate
+
+    def test_generator_never_sees_a_0d_array(self):
+        ndims = []
+
+        def fn(z):
+            ndims.append(np.ndim(z))
+            return -z
+
+        phi = semiflow_from_generator(holo.HoloFn(fn, holo.UNIT_DISC, name="-z"))
+        phi(0.5, disc_sample_grid(0.9, n_radii=2, n_angles=4))
+        assert ndims and set(ndims) == {1}
