@@ -30,7 +30,7 @@ from .errors import (
     UnboundedSignal,
     ZeroNotFixed,
 )
-from .flows import DEFAULT_FD_STEPS, GeneratorEstimate, Semiflow, right_derivative
+from .flows import DEFAULT_FD_STEPS, Semiflow, right_derivative
 from .holo import DEFAULT_POLICY, OVERFLOW_GUARD, HoloFn, QuadPolicy
 
 ZERO_GUARD = 1e-3
@@ -53,7 +53,8 @@ class Semicocycle:
     g: HoloFn | None = None  # time-derivative at 0 when known
 
     def __call__(self, t: float, z):
-        return self.eval(t, z)
+        # no cast: a cocycle has no domain of its own
+        return holo.at_points(lambda w: self.eval(t, w), z, None)
 
     @property
     def trivial(self) -> bool:
@@ -99,8 +100,6 @@ def cocycle_from_g(g: HoloFn, phi: Semiflow, policy: QuadPolicy = DEFAULT_POLICY
     The time integral uses Gauss-Legendre with the node count scaled by t and
     doubled for the convergence certificate.
     """
-    is_real = phi.domain.kind == "real"
-
     def log_integral(t, zs, n):
         xs, ws = _gl01(n)
         acc = np.zeros(np.shape(zs), dtype=complex)
@@ -110,7 +109,7 @@ def cocycle_from_g(g: HoloFn, phi: Semiflow, policy: QuadPolicy = DEFAULT_POLICY
 
     def eval_fn(t, z):
         t = float(t)
-        zs = np.asarray(z, dtype=float if is_real else complex)
+        zs = np.asarray(z, dtype=phi.domain.dtype)
         if t == 0.0:
             return np.ones(zs.shape, dtype=complex)
         n = _time_nodes(t)
@@ -156,27 +155,6 @@ def derivative_cocycle(phi: Semiflow) -> Semicocycle:
     )
 
 
-def _by_zeros(z, zeros, zero_guard: float, omega: HoloFn, near, far):
-    """near(points, order) within zero_guard of each declared zero (b, order)
-    of omega, far(points) / omega(points) at every other point. omega
-    vanishing at one of those is an undeclared zero (InvalidParam)."""
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(zs.shape, dtype=complex)
-    rest = np.ones(zs.shape, dtype=bool)
-    for b, n in zeros:
-        mask = np.abs(zs - b) <= zero_guard
-        if np.any(mask):
-            out[mask] = near(zs[mask], n)
-            rest &= ~mask
-    if np.any(rest):
-        w = np.asarray(omega(zs[rest]))
-        if np.any(w == 0):
-            raise InvalidParam(f"omega vanishes at {complex(zs[rest][np.argmax(w == 0)])}, "
-                               "which is not a declared zero")
-        out[rest] = np.asarray(far(zs[rest])) / w
-    return out.reshape(np.shape(z)) if np.ndim(z) else out[0]
-
-
 def coboundary(omega: HoloFn, phi: Semiflow, orders: dict,
                zero_guard: float = ZERO_GUARD, branch_tol: float = BRANCH_TOL,
                check_ts=(0.25, 1.0), tol_fixed: float = 1e-8) -> Semicocycle:
@@ -192,15 +170,28 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict,
     for b, n in zeros:
         if n < 1:
             raise ValueError("zero orders must be positive integers")
-        drift = max(abs(complex(np.asarray(phi(t, b))) - b) for t in check_ts)
+        drift = max(abs(phi(t, b) - b) for t in check_ts)
         if drift > tol_fixed:
             raise ZeroNotFixed(f"declared zero {b} moves by {drift:.3e} under the semiflow")
 
     def eval_fn(t, z):
-        t = float(t)
-        return _by_zeros(z, zeros, zero_guard, omega,
-                         lambda w, n: np.asarray(phi.space_derivative(t, w)) ** n,
-                         lambda w: omega(np.asarray(phi(t, w))))
+        """(phi_t')^order within zero_guard of a declared zero, the quotient
+        elsewhere; omega vanishing there is an undeclared zero."""
+        t, zs = float(t), np.asarray(z, dtype=complex)
+        out = np.empty(zs.shape, dtype=complex)
+        rest = np.ones(zs.shape, dtype=bool)
+        for b, n in zeros:
+            mask = np.abs(zs - b) <= zero_guard
+            if np.any(mask):
+                out[mask] = np.asarray(phi.space_derivative(t, zs[mask])) ** n
+                rest &= ~mask
+        if np.any(rest):
+            w = np.asarray(omega(zs[rest]))
+            if np.any(w == 0):
+                raise InvalidParam(f"omega vanishes at {complex(zs[rest][np.argmax(w == 0)])}, "
+                                   "which is not a declared zero")
+            out[rest] = np.asarray(omega(np.asarray(phi(t, zs[rest])))) / w
+        return out
 
     # branch agreement on the guard circle
     ring = np.exp(2j * np.pi * np.arange(16) / 16)
@@ -223,19 +214,6 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict,
     )
 
 
-def g_from_coboundary(omega: HoloFn, G: HoloFn, orders: dict,
-                      zero_guard: float = ZERO_GUARD) -> HoloFn:
-    """The integrand G omega'/omega, extended across each zero b by n G'(b)."""
-    zeros = [(complex(b), int(n)) for b, n in orders.items()]
-
-    def fn(z):
-        return _by_zeros(z, zeros, zero_guard, omega,
-                         lambda w, n: n * holo.derivative_on_grid(G, w),
-                         lambda w: np.asarray(G(w)) * holo.derivative_on_grid(omega, w))
-
-    return HoloFn(fn, omega.domain, name=f"g[{omega.name or 'omega'}]")
-
-
 def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:
     """max over samples of |m_{t+s}(z) - m_t(z) m_s(phi_t(z))| and |m_0(z) - 1|."""
     pts = np.asarray(grid)
@@ -250,9 +228,10 @@ def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:
     return worst
 
 
-def mdot0(m: Semicocycle, z, steps=DEFAULT_FD_STEPS) -> GeneratorEstimate:
-    """Richardson-extrapolated (m_h(z) - 1)/h."""
-    return right_derivative(lambda h: (complex(np.asarray(m(h, z))) - 1.0) / h, steps, "cocycle")
+def mdot0(m: Semicocycle, z, steps=DEFAULT_FD_STEPS):
+    """Richardson-extrapolated (m_h(z) - 1)/h, elementwise over the point array z."""
+    return holo.at_points(lambda w: right_derivative(lambda h: (m(h, w) - 1.0) / h, steps,
+                                                     "cocycle"), z, None)
 
 
 @dataclass(frozen=True)
@@ -275,13 +254,14 @@ def coboundary_admissibility(g: HoloFn, G: HoloFn, Gprime: HoloFn | None,
     """A nonvanishing-symbol coboundary representation exists iff the ratio
     g(b)/G'(b) is a nonnegative integer at every fixed point b; the integer is
     the zero order the representing symbol must carry at b."""
+    pts = np.asarray(fixed_pts, dtype=G.domain.dtype)
+    dGs = Gprime(pts) if Gprime is not None else holo.derivative_on_grid(G, pts)
     records = []
-    for b in fixed_pts:
+    for b, dG, gb in zip(pts.tolist(), np.asarray(dGs).tolist(), np.asarray(g(pts)).tolist()):
         b = complex(b)
-        dG = complex(np.asarray(Gprime(b) if Gprime is not None else holo.derivative_on_grid(G, b)))
         if abs(dG) < tol:
             raise DegenerateFixedPoint(f"G'({b}) ~ 0: admissibility ratio undefined")
-        ratio = complex(np.asarray(g(b))) / dG
+        ratio = complex(gb) / dG
         nearest = max(0, int(round(ratio.real)))
         dist = abs(ratio - nearest)
         records.append(

@@ -48,7 +48,8 @@ class EscapedDomain(WcsgError):
 
 
 class StepUnderflow(WcsgError):
-    """ODE step control drove the step size below 1e-14."""
+    """ODE step control drove the step size below 1e-14, or a trajectory did
+    not reach the requested time within the RK4 step budget."""
 
 
 class ZeroNotFixed(WcsgError):

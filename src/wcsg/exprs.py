@@ -319,8 +319,6 @@ def to_holofn(src: str, domain: Domain | None = None) -> HoloFn:
 
     def wrapped(w):
         out = fn(w)
-        if np.ndim(out) == 0 and np.ndim(w) != 0:
-            return np.full(np.shape(w), out, dtype=complex)
-        return out
+        return np.full(np.shape(w), out, dtype=complex) if np.ndim(out) == 0 else out
 
     return HoloFn(wrapped, domain, name=print_expr(node))

@@ -24,9 +24,11 @@ from .errors import (
     StepUnderflow,
     UnknownCatalogEntry,
 )
-from .holo import Domain, HoloFn, PLANE, REAL_LINE, UNIT_DISC, observed_order, richardson
+from .holo import Domain, HoloFn, PLANE, REAL_LINE, UNIT_DISC, richardson
 
 DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3)
+# RK4 passes per _integrate call; the default configs never need more than 66.
+ODE_STEP_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ class OdeCfg:
 class Semiflow:
     """Time-indexed family phi_t.
 
-    ``eval`` maps (t, z) -> point; z may be a numpy array for catalog flows.
+    ``eval`` maps (t, z) -> points for a numpy array z of the domain's dtype;
+    calling the semiflow passes a scalar z as a one-point array.
     ``generator`` carries the closed-form vector field when known.
     ``prime`` carries the closed-form space derivative phi_t'(z) and is set
     only for affine flows, whose derivative is constant in z; otherwise
@@ -60,22 +63,13 @@ class Semiflow:
     prime: Callable | None = None
 
     def __call__(self, t: float, z):
-        return self.eval(t, z)
+        return holo.at_points(lambda w: self.eval(t, w), z, self.domain.dtype)
 
     def space_derivative(self, t: float, z):
         """phi_t'(z), closed form when available, numerical otherwise."""
         if self.prime is not None:
-            return self.prime(t, np.asarray(z, dtype=complex) if self.domain.kind != "real" else np.asarray(z, dtype=float))
+            return holo.at_points(lambda w: self.prime(t, w), z, self.domain.dtype)
         return holo.derivative_on_grid(HoloFn(lambda w: self.eval(t, w), self.domain), z)
-
-
-@dataclass(frozen=True)
-class GeneratorEstimate:
-    """Richardson-extrapolated right-derivative at t = 0."""
-
-    value: complex
-    order_evidence: float
-    steps_used: tuple
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
         if c.real < 0:
             raise InvalidParam("dilation requires Re(c) >= 0, else the disc is not invariant")
         return Semiflow(
-            eval=lambda t, z, c=c: np.exp(-c * t) * np.asarray(z, dtype=complex),
+            eval=lambda t, z, c=c: np.exp(-c * t) * z,
             domain=UNIT_DISC,
             name="dilation",
             generator=HoloFn(lambda z, c=c: -c * z, UNIT_DISC, name="-c*z",
@@ -117,7 +111,7 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
             raise InvalidParam(f"rotation rate must be a real number, got {params['rate']!r}") from None
         w = 1j * rate
         return Semiflow(
-            eval=lambda t, z, w=w: np.exp(w * t) * np.asarray(z, dtype=complex),
+            eval=lambda t, z, w=w: np.exp(w * t) * z,
             domain=UNIT_DISC,
             name="rotation",
             generator=HoloFn(lambda z, w=w: w * z, UNIT_DISC, name="i*rate*z",
@@ -126,7 +120,7 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
         )
     if name == "attracting":
         return Semiflow(
-            eval=lambda t, z: np.exp(-t) * np.asarray(z, dtype=complex) + 1.0 - np.exp(-t),
+            eval=lambda t, z: np.exp(-t) * z + 1.0 - np.exp(-t),
             domain=UNIT_DISC,
             name="attracting",
             generator=HoloFn(lambda z: 1.0 - z, UNIT_DISC, name="1-z",
@@ -135,7 +129,7 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
         )
     if name == "translation-real":
         return Semiflow(
-            eval=lambda t, x: np.asarray(x, dtype=float) + t,
+            eval=lambda t, x: x + t,
             domain=REAL_LINE,
             name="translation-real",
             generator=HoloFn(lambda x: np.ones(np.shape(x)), REAL_LINE, name="1"),
@@ -143,23 +137,23 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
         )
     if name == "cubic-real":
         return Semiflow(
-            eval=lambda t, x: (np.cbrt(np.asarray(x, dtype=float)) + t / 3.0) ** 3,
+            eval=lambda t, x: (np.cbrt(x) + t / 3.0) ** 3,
             domain=REAL_LINE,
             name="cubic-real",
-            generator=HoloFn(lambda x: np.cbrt(np.asarray(x, dtype=float)) ** 2, REAL_LINE, name="x^(2/3)"),
+            generator=HoloFn(lambda x: np.cbrt(x) ** 2, REAL_LINE, name="x^(2/3)"),
         )
     if name == "identity":
         key = params.get("domain", "disc")
         if key not in ("disc", "real", "plane"):
             raise InvalidParam(f"identity domain must be disc, real or plane, got {key!r}")
         dom = {"disc": UNIT_DISC, "real": REAL_LINE, "plane": PLANE}[key]
-        zero = HoloFn(lambda z: np.zeros(np.shape(z), dtype=complex if dom.kind != "real" else float), dom, name="0")
+        zero = HoloFn(lambda z: np.zeros(np.shape(z), dtype=dom.dtype), dom, name="0")
         return Semiflow(
-            eval=lambda t, z: np.asarray(z, dtype=float if dom.kind == "real" else complex) + 0,
+            eval=lambda t, z: z + 0,
             domain=dom,
             name="identity",
             generator=zero,
-            prime=lambda t, z: np.ones(np.shape(z), dtype=complex if dom.kind != "real" else float),
+            prime=lambda t, z: np.ones(np.shape(z), dtype=dom.dtype),
         )
     raise UnknownCatalogEntry(f"no catalog semiflow named {name!r}")
 
@@ -198,34 +192,30 @@ def semiflow_law_residual(phi: Semiflow, ts, grid) -> float:
     return worst
 
 
-def right_derivative(quotient, steps, what: str) -> GeneratorEstimate:
-    """Richardson limit h -> 0+ of quotient(h) over a decreasing step ladder.
+def right_derivative(quotient, steps, what: str):
+    """Richardson limit h -> 0+ of the point array quotient(h) over a
+    decreasing step ladder, elementwise.
 
-    Raises NonConvergent("<what> quotients diverge ...") when the last
-    consecutive difference grows past ten times the first.
+    Raises NonConvergent("<what> quotients diverge ...") when, at any point,
+    the last consecutive difference grows past ten times the first.
     """
     steps = tuple(float(h) for h in steps)
     quotients = [quotient(h) for h in steps]
-    diffs = [abs(a - b) for a, b in zip(quotients, quotients[1:])]
-    scale = max(1.0, max(abs(q) for q in quotients))
-    if len(diffs) >= 2 and diffs[-1] > 10.0 * diffs[0] + 1e-9 * scale:
+    diffs = [np.abs(a - b) for a, b in zip(quotients, quotients[1:])]
+    scale = np.maximum(1.0, np.max(np.abs(quotients), axis=0))
+    if len(diffs) >= 2 and np.any(diffs[-1] > 10.0 * diffs[0] + 1e-9 * scale):
         raise NonConvergent(f"{what} quotients diverge as h decreases")
-    return GeneratorEstimate(
-        value=richardson(quotients, steps, order=1.0),
-        order_evidence=observed_order(quotients, steps),
-        steps_used=steps,
-    )
+    return richardson(quotients, steps, order=1.0)
 
 
-def generator_fd(phi: Semiflow, z, steps=DEFAULT_FD_STEPS) -> GeneratorEstimate:
-    """One-sided difference (phi_h(z) - z)/h with Richardson extrapolation."""
+def generator_fd(phi: Semiflow, z, steps=DEFAULT_FD_STEPS):
+    """One-sided difference (phi_h(z) - z)/h with Richardson extrapolation,
+    elementwise over the point array z."""
     steps = tuple(float(h) for h in steps)
     if any(h <= 0 for h in steps) or any(b >= a for a, b in zip(steps, steps[1:])):
         raise InvalidParam("steps must be positive and strictly decreasing")
-    z0 = complex(z) if phi.domain.kind != "real" else float(z)
-    return right_derivative(
-        lambda h: (complex(np.asarray(phi(h, z0))) - complex(z0)) / h, steps, "one-sided"
-    )
+    return holo.at_points(lambda w: right_derivative(lambda h: (phi(h, w) - w) / h, steps,
+                                                     "one-sided"), z, phi.domain.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +228,15 @@ def _newton_refine(G: HoloFn, seed, tol: float, max_iter: int = 80):
     for _ in range(max_iter):
         if G.domain.kind == "disc" and abs(z) >= G.domain.radius:
             return None
-        gz = complex(np.asarray(G(z)))
+        gz = G(z)
         if abs(gz) < tol:
             return z
         if is_real:
             # step scales with |z| so non-Lipschitz zeros (x^{2/3}) stay tractable
             h = max(1e-13, 0.05 * abs(z))
-            dg = complex(holo.real_derivative_grid(G.fn, np.asarray([z]), h0=h)[0])
+            dg = holo.real_derivative_grid(G.fn, np.asarray([z]), h0=h)[0]
         else:
-            dg = complex(holo.derivative_on_grid(G, z))
+            dg = holo.derivative_on_grid(G, z)
         if abs(dg) < 1e-14:
             return None
         step = gz / dg
@@ -279,7 +269,7 @@ def fixed_points(phi: Semiflow, G: HoloFn, grid, tol: float = 1e-8,
     found.sort(key=lambda w: (round(abs(w), 12), np.angle(complex(w))))
     verified, rejected = [], []
     for b in found:
-        drift = max(abs(complex(np.asarray(phi(t, b))) - complex(b)) for t in ts)
+        drift = max(abs(phi(t, b) - b) for t in ts)
         (verified if drift < tol * 10 else rejected).append(b)
     return FixedPointSearch(points=tuple(verified), rejected=tuple(rejected))
 
@@ -299,10 +289,15 @@ def _rk4_step(G, y, h):
 def _integrate(G, z, t_target: float, cfg: OdeCfg, domain: Domain):
     """RK4 from each start point of the 1-d array z, with per-point t, step h
     and accept/halve/double decisions. A failed point stops stepping, as do
-    all later ones, and the first failure in array order is raised."""
+    all later ones, and the first failure in array order is raised. Every
+    live point takes one step per pass, so a point still short of t_target
+    after ODE_STEP_BUDGET passes fails here as it would alone."""
     y, t, h = z.copy(), np.zeros(z.shape), np.full(z.shape, min(cfg.h0, t_target))
-    bound, first, failure = domain.radius - cfg.exit_margin, len(z), None
+    bound, first, failure, passes = domain.radius - cfg.exit_margin, len(z), None, 0
     while (idx := np.flatnonzero(t[:first] < t_target)).size:
+        if passes == ODE_STEP_BUDGET:
+            raise StepUnderflow(f"trajectory from {z[idx[0]].item()} stalled at t={t[idx[0]]:g} "
+                                f"after {ODE_STEP_BUDGET} RK4 steps")
         hi = np.minimum(h[idx], t_target - t[idx])
         if np.any(hi < 1e-14):
             first = int(idx[np.argmax(hi < 1e-14)])
@@ -325,6 +320,7 @@ def _integrate(G, z, t_target: float, cfg: OdeCfg, domain: Domain):
                 tau_estimate=t0 + min(max(frac, 0.0), 1.0) * h0,
             )
             continue
+        passes += 1
         y[idx[ok]] = y_new[ok]
         t[idx[ok]] += hi[ok]
         h[idx] = np.where(ok, np.where(err < cfg.tol_step / 32.0, 2.0 * hi, hi), 0.5 * hi)
@@ -346,9 +342,7 @@ def semiflow_from_generator(G: HoloFn, cfg: OdeCfg = OdeCfg()) -> Semiflow:
     def eval_fn(t, z):
         if t < 0:
             raise DomainExit("semiflow times must be >= 0", t=t)
-        zs = np.asarray(z, dtype=float if is_real else complex)
-        out = _integrate(field, zs.ravel(), float(t), cfg, G.domain)
-        return out.reshape(zs.shape) if zs.ndim else out[0].item()
+        return _integrate(field, z.ravel(), float(t), cfg, G.domain).reshape(z.shape)
 
     return Semiflow(
         eval=eval_fn,

@@ -56,6 +56,19 @@ class Domain:
             return bool(np.all(np.abs(np.imag(np.asarray(z, dtype=complex))) == 0.0))
         return True
 
+    @property
+    def dtype(self):
+        """The dtype of a point: float on the real line, complex otherwise."""
+        return float if self.kind == "real" else complex
+
+
+def at_points(fn, z, dtype):
+    """fn on np.atleast_1d(z) cast to dtype, in z's shape; a Python scalar for
+    a scalar z. The one call boundary: no evaluator receives a 0-d array, so
+    a lone point rounds exactly as it does inside a batch."""
+    out = fn(np.atleast_1d(np.asarray(z, dtype=dtype)))
+    return out if np.ndim(z) else np.asarray(out).item(0)
+
 
 UNIT_DISC = Domain("disc", 1.0)
 REAL_LINE = Domain("real")
@@ -107,14 +120,7 @@ class HoloFn:
     deriv: Callable | None = None
 
     def __call__(self, z):
-        if self.domain.kind == "real":
-            arr = np.asarray(z, dtype=float)
-        else:
-            arr = np.asarray(z, dtype=complex)
-        out = self.fn(arr)
-        if np.ndim(z) == 0:
-            return complex(out) if np.iscomplexobj(out) else float(out)
-        return out
+        return at_points(self.fn, z, self.domain.dtype)
 
     # Small combinator algebra; composites keep the left operand's domain and
     # carry a derivative when both operands do (a scalar has derivative 0).
@@ -406,25 +412,6 @@ def richardson(values, steps, order: float = 1.0):
     return tab[0]
 
 
-def observed_order(values, steps) -> float:
-    """Convergence order estimated from consecutive differences.
-
-    Returns inf when the differences already sit at rounding level.
-    """
-    vs = [complex(v) for v in values]
-    hs = [float(h) for h in steps]
-    if len(vs) < 3:
-        return float("nan")
-    d1 = abs(vs[0] - vs[1])
-    d2 = abs(vs[1] - vs[2])
-    if d2 == 0.0:
-        return float("inf")
-    scale = max(abs(v) for v in vs)
-    if d1 < 1e-14 * max(1.0, scale):
-        return float("inf")
-    return float(np.log(d1 / d2) / np.log(hs[0] / hs[1]))
-
-
 def real_derivative_grid(f, xs, h0: float = 1e-3, levels: int = 3):
     xs = np.asarray(xs, dtype=float)
     steps = [h0 / (2 ** k) for k in range(levels)]
@@ -433,7 +420,8 @@ def real_derivative_grid(f, xs, h0: float = 1e-3, levels: int = 3):
 
 
 def derivative_on_grid(f: HoloFn, zs, n_nodes: int = INNER_DERIV_NODES, safety: float = 0.5):
-    """f' on an array of points, dispatching on the domain kind.
+    """f' on an array of points (a scalar is a one-point array, as in
+    :func:`at_points`), dispatching on the domain kind.
 
     The one derivative path of the package: ``f.deriv`` when the function
     carries a closed form; otherwise disc domains use Cauchy circles of radius
@@ -441,17 +429,17 @@ def derivative_on_grid(f: HoloFn, zs, n_nodes: int = INNER_DERIV_NODES, safety: 
     differences with Richardson. On disc domains a point at or outside the
     boundary raises DomainExit either way.
     """
-    if f.domain.kind == "real":
+    def fprime(z):
+        if f.domain.kind == "real":
+            return f.deriv(z) if f.deriv is not None else real_derivative_grid(f.fn, z)
+        if f.domain.kind == "disc":
+            radii = safety * (f.domain.radius - np.abs(z))
+            if np.any(radii <= 0):
+                raise DomainExit("derivative requested outside the open disc")
+        else:
+            radii = np.full(z.shape, 0.5)
         if f.deriv is not None:
-            return f.deriv(np.asarray(zs, dtype=float))
-        return real_derivative_grid(f.fn, zs)
-    zs = np.asarray(zs, dtype=complex)
-    if f.domain.kind == "disc":
-        radii = safety * (f.domain.radius - np.abs(zs))
-        if np.any(radii <= 0):
-            raise DomainExit("derivative requested outside the open disc")
-    else:
-        radii = np.full(zs.shape, 0.5)
-    if f.deriv is not None:
-        return f.deriv(zs)
-    return cauchy_derivative_grid(f.fn, zs, radii, n_nodes)
+            return f.deriv(z)
+        return cauchy_derivative_grid(f.fn, z, radii, n_nodes)
+
+    return at_points(fprime, zs, f.domain.dtype)

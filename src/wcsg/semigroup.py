@@ -104,7 +104,7 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
     space, phi = sg.space, sg.phi
     comps: dict = {}
     if space.kind in ("hardy", "bergman", "dirichlet"):
-        phi0 = abs(complex(np.asarray(phi(t, 0.0))))
+        phi0 = abs(phi(t, 0.0))
         comps["abs_phi_t_0"] = phi0
     if space.kind == "hardy":
         comp = ((1.0 + phi0) / (1.0 - phi0)) ** (1.0 / space.p)
@@ -134,7 +134,7 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
         comps["K_weight_delta"] = delta
         # the norm carries |f(0)|: account for the moved base point via
         # |f(phi_t(0)) - f(0)| <= (sup |f'| v) * int_segment 1/v
-        phi0 = complex(np.asarray(phi(t, 0.0)))
+        phi0 = phi(t, 0.0)
         comps["abs_phi_t_0"] = abs(phi0)
         if phi0 != 0:
             x, w = np.polynomial.legendre.leggauss(32)

@@ -10,10 +10,11 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcsg import cli
+from wcsg import cli, exprs
 from wcsg.defaults import DEFAULT_CONFIGS
 from wcsg.errors import ConfigError, WcsgError
 from wcsg.reporting import Case, Report, emit_csv, report_to_dict, report_to_json
@@ -191,6 +192,13 @@ _BAD_INPUTS = {
          "cocycles": [{"type": "coboundary", "omega": "z"}, {"type": "trivial"}]},
         {"cocycle/coboundary0": "error", "cocycle/trivial1": True},
     ),
+    "reconstruct-non-lipschitz-zero": (
+        {"suite": "reconstruct", "sweep": {"ts": [1.0], "grid_n": 20},
+         "cases": [{"label": "a", "generator": "-x^(1/3)",
+                    "reference": {"name": "translation-real"}},
+                   {"label": "b", "generator": "-z", "reference": _DILATION}]},
+        {"reconstruct/a": "error", "reconstruct/b": True},
+    ),
 }
 
 # What the error of a case in _BAD_INPUTS must name.
@@ -199,6 +207,8 @@ _ERROR_TEXT = {
         "reconstruct/a": "cases[0].generator: a real-domain generator"},
     "cocycle-check-x-on-the-disc": {"cocycle/integral0": "cocycles[0].g: bad expression"},
     "cocycle-check-undeclared-zero": {"cocycle/coboundary0": "omega vanishes at 0j"},
+    "reconstruct-non-lipschitz-zero": {
+        "reconstruct/a": "trajectory from -0.5 stalled at t=0.948778 after 4096 RK4 steps"},
 }
 
 
@@ -482,3 +492,30 @@ class TestDeterminism:
         a = cli.run(copy.deepcopy(DEFAULT_CONFIGS[suite]))
         b = cli.run(copy.deepcopy(DEFAULT_CONFIGS[suite]))
         assert report_to_json(a) == report_to_json(b)
+
+
+class TestArrayBoundary:
+    def test_no_expression_evaluator_sees_a_0d_array(self, monkeypatch):
+        """A lone point is a one-point array at the call boundary: every
+        packaged default config, an ODE reconstruction and an admissibility
+        search on an expression generator evaluate no expression at a 0-d
+        input."""
+        ndims = []
+        compile_ = exprs.to_callable
+
+        def recording(node, real=False):
+            fn = compile_(node, real)
+            return lambda w: ndims.append(np.ndim(w)) or fn(w)
+
+        monkeypatch.setattr(exprs, "to_callable", recording)
+        configs = [*DEFAULT_CONFIGS.values(),
+                   {"suite": "reconstruct",
+                    "cases": [{"generator": "-0.9*z + (0.1 + 0.2*i)*z^2",
+                               "reference": {"name": "dilation", "params": {"c": 0.9}}},
+                              {"generator": "1/(1+x^2)", "reference": {"name": "translation-real"}}]},
+                   {"suite": "admissibility", "flow": {"generator": "-z + 0.25*z^2"},
+                    "cases": [{"g": "-1.0", "expect_admissible": True},
+                              {"g": "-0.5*exp(z)", "expect_admissible": False}]}]
+        for cfg in configs:
+            cli.run(copy.deepcopy(cfg))
+        assert ndims and 0 not in ndims

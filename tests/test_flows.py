@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcsg import exprs, holo
-from wcsg.errors import EscapedDomain, InvalidParam, UnknownCatalogEntry
+from wcsg.errors import EscapedDomain, InvalidParam, StepUnderflow, UnknownCatalogEntry
 from wcsg.flows import (
     OdeCfg,
     disc_sample_grid,
@@ -80,19 +80,15 @@ class TestLawResidual:
 class TestGeneratorFd:
     def test_attracting(self):
         phi = make_catalog_semiflow("attracting")
-        est = generator_fd(phi, 0.4)
-        assert est.value == pytest.approx(0.6, abs=1e-8)  # G(z) = 1 - z
-        assert est.order_evidence == pytest.approx(1.0, abs=0.2)
+        assert generator_fd(phi, 0.4) == pytest.approx(0.6, abs=1e-8)  # G(z) = 1 - z
 
     def test_cubic(self):
         phi = make_catalog_semiflow("cubic-real")
-        est = generator_fd(phi, 8.0)
-        assert est.value == pytest.approx(4.0, abs=1e-7)  # G(x) = x^(2/3)
+        assert generator_fd(phi, 8.0) == pytest.approx(4.0, abs=1e-7)  # G(x) = x^(2/3)
 
     def test_identity(self):
         phi = make_catalog_semiflow("identity")
-        est = generator_fd(phi, 0.3 + 0.2j)
-        assert abs(est.value) < 1e-12
+        assert abs(generator_fd(phi, 0.3 + 0.2j)) < 1e-12
 
     def test_bad_steps_rejected(self):
         phi = make_catalog_semiflow("attracting")
@@ -149,8 +145,7 @@ class TestOdeReconstruction:
         G = holo.HoloFn(lambda z: -z, holo.UNIT_DISC, name="-z")
         phi = semiflow_from_generator(G)
         for z in (0.5, 0.2 + 0.3j, -0.6j):
-            est = generator_fd(phi, z)
-            assert est.value == pytest.approx(-complex(z), abs=1e-5)
+            assert generator_fd(phi, z) == pytest.approx(-complex(z), abs=1e-5)
 
     def test_escape_reported_with_time(self):
         # repelling field: |u| = 0.9 e^t hits the boundary at t = ln(1/0.9)
@@ -187,29 +182,55 @@ def test_semigroup_law_property(t, s, re, im):
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-class TestArrayPath:
-    """One RK4 loop over point arrays, with per-point step control."""
+_ARRAY_PATH_EXPRS = [
+    "-0.9*z + (0.1 + 0.2*i)*z^2",
+    "-z*exp(z)",
+    "-z*(1 + mobius(0.3 + 0.2*i))",
+    "1.0 - z",
+    "1/(1+x^2)",
+    "x^(2/3)",
+]
 
-    @pytest.mark.parametrize("src", [
-        "-0.9*z + (0.1 + 0.2*i)*z^2",
-        "-z*exp(z)",
-        "-z*(1 + mobius(0.3 + 0.2*i))",
-        "1.0 - z",
-        "1/(1+x^2)",
-        "x^(2/3)",
-    ])
+
+def _sample_grid(G):
+    if G.domain.kind == "real":
+        return real_sample_grid(3.0, 13)
+    return disc_sample_grid(0.9, n_radii=3, n_angles=5)
+
+
+class TestArrayPath:
+    """A lone point is a one-point array, and one RK4 loop steps a point
+    array with per-point step control."""
+
+    @pytest.mark.parametrize("src", _ARRAY_PATH_EXPRS)
     @pytest.mark.parametrize("t", [0.0, 0.013, 0.5, 1.7])
     def test_batch_equals_points_alone(self, src, t):
         G = exprs.to_holofn(src)
         phi = semiflow_from_generator(G)
-        if G.domain.kind == "real":
-            grid = real_sample_grid(3.0, 13)
-        else:
-            grid = disc_sample_grid(0.9, n_radii=3, n_angles=5)
+        grid = _sample_grid(G)
         batch = phi(t, grid)
         alone = np.array([phi(t, z) for z in grid])
         assert batch.shape == grid.shape and batch.dtype == grid.dtype
         assert np.array_equal(batch, alone)
+
+    @pytest.mark.parametrize("src", _ARRAY_PATH_EXPRS)
+    def test_scalar_evaluation_is_bitwise_a_one_point_array(self, src):
+        # a 0-d input would run numpy scalar arithmetic, whose complex
+        # multiply rounds differently from the array loop
+        G = exprs.to_holofn(src)
+        if G.domain.kind == "real":
+            grid = np.linspace(-3.0, 3.0, 1001)
+        else:
+            grid = disc_sample_grid(0.95, n_radii=20, n_angles=50)
+        alone = np.array([G(z) for z in grid])
+        assert np.array_equal(alone, [G(np.array([z]))[0] for z in grid])
+
+    @pytest.mark.parametrize("src", _ARRAY_PATH_EXPRS)
+    def test_generator_fd_batch_equals_points_alone(self, src):
+        G = exprs.to_holofn(src)
+        phi = semiflow_from_generator(G)
+        grid = _sample_grid(G)
+        assert np.array_equal(generator_fd(phi, grid), [generator_fd(phi, z) for z in grid])
 
     def test_scalar_in_scalar_out(self):
         assert type(semiflow_from_generator(exprs.to_holofn("-z"))(0.5, 0.3)) is complex
@@ -225,6 +246,18 @@ class TestArrayPath:
         assert str(batch.value) == str(alone.value)
         assert "from (0.9+0j)" in str(batch.value)
         assert batch.value.tau_estimate == alone.value.tau_estimate
+
+    def test_step_budget_ends_a_creeping_trajectory(self):
+        # u' = -u^(1/3) reaches its non-Lipschitz zero at t = 1.5 u0^(2/3);
+        # past it RK4 creeps instead of arriving. 2.0 arrives by t = 1, 0.5
+        # and -0.3 do not: the batch raises for 0.5, as 0.5 alone does.
+        phi = semiflow_from_generator(exprs.to_holofn("-x^(1/3)"))
+        with pytest.raises(StepUnderflow) as batch:
+            phi(1.0, np.array([2.0, 0.5, -0.3]))
+        with pytest.raises(StepUnderflow) as alone:
+            phi(1.0, 0.5)
+        assert str(batch.value) == str(alone.value)
+        assert "trajectory from 0.5 stalled" in str(alone.value)
 
     def test_generator_never_sees_a_0d_array(self):
         ndims = []
