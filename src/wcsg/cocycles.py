@@ -1,4 +1,4 @@
-"""Semicocycles for a semiflow: constructors, laws, and growth envelopes.
+"""Semicocycles for a semiflow: constructors, laws and admissibility.
 
 A semicocycle for phi is a scalar family with m_0 = 1 and
 m_{t+s}(z) = m_t(z) m_s(phi_t(z)). Three constructions are provided:
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -27,14 +26,14 @@ from .errors import (
     InvalidParam,
     NonConvergent,
     OrderMismatch,
-    UnboundedSignal,
     ZeroNotFixed,
 )
 from .flows import DEFAULT_FD_STEPS, Semiflow, right_derivative
-from .holo import DEFAULT_POLICY, OVERFLOW_GUARD, HoloFn, QuadPolicy
+from .holo import DEFAULT_POLICY, HoloFn
 
 ZERO_GUARD = 1e-3
 BRANCH_TOL = 5e-2
+CHECK_TS = (0.25, 1.0)  # times at which declared zeros and the two branches are checked
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,6 @@ class Semicocycle:
         return self.provenance == "trivial"
 
 
-@dataclass(frozen=True)
-class GrowthFit:
-    """Least-squares exponential envelope M e^{omega t} for sup |m_t|."""
-
-    M: float
-    omega: float
-    samples: tuple  # (t, sup-norm lower bound) pairs
-
-    def dominates(self, slack: float = 1e-9) -> bool:
-        return all(self.M * math.exp(self.omega * t) >= s - slack for t, s in self.samples)
-
-
 def trivial_cocycle() -> Semicocycle:
     return Semicocycle(
         eval=lambda t, z: np.ones(np.shape(z), dtype=complex),
@@ -84,24 +71,18 @@ def trivial_cocycle() -> Semicocycle:
     )
 
 
-@lru_cache(maxsize=32)
-def _gl01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _time_nodes(t: float):
     return max(8, int(math.ceil(32.0 * max(1.0, t))))
 
 
-def cocycle_from_g(g: HoloFn, phi: Semiflow, policy: QuadPolicy = DEFAULT_POLICY) -> Semicocycle:
+def cocycle_from_g(g: HoloFn, phi: Semiflow) -> Semicocycle:
     """Integral cocycle exp(int_0^t g(phi_s(z)) ds).
 
     The time integral uses Gauss-Legendre with the node count scaled by t and
     doubled for the convergence certificate.
     """
     def log_integral(t, zs, n):
-        xs, ws = _gl01(n)
+        xs, ws = holo.gl01(n)
         acc = np.zeros(np.shape(zs), dtype=complex)
         for x, w in zip(xs, ws):
             acc = acc + w * np.asarray(g(np.asarray(phi(x * t, zs))))
@@ -116,7 +97,7 @@ def cocycle_from_g(g: HoloFn, phi: Semiflow, policy: QuadPolicy = DEFAULT_POLICY
         coarse = log_integral(t, zs, n)
         fine = log_integral(t, zs, 2 * n)
         gap = float(np.max(np.abs(coarse - fine)))
-        if gap > 100.0 * policy.tol * max(1.0, float(np.max(np.abs(fine)))):
+        if gap > 100.0 * DEFAULT_POLICY.tol * max(1.0, float(np.max(np.abs(fine)))):
             raise NonConvergent(
                 f"time integral at t={t:g}: node doubling moved the value by {gap:.3e}"
             )
@@ -155,33 +136,31 @@ def derivative_cocycle(phi: Semiflow) -> Semicocycle:
     )
 
 
-def coboundary(omega: HoloFn, phi: Semiflow, orders: dict,
-               zero_guard: float = ZERO_GUARD, branch_tol: float = BRANCH_TOL,
-               check_ts=(0.25, 1.0), tol_fixed: float = 1e-8) -> Semicocycle:
+def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
     """Quotient cocycle (omega o phi_t)/omega with declared zero orders.
 
     ``orders`` maps each zero of omega (complex) to its order. Declared zeros
     must be fixed points of phi (checked by sampling, ZeroNotFixed otherwise);
-    within ``zero_guard`` of a zero the derivative-power branch
+    within ZERO_GUARD of a zero the derivative-power branch
     (phi_t'(z))^order is used, and the two branches are cross-checked on the
-    guard circle (OrderMismatch beyond ``branch_tol``).
+    guard circle (OrderMismatch beyond BRANCH_TOL).
     """
     zeros = [(complex(b), int(n)) for b, n in orders.items()]
     for b, n in zeros:
         if n < 1:
             raise ValueError("zero orders must be positive integers")
-        drift = max(abs(phi(t, b) - b) for t in check_ts)
-        if drift > tol_fixed:
+        drift = max(abs(phi(t, b) - b) for t in CHECK_TS)
+        if drift > 1e-8:
             raise ZeroNotFixed(f"declared zero {b} moves by {drift:.3e} under the semiflow")
 
     def eval_fn(t, z):
-        """(phi_t')^order within zero_guard of a declared zero, the quotient
+        """(phi_t')^order within ZERO_GUARD of a declared zero, the quotient
         elsewhere; omega vanishing there is an undeclared zero."""
         t, zs = float(t), np.asarray(z, dtype=complex)
         out = np.empty(zs.shape, dtype=complex)
         rest = np.ones(zs.shape, dtype=bool)
         for b, n in zeros:
-            mask = np.abs(zs - b) <= zero_guard
+            mask = np.abs(zs - b) <= ZERO_GUARD
             if np.any(mask):
                 out[mask] = np.asarray(phi.space_derivative(t, zs[mask])) ** n
                 rest &= ~mask
@@ -196,12 +175,12 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict,
     # branch agreement on the guard circle
     ring = np.exp(2j * np.pi * np.arange(16) / 16)
     for b, n in zeros:
-        pts = b + zero_guard * ring
-        for t in check_ts:
+        pts = b + ZERO_GUARD * ring
+        for t in CHECK_TS:
             quot = np.asarray(omega(np.asarray(phi(t, pts)))) / np.asarray(omega(pts))
             power = np.asarray(phi.space_derivative(t, pts)) ** n
             gap = float(np.max(np.abs(quot - power)))
-            if gap > branch_tol * max(1.0, float(np.max(np.abs(power)))):
+            if gap > BRANCH_TOL * max(1.0, float(np.max(np.abs(power)))):
                 raise OrderMismatch(
                     f"zero {b}: quotient and derivative-power branches differ by {gap:.3e} "
                     f"on the guard circle (declared order {n})"
@@ -277,29 +256,3 @@ def coboundary_admissibility(g: HoloFn, G: HoloFn, Gprime: HoloFn | None,
         records=tuple(records),
         admissible=all(r.admissible for r in records),
     )
-
-
-def boundary_grid(r_cap: float = 1.0 - 1e-6, n_angles: int = 64):
-    radii = np.array([0.5, 0.9, 0.99, 1.0 - 1e-4, r_cap])
-    ring = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    return (radii[:, None] * ring[None, :]).ravel()
-
-
-def growth_fit(m: Semicocycle, ts, grid) -> GrowthFit:
-    """Fit log sup|m_t| ~ log M + omega t, then push M up so the envelope
-    dominates every sample. M never drops below 1 (m_0 = 1)."""
-    ts = [float(t) for t in ts]
-    pts = np.asarray(grid)
-    sups = []
-    for t in ts:
-        vals = np.abs(np.asarray(m(t, pts)))
-        s = float(np.max(vals))
-        if not np.isfinite(s) or s > OVERFLOW_GUARD:
-            raise UnboundedSignal(f"sup |m_t| exceeded the overflow guard at t={t:g}")
-        sups.append(s)
-    logs = np.log(np.maximum(sups, 1e-300))
-    tarr = np.asarray(ts)
-    omega, logM = np.polyfit(tarr, logs, 1)
-    M = math.exp(logM)
-    M = max(M, 1.0, *(s * math.exp(-omega * t) for t, s in zip(ts, sups)))
-    return GrowthFit(M=float(M), omega=float(omega), samples=tuple(zip(ts, sups)))

@@ -9,8 +9,6 @@ is exactly what a user could feed back in.
 import json
 from importlib import resources
 
-from .suites import LN2  # noqa: F401  (bound-table's default time, re-exported)
-
 _CONFIG_DIR = resources.files(__package__) / "configs"
 
 DEFAULT_CONFIGS = {

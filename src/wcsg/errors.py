@@ -27,10 +27,6 @@ class Unbounded(WcsgError):
     """A norm evaluation blew past the overflow guard (f not in the space)."""
 
 
-class UnboundedSignal(WcsgError):
-    """Cocycle sup-estimates exceed the overflow guard (no growth envelope)."""
-
-
 class UnknownCatalogEntry(WcsgError):
     """Requested a semiflow the catalog does not define."""
 

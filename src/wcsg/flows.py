@@ -29,6 +29,7 @@ from .holo import Domain, HoloFn, PLANE, REAL_LINE, UNIT_DISC, richardson
 DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 # RK4 passes per _integrate call; the default configs never need more than 66.
 ODE_STEP_BUDGET = 4096
+FIXED_POINT_TOL = 1e-8  # |G| at a fixed point; a verified one drifts < 10x this
 
 
 @dataclass(frozen=True)
@@ -222,14 +223,14 @@ def generator_fd(phi: Semiflow, z, steps=DEFAULT_FD_STEPS):
 # fixed points
 # ---------------------------------------------------------------------------
 
-def _newton_refine(G: HoloFn, seed, tol: float, max_iter: int = 80):
+def _newton_refine(G: HoloFn, seed):
     is_real = G.domain.kind == "real"
     z = float(np.real(seed)) if is_real else complex(seed)
-    for _ in range(max_iter):
+    for _ in range(80):
         if G.domain.kind == "disc" and abs(z) >= G.domain.radius:
             return None
         gz = G(z)
-        if abs(gz) < tol:
+        if abs(gz) < FIXED_POINT_TOL:
             return z
         if is_real:
             # step scales with |z| so non-Lipschitz zeros (x^{2/3}) stay tractable
@@ -244,22 +245,21 @@ def _newton_refine(G: HoloFn, seed, tol: float, max_iter: int = 80):
     return None
 
 
-def fixed_points(phi: Semiflow, G: HoloFn, grid, tol: float = 1e-8,
-                 ts=(0.1, 0.5, 1.0)) -> FixedPointSearch:
+def fixed_points(phi: Semiflow, G: HoloFn, grid) -> FixedPointSearch:
     """Grid-seeded Newton zeros of G, verified against the semiflow itself.
 
-    Each candidate b must satisfy both G(b) ~ 0 and phi_t(b) ~ b over the
-    sampled times; zeros of G that the flow moves are reported as rejected
+    Each candidate b must satisfy both G(b) ~ 0 and phi_t(b) ~ b at
+    t = 0.1, 0.5, 1; zeros of G that the flow moves are reported as rejected
     (that is exactly how the real cube-root flow escapes its critical point).
     """
     pts = np.asarray(grid)
     gvals = np.abs(np.asarray(G(pts)))
     scale = float(np.max(gvals))
-    if scale < tol:
+    if scale < FIXED_POINT_TOL:
         return FixedPointSearch(points=(), trivial=True)
     found = []
     for seed in pts:
-        z = _newton_refine(G, seed, tol)
+        z = _newton_refine(G, seed)
         if z is None:
             continue
         if not phi.domain.contains(z, margin=1e-12):
@@ -269,8 +269,8 @@ def fixed_points(phi: Semiflow, G: HoloFn, grid, tol: float = 1e-8,
     found.sort(key=lambda w: (round(abs(w), 12), np.angle(complex(w))))
     verified, rejected = [], []
     for b in found:
-        drift = max(abs(phi(t, b) - b) for t in ts)
-        (verified if drift < tol * 10 else rejected).append(b)
+        drift = max(abs(phi(t, b) - b) for t in (0.1, 0.5, 1.0))
+        (verified if drift < FIXED_POINT_TOL * 10 else rejected).append(b)
     return FixedPointSearch(points=tuple(verified), rejected=tuple(rejected))
 
 

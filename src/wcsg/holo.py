@@ -281,6 +281,13 @@ def _gl_nodes(m: int):
     return x, w
 
 
+@lru_cache(maxsize=32)
+def gl01(n: int):
+    """The n-point Gauss-Legendre rule mapped to [0, 1]: (nodes, weights)."""
+    x, w = _gl_nodes(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def cauchy_derivative_grid(f, zs, radii, n_nodes: int = INNER_DERIV_NODES):
     """Vectorized f'(z) on an array of points via the Cauchy integral formula.
 
@@ -362,11 +369,10 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
     return fine
 
 
-def annulus_integral(g, r_inner: float, r_outer: float, m_nodes: int = 16,
-                     n_theta: int = 256) -> float:
+def annulus_integral(g, r_inner: float, r_outer: float, n_theta: int = 256) -> float:
     """Single-panel tensor rule over a thin annulus (extrapolation helper)."""
     ring = _circle_nodes(n_theta)
-    x, w = _gl_nodes(m_nodes)
+    x, w = _gl_nodes(16)
     mid, half = 0.5 * (r_inner + r_outer), 0.5 * (r_outer - r_inner)
     s = mid + half * x
     vals = np.asarray(g(s[:, None] * ring[None, :]), dtype=float)
@@ -412,34 +418,35 @@ def richardson(values, steps, order: float = 1.0):
     return tab[0]
 
 
-def real_derivative_grid(f, xs, h0: float = 1e-3, levels: int = 3):
+def real_derivative_grid(f, xs, h0: float = 1e-3):
+    """Central differences at h0, h0/2, h0/4, Richardson-extrapolated."""
     xs = np.asarray(xs, dtype=float)
-    steps = [h0 / (2 ** k) for k in range(levels)]
+    steps = [h0 / (2 ** k) for k in range(3)]
     quotients = [np.asarray((f(xs + h) - f(xs - h)) / (2.0 * h)) for h in steps]
     return richardson(quotients, steps, order=2.0)
 
 
-def derivative_on_grid(f: HoloFn, zs, n_nodes: int = INNER_DERIV_NODES, safety: float = 0.5):
+def derivative_on_grid(f: HoloFn, zs):
     """f' on an array of points (a scalar is a one-point array, as in
     :func:`at_points`), dispatching on the domain kind.
 
     The one derivative path of the package: ``f.deriv`` when the function
     carries a closed form; otherwise disc domains use Cauchy circles of radius
-    safety*(R - |z|), the plane uses radius 0.5, and real domains use central
-    differences with Richardson. On disc domains a point at or outside the
-    boundary raises DomainExit either way.
+    (R - |z|)/2, the plane uses radius 0.5 (INNER_DERIV_NODES nodes either
+    way), and real domains use central differences with Richardson. On disc
+    domains a point at or outside the boundary raises DomainExit either way.
     """
     def fprime(z):
         if f.domain.kind == "real":
             return f.deriv(z) if f.deriv is not None else real_derivative_grid(f.fn, z)
         if f.domain.kind == "disc":
-            radii = safety * (f.domain.radius - np.abs(z))
+            radii = 0.5 * (f.domain.radius - np.abs(z))
             if np.any(radii <= 0):
                 raise DomainExit("derivative requested outside the open disc")
         else:
             radii = np.full(z.shape, 0.5)
         if f.deriv is not None:
             return f.deriv(z)
-        return cauchy_derivative_grid(f.fn, z, radii, n_nodes)
+        return cauchy_derivative_grid(f.fn, z, radii, INNER_DERIV_NODES)
 
     return at_points(fprime, zs, f.domain.dtype)

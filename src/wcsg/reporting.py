@@ -32,7 +32,7 @@ class Case:
 
     @property
     def passed(self) -> bool:
-        return self.verdict is True or self.verdict == "pass"
+        return self.verdict is True
 
 
 @dataclass

@@ -62,12 +62,12 @@ def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:
     return HoloFn(fn, sg.phi.domain, name=f"C({t:g}){f.name or 'f'}", deriv=deriv)
 
 
-def semigroup_residual(sg: WcSemigroup, t: float, s: float, grid, testset=None) -> float:
-    """max pointwise deviation of C(t+s)f from C(t)C(s)f over grid and test set."""
-    fs = testset if testset is not None else spaces.default_corpus(real=sg.space.is_real)
+def semigroup_residual(sg: WcSemigroup, t: float, s: float, grid) -> float:
+    """max pointwise deviation of C(t+s)f from C(t)C(s)f over grid and the
+    default corpus."""
     pts = np.asarray(grid)
     worst = 0.0
-    for f in fs:
+    for f in spaces.default_corpus(real=sg.space.is_real):
         lhs = np.asarray(apply(sg, t + s, f).fn(pts))
         rhs = np.asarray(apply(sg, t, apply(sg, s, f)).fn(pts))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -137,9 +137,8 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
         phi0 = phi(t, 0.0)
         comps["abs_phi_t_0"] = abs(phi0)
         if phi0 != 0:
-            x, w = np.polynomial.legendre.leggauss(32)
-            tau = 0.5 * (x + 1.0)
-            seg = abs(phi0) * float(np.dot(0.5 * w, 1.0 / np.real(vfn(tau * phi0))))
+            tau, w = holo.gl01(32)
+            seg = abs(phi0) * float(np.dot(w, 1.0 / np.real(vfn(tau * phi0))))
         else:
             seg = 0.0
         comps["base_point_shift"] = seg
@@ -277,8 +276,7 @@ class GeneratorResidualReport:
 
 
 def generator_residual(sg: WcSemigroup, G: HoloFn, g: HoloFn, f: HoloFn,
-                       steps=DEFAULT_FD_STEPS, radius: float = 0.9,
-                       dq_ladder=DQ_LADDER) -> GeneratorResidualReport:
+                       steps=DEFAULT_FD_STEPS, radius: float = 0.9) -> GeneratorResidualReport:
     steps = tuple(float(h) for h in steps)
     if len(steps) < 2 or min(steps) <= 0 or any(b >= a for a, b in zip(steps, steps[1:])):
         raise InvalidParam("steps must be two or more positive, strictly decreasing values")
@@ -306,7 +304,7 @@ def generator_residual(sg: WcSemigroup, G: HoloFn, g: HoloFn, f: HoloFn,
         slope = float("inf")
 
     dq = []
-    for h in dq_ladder:
+    for h in DQ_LADDER:
         diff = apply(sg, h, f) - f
         dq.append((h, norm(sg.space, diff) / h))
     dq_vals = [v for _, v in dq]

@@ -8,6 +8,7 @@ reporting Cases. A failing case is recorded with its error and verdict
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -88,17 +89,14 @@ def _as_complex(v, path: str) -> complex:
     raise ConfigError(path, "expected a number or {re, im}")
 
 
-def build_policy(cfg: dict | None, path: str) -> QuadPolicy:
-    if cfg is None:
-        return holo.DEFAULT_POLICY
-    _check_keys(cfg, {"n_theta", "n_radial", "r_cap", "tol"}, path)
+def _settings(cls, cfg: dict, path: str):
+    """A settings dataclass (QuadPolicy, OdeCfg) from its config section: one
+    key per field, each defaulting to the field's default and echoed."""
+    fields = dataclasses.fields(cls)
+    _check_keys(cfg, {f.name for f in fields}, path)
+    values = {f.name: _num(cfg, f.name, path, f.default, type(f.default)) for f in fields}
     try:
-        return QuadPolicy(
-            n_theta=_num(cfg, "n_theta", path, 256, int),
-            n_radial=_num(cfg, "n_radial", path, 128, int),
-            r_cap=_num(cfg, "r_cap", path, 1.0 - 1e-6),
-            tol=_num(cfg, "tol", path, 1e-8),
-        )
+        return cls(**values)
     except ValueError as e:
         raise ConfigError(path, str(e))
 
@@ -124,7 +122,9 @@ def _build_weight(spec, domain, path: str) -> HoloFn:
 def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
     _check_keys(cfg, {"kind", "p", "alpha", "weight", "halfwidth", "policy"}, path)
     kind = _get(cfg, "kind", path, required=True)
-    policy = build_policy(_get(cfg, "policy", path), f"{path}.policy")
+    policy = _get(cfg, "policy", path)
+    policy = (holo.DEFAULT_POLICY if policy is None
+              else _settings(QuadPolicy, policy, f"{path}.policy"))
     try:
         if kind == "hardy":
             return SpaceSpec.hardy(_num(cfg, "p", path, 2.0), policy)
@@ -170,15 +170,9 @@ def build_flow(cfg: dict, path: str = "flow") -> Semiflow:
             return make_catalog_semiflow(name, built)
         except WcsgError as e:
             raise ConfigError(path, str(e))
-    ode_cfg = _section(cfg, "ode", path)
-    _check_keys(ode_cfg, {"h0", "tol_step", "exit_margin"}, f"{path}.ode")
+    ode = _settings(OdeCfg, _section(cfg, "ode", path), f"{path}.ode")
     try:
-        cfg_obj = OdeCfg(
-            h0=_number(ode_cfg.get("h0", 1e-3), f"{path}.ode.h0"),
-            tol_step=_number(ode_cfg.get("tol_step", 1e-10), f"{path}.ode.tol_step"),
-            exit_margin=_number(ode_cfg.get("exit_margin", 1e-9), f"{path}.ode.exit_margin"),
-        )
-        return semiflow_from_generator(_expr(gen, None, f"{path}.generator"), cfg_obj)
+        return semiflow_from_generator(_expr(gen, None, f"{path}.generator"), ode)
     except ConfigError:
         raise
     except (ValueError, WcsgError) as e:
@@ -574,16 +568,15 @@ def run_continuity_probe(cfg: dict) -> list:
         f = build_function(_get(pcfg, "f", path, required=True), phi.domain, f"{path}.f")
         ts = _nums(pcfg, "ts", path, [0.1, 0.01, 0.001])
         radii = _nums(pcfg, "radii", path, [0.5, 0.9])
-        tols = _section(pcfg, "tolerances", path)
-        _check_keys(tols, {"co", "norm"}, f"{path}.tolerances")
+        tols = _tolerances(pcfg, path, {"co": 1e-3, "norm": 1e-3})
         cap = _get(pcfg, "norm_cap", path)
         probe = semigroup.continuity_probe(
             sg,
             f,
             ts,
             radii,
-            tol_co=_number(tols.get("co", 1e-3), f"{path}.tolerances.co"),
-            tol_norm=_number(tols.get("norm", 1e-3), f"{path}.tolerances.norm"),
+            tol_co=tols["co"],
+            tol_norm=tols["norm"],
             norm_cap=_number(cap, f"{path}.norm_cap") if cap is not None else None,
         )
         expect = _section(pcfg, "expect", path)

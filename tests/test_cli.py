@@ -457,6 +457,28 @@ class TestConfigValidation:
             assert json.loads((configs / name).read_text())["suite"] == name[: -len(".json")]
 
 
+class TestConfigEcho:
+    """Every default that a run applies appears in the report's config echo."""
+
+    def test_ode_defaults(self):
+        report = cli.run(copy.deepcopy(DEFAULT_CONFIGS["reconstruct"]))
+        assert report_to_dict(report)["config"]["ode"] == {
+            "h0": 0.001, "tol_step": 1e-10, "exit_margin": 1e-09}
+
+    def test_continuity_tolerance_defaults(self):
+        cfg = copy.deepcopy(DEFAULT_CONFIGS["continuity-probe"])
+        cfg["cases"] = cfg["cases"][:1]
+        case = report_to_dict(cli.run(cfg))["config"]["cases"][0]
+        assert case["tolerances"] == {"co": 0.001, "norm": 0.001}
+
+    def test_partial_policy_echoes_every_field(self):
+        cfg = {"suite": "norm-table", "max_degree": 1,
+               "spaces": [{"kind": "hardy", "policy": {"n_theta": 512}}]}
+        space = report_to_dict(cli.run(cfg))["config"]["spaces"][0]
+        assert space["policy"] == {"n_theta": 512, "n_radial": 128, "r_cap": 1.0 - 1e-6,
+                                   "tol": 1e-8}
+
+
 class TestEmission:
     def test_json_round_trip(self):
         report = cli.run(copy.deepcopy(DEFAULT_CONFIGS["admissibility"]))

@@ -1,4 +1,4 @@
-"""Cocycle constructors, laws, and growth envelopes against closed forms."""
+"""Cocycle constructors and laws against closed forms."""
 
 import math
 
@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from wcsg import holo
 from wcsg.cocycles import (
-    boundary_grid,
     cocycle_from_g,
     cocycle_law_residual,
     coboundary,
     coboundary_admissibility,
     derivative_cocycle,
-    growth_fit,
     mdot0,
     trivial_cocycle,
 )
@@ -207,31 +205,6 @@ class TestAdmissibility:
             holo.constant(-1.0), phi.generator, None, [0.0]
         )
         assert verdict.records[0].admissible
-
-
-class TestGrowthFit:
-    def test_pure_decay(self):
-        m = derivative_cocycle(dilation(1.0))  # m_t = e^{-t}
-        fit = growth_fit(m, (0.0, 0.25, 0.5, 1.0), boundary_grid())
-        assert fit.M == pytest.approx(1.0, abs=1e-6)
-        assert fit.omega == pytest.approx(-1.0, abs=1e-6)
-        assert fit.dominates()
-
-    def test_trivial(self):
-        fit = growth_fit(trivial_cocycle(), (0.0, 0.5, 1.0), boundary_grid())
-        assert fit.M == pytest.approx(1.0, abs=1e-12)
-        assert abs(fit.omega) < 1e-12
-
-    def test_negative_real_part_envelope(self):
-        # sup Re g <= 0 forces omega <= 0 and M ~ 1
-        phi = make_catalog_semiflow("attracting")
-        g = holo.poly([-1.0, -1.0])  # -1 - z, Re <= 0 on the disc
-        m = cocycle_from_g(g, phi)
-        fit = growth_fit(m, (0.0, 0.25, 0.5, 1.0), boundary_grid())
-        assert fit.omega <= 1e-6
-        assert fit.dominates()
-        # every sample sits under the analytic envelope e^{t sup Re g} = 1
-        assert all(s <= 1.0 + 1e-9 for _, s in fit.samples)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,58 @@
+"""scripts/compare_reports.py over small report trees: output and exit codes."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+
+
+def write_tree(root, reports):
+    root.mkdir()
+    for suite, doc in reports.items():
+        (root / f"{suite}.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    return root
+
+
+def report(verdict=True, config=None):
+    return {
+        "config": config if config is not None else {"suite": "toy", "tol": 1e-8},
+        "cases": [
+            {"id": "toy/a", "verdict": verdict, "numbers": {"residual": 1e-12}},
+            {"id": "toy/b", "verdict": True, "numbers": {"residual": 2e-12}},
+        ],
+    }
+
+
+def compare(tmp_path, left, right):
+    a = write_tree(tmp_path / "a", left)
+    b = write_tree(tmp_path / "b", right)
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def test_identical_trees(tmp_path):
+    code, out = compare(tmp_path, {"toy": report()}, {"toy": report()})
+    assert code == 0
+    assert "toy.json: byte-identical" in out
+
+
+def test_flipped_verdict_exits_one(tmp_path):
+    code, out = compare(tmp_path, {"toy": report()}, {"toy": report(verdict=False)})
+    assert code == 1
+    assert "verdict toy/a: True -> False" in out
+
+
+def test_config_key_on_one_side_is_structural(tmp_path):
+    extra = {"suite": "toy", "tol": 1e-8, "ode": {"h0": 1e-3}}
+    code, out = compare(tmp_path, {"toy": report()}, {"toy": report(config=extra)})
+    assert code == 0
+    assert "structural difference at .config.ode" in out
+
+
+def test_suite_on_one_side_exits_one(tmp_path):
+    code, out = compare(tmp_path, {"toy": report()}, {"toy": report(), "other": report()})
+    assert code == 1
+    assert "other.json: only in" in out
