@@ -8,7 +8,7 @@ semigroup (operators, bounds, generator and continuity probes), exprs (the
 small configuration expression grammar), suites/cli (experiment runner).
 """
 
-from .holo import Domain, HoloFn, QuadPolicy, UNIT_DISC, REAL_LINE, PLANE
+from .holo import Domain, HoloFn, QuadPolicy, UNIT_DISC, REAL_LINE
 from .spaces import SeminormIndex, SpaceSpec
 from .flows import OdeCfg, Semiflow, make_catalog_semiflow, semiflow_from_generator
 from .cocycles import Semicocycle, cocycle_from_g, coboundary, derivative_cocycle, trivial_cocycle
@@ -22,7 +22,6 @@ __all__ = [
     "QuadPolicy",
     "UNIT_DISC",
     "REAL_LINE",
-    "PLANE",
     "SeminormIndex",
     "SpaceSpec",
     "OdeCfg",

@@ -5,15 +5,22 @@ Accepted forms: float literals, the imaginary unit ``i``, the variable ``z``
 the real fractional exponents ``(1/3)`` and ``(2/3)``, ``exp(...)``, and the
 disc automorphism helper ``mobius(a)``. Printing is fully parenthesized and
 canonical, so parse(print(e)) reproduces the tree exactly.
+
+A parsed tree is compiled once into nested closures, one rule per node type,
+so evaluating an expression never walks its tree. The evaluators carry no
+closed-form derivative; differentiation falls back to the numerical path of
+:func:`holo.derivative_on_grid`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import holo
 from .holo import Domain, HoloFn, REAL_LINE, UNIT_DISC
 
 
@@ -77,15 +84,14 @@ def _tokenize(src: str):
             if src[pos:].strip() == "":
                 break
             raise ValueError(f"bad character at position {pos}: {src[pos:pos + 8]!r}")
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "ident":
-            out.append(("ident", m.group("ident")))
-        else:
-            out.append(("op", m.group("op")))
+        kind = m.lastgroup
+        out.append((kind, float(m.group(kind)) if kind == "num" else m.group(kind)))
         pos = m.end()
     out.append(("end", None))
     return out
+
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _Parser:
@@ -101,96 +107,87 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, op) -> bool:
+        """Consume the operator token ``op`` if it comes next."""
+        if self.peek() == ("op", op):
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, kind, value=None):
         tok = self.next()
         if tok[0] != kind or (value is not None and tok[1] != value):
             raise ValueError(f"expected {value or kind}, got {tok[1]!r}")
         return tok
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.parse_term())
+    def left_assoc(self, ops, operand):
+        """operand (op operand)*, folded to the left, for ``+ -`` and ``* /``."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = BinOp(self.next()[1], node, operand())
         return node
+
+    def parse_expr(self):
+        return self.left_assoc("+-", self.parse_term)
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.parse_factor())
-        return node
+        return self.left_assoc("*/", self.parse_factor)
 
     def parse_factor(self):
-        if self.peek() == ("op", "-"):
-            self.next()
+        if self.accept("-"):
             return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self):
         base = self.parse_atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            num, den = self.parse_exponent()
-            return Pow(base, num, den)
+        if self.accept("^"):
+            return Pow(base, *self.parse_exponent())
         return base
 
     def parse_exponent(self):
-        sign = 1
-        if self.peek() == ("op", "("):
-            self.next()
-            if self.peek() == ("op", "-"):
-                self.next()
-                sign = -1
-            kind, val = self.next()
-            if kind != "num" or val != int(val):
-                raise ValueError("exponent must be an integer or 1/3, 2/3")
-            num = sign * int(val)
-            if self.peek() == ("op", "/"):
-                self.next()
+        """An integer, optionally signed and parenthesized, or (1/3), (2/3)."""
+        paren = self.accept("(")
+        sign = -1 if self.accept("-") else 1
+        kind, val = self.next()
+        if kind != "num" or not val.is_integer():
+            raise ValueError("exponent must be an integer or 1/3, 2/3")
+        num, den = sign * int(val), 1
+        if paren:
+            if self.accept("/"):
                 kind, den = self.next()
                 if kind != "num" or den != 3 or num not in (1, 2):
                     raise ValueError("fractional exponents are limited to 1/3 and 2/3")
-                self.expect("op", ")")
-                return num, 3
+                den = 3
             self.expect("op", ")")
-            return num, 1
-        if self.peek() == ("op", "-"):
-            self.next()
-            sign = -1
-        kind, val = self.next()
-        if kind != "num" or val != int(val):
-            raise ValueError("exponent must be an integer or 1/3, 2/3")
-        return sign * int(val), 1
+        return num, den
+
+    def parenthesized(self):
+        """``( expr )``: a grouping, or the argument of exp and mobius."""
+        self.expect("op", "(")
+        node = self.parse_expr()
+        self.expect("op", ")")
+        return node
 
     def parse_atom(self):
+        if self.peek() == ("op", "("):
+            return self.parenthesized()
         kind, val = self.next()
         if kind == "num":
             return Num(val)
-        if kind == "ident":
-            if val == "i":
-                return Imag()
-            if val in ("z", "x"):
-                return Var(val)
-            if val == "exp":
-                self.expect("op", "(")
-                arg = self.parse_expr()
-                self.expect("op", ")")
-                return Exp(arg)
-            if val == "mobius":
-                self.expect("op", "(")
-                arg = self.parse_expr()
-                self.expect("op", ")")
-                a = _const_fold(arg)
-                if abs(a) >= 1:
-                    raise ValueError("mobius parameter must lie in the open unit disc")
-                return Mobius(a.real, a.imag)
-            raise ValueError(f"unknown identifier {val!r}")
-        if (kind, val) == ("op", "("):
-            node = self.parse_expr()
-            self.expect("op", ")")
-            return node
-        raise ValueError(f"unexpected token {val!r}")
+        if kind != "ident":
+            raise ValueError(f"unexpected token {val!r}")
+        if val == "i":
+            return Imag()
+        if val in ("z", "x"):
+            return Var(val)
+        if val == "exp":
+            return Exp(self.parenthesized())
+        if val == "mobius":
+            try:
+                a = _const_fold(self.parenthesized())
+            except (ZeroDivisionError, OverflowError) as e:
+                raise ValueError(f"mobius parameter: {e}") from None
+            if abs(a) >= 1:
+                raise ValueError("mobius parameter must lie in the open unit disc")
+            return Mobius(a.real, a.imag)
+        raise ValueError(f"unknown identifier {val!r}")
 
 
 def parse(src: str):
@@ -208,8 +205,7 @@ def _const_fold(node) -> complex:
     if isinstance(node, Neg):
         return -_const_fold(node.arg)
     if isinstance(node, BinOp):
-        a, b = _const_fold(node.left), _const_fold(node.right)
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node.op]
+        return _BINOPS[node.op](_const_fold(node.left), _const_fold(node.right))
     if isinstance(node, Pow) and node.den == 1:
         return _const_fold(node.base) ** node.num
     raise ValueError("expected a constant expression")
@@ -240,30 +236,55 @@ def print_expr(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _children(node) -> tuple:
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, (Neg, Exp)):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
+
+
+def _nodes(node):
+    """Every node of the tree, the root first."""
+    yield node
+    for child in _children(node):
+        yield from _nodes(child)
+
+
 def variables(node) -> set:
+    return {n.name for n in _nodes(node) if isinstance(n, Var)}
+
+
+def _compile(node):
+    """The tree as nested closures of the point array w, one rule per node
+    type, so evaluating never walks the tree."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda w: value
+    if isinstance(node, Imag):
+        return lambda w: 1j
     if isinstance(node, Var):
-        return {node.name}
+        return lambda w: w
+    if isinstance(node, Mobius):
+        return holo.mobius(complex(node.a_re, node.a_im)).fn
+    args = [_compile(child) for child in _children(node)]
     if isinstance(node, Neg):
-        return variables(node.arg)
+        (arg,) = args
+        return lambda w: -arg(w)
     if isinstance(node, BinOp):
-        return variables(node.left) | variables(node.right)
+        op, (left, right) = _BINOPS[node.op], args
+        return lambda w: op(left(w), right(w))
     if isinstance(node, Pow):
-        return variables(node.base)
+        (base,), num = args, node.num
+        if node.den == 1:
+            return lambda w: base(w) ** num
+        return lambda w: np.cbrt(np.real(base(w))) ** num
     if isinstance(node, Exp):
-        return variables(node.arg)
-    return set()
-
-
-def _has_cube_root(node) -> bool:
-    if isinstance(node, Pow):
-        return node.den == 3 or _has_cube_root(node.base)
-    if isinstance(node, Neg):
-        return _has_cube_root(node.arg)
-    if isinstance(node, BinOp):
-        return _has_cube_root(node.left) or _has_cube_root(node.right)
-    if isinstance(node, Exp):
-        return _has_cube_root(node.arg)
-    return False
+        (arg,) = args
+        return lambda w: np.exp(arg(w))
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def to_callable(node, real: bool = False):
@@ -274,40 +295,9 @@ def to_callable(node, real: bool = False):
     kind, var = ("real", "x") if real else ("complex", "z")
     if vs - {var}:
         raise ValueError(f"{kind}-domain expressions use the variable {var}")
-    if not real and _has_cube_root(node):
+    if not real and any(isinstance(n, Pow) and n.den == 3 for n in _nodes(node)):
         raise ValueError("cube-root powers are only defined on the real line")
-
-    def ev(n, w):
-        if isinstance(n, Num):
-            return n.value
-        if isinstance(n, Imag):
-            return 1j
-        if isinstance(n, Var):
-            return w
-        if isinstance(n, Neg):
-            return -ev(n.arg, w)
-        if isinstance(n, BinOp):
-            a, b = ev(n.left, w), ev(n.right, w)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            return a / b
-        if isinstance(n, Pow):
-            base = ev(n.base, w)
-            if n.den == 1:
-                return base ** n.num
-            return np.cbrt(np.real(base)) ** n.num
-        if isinstance(n, Exp):
-            return np.exp(ev(n.arg, w))
-        if isinstance(n, Mobius):
-            a = complex(n.a_re, n.a_im)
-            return (a - w) / (1.0 - np.conj(a) * w)
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return lambda w: ev(node, w)
+    return _compile(node)
 
 
 def to_holofn(src: str, domain: Domain | None = None) -> HoloFn:

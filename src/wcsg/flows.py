@@ -24,7 +24,7 @@ from .errors import (
     StepUnderflow,
     UnknownCatalogEntry,
 )
-from .holo import Domain, HoloFn, PLANE, REAL_LINE, UNIT_DISC, richardson
+from .holo import Domain, HoloFn, REAL_LINE, UNIT_DISC, richardson
 
 DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 # RK4 passes per _integrate call; the default configs never need more than 66.
@@ -145,9 +145,9 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
         )
     if name == "identity":
         key = params.get("domain", "disc")
-        if key not in ("disc", "real", "plane"):
-            raise InvalidParam(f"identity domain must be disc, real or plane, got {key!r}")
-        dom = {"disc": UNIT_DISC, "real": REAL_LINE, "plane": PLANE}[key]
+        if key not in ("disc", "real"):
+            raise InvalidParam(f"identity domain must be disc or real, got {key!r}")
+        dom = UNIT_DISC if key == "disc" else REAL_LINE
         zero = HoloFn(lambda z: np.zeros(np.shape(z), dtype=dom.dtype), dom, name="0")
         return Semiflow(
             eval=lambda t, z: z + 0,
@@ -182,7 +182,7 @@ def semiflow_law_residual(phi: Semiflow, ts, grid) -> float:
     for t in ts:
         inner = np.asarray(phi(t, pts))
         if phi.domain.kind == "disc" and not phi.domain.contains(inner):
-            bad = int(np.argmax(np.abs(inner) >= phi.domain.radius))
+            bad = int(np.argmax(np.abs(inner) >= 1.0))
             raise DomainExit(
                 f"phi_t left the domain at t={t:g}", point=pts.flat[bad], t=t
             )
@@ -227,7 +227,7 @@ def _newton_refine(G: HoloFn, seed):
     is_real = G.domain.kind == "real"
     z = float(np.real(seed)) if is_real else complex(seed)
     for _ in range(80):
-        if G.domain.kind == "disc" and abs(z) >= G.domain.radius:
+        if G.domain.kind == "disc" and abs(z) >= 1.0:
             return None
         gz = G(z)
         if abs(gz) < FIXED_POINT_TOL:
@@ -293,7 +293,7 @@ def _integrate(G, z, t_target: float, cfg: OdeCfg, domain: Domain):
     live point takes one step per pass, so a point still short of t_target
     after ODE_STEP_BUDGET passes fails here as it would alone."""
     y, t, h = z.copy(), np.zeros(z.shape), np.full(z.shape, min(cfg.h0, t_target))
-    bound, first, failure, passes = domain.radius - cfg.exit_margin, len(z), None, 0
+    bound, first, failure, passes = 1.0 - cfg.exit_margin, len(z), None, 0
     while (idx := np.flatnonzero(t[:first] < t_target)).size:
         if passes == ODE_STEP_BUDGET:
             raise StepUnderflow(f"trajectory from {z[idx[0]].item()} stalled at t={t[idx[0]]:g} "

@@ -2,8 +2,8 @@
 
 Functions are evaluator-backed: a :class:`HoloFn` wraps a vectorized callable
 over a declared domain, optionally with a vectorized closed-form derivative.
-The catalog constructors supply that derivative, the combinators propagate it
-(sum, product and quotient rules), and differentiation uses it when present.
+The catalog constructors supply that derivative, a difference ``f - g``
+propagates it, and differentiation uses it when present.
 Otherwise differentiation falls back to Cauchy's integral formula on circles
 (trapezoidal rule, which is spectrally accurate for analytic integrands); the
 Cauchy path also serves as the oracle the closed forms are tested against.
@@ -37,24 +37,19 @@ OVERFLOW_GUARD = 1e12
 
 @dataclass(frozen=True)
 class Domain:
-    """Domain tag: open disc of given radius, the plane, or the real line."""
+    """Domain tag: the open unit disc or the real line."""
 
-    kind: str = "disc"  # disc | plane | real
-    radius: float = 1.0
+    kind: str = "disc"  # disc | real
 
     def __post_init__(self):
-        if self.kind not in ("disc", "plane", "real"):
+        if self.kind not in ("disc", "real"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "disc" and not self.radius > 0:
-            raise ValueError("disc radius must be positive")
 
     def contains(self, z, margin: float = 0.0) -> bool:
         z = np.asarray(z)
         if self.kind == "disc":
-            return bool(np.all(np.abs(z) < self.radius - margin))
-        if self.kind == "real":
-            return bool(np.all(np.abs(np.imag(np.asarray(z, dtype=complex))) == 0.0))
-        return True
+            return bool(np.all(np.abs(z) < 1.0 - margin))
+        return bool(np.all(np.abs(np.imag(np.asarray(z, dtype=complex))) == 0.0))
 
     @property
     def dtype(self):
@@ -70,9 +65,8 @@ def at_points(fn, z, dtype):
     return out if np.ndim(z) else np.asarray(out).item(0)
 
 
-UNIT_DISC = Domain("disc", 1.0)
+UNIT_DISC = Domain("disc")
 REAL_LINE = Domain("real")
-PLANE = Domain("plane")
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ DEFAULT_POLICY = QuadPolicy()
 class HoloFn:
     """A function as an evaluator over a declared domain.
 
-    ``fn`` must accept numpy arrays (complex for disc/plane domains, float for
+    ``fn`` must accept numpy arrays (complex for disc domains, float for
     real domains) and vectorize elementwise; all catalog constructors below
     do. ``deriv``, when set, is f' with the same calling convention; without it
     :func:`derivative_on_grid` differentiates numerically.
@@ -122,43 +116,12 @@ class HoloFn:
     def __call__(self, z):
         return at_points(self.fn, z, self.domain.dtype)
 
-    # Small combinator algebra; composites keep the left operand's domain and
-    # carry a derivative when both operands do (a scalar has derivative 0).
-    def _combine(self, other, op, dop, sym):
-        if isinstance(other, HoloFn):
-            g, dg = other.fn, other.deriv
-            oname = other.name or "?"
-        else:
-            const = complex(other)
-            g = lambda z, c=const: np.full(np.shape(z), c, dtype=complex)
-            dg = lambda z: np.zeros(np.shape(z), dtype=complex)
-            oname = repr(other)
-        deriv = None
-        if self.deriv is not None and dg is not None:
-            deriv = lambda z, f=self.fn, df=self.deriv, g=g, dg=dg: dop(f(z), df(z), g(z), dg(z))
-        return HoloFn(
-            fn=lambda z, f=self.fn, g=g: op(f(z), g(z)),
-            domain=self.domain,
-            name=f"({self.name or '?'}{sym}{oname})",
-            deriv=deriv,
-        )
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b, lambda a, da, b, db: da + db, "+")
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b, lambda a, da, b, db: da - db, "-")
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b, lambda a, da, b, db: da * b + a * db, "*")
-
-    def __rmul__(self, other):
-        return self._combine(other, lambda a, b: b * a, lambda a, da, b, db: db * a + b * da, "*")
-
-    def __truediv__(self, other):
-        return self._combine(
-            other, lambda a, b: a / b, lambda a, da, b, db: (da * b - a * db) / (b * b), "/"
-        )
+    def __sub__(self, other: HoloFn) -> HoloFn:
+        """f - g on f's domain, carrying f' - g' when both derivatives are known."""
+        f, g, df, dg = self.fn, other.fn, self.deriv, other.deriv
+        deriv = None if df is None or dg is None else (lambda z: df(z) - dg(z))
+        return HoloFn(lambda z: f(z) - g(z), self.domain,
+                      name=f"({self.name or '?'}-{other.name or '?'})", deriv=deriv)
 
 
 def ensure_finite(values, what: str):
@@ -184,10 +147,6 @@ def constant(c, domain: Domain = UNIT_DISC) -> HoloFn:
 
 def one(domain: Domain = UNIT_DISC) -> HoloFn:
     return dataclasses.replace(constant(1.0, domain), name="one")
-
-
-def coordinate(domain: Domain = UNIT_DISC) -> HoloFn:
-    return HoloFn(lambda z: z, domain, name="id", deriv=np.ones_like)
 
 
 def monomial(n: int, domain: Domain = UNIT_DISC) -> HoloFn:
@@ -308,7 +267,7 @@ def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_PO
         raise ValueError("p must be >= 1")
     if r < 0:
         raise DomainExit("negative radius", point=r)
-    if f.domain.kind == "disc" and r >= f.domain.radius:
+    if f.domain.kind == "disc" and r >= 1.0:
         raise DomainExit(f"circle radius {r:g} outside the domain", point=r)
     if r == 0.0:
         return float(abs(f(0.0)) ** p)
@@ -431,20 +390,17 @@ def derivative_on_grid(f: HoloFn, zs):
     :func:`at_points`), dispatching on the domain kind.
 
     The one derivative path of the package: ``f.deriv`` when the function
-    carries a closed form; otherwise disc domains use Cauchy circles of radius
-    (R - |z|)/2, the plane uses radius 0.5 (INNER_DERIV_NODES nodes either
-    way), and real domains use central differences with Richardson. On disc
-    domains a point at or outside the boundary raises DomainExit either way.
+    carries a closed form; otherwise the disc uses Cauchy circles of radius
+    (1 - |z|)/2 with INNER_DERIV_NODES nodes, and the real line uses central
+    differences with Richardson. On the disc a point at or outside the
+    boundary raises DomainExit either way.
     """
     def fprime(z):
         if f.domain.kind == "real":
             return f.deriv(z) if f.deriv is not None else real_derivative_grid(f.fn, z)
-        if f.domain.kind == "disc":
-            radii = 0.5 * (f.domain.radius - np.abs(z))
-            if np.any(radii <= 0):
-                raise DomainExit("derivative requested outside the open disc")
-        else:
-            radii = np.full(z.shape, 0.5)
+        radii = 0.5 * (1.0 - np.abs(z))
+        if np.any(radii <= 0):
+            raise DomainExit("derivative requested outside the open disc")
         if f.deriv is not None:
             return f.deriv(z)
         return cauchy_derivative_grid(f.fn, z, radii, INNER_DERIV_NODES)

@@ -33,9 +33,11 @@ class WcSemigroup:
     m: Semicocycle
     space: SpaceSpec
 
-    @property
-    def label(self) -> str:
-        return f"C[{self.m.name or 'm'},{self.phi.name or 'phi'}]@{self.space.label}"
+    def __post_init__(self):
+        space_domain = "real" if self.space.is_real else "disc"
+        if self.phi.domain.kind != space_domain:
+            raise InvalidParam(f"flow {self.phi.name} acts on the {self.phi.domain.kind} domain, "
+                               f"but {self.space.label} lives on the {space_domain} domain")
 
 
 def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:

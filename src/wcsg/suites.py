@@ -51,11 +51,15 @@ def _get(cfg: dict, key: str, path: str, default=None, required: bool = False):
 
 
 def _number(v, path: str, cast=float):
-    """Coerce one config scalar; anything that is not a number is a ConfigError."""
+    """Coerce one config scalar; anything that is not a number is a ConfigError.
+    A boolean is not a number, and an int key takes only integral values."""
     try:
+        if isinstance(v, bool) or (cast is int and not float(v).is_integer()):
+            raise ValueError
         return cast(v)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, f"expected a number, got {v!r}") from None
+        noun = "an integer" if cast is int else "a number"
+        raise ConfigError(path, f"expected {noun}, got {v!r}") from None
 
 
 def _num(cfg: dict, key: str, path: str, default=None, cast=float, required: bool = False):
@@ -81,7 +85,7 @@ def _nums(cfg: dict, key: str, path: str, default, cast=float) -> list:
 
 
 def _as_complex(v, path: str) -> complex:
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         return complex(v)
     if isinstance(v, dict) and set(v) <= {"re", "im"}:
         return complex(_number(v.get("re", 0.0), f"{path}.re"),

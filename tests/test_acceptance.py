@@ -115,7 +115,7 @@ def test_criterion_3_law_residuals():
         closed.append(cocycle_law_residual(m, phi, ts, grid))
         closed.append(max(semigroup_residual(sg, t, s, grid) for t in ts for s in ts))
     quad = []
-    for g in (holo.constant(-1.0), holo.coordinate()):
+    for g in (holo.constant(-1.0), holo.monomial(1)):
         phi = make_catalog_semiflow("attracting")
         m = cocycle_from_g(g, phi)
         sg = WcSemigroup(phi, m, SpaceSpec.hardy(2.0))

@@ -199,6 +199,16 @@ _BAD_INPUTS = {
                    {"label": "b", "generator": "-z", "reference": _DILATION}]},
         {"reconstruct/a": "error", "reconstruct/b": True},
     ),
+    "bound-table-flow-and-space-domains": (
+        {"suite": "bound-table", "ts": [0.5],
+         "cases": [{"label": "real-identity-on-hardy", "space": _HARDY2,
+                    "flow": {"name": "identity", "params": {"domain": "real"}}},
+                   {"label": "dilation-on-sup-cont", "space": {"kind": "sup-cont"},
+                    "flow": _DILATION},
+                   {"label": "ok", "space": _HARDY2, "flow": _DILATION}]},
+        {"bound/real-identity-on-hardy": "error", "bound/dilation-on-sup-cont": "error",
+         "bound/ok": True},
+    ),
 }
 
 # What the error of a case in _BAD_INPUTS must name.
@@ -209,6 +219,11 @@ _ERROR_TEXT = {
     "cocycle-check-undeclared-zero": {"cocycle/coboundary0": "omega vanishes at 0j"},
     "reconstruct-non-lipschitz-zero": {
         "reconstruct/a": "trajectory from -0.5 stalled at t=0.948778 after 4096 RK4 steps"},
+    "bound-table-flow-and-space-domains": {
+        "bound/real-identity-on-hardy":
+            "flow identity acts on the real domain, but H^2 lives on the disc domain",
+        "bound/dilation-on-sup-cont":
+            "flow dilation acts on the disc domain, but Cv[exp(-|x|)] lives on the real domain"},
 }
 
 
@@ -262,6 +277,23 @@ _BAD_CONFIGS = {
     "cocycle-check-cocycle-not-an-object": (
         {"suite": "cocycle-check", "flow": _DILATION, "cocycles": [5]},
         "cocycles[0]",
+    ),
+    "norm-table-fractional-n-theta": (
+        {"suite": "norm-table", "spaces": [{"kind": "hardy", "policy": {"n_theta": 512.7}}]},
+        "spaces[0].policy.n_theta",
+    ),
+    "norm-table-boolean-alpha": (
+        {"suite": "norm-table", "spaces": [{"kind": "bergman", "alpha": True}]},
+        "spaces[0].alpha",
+    ),
+    "cocycle-check-boolean-dilation-c": (
+        {"suite": "cocycle-check", "flow": {"name": "dilation", "params": {"c": True}},
+         "cocycles": [{"type": "trivial"}]},
+        "flow.params.c",
+    ),
+    "bound-table-fractional-max-test-degree": (
+        {"suite": "bound-table", "max_test_degree": 2.5, "cases": []},
+        "config.max_test_degree",
     ),
 }
 

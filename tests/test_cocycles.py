@@ -52,12 +52,12 @@ class TestIntegralCocycle:
 
     def test_law_residual_nonconstant_g(self):
         phi = make_catalog_semiflow("attracting")
-        m = cocycle_from_g(holo.coordinate(), phi)
+        m = cocycle_from_g(holo.monomial(1), phi)
         assert cocycle_law_residual(m, phi, TS, GRID) < 1e-7
         assert not m.constant_in_z
 
     def test_never_vanishes(self):
-        m = cocycle_from_g(holo.coordinate(), make_catalog_semiflow("attracting"))
+        m = cocycle_from_g(holo.monomial(1), make_catalog_semiflow("attracting"))
         vals = np.abs(np.asarray(m(1.0, GRID)))
         assert np.min(vals) > 0.0
 
@@ -83,7 +83,7 @@ class TestCoboundary:
     def test_identity_symbol_dilation(self):
         # omega = z, Fix = {0}, order 1: m_t = e^{-ct} everywhere including 0
         phi = dilation(1.0)
-        m = coboundary(holo.coordinate(), phi, {0.0: 1})
+        m = coboundary(holo.monomial(1), phi, {0.0: 1})
         t = 0.8
         for z in (0.0, 0.5, 0.2 - 0.4j):
             assert complex(np.asarray(m(t, z))) == pytest.approx(math.exp(-t), abs=1e-11)
@@ -105,7 +105,7 @@ class TestCoboundary:
     def test_moving_zero_rejected(self):
         phi = make_catalog_semiflow("attracting")  # fixes nothing inside the disc
         with pytest.raises(ZeroNotFixed):
-            coboundary(holo.coordinate(), phi, {0.0: 1})
+            coboundary(holo.monomial(1), phi, {0.0: 1})
 
     def test_wrong_order_detected(self):
         phi = dilation(1.0)
@@ -153,14 +153,15 @@ class TestDerivativeCocycle:
 
         affine = [make_catalog_semiflow(n) for n in ("dilation", "rotation", "attracting",
                                                      "translation-real", "identity")]
-        others = [make_catalog_semiflow("cubic-real"), semiflow_from_generator(holo.monomial(2) * -1.0)]
+        others = [make_catalog_semiflow("cubic-real"),
+                  semiflow_from_generator(holo.poly([0.0, 0.0, -1.0]))]
         assert all(derivative_cocycle(phi).constant_in_z for phi in affine)
         assert not any(derivative_cocycle(phi).constant_in_z for phi in others)
 
     def test_ode_flow_derivative_matches_closed_form(self):
         from wcsg.flows import semiflow_from_generator
 
-        ode = derivative_cocycle(semiflow_from_generator(holo.coordinate() * -1.0))
+        ode = derivative_cocycle(semiflow_from_generator(holo.poly([0.0, -1.0])))
         pts = np.array([0.0, 0.3 + 0.2j])
         assert np.allclose(ode(0.5, pts), math.exp(-0.5), atol=1e-8)
         assert np.allclose(ode.g(pts), -1.0, atol=1e-10)

@@ -8,10 +8,12 @@ import sys
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 
 
-def write_tree(root, reports):
+def write_tree(root, reports, csvs=None):
     root.mkdir()
     for suite, doc in reports.items():
         (root / f"{suite}.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    for suite, text in (csvs or {}).items():
+        (root / f"{suite}.csv").write_text(text)
     return root
 
 
@@ -25,9 +27,9 @@ def report(verdict=True, config=None):
     }
 
 
-def compare(tmp_path, left, right):
-    a = write_tree(tmp_path / "a", left)
-    b = write_tree(tmp_path / "b", right)
+def compare(tmp_path, left, right, csv_left=None, csv_right=None):
+    a = write_tree(tmp_path / "a", left, csv_left)
+    b = write_tree(tmp_path / "b", right, csv_right)
     proc = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
                           capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout
@@ -56,3 +58,15 @@ def test_suite_on_one_side_exits_one(tmp_path):
     code, out = compare(tmp_path, {"toy": report()}, {"toy": report(), "other": report()})
     assert code == 1
     assert "other.json: only in" in out
+
+
+def test_csv_rows_are_compared_byte_for_byte(tmp_path):
+    rows = "case_id,t,theoretical\ntoy/a,0.5,1.25\ntoy/a,1.0,2.5\n"
+    moved = rows.replace("2.5", "2.5000000000000004")
+    code, out = compare(tmp_path, {"toy": report(), "same": report()},
+                        {"toy": report(), "same": report()},
+                        {"toy": rows, "same": rows}, {"toy": moved, "same": rows})
+    assert code == 0
+    assert "toy.json: byte-identical" in out
+    assert "same.csv: byte-identical" in out
+    assert "toy.csv: differs at lines [3]" in out

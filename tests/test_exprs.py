@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcsg import exprs
+from wcsg import exprs, holo
 from wcsg.exprs import BinOp, Exp, Imag, Mobius, Neg, Num, Pow, Var, parse, print_expr, to_holofn
 
 
@@ -57,6 +57,39 @@ class TestParseEval:
     def test_cube_root_rejected_on_disc(self):
         with pytest.raises(ValueError):
             to_holofn("z^(1/3)", exprs.UNIT_DISC)
+
+
+class TestCompiled:
+    def test_evaluation_reads_no_tree_node(self):
+        reads = []
+
+        class SpyBinOp(BinOp):
+            def __getattribute__(self, name):
+                reads.append(name)
+                return super().__getattribute__(name)
+
+        tree = SpyBinOp("+", Pow(Var("z"), 2, 1), Exp(Neg(SpyBinOp("*", Imag(), Var("z")))))
+        fn = exprs.to_callable(tree)
+        reads.clear()
+        zs = np.array([0.5 + 0.25j, -0.3j])
+        out = fn(zs)
+        assert reads == []
+        assert np.array_equal(out, zs ** 2 + np.exp(-(1j * zs)))
+
+    def test_mobius_is_the_catalog_map(self):
+        zs = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 13))
+        for a in (0.3 + 0.4j, -0.5, 0.0):
+            assert np.array_equal(to_holofn(f"mobius({a.real!r} + {a.imag!r} * i)")(zs),
+                                  holo.mobius(a)(zs))
+
+    def test_mobius_parameter_folds_only_its_own_operator(self):
+        assert parse("mobius(0.5 + 0)") == Mobius(0.5, 0.0)
+
+    @pytest.mark.parametrize("src", ["mobius(1/0)", "mobius(0^(-1))", "mobius(2^10000)",
+                                     "z^1e999", "z^(1e999)"])
+    def test_arithmetic_faults_are_value_errors(self, src):
+        with pytest.raises(ValueError):
+            to_holofn(src)
 
 
 class TestRoundTrip:

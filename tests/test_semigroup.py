@@ -67,7 +67,7 @@ class TestSemigroupResidual:
 
     def test_integral_cocycle_pair(self):
         phi = make_catalog_semiflow("attracting")
-        m = cocycle_from_g(holo.coordinate(), phi)
+        m = cocycle_from_g(holo.monomial(1), phi)
         sg = WcSemigroup(phi, m, SpaceSpec.hardy(2.0))
         assert semigroup_residual(sg, 0.5, 0.1, disc_sample_grid(0.95)) < 1e-7
 
@@ -116,7 +116,7 @@ class TestTheoreticalBound:
 
     def test_dirichlet_general_cocycle_unsupported(self):
         phi = make_catalog_semiflow("dilation", {"c": 1.0})
-        m = cocycle_from_g(holo.coordinate(), phi)  # genuinely z-dependent
+        m = cocycle_from_g(holo.monomial(1), phi)  # genuinely z-dependent
         sg = WcSemigroup(phi, m, SpaceSpec.dirichlet())
         with pytest.raises(UnsupportedSpaceBound):
             theoretical_bound(sg, 0.5)
@@ -185,7 +185,8 @@ class TestGeneratorFormula:
         g = holo.constant(-1.0)
         f1, f2 = holo.monomial(1), holo.monomial(3)
         pts = disc_sample_grid(0.8)
-        lhs = np.asarray(generator_formula_apply(G, g, f1 + 2.0 * f2).fn(pts))
+        f = holo.poly([0.0, 1.0, 0.0, 2.0])  # f1 + 2 f2
+        lhs = np.asarray(generator_formula_apply(G, g, f).fn(pts))
         rhs = np.asarray(generator_formula_apply(G, g, f1).fn(pts)) + 2.0 * np.asarray(
             generator_formula_apply(G, g, f2).fn(pts)
         )
@@ -283,7 +284,7 @@ class TestMultiplierAndSplit:
     )
     def test_multiplier_bound(self, space):
         phi = make_catalog_semiflow("attracting")
-        m = cocycle_from_g(holo.coordinate(), phi)
+        m = cocycle_from_g(holo.monomial(1), phi)
         t = 0.5
         sup_m = sup_abs_cocycle(WcSemigroup(phi, m, space), t)
         for f in (holo.monomial(1), holo.poly([1, 1])):
