@@ -85,7 +85,10 @@ def _tokenize(src: str):
                 break
             raise ValueError(f"bad character at position {pos}: {src[pos:pos + 8]!r}")
         kind = m.lastgroup
-        out.append((kind, float(m.group(kind)) if kind == "num" else m.group(kind)))
+        value = float(m.group(kind)) if kind == "num" else m.group(kind)
+        if value == float("inf"):
+            raise ValueError(f"number {m.group(kind)} overflows a float")
+        out.append((kind, value))
         pos = m.end()
     out.append(("end", None))
     return out

@@ -89,9 +89,13 @@ class FixedPointSearch:
 # catalog
 # ---------------------------------------------------------------------------
 
+# The parameters of each catalog semiflow, with their types.
+CATALOG_PARAMS = {"dilation": {"c": complex}, "rotation": {"rate": float}, "attracting": {},
+                  "translation-real": {}, "cubic-real": {}, "identity": {"domain": str}}
+
+
 def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
-    """Closed-form semiflows: dilation(c), attracting, rotation(rate),
-    translation-real, cubic-real, identity."""
+    """A closed-form semiflow by name; CATALOG_PARAMS lists its parameters."""
     params = dict(params or {})
     if name == "dilation":
         c = complex(params.get("c", 1.0))
@@ -106,11 +110,7 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
             prime=lambda t, z, c=c: np.full(np.shape(z), np.exp(-c * t), dtype=complex),
         )
     if name == "rotation":
-        try:
-            rate = float(params.get("rate", 1.0))
-        except (TypeError, ValueError):
-            raise InvalidParam(f"rotation rate must be a real number, got {params['rate']!r}") from None
-        w = 1j * rate
+        w = 1j * float(params.get("rate", 1.0))
         return Semiflow(
             eval=lambda t, z, w=w: np.exp(w * t) * z,
             domain=UNIT_DISC,

@@ -291,19 +291,20 @@ def _radial_panels(r: float):
     return list(zip(pts[:-1], pts[1:]))
 
 
+def _panel(g, a: float, b: float, x, w, ring) -> float:
+    """Integral of g over the annulus a <= |z| <= b: Gauss-Legendre nodes
+    ``x``, weights ``w`` on [a, b] times the angular trapezoid ``ring``."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    s = mid + half * x
+    vals = np.asarray(g(s[:, None] * ring[None, :]), dtype=float)
+    ensure_finite(vals, "disc integrand")
+    return 2.0 * np.pi * half * float(np.dot(w, s * np.mean(vals, axis=1)))
+
+
 def _disc_integral_pass(g, r: float, m_per_panel: int, n_theta: int) -> float:
     ring = _circle_nodes(n_theta)
     x, w = _gl_nodes(m_per_panel)
-    total = 0.0
-    for a, b in _radial_panels(r):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        s = mid + half * x
-        pts = s[:, None] * ring[None, :]
-        vals = np.asarray(g(pts), dtype=float)
-        ensure_finite(vals, "disc integrand")
-        ring_means = np.mean(vals, axis=1)
-        total += 2.0 * np.pi * half * float(np.dot(w, s * ring_means))
-    return total
+    return sum(_panel(g, a, b, x, w, ring) for a, b in _radial_panels(r))
 
 
 def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: bool = True) -> float:
@@ -330,13 +331,7 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
 
 def annulus_integral(g, r_inner: float, r_outer: float, n_theta: int = 256) -> float:
     """Single-panel tensor rule over a thin annulus (extrapolation helper)."""
-    ring = _circle_nodes(n_theta)
-    x, w = _gl_nodes(16)
-    mid, half = 0.5 * (r_inner + r_outer), 0.5 * (r_outer - r_inner)
-    s = mid + half * x
-    vals = np.asarray(g(s[:, None] * ring[None, :]), dtype=float)
-    ring_means = np.mean(vals, axis=1)
-    return 2.0 * np.pi * half * float(np.dot(w, s * ring_means))
+    return _panel(g, r_inner, r_outer, *_gl_nodes(16), _circle_nodes(n_theta))
 
 
 def boundary_extrapolate(value_at_r1: float, value_at_r2: float, r1: float, r2: float,

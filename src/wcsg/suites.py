@@ -8,6 +8,7 @@ reporting Cases. A failing case is recorded with its error and verdict
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from . import cocycles, exprs, flows, holo, semigroup, spaces
 from .errors import ConfigError, WcsgError
-from .flows import OdeCfg, Semiflow, make_catalog_semiflow, semiflow_from_generator
+from .flows import (CATALOG_PARAMS, OdeCfg, Semiflow, make_catalog_semiflow,
+                    semiflow_from_generator)
 from .holo import REAL_LINE, UNIT_DISC, HoloFn, QuadPolicy
 from .reporting import Case
 from .semigroup import WcSemigroup
@@ -28,12 +30,23 @@ LN2 = 0.6931471805599453
 # config validation and object building
 # ---------------------------------------------------------------------------
 
-def _check_keys(cfg: dict, allowed, path: str):
+def _check_keys(cfg: dict, allowed, path: str, why: str = "unknown key"):
     if not isinstance(cfg, dict):
         raise ConfigError(path, f"expected an object, got {type(cfg).__name__}")
     for key in cfg:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown key")
+            raise ConfigError(f"{path}.{key}", why)
+
+
+def _check_variant_keys(cfg: dict, tag: str, own: dict, path: str, common=()):
+    """Check an object whose ``tag`` key names its variant (a space kind, a
+    cocycle type): it takes ``common`` keys and its variant's own keys. An
+    object of unknown variant may hold any variant's keys; its builder
+    rejects the variant."""
+    _check_keys(cfg, {tag, *common}.union(*own.values()), path)
+    kind = cfg.get(tag)
+    if isinstance(kind, str) and kind in own:
+        _check_keys(cfg, {tag, *common, *own[kind]}, path, f"not a key of {tag} {kind!r}")
 
 
 def _get(cfg: dict, key: str, path: str, default=None, required: bool = False):
@@ -51,13 +64,15 @@ def _get(cfg: dict, key: str, path: str, default=None, required: bool = False):
 
 
 def _number(v, path: str, cast=float):
-    """Coerce one config scalar; anything that is not a number is a ConfigError.
-    A boolean is not a number, and an int key takes only integral values."""
+    """Coerce one config scalar; anything but a finite JSON number is a
+    ConfigError. A boolean or a string is not a number, and an int key takes
+    only integral values."""
     try:
-        if isinstance(v, bool) or (cast is int and not float(v).is_integer()):
+        if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+                or (cast is int and not float(v).is_integer())):
             raise ValueError
         return cast(v)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         noun = "an integer" if cast is int else "a number"
         raise ConfigError(path, f"expected {noun}, got {v!r}") from None
 
@@ -86,23 +101,40 @@ def _nums(cfg: dict, key: str, path: str, default, cast=float) -> list:
 
 def _as_complex(v, path: str) -> complex:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
+        return complex(_number(v, path))
     if isinstance(v, dict) and set(v) <= {"re", "im"}:
         return complex(_number(v.get("re", 0.0), f"{path}.re"),
                        _number(v.get("im", 0.0), f"{path}.im"))
     raise ConfigError(path, "expected a number or {re, im}")
 
 
+def _named_numbers(cfg: dict, path: str, defaults: dict) -> dict:
+    """A section of named numbers: only the keys of ``defaults``, each coerced
+    to its default's type. The echo shows every value used, defaults too."""
+    _check_keys(cfg, set(defaults), path)
+    values = {k: _num(cfg, k, path, d, type(d)) for k, d in defaults.items()}
+    cfg.update(values)
+    return values
+
+
+@contextlib.contextmanager
+def _config_errors(path: str):
+    """Report a library error raised while building from the config object at
+    ``path`` as a ConfigError there."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, WcsgError) as e:
+        raise ConfigError(path, str(e))
+
+
 def _settings(cls, cfg: dict, path: str):
     """A settings dataclass (QuadPolicy, OdeCfg) from its config section: one
-    key per field, each defaulting to the field's default and echoed."""
-    fields = dataclasses.fields(cls)
-    _check_keys(cfg, {f.name for f in fields}, path)
-    values = {f.name: _num(cfg, f.name, path, f.default, type(f.default)) for f in fields}
-    try:
+    key per field, each defaulting to the field's default."""
+    values = _named_numbers(cfg, path, {f.name: f.default for f in dataclasses.fields(cls)})
+    with _config_errors(path):
         return cls(**values)
-    except ValueError as e:
-        raise ConfigError(path, str(e))
 
 
 def _expr(spec, domain, path: str) -> HoloFn:
@@ -123,13 +155,18 @@ def _build_weight(spec, domain, path: str) -> HoloFn:
     return _expr(spec, domain, path)
 
 
+# The keys of each space kind besides ``kind`` and ``policy``.
+_SPACE_KEYS = {"hardy": {"p"}, "bergman": {"alpha", "p"}, "dirichlet": set(),
+               "bloch": {"alpha"}, "sup-holo": {"weight"}, "sup-cont": {"weight", "halfwidth"}}
+
+
 def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
-    _check_keys(cfg, {"kind", "p", "alpha", "weight", "halfwidth", "policy"}, path)
+    _check_variant_keys(cfg, "kind", _SPACE_KEYS, path, {"policy"})
     kind = _get(cfg, "kind", path, required=True)
     policy = _get(cfg, "policy", path)
     policy = (holo.DEFAULT_POLICY if policy is None
               else _settings(QuadPolicy, policy, f"{path}.policy"))
-    try:
+    with _config_errors(path):
         if kind == "hardy":
             return SpaceSpec.hardy(_num(cfg, "p", path, 2.0), policy)
         if kind == "bergman":
@@ -150,46 +187,46 @@ def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
                 _get(cfg, "weight", path, "exp-decay"), REAL_LINE, f"{path}.weight"
             )
             return SpaceSpec.sup_cont(w, _num(cfg, "halfwidth", path, 40.0), policy)
-    except ConfigError:
-        raise
-    except (ValueError, WcsgError) as e:
-        raise ConfigError(path, str(e))
     raise ConfigError(f"{path}.kind", f"unknown space kind {kind!r}")
 
 
+# How a catalog parameter of each declared type is read.
+_PARAM_READERS = {complex: _as_complex, float: _number, str: lambda v, path: v}
+
+
 def build_flow(cfg: dict, path: str = "flow") -> Semiflow:
-    _check_keys(cfg, {"name", "params", "generator", "ode", "reference"}, path)
+    _check_keys(cfg, {"name", "params", "generator", "ode"}, path)
     name = _get(cfg, "name", path)
     gen = _get(cfg, "generator", path)
     if (name is None) == (gen is None):
         raise ConfigError(path, "give exactly one of 'name' (catalog) or 'generator' (ODE)")
     if name is not None:
+        _check_keys(cfg, {"name", "params"}, path, "not a key of a catalog flow")
+        own = CATALOG_PARAMS.get(name) if isinstance(name, str) else None
+        if own is None:
+            raise ConfigError(path, f"no catalog semiflow named {name!r}")
         params = _section(cfg, "params", path)
-        if not isinstance(params, dict):
-            raise ConfigError(f"{path}.params", "expected an object")
-        built = {}
-        for k, v in params.items():
-            built[k] = _as_complex(v, f"{path}.params.{k}") if k == "c" else v
-        try:
+        _check_keys(params, own, f"{path}.params", f"not a parameter of {name}")
+        built = {k: _PARAM_READERS[own[k]](v, f"{path}.params.{k}") for k, v in params.items()}
+        with _config_errors(path):
             return make_catalog_semiflow(name, built)
-        except WcsgError as e:
-            raise ConfigError(path, str(e))
+    _check_keys(cfg, {"generator", "ode"}, path, "not a key of an ODE flow")
     ode = _settings(OdeCfg, _section(cfg, "ode", path), f"{path}.ode")
-    try:
+    with _config_errors(path):
         return semiflow_from_generator(_expr(gen, None, f"{path}.generator"), ode)
-    except ConfigError:
-        raise
-    except (ValueError, WcsgError) as e:
-        raise ConfigError(path, str(e))
 
 
-_COCYCLE_KEYS = {"type", "g", "omega", "zeros"}
+_TRIVIAL = {"type": "trivial"}
+
+# The keys of each cocycle type besides ``type``.
+_COCYCLE_KEYS = {"trivial": set(), "integral": {"g"}, "derivative": set(),
+                 "coboundary": {"omega", "zeros"}}
 
 
 def build_cocycle(cfg: dict, phi: Semiflow, path: str = "cocycle") -> cocycles.Semicocycle:
-    _check_keys(cfg, _COCYCLE_KEYS, path)
+    _check_variant_keys(cfg, "type", _COCYCLE_KEYS, path)
     kind = _get(cfg, "type", path, required=True)
-    try:
+    with _config_errors(path):
         if kind == "trivial":
             return cocycles.trivial_cocycle()
         if kind == "integral":
@@ -201,16 +238,12 @@ def build_cocycle(cfg: dict, phi: Semiflow, path: str = "cocycle") -> cocycles.S
             omega = _expr(_get(cfg, "omega", path, required=True), phi.domain, f"{path}.omega")
             orders = {}
             for i, item in enumerate(_list(cfg, "zeros", path, [])):
-                _check_keys(item, {"re", "im", "order"}, f"{path}.zeros[{i}]")
                 zpath = f"{path}.zeros[{i}]"
+                _check_keys(item, {"re", "im", "order"}, zpath)
                 b = complex(_number(item.get("re", 0.0), f"{zpath}.re"),
                             _number(item.get("im", 0.0), f"{zpath}.im"))
                 orders[b] = _num(item, "order", zpath, cast=int, required=True)
             return cocycles.coboundary(omega, phi, orders)
-    except ConfigError:
-        raise
-    except (ValueError, WcsgError) as e:
-        raise ConfigError(path, str(e))
     raise ConfigError(f"{path}.type", f"unknown cocycle type {kind!r}")
 
 
@@ -243,13 +276,7 @@ def _section(cfg: dict, key: str, path: str) -> dict:
 
 
 def _tolerances(cfg: dict, path: str, defaults: dict) -> dict:
-    section = _section(cfg, "tolerances", path)
-    _check_keys(section, set(defaults), f"{path}.tolerances")
-    out = dict(defaults)
-    for k, v in section.items():
-        out[k] = _number(v, f"{path}.tolerances.{k}")
-    section.update(out)  # resolved tolerances appear in the config echo
-    return out
+    return _named_numbers(_section(cfg, "tolerances", path), f"{path}.tolerances", defaults)
 
 
 def _sweep(cfg: dict, ts, rmax: float, n: int):
@@ -269,11 +296,12 @@ def _sweep(cfg: dict, ts, rmax: float, n: int):
     return ts, rmax, n
 
 
-def _build_semigroup(cfg: dict, path: str) -> WcSemigroup:
-    """Space, flow and cocycle (trivial by default) of one case."""
-    space = build_space(_get(cfg, "space", path, required=True), f"{path}.space")
+def _build_semigroup(cfg: dict, path: str, space=None, cocycle=_TRIVIAL) -> WcSemigroup:
+    """Space, flow and cocycle of one case. ``space`` and ``cocycle`` are the
+    defaults of their keys; a key whose default is None is required."""
+    space = build_space(_get(cfg, "space", path, space, space is None), f"{path}.space")
     phi = build_flow(_get(cfg, "flow", path, required=True), f"{path}.flow")
-    m = build_cocycle(_get(cfg, "cocycle", path, {"type": "trivial"}), phi, f"{path}.cocycle")
+    m = build_cocycle(_get(cfg, "cocycle", path, cocycle, cocycle is None), phi, f"{path}.cocycle")
     return WcSemigroup(phi, m, space)
 
 
@@ -283,15 +311,19 @@ def _grid_for(domain, rmax: float = 0.95, n: int = 12):
     return flows.disc_sample_grid(rmax, 4, n)
 
 
-def _guarded(case_id: str, inputs: dict, fn) -> Case:
+def _guarded(case_id: str, inputs: dict, run) -> Case:
+    """The one place a Case is built. ``run()`` gives ``(inputs, numbers, ok,
+    rows)``; a case without rows writes its numbers as its CSV row. If it
+    raises a WcsgError, the case is an error case with the given ``inputs``."""
     try:
-        return fn()
+        inputs, numbers, ok, rows = run()
     except WcsgError as e:
         return Case(id=case_id, inputs=inputs, numbers={}, verdict="error", error=str(e))
+    return Case(id=case_id, inputs=inputs, numbers=numbers, verdict=bool(ok), rows=rows)
 
 
 def _run_cases(cfg: dict, key: str, allowed, id_prefix: str, run) -> list:
-    """The case loop: ``run(entry, path, cid)`` for each entry of ``cfg[key]``.
+    """The case loop: ``run(entry, path)`` for each entry of ``cfg[key]``.
 
     Each entry is checked against ``allowed``; its label defaults to
     ``case<i>`` (``pair<i>`` for ``pairs``) and the case id is
@@ -303,9 +335,8 @@ def _run_cases(cfg: dict, key: str, allowed, id_prefix: str, run) -> list:
         path = f"{key}[{i}]"
         _check_keys(entry, allowed, path)
         label = _get(entry, "label", path, f"{noun}{i}")
-        cid = f"{id_prefix}/{label}"
         inputs = {"pair": label} if noun == "pair" else {"label": label}
-        cases.append(_guarded(cid, inputs, lambda: run(entry, path, cid)))
+        cases.append(_guarded(f"{id_prefix}/{label}", inputs, lambda: run(entry, path)))
     return cases
 
 
@@ -325,9 +356,9 @@ def run_norm_table(cfg: dict) -> list:
     for i, scfg in enumerate(_list(cfg, "spaces", "config")):
         space = build_space(scfg, f"spaces[{i}]")
         for n in range(max_deg + 1):
-            cid = f"norm/{space.label}/e_{n}"
+            inputs = {"space": space.label, "n": n}
 
-            def run(space=space, n=n, cid=cid):
+            def run(space=space, n=n, inputs=inputs):
                 val = spaces.norm(space, holo.monomial(n))
                 if space.kind == "hardy":
                     expected, err, tol = 1.0, abs(val - 1.0), tols["hardy"]
@@ -347,15 +378,9 @@ def run_norm_table(cfg: dict) -> list:
                 numbers = {"n": n, "norm": val, "error": err}
                 if expected is not None:
                     numbers["expected"] = expected
-                return Case(
-                    id=cid,
-                    inputs={"space": space.label, "n": n},
-                    numbers=numbers,
-                    verdict=bool(err < tol),
-                    rows=[numbers],
-                )
+                return inputs, numbers, err < tol, []
 
-            cases.append(_guarded(cid, {"space": space.label, "n": n}, run))
+            cases.append(_guarded(f"norm/{space.label}/e_{n}", inputs, run))
 
     saks_cfg = _get(cfg, "saks", "config")
     if saks_cfg:
@@ -366,24 +391,19 @@ def run_norm_table(cfg: dict) -> list:
             space = build_space(scfg, f"saks.spaces[{i}]")
             corpus = spaces.default_corpus(real=space.is_real)
             for f in corpus:
-                cid = f"saks/{space.label}/{f.name}"
 
-                def run(space=space, f=f, cid=cid):
+                def run(space=space, f=f):
                     rep = spaces.saks_sup_check(space, f, radii, tol=gap_tol)
                     numbers = {
                         "norm": rep.norm,
                         "max_seminorm": rep.max_seminorm,
                         "gap": rep.gap,
                     }
-                    return Case(
-                        id=cid,
-                        inputs={"space": space.label, "f": f.name, "radii": radii},
-                        numbers=numbers,
-                        verdict=rep.verdict,
-                        rows=[numbers],
-                    )
+                    inputs = {"space": space.label, "f": f.name, "radii": radii}
+                    return inputs, numbers, rep.verdict, []
 
-                cases.append(_guarded(cid, {"space": space.label, "f": f.name}, run))
+                cases.append(_guarded(f"saks/{space.label}/{f.name}",
+                                      {"space": space.label, "f": f.name}, run))
     return cases
 
 
@@ -391,12 +411,10 @@ def run_semigroup_check(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "pairs", "sweep"}, "config")
     ts, rmax, grid_n = _sweep(cfg, [0.0, 0.1, 0.5, 1.0], 0.95, 12)
 
-    def run(pcfg, path, cid):
+    def run(pcfg, path):
         tol = _num(pcfg, "tol", path, 1e-10)
-        space = build_space(_get(pcfg, "space", path, {"kind": "hardy", "p": 2.0}), f"{path}.space")
-        phi = build_flow(_get(pcfg, "flow", path, required=True), f"{path}.flow")
-        m = build_cocycle(_get(pcfg, "cocycle", path, required=True), phi, f"{path}.cocycle")
-        sg = WcSemigroup(phi, m, space)
+        sg = _build_semigroup(pcfg, path, space={"kind": "hardy", "p": 2.0}, cocycle=None)
+        phi, m = sg.phi, sg.m
         grid = _grid_for(phi.domain, rmax, grid_n)
         r_flow = flows.semiflow_law_residual(phi, ts, grid)
         r_coc = cocycles.cocycle_law_residual(m, phi, ts, grid)
@@ -409,13 +427,7 @@ def run_semigroup_check(cfg: dict) -> list:
             "semigroup_residual": r_sg,
             "tol": tol,
         }
-        return Case(
-            id=cid,
-            inputs={"pair": pcfg["label"]},
-            numbers=numbers,
-            verdict=bool(max(r_flow, r_coc, r_sg) < tol),
-            rows=[numbers],
-        )
+        return {"pair": pcfg["label"]}, numbers, max(r_flow, r_coc, r_sg) < tol, []
 
     return _run_cases(cfg, "pairs", {"label", "space", "flow", "cocycle", "tol"}, "laws", run)
 
@@ -429,10 +441,10 @@ def run_cocycle_check(cfg: dict) -> list:
     cases = []
     for i, ccfg in enumerate(_list(cfg, "cocycles", "config")):
         path = f"cocycles[{i}]"
-        _check_keys(ccfg, _COCYCLE_KEYS, path)
-        cid = f"cocycle/{_get(ccfg, 'type', path, '?')}{i}"
+        _check_variant_keys(ccfg, "type", _COCYCLE_KEYS, path)
+        cid = f"cocycle/{ccfg.get('type', '?')}{i}"
 
-        def run(ccfg=ccfg, path=path, cid=cid):
+        def run(ccfg=ccfg, path=path):
             m = build_cocycle(ccfg, phi, path)
             res = cocycles.cocycle_law_residual(m, phi, ts, grid)
             numbers = {"law_residual": res}
@@ -442,13 +454,7 @@ def run_cocycle_check(cfg: dict) -> list:
                 worst = float(np.max(np.abs(cocycles.mdot0(m, zs) - m.g(zs))))
                 numbers["mdot0_roundtrip"] = worst
                 ok = ok and worst < tols["mdot0"]
-            return Case(
-                id=cid,
-                inputs={"cocycle": m.name, "flow": phi.name},
-                numbers=numbers,
-                verdict=bool(ok),
-                rows=[numbers],
-            )
+            return {"cocycle": m.name, "flow": phi.name}, numbers, ok, []
 
         cases.append(_guarded(cid, {"flow": phi.name}, run))
     return cases
@@ -460,7 +466,7 @@ def run_bound_table(cfg: dict) -> list:
     slack = _num(cfg, "slack", "config", 1e-3)
     max_deg = _num(cfg, "max_test_degree", "config", 8, int)
 
-    def run(bcfg, path, cid):
+    def run(bcfg, path):
         sg = _build_semigroup(bcfg, path)
         space, phi, m = sg.space, sg.phi, sg.m
         testset = semigroup.default_test_functions(space, max_degree=max_deg)
@@ -481,13 +487,8 @@ def run_bound_table(cfg: dict) -> list:
             )
             ok = ok and res.dominance_ok(slack)
         worst_ratio = max(r["empirical_lower"] / r["theoretical"] for r in rows)
-        return Case(
-            id=cid,
-            inputs={"space": space.label, "flow": phi.name, "cocycle": m.name},
-            numbers={"worst_ratio": worst_ratio, "slack": slack},
-            verdict=bool(ok),
-            rows=rows,
-        )
+        inputs = {"space": space.label, "flow": phi.name, "cocycle": m.name}
+        return inputs, {"worst_ratio": worst_ratio, "slack": slack}, ok, rows
 
     return _run_cases(cfg, "cases", {"label", "space", "flow", "cocycle"}, "bound", run)
 
@@ -498,15 +499,12 @@ def run_generator_check(cfg: dict) -> list:
     steps = tuple(_nums(cfg, "steps", "config", list(flows.DEFAULT_FD_STEPS)))
     radius = _num(cfg, "radius", "config", 0.9)
 
-    def run(gcfg, path, cid):
+    def run(gcfg, path):
         sg = _build_semigroup(gcfg, path)
         space, phi, m = sg.space, sg.phi, sg.m
         f = build_function(_get(gcfg, "f", path, required=True), phi.domain, f"{path}.f")
-        G = phi.generator
-        if G is None:
-            raise ConfigError(f"{path}.flow", "flow has no generator available")
         g = m.g if m.g is not None else holo.constant(0.0, phi.domain)
-        rep = semigroup.generator_residual(sg, G, g, f, steps=steps, radius=radius)
+        rep = semigroup.generator_residual(sg, phi.generator, g, f, steps=steps, radius=radius)
         numbers = {
             "residual": rep.extrapolated,
             "order": rep.order,
@@ -516,13 +514,8 @@ def run_generator_check(cfg: dict) -> list:
             rep.order >= tols["order_min"] or rep.order == float("inf")
         )
         rows = [{"h": h, "sup_residual": r} for h, r in rep.per_h]
-        return Case(
-            id=cid,
-            inputs={"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name},
-            numbers=numbers,
-            verdict=bool(ok),
-            rows=rows,
-        )
+        inputs = {"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name}
+        return inputs, numbers, ok, rows
 
     return _run_cases(cfg, "cases", {"label", "space", "flow", "cocycle", "f"}, "generator", run)
 
@@ -533,7 +526,7 @@ def run_reconstruct(cfg: dict) -> list:
     ts, rmax, grid_n = _sweep(cfg, [0.25, 0.5, 0.75, 1.0], 0.9, 6)
     ode_cfg = _section(cfg, "ode", "config")
 
-    def run(rcfg, path, cid):
+    def run(rcfg, path):
         phi_ode = build_flow(
             {"generator": _get(rcfg, "generator", path, required=True), "ode": ode_cfg},
             f"{path}",
@@ -552,13 +545,7 @@ def run_reconstruct(cfg: dict) -> list:
         fd_err = float(np.max(np.abs(flows.generator_fd(phi_ode, zs) - phi_ode.generator(zs))))
         numbers = {"max_deviation": dev, "generator_fd_error": fd_err}
         ok = dev < tols["deviation"] and fd_err < tols["generator_fd"]
-        return Case(
-            id=cid,
-            inputs={"generator": phi_ode.name, "reference": ref.name},
-            numbers=numbers,
-            verdict=bool(ok),
-            rows=[numbers],
-        )
+        return {"generator": phi_ode.name, "reference": ref.name}, numbers, ok, []
 
     return _run_cases(cfg, "cases", {"label", "generator", "reference"}, "reconstruct", run)
 
@@ -566,7 +553,7 @@ def run_reconstruct(cfg: dict) -> list:
 def run_continuity_probe(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "cases"}, "config")
 
-    def run(pcfg, path, cid):
+    def run(pcfg, path):
         sg = _build_semigroup(pcfg, path)
         space, phi, m = sg.space, sg.phi, sg.m
         f = build_function(_get(pcfg, "f", path, required=True), phi.domain, f"{path}.f")
@@ -585,11 +572,7 @@ def run_continuity_probe(cfg: dict) -> list:
         )
         expect = _section(pcfg, "expect", path)
         _check_keys(expect, {"gamma", "norm"}, f"{path}.expect")
-        ok = True
-        if "gamma" in expect:
-            ok = ok and probe.gamma_verdict == bool(expect["gamma"])
-        if "norm" in expect:
-            ok = ok and probe.norm_verdict == bool(expect["norm"])
+        ok = all(getattr(probe, f"{k}_verdict") == bool(v) for k, v in expect.items())
         rows = [
             {
                 "t": rec.t,
@@ -599,16 +582,9 @@ def run_continuity_probe(cfg: dict) -> list:
             }
             for rec in probe.records
         ]
-        return Case(
-            id=cid,
-            inputs={"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name},
-            numbers={
-                "gamma_verdict": probe.gamma_verdict,
-                "norm_verdict": probe.norm_verdict,
-            },
-            verdict=bool(ok),
-            rows=rows,
-        )
+        inputs = {"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name}
+        numbers = {"gamma_verdict": probe.gamma_verdict, "norm_verdict": probe.norm_verdict}
+        return inputs, numbers, ok, rows
 
     allowed = {"label", "space", "flow", "cocycle", "f", "ts", "radii", "tolerances",
                "norm_cap", "expect"}
@@ -619,34 +595,18 @@ def run_admissibility(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "flow", "cases", "tol"}, "config")
     tol = _num(cfg, "tol", "config", 1e-8)
     phi = build_flow(_get(cfg, "flow", "config", required=True), "flow")
-    if phi.generator is None:
-        raise ConfigError("flow", "admissibility needs a flow with a generator")
     search = flows.fixed_points(phi, phi.generator, _grid_for(phi.domain, 0.9))
 
-    def run(acfg, path, cid):
+    def run(acfg, path):
         g = _expr(_get(acfg, "g", path, required=True), phi.domain, f"{path}.g")
         verdict = cocycles.coboundary_admissibility(
             g, phi.generator, None, list(search.points), tol=tol
         )
         expect = _get(acfg, "expect_admissible", path)
         ok = verdict.admissible if expect is None else verdict.admissible == bool(expect)
-        rows = [
-            {
-                "point": r.point,
-                "ratio": r.ratio,
-                "nearest_order": r.nearest_order,
-                "distance": r.distance,
-                "admissible": r.admissible,
-            }
-            for r in verdict.records
-        ]
-        return Case(
-            id=cid,
-            inputs={"flow": phi.name, "g": g.name, "fixed_points": list(search.points)},
-            numbers={"admissible": verdict.admissible},
-            verdict=bool(ok),
-            rows=rows,
-        )
+        rows = [dataclasses.asdict(r) for r in verdict.records]
+        inputs = {"flow": phi.name, "g": g.name, "fixed_points": list(search.points)}
+        return inputs, {"admissible": verdict.admissible}, ok, rows
 
     return _run_cases(cfg, "cases", {"label", "g", "expect_admissible"}, "admissibility", run)
 

@@ -209,6 +209,33 @@ _BAD_INPUTS = {
         {"bound/real-identity-on-hardy": "error", "bound/dilation-on-sup-cont": "error",
          "bound/ok": True},
     ),
+    "bound-table-keys-of-another-variant": (
+        {"suite": "bound-table", "ts": [0.5],
+         "cases": [{"label": "hardy-with-alpha-and-weight", "flow": _DILATION,
+                    "space": {"kind": "hardy", "alpha": 5, "weight": "zzz"}},
+                   {"label": "attracting-with-params", "space": _HARDY2,
+                    "flow": {"name": "attracting", "params": {"rate": 9, "c": 3}}},
+                   {"label": "ok", "space": _HARDY2, "flow": _DILATION}]},
+        {"bound/hardy-with-alpha-and-weight": "error", "bound/attracting-with-params": "error",
+         "bound/ok": True},
+    ),
+    "cocycle-check-missing-type": (
+        {"suite": "cocycle-check", "flow": _DILATION,
+         "cocycles": [{"g": "z"}, {"type": "trivial"}]},
+        {"cocycle/?0": "error", "cocycle/trivial1": True},
+    ),
+    "semigroup-check-flow-keys": (
+        {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5], "grid_n": 4},
+         "pairs": [{"label": "string-rate", "flow": {"name": "rotation", "params": {"rate": "2"}},
+                    "cocycle": {"type": "trivial"}},
+                   {"label": "ode-with-params", "flow": {"generator": "-z", "params": {"c": 1}},
+                    "cocycle": {"type": "trivial"}},
+                   {"label": "catalog-with-ode", "flow": {"name": "dilation", "ode": {}},
+                    "cocycle": {"type": "trivial"}},
+                   {"label": "ok", "flow": _DILATION, "cocycle": {"type": "trivial"}}]},
+        {"laws/string-rate": "error", "laws/ode-with-params": "error",
+         "laws/catalog-with-ode": "error", "laws/ok": True},
+    ),
 }
 
 # What the error of a case in _BAD_INPUTS must name.
@@ -224,6 +251,14 @@ _ERROR_TEXT = {
             "flow identity acts on the real domain, but H^2 lives on the disc domain",
         "bound/dilation-on-sup-cont":
             "flow dilation acts on the disc domain, but Cv[exp(-|x|)] lives on the real domain"},
+    "bound-table-keys-of-another-variant": {
+        "bound/hardy-with-alpha-and-weight": "cases[0].space.alpha: not a key of kind 'hardy'",
+        "bound/attracting-with-params": "cases[1].flow.params.rate: not a parameter of attracting"},
+    "cocycle-check-missing-type": {"cocycle/?0": "cocycles[0].type: missing required key"},
+    "semigroup-check-flow-keys": {
+        "laws/string-rate": "pairs[0].flow.params.rate: expected a number, got '2'",
+        "laws/ode-with-params": "pairs[1].flow.params: not a key of an ODE flow",
+        "laws/catalog-with-ode": "pairs[2].flow.ode: not a key of a catalog flow"},
 }
 
 
@@ -294,6 +329,31 @@ _BAD_CONFIGS = {
     "bound-table-fractional-max-test-degree": (
         {"suite": "bound-table", "max_test_degree": 2.5, "cases": []},
         "config.max_test_degree",
+    ),
+    "norm-table-infinite-p": (
+        {"suite": "norm-table", "spaces": [{"kind": "hardy", "p": float("inf")}], "max_degree": 2},
+        "spaces[0].p",
+    ),
+    "norm-table-nan-tolerance": (
+        {"suite": "norm-table", "spaces": [_HARDY2], "tolerances": {"hardy": float("nan")}},
+        "config.tolerances.hardy",
+    ),
+    "cocycle-check-trivial-with-g": (
+        {"suite": "cocycle-check", "flow": _DILATION, "cocycles": [{"type": "trivial", "g": "z^5"}]},
+        "cocycles[0].g",
+    ),
+    "cocycle-check-integral-with-omega": (
+        {"suite": "cocycle-check", "flow": _DILATION,
+         "cocycles": [{"type": "integral", "g": "z", "omega": "nonsense", "zeros": 7}]},
+        "cocycles[0].omega",
+    ),
+    "cocycle-check-list-flow-name": (
+        {"suite": "cocycle-check", "flow": {"name": ["dilation"]}, "cocycles": []},
+        "flow",
+    ),
+    "admissibility-overflowing-literal": (
+        {"suite": "admissibility", "flow": {"generator": "-z + 1e999*z^2"}, "cases": []},
+        "flow.generator",
     ),
 }
 
@@ -424,11 +484,15 @@ def _entry_paths(node, prefix=()):
             yield from _entry_paths(value, prefix + (key,))
 
 
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 def _mutated(cfg, path, mutation):
     out = json.loads(json.dumps(cfg))  # as read from a file: no entry shares an object
-    parent = out
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _at(out, path[:-1])
     if mutation is _DROP:
         del parent[path[-1]]
     else:
@@ -444,6 +508,11 @@ def _tiny_verdicts(suite) -> dict:
 
 _FUZZ_TARGETS = [(suite, path) for suite, cfg in _TINY_CONFIGS.items()
                  for path in _entry_paths(cfg)]
+
+# Every object of every tiny config, the config itself included.
+_OBJECTS = [pytest.param(suite, path, id=":".join([suite, *map(str, path)]))
+            for suite, cfg in _TINY_CONFIGS.items()
+            for path in [(), *_entry_paths(cfg)] if isinstance(_at(cfg, path), dict)]
 
 
 class TestConfigFuzz:
@@ -473,6 +542,22 @@ class TestConfigFuzz:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("suite, path", _OBJECTS)
+    def test_unknown_key_in_any_object_is_an_error(self, suite, path):
+        """An unknown key exits 2 or makes an error case of the case it sits
+        in (of every case, for a section all cases read); it never leaves a
+        run unchanged."""
+        cfg = json.loads(json.dumps(_TINY_CONFIGS[suite]))
+        _at(cfg, path)["surplus"] = 1
+        try:
+            report = cli.run(cfg)
+        except WcsgError:
+            return
+        verdicts = [c.verdict for c in report.cases]
+        if len(path) > 1 and path[0] in ("cases", "pairs", "cocycles"):
+            verdicts = [verdicts[path[1]]]
+        assert verdicts and all(v == "error" for v in verdicts)
+
     def test_unknown_nested_key_path(self):
         with pytest.raises(ConfigError) as exc:
             build_space({"kind": "hardy", "pp": 2}, "space")
@@ -526,6 +611,14 @@ class TestEmission:
         rows = list(csv.reader(path.open()))
         assert len(rows) == 1 + 3  # header + one row per t
         assert rows[0][0] == "case_id"
+
+    def test_csv_row_of_a_case_without_rows_is_its_numbers(self, tmp_path):
+        cases = [Case(id="a", inputs={}, numbers={"x": 1.5, "z": 2j}, verdict=True),
+                 Case(id="b", inputs={}, numbers={}, verdict="error", error="boom")]
+        path = tmp_path / "r.csv"
+        emit_csv(Report(suite="norm-table", config={}, cases=cases), str(path))
+        rows = list(csv.reader(path.open()))
+        assert rows == [["case_id", "x", "z_re", "z_im"], ["a", "1.5", "0.0", "2.0"]]
 
     def test_empty_report_header_only(self, tmp_path):
         report = Report(suite="norm-table", config={}, cases=[])

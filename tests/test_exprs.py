@@ -86,7 +86,7 @@ class TestCompiled:
         assert parse("mobius(0.5 + 0)") == Mobius(0.5, 0.0)
 
     @pytest.mark.parametrize("src", ["mobius(1/0)", "mobius(0^(-1))", "mobius(2^10000)",
-                                     "z^1e999", "z^(1e999)"])
+                                     "z^1e999", "z^(1e999)", "1e999*z", "z + .5e400"])
     def test_arithmetic_faults_are_value_errors(self, src):
         with pytest.raises(ValueError):
             to_holofn(src)
