@@ -7,7 +7,8 @@ disc automorphism helper ``mobius(a)``. Printing is fully parenthesized and
 canonical, so parse(print(e)) reproduces the tree exactly.
 
 A parsed tree is compiled once into nested closures, one rule per node type,
-so evaluating an expression never walks its tree. The evaluators carry no
+so evaluating an expression never walks its tree; a part without a variable
+is evaluated once, at compile time, and must be finite. The evaluators carry no
 closed-form derivative; differentiation falls back to the numerical path of
 :func:`holo.derivative_on_grid`.
 """
@@ -260,19 +261,46 @@ def variables(node) -> set:
     return {n.name for n in _nodes(node) if isinstance(n, Var)}
 
 
+class _Const:
+    """A compiled subtree without a variable: its value, computed once."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, w):
+        return self.value
+
+
 def _compile(node):
     """The tree as nested closures of the point array w, one rule per node
-    type, so evaluating never walks the tree."""
+    type, so evaluating never walks the tree. A subtree without a variable is
+    evaluated once, here; one whose value is not a finite number
+    (``1e308*1e308``, ``1/0``) is a ValueError naming it. The tree is not
+    changed, so constants keep their printed names."""
     if isinstance(node, Num):
-        value = node.value
-        return lambda w: value
+        return _Const(node.value)
     if isinstance(node, Imag):
-        return lambda w: 1j
+        return _Const(1j)
     if isinstance(node, Var):
         return lambda w: w
     if isinstance(node, Mobius):
         return holo.mobius(complex(node.a_re, node.a_im)).fn
     args = [_compile(child) for child in _children(node)]
+    fn = _operation(node, args)
+    if not all(isinstance(arg, _Const) for arg in args):
+        return fn
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(None)
+    except (ZeroDivisionError, OverflowError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValueError(f"constant {print_expr(node)} is not a finite number")
+    return _Const(value)
+
+
+def _operation(node, args):
+    """The closure of an operator node over its compiled operands."""
     if isinstance(node, Neg):
         (arg,) = args
         return lambda w: -arg(w)

@@ -49,8 +49,10 @@ class OdeCfg:
 class Semiflow:
     """Time-indexed family phi_t.
 
-    ``eval`` maps (t, z) -> points for a numpy array z of the domain's dtype;
-    calling the semiflow passes a scalar z as a one-point array.
+    ``eval`` maps (t, z) -> points for a numpy array z of the domain's dtype
+    and a time t that is a float or an array broadcasting to z's shape (one
+    time per point); calling the semiflow passes a scalar z as a one-point
+    array.
     ``generator`` carries the closed-form vector field when known.
     ``prime`` carries the closed-form space derivative phi_t'(z) and is set
     only for affine flows, whose derivative is constant in z; otherwise
@@ -286,19 +288,20 @@ def _rk4_step(G, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate(G, z, t_target: float, cfg: OdeCfg, domain: Domain):
-    """RK4 from each start point of the 1-d array z, with per-point t, step h
-    and accept/halve/double decisions. A failed point stops stepping, as do
-    all later ones, and the first failure in array order is raised. Every
-    live point takes one step per pass, so a point still short of t_target
-    after ODE_STEP_BUDGET passes fails here as it would alone."""
-    y, t, h = z.copy(), np.zeros(z.shape), np.full(z.shape, min(cfg.h0, t_target))
+def _integrate(G, z, t_target, cfg: OdeCfg, domain: Domain):
+    """RK4 from each start point of the 1-d array z to its own time in the
+    array t_target, with per-point t, step h and accept/halve/double
+    decisions. A failed point stops stepping, as do all later ones, and the
+    first failure in array order is raised. Every live point takes one step
+    per pass, so a point still short of its time after ODE_STEP_BUDGET passes
+    fails here as it would alone."""
+    y, t, h = z.copy(), np.zeros(z.shape), np.minimum(cfg.h0, t_target)
     bound, first, failure, passes = 1.0 - cfg.exit_margin, len(z), None, 0
-    while (idx := np.flatnonzero(t[:first] < t_target)).size:
+    while (idx := np.flatnonzero(t[:first] < t_target[:first])).size:
         if passes == ODE_STEP_BUDGET:
             raise StepUnderflow(f"trajectory from {z[idx[0]].item()} stalled at t={t[idx[0]]:g} "
                                 f"after {ODE_STEP_BUDGET} RK4 steps")
-        hi = np.minimum(h[idx], t_target - t[idx])
+        hi = np.minimum(h[idx], t_target[idx] - t[idx])
         if np.any(hi < 1e-14):
             first = int(idx[np.argmax(hi < 1e-14)])
             failure = StepUnderflow(f"step size underflow at t={t[first]:g}")
@@ -340,9 +343,10 @@ def semiflow_from_generator(G: HoloFn, cfg: OdeCfg = OdeCfg()) -> Semiflow:
     field = (lambda y: np.real(G(y))) if is_real else (lambda y: np.asarray(G(y), dtype=complex))
 
     def eval_fn(t, z):
-        if t < 0:
+        ts = np.broadcast_to(np.asarray(t, dtype=float), z.shape).ravel()
+        if np.any(ts < 0):
             raise DomainExit("semiflow times must be >= 0", t=t)
-        return _integrate(field, z.ravel(), float(t), cfg, G.domain).reshape(z.shape)
+        return _integrate(field, z.ravel(), ts, cfg, G.domain).reshape(z.shape)
 
     return Semiflow(
         eval=eval_fn,

@@ -77,6 +77,13 @@ def _number(v, path: str, cast=float):
         raise ConfigError(path, f"expected {noun}, got {v!r}") from None
 
 
+def _flag(v, path: str) -> bool:
+    """One config boolean; anything but JSON true or false is a ConfigError."""
+    if not isinstance(v, bool):
+        raise ConfigError(path, f"expected true or false, got {v!r}")
+    return v
+
+
 def _num(cfg: dict, key: str, path: str, default=None, cast=float, required: bool = False):
     """A scalar config key, coerced by :func:`_number`."""
     return _number(_get(cfg, key, path, default, required), f"{path}.{key}", cast)
@@ -572,7 +579,8 @@ def run_continuity_probe(cfg: dict) -> list:
         )
         expect = _section(pcfg, "expect", path)
         _check_keys(expect, {"gamma", "norm"}, f"{path}.expect")
-        ok = all(getattr(probe, f"{k}_verdict") == bool(v) for k, v in expect.items())
+        want = {k: _flag(v, f"{path}.expect.{k}") for k, v in expect.items()}
+        ok = all(getattr(probe, f"{k}_verdict") == v for k, v in want.items())
         rows = [
             {
                 "t": rec.t,
@@ -602,8 +610,9 @@ def run_admissibility(cfg: dict) -> list:
         verdict = cocycles.coboundary_admissibility(
             g, phi.generator, None, list(search.points), tol=tol
         )
-        expect = _get(acfg, "expect_admissible", path)
-        ok = verdict.admissible if expect is None else verdict.admissible == bool(expect)
+        ok = verdict.admissible
+        if "expect_admissible" in acfg:
+            ok = ok == _flag(acfg["expect_admissible"], f"{path}.expect_admissible")
         rows = [dataclasses.asdict(r) for r in verdict.records]
         inputs = {"flow": phi.name, "g": g.name, "fixed_points": list(search.points)}
         return inputs, {"admissible": verdict.admissible}, ok, rows

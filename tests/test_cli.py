@@ -172,6 +172,25 @@ _BAD_INPUTS = {
          "cases": [{"label": "a", "g": 5}, {"label": "b", "g": "-1"}]},
         {"admissibility/a": "error", "admissibility/b": True},
     ),
+    "admissibility-flag-not-a-boolean": (
+        {"suite": "admissibility", "flow": _DILATION,
+         "cases": [{"label": "string", "g": "-1", "expect_admissible": "false"},
+                   {"label": "number", "g": "-1", "expect_admissible": 1},
+                   {"label": "null", "g": "-1", "expect_admissible": None},
+                   {"label": "ok", "g": "-1", "expect_admissible": True}]},
+        {"admissibility/string": "error", "admissibility/number": "error",
+         "admissibility/null": "error", "admissibility/ok": True},
+    ),
+    "continuity-probe-flag-not-a-boolean": (
+        {"suite": "continuity-probe",
+         "cases": [{"label": label, "space": _HARDY2, "flow": _DILATION, "f": "e_1",
+                    "ts": [0.1, 0.01], "radii": [0.5], "tolerances": {"co": 1e-2, "norm": 1e-2},
+                    "expect": expect}
+                   for label, expect in [("string", {"gamma": "true"}),
+                                         ("number", {"gamma": True, "norm": 0}),
+                                         ("ok", {"gamma": True})]]},
+        {"continuity/string": "error", "continuity/number": "error", "continuity/ok": True},
+    ),
     "reconstruct-generator-not-a-string": (
         {"suite": "reconstruct", "cases": [{"label": "a", "generator": 5, "reference": _DILATION}]},
         {"reconstruct/a": "error"},
@@ -255,6 +274,13 @@ _ERROR_TEXT = {
         "bound/hardy-with-alpha-and-weight": "cases[0].space.alpha: not a key of kind 'hardy'",
         "bound/attracting-with-params": "cases[1].flow.params.rate: not a parameter of attracting"},
     "cocycle-check-missing-type": {"cocycle/?0": "cocycles[0].type: missing required key"},
+    "admissibility-flag-not-a-boolean": {
+        "admissibility/string": "cases[0].expect_admissible: expected true or false, got 'false'",
+        "admissibility/number": "cases[1].expect_admissible: expected true or false, got 1",
+        "admissibility/null": "cases[2].expect_admissible: expected true or false, got None"},
+    "continuity-probe-flag-not-a-boolean": {
+        "continuity/string": "cases[0].expect.gamma: expected true or false, got 'true'",
+        "continuity/number": "cases[1].expect.norm: expected true or false, got 0"},
     "semigroup-check-flow-keys": {
         "laws/string-rate": "pairs[0].flow.params.rate: expected a number, got '2'",
         "laws/ode-with-params": "pairs[1].flow.params: not a key of an ODE flow",

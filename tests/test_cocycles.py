@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcsg import holo
+from wcsg import cocycles, flows, holo
 from wcsg.cocycles import (
     cocycle_from_g,
     cocycle_law_residual,
@@ -17,7 +17,8 @@ from wcsg.cocycles import (
     trivial_cocycle,
 )
 from wcsg.errors import DegenerateFixedPoint, OrderMismatch, ZeroNotFixed
-from wcsg.flows import disc_sample_grid, make_catalog_semiflow
+from wcsg.exprs import to_holofn
+from wcsg.flows import disc_sample_grid, make_catalog_semiflow, semiflow_from_generator
 
 TS = (0.0, 0.1, 0.5, 1.0)
 GRID = disc_sample_grid(0.95)
@@ -77,6 +78,46 @@ class TestIntegralCocycle:
                 rebuilt = np.exp(acc)
                 direct = complex(np.asarray(m(t, z)))
                 assert abs(direct - rebuilt) < 1e-7
+
+
+def _per_node_cocycle(g, phi, t, zs):
+    """exp of the fine time integral, one flow evaluation per node."""
+    xs, ws = holo.gl01(2 * cocycles._time_nodes(t))
+    acc = np.zeros(np.shape(zs), dtype=complex)
+    for x, w in zip(xs, ws):
+        acc = acc + w * np.asarray(g(np.asarray(phi(x * t, zs))))
+    return np.exp(t * acc)
+
+
+class TestBlockedTimeIntegral:
+    """The node blocks of the time integral round as one node at a time."""
+
+    @pytest.mark.parametrize("n_points", [13, 20_000])
+    def test_catalog_flow_equals_per_node_loop(self, n_points):
+        phi = make_catalog_semiflow("attracting")
+        g = to_holofn("0.3*z^2 - i*z")
+        zs = np.linspace(0.0, 0.95, n_points) * np.exp(2j * np.pi * np.arange(n_points) / 7)
+        for t in (0.3, 1.7):
+            assert np.array_equal(cocycle_from_g(g, phi)(t, zs), _per_node_cocycle(g, phi, t, zs))
+
+    @pytest.mark.parametrize("n_points", [13, 100])
+    def test_ode_flow_equals_per_node_loop(self, monkeypatch, n_points):
+        # a 50-point block holds 3 nodes of 13 points (the last block of 32
+        # nodes holds 2), or one node of 100
+        monkeypatch.setattr(cocycles, "NODE_BLOCK_POINTS", 50)
+        phi = semiflow_from_generator(to_holofn("-0.9*z + 0.25*i*z^2"))
+        g = to_holofn("0.4*z^2 + 1")
+        zs = disc_sample_grid(0.9, 3, 4) if n_points == 13 else disc_sample_grid(0.9, 9, 11)
+        assert zs.size == n_points
+        assert np.array_equal(cocycle_from_g(g, phi)(0.6, zs), _per_node_cocycle(g, phi, 0.6, zs))
+
+    def test_a_13_point_grid_takes_one_rk4_call_per_quadrature_rule(self, monkeypatch):
+        calls = []
+        integrate = flows._integrate
+        monkeypatch.setattr(flows, "_integrate", lambda *a: calls.append(1) or integrate(*a))
+        m = cocycle_from_g(to_holofn("z"), semiflow_from_generator(to_holofn("-z")))
+        m(0.8, disc_sample_grid(0.9, 3, 4))
+        assert len(calls) <= 2
 
 
 class TestCoboundary:

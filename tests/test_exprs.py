@@ -1,5 +1,7 @@
 """Expression grammar: parsing, evaluation, and the print round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,22 @@ class TestCompiled:
     def test_arithmetic_faults_are_value_errors(self, src):
         with pytest.raises(ValueError):
             to_holofn(src)
+
+
+    @pytest.mark.parametrize("src,named", [("1e308*1e308*z", "(1e+308 * 1e+308)"),
+                                           ("z + 1/0", "(1.0 / 0.0)"),
+                                           ("1/(1e308*1e308)*z", "(1e+308 * 1e+308)"),
+                                           ("exp(1000)*z", "exp(1000.0)"),
+                                           ("2^10000 - z", "(2.0^10000)")])
+    def test_non_finite_constant_is_a_value_error_naming_it(self, src, named):
+        with pytest.raises(ValueError, match=re.escape(f"constant {named} is not a finite")):
+            to_holofn(src)
+
+    def test_finite_constants_keep_their_printed_names(self):
+        f = to_holofn("2*3*z + exp(2) - 1e308/10")
+        assert f.name == "((((2.0 * 3.0) * z) + exp(2.0)) - (1e+308 / 10.0))"
+        with np.errstate(all="raise"):
+            assert f(0.5) == 3.0 + np.exp(2.0) - 1e307
 
 
 class TestRoundTrip:

@@ -259,6 +259,43 @@ class TestArrayPath:
         assert str(batch.value) == str(alone.value)
         assert "trajectory from 0.5 stalled" in str(alone.value)
 
+    @pytest.mark.parametrize("src", _ARRAY_PATH_EXPRS)
+    def test_per_point_times_equal_each_time_alone(self, src):
+        G = exprs.to_holofn(src)
+        phi = semiflow_from_generator(G)
+        grid = _sample_grid(G)
+        ts = np.resize([0.0, 0.013, 0.5, 1.7], grid.shape)
+        batch = phi(ts, grid)
+        alone = np.array([phi(t, z) for t, z in zip(ts, grid)])
+        assert batch.shape == grid.shape and batch.dtype == grid.dtype
+        assert np.array_equal(batch, alone)
+        # a column of times against a row of points, as the cocycle's node blocks
+        column = np.array([[0.013], [0.5], [1.7]])
+        block = phi(column, np.broadcast_to(grid, (3, grid.size)))
+        assert np.array_equal(block, [phi(t, grid) for t in column[:, 0]])
+
+    def test_earliest_node_escape_is_raised_with_per_point_times(self):
+        # one row of points per time node, as in the cocycle's blocks: u' = u^2
+        # keeps 0.9 inside until t ~ 0.111, so the 0.5 row is the first to escape
+        phi = semiflow_from_generator(exprs.to_holofn("z^2"))
+        with pytest.raises(EscapedDomain) as batch:
+            phi(np.array([[0.05], [0.5], [1.0]]), np.array([[0.1, 0.9]] * 3))
+        with pytest.raises(EscapedDomain) as alone:
+            phi(0.5, 0.9)
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.tau_estimate == alone.value.tau_estimate
+
+    def test_step_budget_with_per_point_times(self):
+        # 0.5 reaches the zero of -x^(1/3) at t ~ 0.945, so t = 0.2 arrives;
+        # -0.3 reaches it at t ~ 0.67 and creeps until the budget runs out
+        phi = semiflow_from_generator(exprs.to_holofn("-x^(1/3)"))
+        with pytest.raises(StepUnderflow) as batch:
+            phi(np.array([1.0, 0.2, 1.0]), np.array([2.0, 0.5, -0.3]))
+        with pytest.raises(StepUnderflow) as alone:
+            phi(1.0, -0.3)
+        assert str(batch.value) == str(alone.value)
+        assert "trajectory from -0.3 stalled" in str(alone.value)
+
     def test_generator_never_sees_a_0d_array(self):
         ndims = []
 

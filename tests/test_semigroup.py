@@ -1,14 +1,16 @@
 """Weighted composition operators: laws, bounds, generator and continuity probes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from wcsg import holo
+from wcsg import flows, holo, spaces
 from wcsg.cocycles import Semicocycle, cocycle_from_g, derivative_cocycle, trivial_cocycle
-from wcsg.errors import UnsupportedSpaceBound
-from wcsg.flows import disc_sample_grid, make_catalog_semiflow
+from wcsg.errors import InvalidParam, UnsupportedSpaceBound
+from wcsg.exprs import to_holofn
+from wcsg.flows import disc_sample_grid, make_catalog_semiflow, semiflow_from_generator
 from wcsg.semigroup import (
     WcSemigroup,
     apply,
@@ -74,6 +76,32 @@ class TestSemigroupResidual:
     def test_zero_times(self):
         sg = sg_trivial()
         assert semigroup_residual(sg, 0.0, 0.0, disc_sample_grid(0.9)) < 1e-14
+
+    def test_negative_time_is_invalid(self):
+        with pytest.raises(InvalidParam):
+            semigroup_residual(sg_trivial(), 0.5, -0.1, disc_sample_grid(0.9))
+
+    @pytest.mark.parametrize("corpus_size", [1, 5, 20])
+    def test_flow_is_evaluated_once_per_time_set(self, monkeypatch, corpus_size):
+        # phi_{t+s}, phi_t and phi_s(phi_t): three flow evaluations; with an
+        # integral cocycle on an ODE flow, m_{t+s}, m_t and m_s(phi_t) add two
+        # RK4 calls each
+        corpus = (spaces.default_corpus() * 4)[:corpus_size]
+        monkeypatch.setattr(spaces, "default_corpus", lambda real=False: corpus)
+        phi = make_catalog_semiflow("attracting")
+        evals = []
+        counted = dataclasses.replace(phi, eval=lambda t, z: evals.append(1) or phi.eval(t, z))
+        semigroup_residual(WcSemigroup(counted, trivial_cocycle(), SpaceSpec.hardy(2.0)),
+                           0.5, 0.1, disc_sample_grid(0.9, 3, 4))
+        assert len(evals) == 3
+
+        calls = []
+        integrate = flows._integrate
+        monkeypatch.setattr(flows, "_integrate", lambda *a: calls.append(1) or integrate(*a))
+        ode = semiflow_from_generator(to_holofn("1 - z"))
+        sg = WcSemigroup(ode, cocycle_from_g(holo.monomial(1), ode), SpaceSpec.hardy(2.0))
+        semigroup_residual(sg, 0.5, 0.1, disc_sample_grid(0.9, 3, 4))
+        assert len(calls) == 3 + 3 * 2
 
 
 class TestTheoreticalBound:
