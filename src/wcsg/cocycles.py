@@ -206,6 +206,8 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
 
 def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:
     """max over samples of |m_{t+s}(z) - m_t(z) m_s(phi_t(z))| and |m_0(z) - 1|."""
+    if any(t < 0 for t in ts):
+        raise InvalidParam("cocycle times must be >= 0")
     pts = np.asarray(grid)
     worst = float(np.max(np.abs(np.asarray(m(0.0, pts)) - 1.0)))
     for t in ts:

@@ -97,11 +97,30 @@ def _tokenize(src: str):
 
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
+# Deepest accepted nesting, both of the tree (operators, unary minus, powers
+# and function calls on the way from the root to a leaf) and of the source's
+# parentheses. The recursive parser, compiler, printer and tree walk all stay
+# well inside Python's default recursion limit at this depth, and the printed
+# form of an accepted tree nests its parentheses no deeper than the tree.
+MAX_DEPTH = 100
+
+
+def _within_limit(depth: int) -> int:
+    if depth > MAX_DEPTH:
+        raise ValueError(f"expression nests deeper than {MAX_DEPTH} levels")
+    return depth
+
 
 class _Parser:
+    """Recursive descent; each parse method returns the node and its tree
+    depth. The parser recurses only into parentheses, and ``groups`` counts
+    those open on the way down, so too deep an input fails before it
+    exhausts the recursion limit."""
+
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
+        self.groups = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -126,10 +145,12 @@ class _Parser:
 
     def left_assoc(self, ops, operand):
         """operand (op operand)*, folded to the left, for ``+ -`` and ``* /``."""
-        node = operand()
+        node, depth = operand()
         while self.peek()[0] == "op" and self.peek()[1] in ops:
-            node = BinOp(self.next()[1], node, operand())
-        return node
+            op = self.next()[1]
+            right, right_depth = operand()
+            node, depth = BinOp(op, node, right), _within_limit(max(depth, right_depth) + 1)
+        return node, depth
 
     def parse_expr(self):
         return self.left_assoc("+-", self.parse_term)
@@ -138,12 +159,17 @@ class _Parser:
         return self.left_assoc("*/", self.parse_factor)
 
     def parse_factor(self):
-        if self.accept("-"):
-            return Neg(self.parse_factor())
-        base = self.parse_atom()
+        """``-* atom (^ exponent)?``; the minus signs apply last."""
+        negs = 0
+        while self.accept("-"):
+            negs += 1
+        node, depth = self.parse_atom()
         if self.accept("^"):
-            return Pow(base, *self.parse_exponent())
-        return base
+            node, depth = Pow(node, *self.parse_exponent()), depth + 1
+        depth = _within_limit(depth + negs)
+        for _ in range(negs):
+            node = Neg(node)
+        return node, depth
 
     def parse_exponent(self):
         """An integer, optionally signed and parenthesized, or (1/3), (2/3)."""
@@ -165,38 +191,44 @@ class _Parser:
     def parenthesized(self):
         """``( expr )``: a grouping, or the argument of exp and mobius."""
         self.expect("op", "(")
-        node = self.parse_expr()
+        self.groups = _within_limit(self.groups + 1)
+        node_depth = self.parse_expr()
+        self.groups -= 1
         self.expect("op", ")")
-        return node
+        return node_depth
 
     def parse_atom(self):
         if self.peek() == ("op", "("):
             return self.parenthesized()
         kind, val = self.next()
         if kind == "num":
-            return Num(val)
+            return Num(val), 0
         if kind != "ident":
             raise ValueError(f"unexpected token {val!r}")
         if val == "i":
-            return Imag()
+            return Imag(), 0
         if val in ("z", "x"):
-            return Var(val)
+            return Var(val), 0
         if val == "exp":
-            return Exp(self.parenthesized())
+            arg, depth = self.parenthesized()
+            return Exp(arg), _within_limit(depth + 1)
         if val == "mobius":
+            arg, _ = self.parenthesized()
             try:
-                a = _const_fold(self.parenthesized())
+                a = _const_fold(arg)
             except (ZeroDivisionError, OverflowError) as e:
                 raise ValueError(f"mobius parameter: {e}") from None
             if abs(a) >= 1:
                 raise ValueError("mobius parameter must lie in the open unit disc")
-            return Mobius(a.real, a.imag)
+            return Mobius(a.real, a.imag), 1  # printed as a call: one group deep
         raise ValueError(f"unknown identifier {val!r}")
 
 
 def parse(src: str):
+    """The expression tree of src; a ValueError if src is malformed or nests
+    deeper than MAX_DEPTH levels."""
     parser = _Parser(_tokenize(src))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     parser.expect("end")
     return node
 

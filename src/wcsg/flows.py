@@ -1,4 +1,4 @@
-"""Semiflow catalog, law verification, generator extraction, ODE reconstruction.
+"""Semiflow catalog, sample grids, generator extraction, ODE reconstruction.
 
 A semiflow is a time-indexed family of self-maps of its domain with
 phi_0 = id and phi_{t+s} = phi_t o phi_s. Catalog entries are closed forms;
@@ -162,7 +162,7 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
 
 
 # ---------------------------------------------------------------------------
-# law residuals and generator extraction
+# sample grids and generator extraction
 # ---------------------------------------------------------------------------
 
 def disc_sample_grid(rmax: float = 0.95, n_radii: int = 4, n_angles: int = 12):
@@ -173,26 +173,6 @@ def disc_sample_grid(rmax: float = 0.95, n_radii: int = 4, n_angles: int = 12):
 
 def real_sample_grid(xmax: float = 10.0, n: int = 21):
     return np.linspace(-xmax, xmax, n)
-
-
-def semiflow_law_residual(phi: Semiflow, ts, grid) -> float:
-    """max over samples of |phi_{t+s}(z) - phi_t(phi_s(z))| and |phi_0(z) - z|."""
-    pts = np.asarray(grid)
-    if not phi.domain.contains(pts, margin=0.0):
-        raise DomainExit("sample grid must lie inside the domain", point=pts)
-    worst = float(np.max(np.abs(np.asarray(phi(0.0, pts)) - pts)))
-    for t in ts:
-        inner = np.asarray(phi(t, pts))
-        if phi.domain.kind == "disc" and not phi.domain.contains(inner):
-            bad = int(np.argmax(np.abs(inner) >= 1.0))
-            raise DomainExit(
-                f"phi_t left the domain at t={t:g}", point=pts.flat[bad], t=t
-            )
-        for s in ts:
-            lhs = np.asarray(phi(t + s, pts))
-            rhs = np.asarray(phi(s, inner))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
 
 
 def right_derivative(quotient, steps, what: str):

@@ -1,10 +1,10 @@
 """Weighted composition operators C(t)f = m_t (f o phi_t) on a chosen space.
 
-Provides the operator itself, its semigroup-law residual, theoretical
-operator-norm bounds with empirical lower-bound witnesses, generator
-diagnostics (difference quotients against G f' + g f, with the bounded
-difference-quotient evidence), and a probe for mixed-topology versus norm
-strong continuity.
+Provides the operator itself, one sweep for the semiflow, cocycle and
+semigroup law residuals, theoretical operator-norm bounds with empirical
+lower-bound witnesses, generator diagnostics (difference quotients against
+G f' + g f, with the bounded difference-quotient evidence), and a probe for
+mixed-topology versus norm strong continuity.
 
 Operator norms are bracketed, never claimed exact: a closed-form upper bound
 above, a sup over a fixed, versioned test-function set below.
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from . import holo, spaces
 from .cocycles import Semicocycle
-from .errors import InvalidParam, UnsupportedSpaceBound
+from .errors import DomainExit, InvalidParam, UnsupportedSpaceBound
 from .flows import DEFAULT_FD_STEPS, Semiflow, disc_sample_grid, real_sample_grid
 from .holo import HoloFn
 from .spaces import SeminormIndex, SpaceSpec, certified_sup, co_seminorm, norm
@@ -64,26 +65,48 @@ def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:
     return HoloFn(fn, sg.phi.domain, name=f"C({t:g}){f.name or 'f'}", deriv=deriv)
 
 
-def semigroup_residual(sg: WcSemigroup, t: float, s: float, grid) -> float:
-    """max pointwise deviation of C(t+s)f from C(t)C(s)f over grid and the
-    default corpus. The flow and cocycle values do not depend on f: each is
-    evaluated once, and only f runs per corpus function."""
-    t, s = float(t), float(s)
-    if min(t, s, t + s) < 0:
+def semigroup_residual(sg: WcSemigroup, ts, grid) -> tuple[float, float, float]:
+    """The semiflow, cocycle and semigroup law residuals: over the grid and
+    every pair (t, s) of ts, the maxima of |phi_0 - id| and |phi_{t+s} -
+    phi_s o phi_t|; of |m_0 - 1| and |m_{t+s} - m_t (m_s o phi_t)|; and of
+    |C(t+s)f - C(t)C(s)f| for f in the default corpus.
+
+    The laws are identities in the same values, so phi_u and m_u are
+    evaluated once per distinct time u in {0, t, t+s}, phi_s(phi_t) and
+    m_s(phi_t) once per pair, and only f runs per corpus function. The flow
+    runs first, so a flow that fails is reported before its cocycle."""
+    ts = [float(t) for t in ts]
+    if any(t < 0 for t in ts):
         raise InvalidParam("semigroup times must be >= 0")
-    pts = np.asarray(grid)
-    phi_ts = np.asarray(sg.phi(t + s, pts))
-    m_ts = np.asarray(sg.m(t + s, pts))
-    phi_t = np.asarray(sg.phi(t, pts))
-    m_t = np.asarray(sg.m(t, pts))
-    phi_st = np.asarray(sg.phi(s, phi_t))
-    m_st = np.asarray(sg.m(s, phi_t))
-    worst = 0.0
-    for f in spaces.default_corpus(real=sg.space.is_real):
-        lhs = m_ts * np.asarray(f.fn(phi_ts))
-        rhs = m_t * (m_st * np.asarray(f.fn(phi_st)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    phi, m, pts = sg.phi, sg.m, np.asarray(grid)
+    if not phi.domain.contains(pts, margin=0.0):
+        raise DomainExit("sample grid must lie inside the domain", point=pts)
+    phi_at = cache(lambda u: np.asarray(phi(u, pts)))
+    m_at = cache(lambda u: np.asarray(m(u, pts)))
+
+    semiflow = float(np.max(np.abs(phi_at(0.0) - pts)))
+    phi_st = {}
+    for t in ts:
+        phi_t = phi_at(t)
+        if phi.domain.kind == "disc" and not phi.domain.contains(phi_t):
+            bad = int(np.argmax(np.abs(phi_t) >= 1.0))
+            raise DomainExit(f"phi_t left the domain at t={t:g}", point=pts.flat[bad], t=t)
+        for s in ts:
+            lhs = phi_at(t + s)
+            phi_st[t, s] = np.asarray(phi(s, phi_t))
+            semiflow = max(semiflow, float(np.max(np.abs(lhs - phi_st[t, s]))))
+
+    cocycle, semigroup = float(np.max(np.abs(m_at(0.0) - 1.0))), 0.0
+    for t in ts:
+        m_t = m_at(t)
+        for s in ts:
+            m_ts, m_st = m_at(t + s), np.asarray(m(s, phi_at(t)))
+            cocycle = max(cocycle, float(np.max(np.abs(m_ts - m_t * m_st))))
+            for f in spaces.default_corpus(real=sg.space.is_real):
+                lhs = m_ts * np.asarray(f.fn(phi_at(t + s)))
+                rhs = m_t * (m_st * np.asarray(f.fn(phi_st[t, s])))
+                semigroup = max(semigroup, float(np.max(np.abs(lhs - rhs))))
+    return semiflow, cocycle, semigroup
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +131,7 @@ class BoundResult:
 
 def sup_abs_cocycle(sg: WcSemigroup, t: float) -> float:
     """Certified grid maximum of |m_t| over the space's domain."""
-    val, _ = certified_sup(lambda z: np.abs(np.asarray(sg.m(t, z))), sg.space)
-    return val
+    return certified_sup(lambda z: np.abs(np.asarray(sg.m(t, z))), sg.space)
 
 
 def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
@@ -121,7 +143,7 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
     if space.kind == "hardy":
         comp = ((1.0 + phi0) / (1.0 - phi0)) ** (1.0 / space.p)
     elif space.kind == "bergman":
-        sup_phi, _ = certified_sup(lambda z: np.abs(np.asarray(phi(t, z))), space)
+        sup_phi = certified_sup(lambda z: np.abs(np.asarray(phi(t, z))), space)
         comps["sup_abs_phi_t"] = sup_phi
         a, p = space.alpha, space.p
         if a >= 0:
@@ -141,9 +163,8 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
             dphi = np.abs(np.asarray(phi.space_derivative(t, z)))
             return dphi * np.real(vfn(z)) / np.real(vfn(np.asarray(phi(t, z))))
 
-        K, delta = certified_sup(kval, space)
+        K = certified_sup(kval, space)
         comps["K_weight"] = K
-        comps["K_weight_delta"] = delta
         # the norm carries |f(0)|: account for the moved base point via
         # |f(phi_t(0)) - f(0)| <= (sup |f'| v) * int_segment 1/v
         phi0 = phi(t, 0.0)
@@ -161,9 +182,8 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
         def kval(z):
             return np.real(vfn(z)) / np.real(vfn(np.asarray(phi(t, z))))
 
-        comp, delta = certified_sup(kval, space)
+        comp = certified_sup(kval, space)
         comps["K_weight"] = comp
-        comps["K_weight_delta"] = delta
     return comp, comps
 
 
@@ -197,7 +217,7 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
                 dm = np.abs(holo.derivative_on_grid(m_t, z))
                 return dm * _bloch_log_weight(z)
 
-            S, _ = certified_sup(logsup, space)
+            S = certified_sup(logsup, space)
             fac = 3.0 * sup_m + S
         else:
             L = 1.0 / (1.0 - a)

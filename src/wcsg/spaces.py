@@ -9,8 +9,7 @@ check numerically).
 
 Integral norms are truncated at ``policy.r_cap`` and extrapolated to the
 boundary using the known tail exponent; sup-type norms are certified grid
-maxima (two dyadic refinements, reported value is a lower bound plus the
-last refinement delta).
+maxima over a fixed grid, lower bounds for the true sup.
 """
 
 from __future__ import annotations
@@ -135,79 +134,40 @@ class SeminormIndex:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _disc_radii(level: int, r_cap: float):
-    inner = np.arange(0.0, 0.45, 0.1)
-    m = 2 ** level
-    ks = np.arange(m, 20 * m + 1)
-    dyadic = 1.0 - 2.0 ** (-ks / m)
-    rs = np.concatenate([inner, dyadic[dyadic <= r_cap], [r_cap]])
-    return np.unique(rs)
+def disc_sup_points(r_cap: float):
+    """Polar sup grid: radii 0, 0.1, .., 0.4, then 1 - 2^(-k/4) up to r_cap
+    and r_cap itself; 512 uniform angles plus angles pi 2^(-j/4) clustered
+    on both sides of 0."""
+    dyadic = 1.0 - 2.0 ** (-np.arange(4, 81) / 4)
+    rs = np.unique(np.concatenate([np.arange(0.0, 0.45, 0.1), dyadic[dyadic <= r_cap], [r_cap]]))
+    uniform = 2.0 * np.pi * np.arange(512) / 512
+    clustered = np.pi * 2.0 ** (-np.arange(4, 65) / 4)
+    angles = np.unique(np.concatenate([uniform, clustered, 2.0 * np.pi - clustered]))
+    return (rs[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
 @lru_cache(maxsize=32)
-def _disc_angles(level: int):
-    m = 2 ** level
-    n = 128 * m
-    uniform = 2.0 * np.pi * np.arange(n) / n
-    js = np.arange(m, 16 * m + 1)
-    clustered = np.pi * 2.0 ** (-js / m)
-    return np.unique(np.concatenate([uniform, clustered, 2.0 * np.pi - clustered]))
+def real_sup_points(halfwidth: float):
+    return np.linspace(-halfwidth, halfwidth, 8193)
 
 
-@lru_cache(maxsize=32)
-def disc_sup_points(level: int, r_cap: float):
-    rs = _disc_radii(level, r_cap)
-    ring = np.exp(1j * _disc_angles(level))
-    return (rs[:, None] * ring[None, :]).ravel()
-
-
-@lru_cache(maxsize=32)
-def real_sup_points(level: int, halfwidth: float):
-    return np.linspace(-halfwidth, halfwidth, 2048 * 2 ** level + 1)
-
-
-@lru_cache(maxsize=32)
-def _level1_index(is_real: bool, param: float):
-    """Positions of the level-1 sup-grid points inside the level-2 grid.
-
-    ``param`` is the real half-width or the disc truncation radius. Every
-    level-1 point is bit-for-bit a level-2 point, so one level-2 evaluation
-    yields both refinement levels.
-    """
-    if is_real:
-        fine, coarse = real_sup_points(2, param), real_sup_points(1, param)
-        idx = np.arange(0, fine.size, 2)
-    else:
-        fine, coarse = disc_sup_points(2, param), disc_sup_points(1, param)
-        angles = _disc_angles(2)
-        rows = np.searchsorted(_disc_radii(2, param), _disc_radii(1, param))
-        cols = np.searchsorted(angles, _disc_angles(1))
-        idx = (rows[:, None] * angles.size + cols[None, :]).ravel()
-    if idx.shape != coarse.shape or not np.array_equal(fine[idx], coarse):
-        raise AssertionError("the level-1 sup grid is not a subset of the level-2 grid")
-    return idx
-
-
-def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0):
+def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0) -> float:
     """Certified grid maximum of a pointwise functional.
 
-    ``values_at`` maps a point array to nonnegative reals. Returns the level-2
-    value (a lower bound for the true sup) and the delta gained over the
-    level-1 subgrid, whose maximum is read off the same evaluation.
+    ``values_at`` maps a point array to nonnegative reals. Returns its
+    maximum over the sup grid, a lower bound for the true sup.
     """
     if space.is_real:
-        param = space.real_halfwidth
-        pts = real_sup_points(2, param) * radius_scale
+        pts = real_sup_points(space.real_halfwidth) * radius_scale
     else:
-        param = space.policy.r_cap
-        pts = disc_sup_points(2, param)
+        r_cap = space.policy.r_cap
+        pts = disc_sup_points(r_cap)
         if radius_scale != 1.0:
-            pts = pts * (radius_scale / param)
+            pts = pts * (radius_scale / r_cap)
     vals = np.asarray(values_at(pts), dtype=float)
     if not np.all(np.isfinite(vals)) or np.max(vals) > OVERFLOW_GUARD:
         raise Unbounded("sup evaluation exceeded the overflow guard")
-    sup = float(np.max(vals))
-    return sup, sup - float(np.max(vals[_level1_index(space.is_real, param)]))
+    return float(np.max(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +185,6 @@ class NormEvaluation:
     r_truncate: float | None = None
     r_refine: float | None = None
     tail_exponent: float | None = None
-    sup_delta: float | None = None
     real_halfwidth: float | None = None
 
 
@@ -317,11 +276,9 @@ def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
         )
 
     values_at, head = _sup_functional(space, f)
-    sup, delta = certified_sup(values_at, space)
     return NormEvaluation(
-        value=head + sup,
+        value=head + certified_sup(values_at, space),
         method="certified-grid-sup",
-        sup_delta=delta,
         real_halfwidth=space.real_halfwidth if space.is_real else None,
     )
 
@@ -337,8 +294,7 @@ def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
         r = s * (1.0 - 1e-6) if space.kind == "hardy" else s
         return float(_radial_functional(space, f, r, certify=False) ** _root(space))
     values_at, head = _sup_functional(space, f)
-    sup, _ = certified_sup(values_at, space, radius_scale=s)
-    return head + sup
+    return head + certified_sup(values_at, space, radius_scale=s)
 
 
 @dataclass(frozen=True)

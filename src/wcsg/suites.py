@@ -289,13 +289,17 @@ def _tolerances(cfg: dict, path: str, defaults: dict) -> dict:
 def _sweep(cfg: dict, ts, rmax: float, n: int):
     """The sweep section: sample times, grid radius and grid density.
 
-    A grid with no angles or no radius collapses to the origin, where every
-    law holds trivially, so both are rejected."""
+    The laws hold for times t >= 0 only, so negative times are rejected. A
+    grid with no angles or no radius collapses to the origin, where every
+    law holds trivially, so both are rejected too."""
     sweep = _section(cfg, "sweep", "config")
     _check_keys(sweep, {"ts", "grid_rmax", "grid_n"}, "sweep")
     ts = _nums(sweep, "ts", "sweep", ts)
     rmax = _num(sweep, "grid_rmax", "sweep", rmax)
     n = _num(sweep, "grid_n", "sweep", n, int)
+    for i, t in enumerate(ts):
+        if t < 0:
+            raise ConfigError(f"sweep.ts[{i}]", f"must be >= 0, got {t!r}")
     if not rmax > 0:
         raise ConfigError("sweep.grid_rmax", f"must be positive, got {rmax!r}")
     if n < 1:
@@ -313,8 +317,12 @@ def _build_semigroup(cfg: dict, path: str, space=None, cocycle=_TRIVIAL) -> WcSe
 
 
 def _grid_for(domain, rmax: float = 0.95, n: int = 12):
+    """The law sample grid; a disc grid must lie inside the open disc."""
     if domain.kind == "real":
         return flows.real_sample_grid(10.0, 2 * n + 1)
+    if rmax >= 1:
+        raise ConfigError("sweep.grid_rmax",
+                          f"a disc grid must lie inside the unit disc, got {rmax!r}")
     return flows.disc_sample_grid(rmax, 4, n)
 
 
@@ -421,13 +429,8 @@ def run_semigroup_check(cfg: dict) -> list:
     def run(pcfg, path):
         tol = _num(pcfg, "tol", path, 1e-10)
         sg = _build_semigroup(pcfg, path, space={"kind": "hardy", "p": 2.0}, cocycle=None)
-        phi, m = sg.phi, sg.m
-        grid = _grid_for(phi.domain, rmax, grid_n)
-        r_flow = flows.semiflow_law_residual(phi, ts, grid)
-        r_coc = cocycles.cocycle_law_residual(m, phi, ts, grid)
-        r_sg = max(
-            semigroup.semigroup_residual(sg, t, s, grid) for t in ts for s in ts
-        )
+        grid = _grid_for(sg.phi.domain, rmax, grid_n)
+        r_flow, r_coc, r_sg = semigroup.semigroup_residual(sg, ts, grid)
         numbers = {
             "semiflow_residual": r_flow,
             "cocycle_residual": r_coc,

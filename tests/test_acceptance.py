@@ -16,7 +16,6 @@ import pytest
 from wcsg import cli, holo
 from wcsg.cocycles import (
     cocycle_from_g,
-    cocycle_law_residual,
     coboundary,
     coboundary_admissibility,
     derivative_cocycle,
@@ -28,7 +27,6 @@ from wcsg.flows import (
     generator_fd,
     make_catalog_semiflow,
     semiflow_from_generator,
-    semiflow_law_residual,
 )
 from wcsg.reporting import report_to_json
 from wcsg.semigroup import (
@@ -111,16 +109,13 @@ def test_criterion_3_law_residuals():
         phi = make_catalog_semiflow(name, params)
         m = derivative_cocycle(phi)
         sg = WcSemigroup(phi, m, SpaceSpec.hardy(2.0))
-        closed.append(semiflow_law_residual(phi, ts, grid))
-        closed.append(cocycle_law_residual(m, phi, ts, grid))
-        closed.append(max(semigroup_residual(sg, t, s, grid) for t in ts for s in ts))
+        closed.extend(semigroup_residual(sg, ts, grid))  # semiflow, cocycle, semigroup
     quad = []
     for g in (holo.constant(-1.0), holo.monomial(1)):
         phi = make_catalog_semiflow("attracting")
         m = cocycle_from_g(g, phi)
         sg = WcSemigroup(phi, m, SpaceSpec.hardy(2.0))
-        quad.append(cocycle_law_residual(m, phi, ts, grid))
-        quad.append(max(semigroup_residual(sg, t, s, grid) for t in ts for s in ts))
+        quad.extend(semigroup_residual(sg, ts, grid)[1:])  # cocycle, semigroup
     elapsed = time.perf_counter() - start
     ok = max(closed) < 1e-10 and max(quad) < 1e-7 and elapsed < 60.0
     record(

@@ -255,10 +255,19 @@ _BAD_INPUTS = {
         {"laws/string-rate": "error", "laws/ode-with-params": "error",
          "laws/catalog-with-ode": "error", "laws/ok": True},
     ),
+    "semigroup-check-grid-on-the-circle": (
+        {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5], "grid_rmax": 1.0, "grid_n": 4},
+         "pairs": [{"label": "disc", "flow": _DILATION, "cocycle": {"type": "trivial"}},
+                   {"label": "real", "space": {"kind": "sup-cont", "weight": "exp-decay"},
+                    "flow": {"name": "translation-real"}, "cocycle": {"type": "trivial"}}]},
+        {"laws/disc": "error", "laws/real": True},
+    ),
 }
 
 # What the error of a case in _BAD_INPUTS must name.
 _ERROR_TEXT = {
+    "semigroup-check-grid-on-the-circle": {
+        "laws/disc": "sweep.grid_rmax: a disc grid must lie inside the unit disc, got 1.0"},
     "reconstruct-generator-domain": {
         "reconstruct/a": "cases[0].generator: a real-domain generator"},
     "cocycle-check-x-on-the-disc": {"cocycle/integral0": "cocycles[0].g: bad expression"},
@@ -381,7 +390,28 @@ _BAD_CONFIGS = {
         {"suite": "admissibility", "flow": {"generator": "-z + 1e999*z^2"}, "cases": []},
         "flow.generator",
     ),
+    "cocycle-check-negative-time": (
+        {"suite": "cocycle-check", "flow": {"name": "attracting"}, "sweep": {"ts": [0.0, -0.5]},
+         "cocycles": [{"type": "trivial"}]},
+        "sweep.ts[1]",
+    ),
+    "reconstruct-negative-time": (
+        {"suite": "reconstruct", "sweep": {"ts": [-0.5, 0.5]}, "cases": [_RECONSTRUCT]},
+        "sweep.ts[0]",
+    ),
+    "cocycle-check-grid-outside-the-disc": (
+        {"suite": "cocycle-check", "flow": _DILATION, "sweep": {"grid_rmax": 3.0},
+         "cocycles": [{"type": "trivial"}]},
+        "sweep.grid_rmax",
+    ),
 }
+# Generators nested past exprs.MAX_DEPTH; each was a RecursionError traceback.
+_BAD_CONFIGS.update({
+    f"admissibility-deep-{kind}": (
+        {"suite": "admissibility", "flow": {"generator": src}, "cases": []}, "flow.generator")
+    for kind, src in {"sum": "z" + "+1" * 600, "parentheses": "(" * 300 + "z" + ")" * 300,
+                      "minus": "-" * 600 + "z", "exp": "exp(" * 300 + "z" + ")" * 300}.items()
+})
 
 
 def run_cli(tmp_path, cfg, *extra):

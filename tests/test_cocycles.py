@@ -16,7 +16,7 @@ from wcsg.cocycles import (
     mdot0,
     trivial_cocycle,
 )
-from wcsg.errors import DegenerateFixedPoint, OrderMismatch, ZeroNotFixed
+from wcsg.errors import DegenerateFixedPoint, InvalidParam, OrderMismatch, ZeroNotFixed
 from wcsg.exprs import to_holofn
 from wcsg.flows import disc_sample_grid, make_catalog_semiflow, semiflow_from_generator
 
@@ -56,6 +56,13 @@ class TestIntegralCocycle:
         m = cocycle_from_g(holo.monomial(1), phi)
         assert cocycle_law_residual(m, phi, TS, GRID) < 1e-7
         assert not m.constant_in_z
+
+    def test_law_residual_rejects_negative_times(self):
+        # the attracting flow leaves the disc backwards in time, where the
+        # cocycle law is not defined
+        phi = make_catalog_semiflow("attracting")
+        with pytest.raises(InvalidParam, match="cocycle times must be >= 0"):
+            cocycle_law_residual(trivial_cocycle(), phi, (0.0, -0.5), GRID)
 
     def test_never_vanishes(self):
         m = cocycle_from_g(holo.monomial(1), make_catalog_semiflow("attracting"))

@@ -148,3 +148,25 @@ def _asts(depth=3):
 @given(_asts())
 def test_print_parse_identity_property(ast):
     assert parse(print_expr(ast)) == ast
+
+
+# Sources nested n levels deep, one per kind of nesting.
+_NESTED = {
+    "sum": lambda n: "z" + "+1" * n,
+    "parentheses": lambda n: "(" * n + "z" + ")" * n,
+    "minus": lambda n: "-" * n + "z",
+    "exp": lambda n: "exp(" * n + "z" + ")" * n,
+    "minus-over-mobius": lambda n: "-" * (n - 1) + "mobius(0.5)",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_depth_limit_is_accepted_and_one_more_level_rejected(kind):
+    src = _NESTED[kind](exprs.MAX_DEPTH)
+    f = to_holofn(src)
+    with np.errstate(all="ignore"):  # 100 nested exp overflow; only the recursion is tested
+        f(np.array([0.1 + 0.1j]))
+    assert parse(f.name) == parse(src)  # the printed form nests no deeper than the tree
+    assert exprs.variables(parse(src)) <= {"z"}
+    with pytest.raises(ValueError, match=f"nests deeper than {exprs.MAX_DEPTH} levels"):
+        parse(_NESTED[kind](exprs.MAX_DEPTH + 1))

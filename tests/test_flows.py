@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcsg import exprs, holo
+from wcsg.cocycles import trivial_cocycle
 from wcsg.errors import EscapedDomain, InvalidParam, StepUnderflow, UnknownCatalogEntry
 from wcsg.flows import (
     OdeCfg,
@@ -16,10 +17,21 @@ from wcsg.flows import (
     make_catalog_semiflow,
     real_sample_grid,
     semiflow_from_generator,
-    semiflow_law_residual,
 )
+from wcsg.semigroup import WcSemigroup, semigroup_residual
+from wcsg.spaces import SpaceSpec
 
 TS = (0.0, 0.1, 0.5, 1.0)
+
+
+def semiflow_law_residual(phi, ts, grid):
+    """The semiflow residual of the law sweep, with the trivial cocycle on
+    H^2 or, for a real-line flow, on C_v with v = exp(-|x|)."""
+    if phi.domain.kind == "real":
+        space = SpaceSpec.sup_cont(holo.exp_abs_decay_weight())
+    else:
+        space = SpaceSpec.hardy(2.0)
+    return semigroup_residual(WcSemigroup(phi, trivial_cocycle(), space), ts, grid)[0]
 
 
 class TestCatalog:

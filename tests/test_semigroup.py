@@ -64,44 +64,46 @@ class TestSemigroupResidual:
     def test_closed_form_pairs(self):
         grid = disc_sample_grid(0.95)
         for sg in (sg_dilation_derivative(), sg_trivial()):
-            for t, s in ((0.1, 0.5), (1.0, 1.0)):
-                assert semigroup_residual(sg, t, s, grid) < 1e-11
+            assert semigroup_residual(sg, (0.1, 0.5, 1.0), grid)[2] < 1e-11
 
     def test_integral_cocycle_pair(self):
         phi = make_catalog_semiflow("attracting")
         m = cocycle_from_g(holo.monomial(1), phi)
         sg = WcSemigroup(phi, m, SpaceSpec.hardy(2.0))
-        assert semigroup_residual(sg, 0.5, 0.1, disc_sample_grid(0.95)) < 1e-7
+        assert semigroup_residual(sg, (0.5, 0.1), disc_sample_grid(0.95))[2] < 1e-7
 
     def test_zero_times(self):
         sg = sg_trivial()
-        assert semigroup_residual(sg, 0.0, 0.0, disc_sample_grid(0.9)) < 1e-14
+        assert semigroup_residual(sg, (0.0,), disc_sample_grid(0.9))[2] < 1e-14
 
     def test_negative_time_is_invalid(self):
         with pytest.raises(InvalidParam):
-            semigroup_residual(sg_trivial(), 0.5, -0.1, disc_sample_grid(0.9))
+            semigroup_residual(sg_trivial(), (0.5, -0.1), disc_sample_grid(0.9))
 
     @pytest.mark.parametrize("corpus_size", [1, 5, 20])
     def test_flow_is_evaluated_once_per_time_set(self, monkeypatch, corpus_size):
-        # phi_{t+s}, phi_t and phi_s(phi_t): three flow evaluations; with an
-        # integral cocycle on an ODE flow, m_{t+s}, m_t and m_s(phi_t) add two
-        # RK4 calls each
+        # ts = (0, 0.25, 0.5): phi_u once for each of the 5 distinct u in
+        # {0, t, t+s} and phi_s(phi_t) once for each of the 9 pairs, whatever
+        # the corpus size
         corpus = (spaces.default_corpus() * 4)[:corpus_size]
         monkeypatch.setattr(spaces, "default_corpus", lambda real=False: corpus)
+        ts, grid = (0.0, 0.25, 0.5), disc_sample_grid(0.9, 3, 4)
         phi = make_catalog_semiflow("attracting")
         evals = []
         counted = dataclasses.replace(phi, eval=lambda t, z: evals.append(1) or phi.eval(t, z))
-        semigroup_residual(WcSemigroup(counted, trivial_cocycle(), SpaceSpec.hardy(2.0)),
-                           0.5, 0.1, disc_sample_grid(0.9, 3, 4))
-        assert len(evals) == 3
+        semigroup_residual(WcSemigroup(counted, trivial_cocycle(), SpaceSpec.hardy(2.0)), ts, grid)
+        assert len(evals) == 5 + 9
 
+        # with an integral cocycle on an ODE flow, each m_u and m_s(phi_t)
+        # at a time u, s > 0 adds two RK4 calls (the coarse and the doubled
+        # node set): 4 distinct u > 0 and 6 pairs with s > 0
         calls = []
         integrate = flows._integrate
         monkeypatch.setattr(flows, "_integrate", lambda *a: calls.append(1) or integrate(*a))
         ode = semiflow_from_generator(to_holofn("1 - z"))
         sg = WcSemigroup(ode, cocycle_from_g(holo.monomial(1), ode), SpaceSpec.hardy(2.0))
-        semigroup_residual(sg, 0.5, 0.1, disc_sample_grid(0.9, 3, 4))
-        assert len(calls) == 3 + 3 * 2
+        semigroup_residual(sg, ts, grid)
+        assert len(calls) == 5 + 9 + 2 * (4 + 6)
 
 
 class TestTheoreticalBound:
