@@ -291,25 +291,36 @@ def _radial_panels(r: float):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def _panel(g, a: float, b: float, x, w, ring) -> float:
-    """Integral of g over the annulus a <= |z| <= b: Gauss-Legendre nodes
-    ``x``, weights ``w`` on [a, b] times the angular trapezoid ``ring``."""
+def _panel(g, a: float, b: float, x, w, ring, radial=None) -> float:
+    """Integral of g(z) radial(|z|) over the annulus a <= |z| <= b:
+    Gauss-Legendre nodes ``x``, weights ``w`` on [a, b] times the angular
+    trapezoid ``ring``.
+
+    g runs on every tensor node; ``radial`` (None means 1) runs on the radial
+    nodes only and joins the Gauss-Legendre weights. The finiteness check
+    reads the angular row means: a NaN or inf at any node, or a row sum that
+    overflows, makes its row mean non-finite."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     s = mid + half * x
-    vals = np.asarray(g(s[:, None] * ring[None, :]), dtype=float)
-    ensure_finite(vals, "disc integrand")
-    return 2.0 * np.pi * half * float(np.dot(w, s * np.mean(vals, axis=1)))
+    rows = np.mean(np.asarray(g(s[:, None] * ring[None, :]), dtype=float), axis=1)
+    ensure_finite(rows, "disc integrand")
+    rw = s if radial is None else s * radial(s)
+    return 2.0 * np.pi * half * float(np.dot(w, rw * rows))
 
 
-def _disc_integral_pass(g, r: float, m_per_panel: int, n_theta: int) -> float:
+def _disc_integral_pass(g, r: float, m_per_panel: int, n_theta: int, radial) -> float:
     ring = _circle_nodes(n_theta)
     x, w = _gl_nodes(m_per_panel)
-    return sum(_panel(g, a, b, x, w, ring) for a, b in _radial_panels(r))
+    return sum(_panel(g, a, b, x, w, ring, radial) for a, b in _radial_panels(r))
 
 
-def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: bool = True) -> float:
-    """Area integral of a real-valued integrand over the disc of radius r.
+def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: bool = True,
+                  radial=None) -> float:
+    """Area integral of g(z) radial(|z|) over the disc of radius r.
 
+    ``g`` is real-valued on points; ``radial``, a function of the radius
+    (None means 1), carries a radial weight such as Bergman's
+    (1 - |z|^2)^alpha and is evaluated on the radial nodes only.
     Tensor rule: composite Gauss-Legendre on dyadic radial panels (nodes
     cluster toward the boundary, where Bergman-type weights are nearly
     singular) times the angular trapezoid. With ``certify`` the node counts
@@ -318,10 +329,10 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
     if not 0.0 < r <= policy.r_cap + 1e-12:
         raise DomainExit(f"disc radius {r:g} outside (0, r_cap]", point=r)
     m = max(6, policy.n_radial // max(1, len(_radial_panels(r))))
-    coarse = _disc_integral_pass(g, r, m, policy.n_theta)
+    coarse = _disc_integral_pass(g, r, m, policy.n_theta, radial)
     if not certify:
         return coarse
-    fine = _disc_integral_pass(g, r, 2 * m, 2 * policy.n_theta)
+    fine = _disc_integral_pass(g, r, 2 * m, 2 * policy.n_theta, radial)
     if abs(coarse - fine) > 100.0 * policy.tol * max(1.0, abs(fine)):
         raise NonConvergent(
             f"disc integral to r={r:g}: doubling moved the value by {abs(coarse - fine):.3e}"
@@ -329,9 +340,11 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
     return fine
 
 
-def annulus_integral(g, r_inner: float, r_outer: float, n_theta: int = 256) -> float:
-    """Single-panel tensor rule over a thin annulus (extrapolation helper)."""
-    return _panel(g, r_inner, r_outer, *_gl_nodes(16), _circle_nodes(n_theta))
+def annulus_integral(g, r_inner: float, r_outer: float, n_theta: int = 256,
+                     radial=None) -> float:
+    """Single-panel tensor rule over a thin annulus (extrapolation helper);
+    ``g`` and ``radial`` as in :func:`disc_integral`."""
+    return _panel(g, r_inner, r_outer, *_gl_nodes(16), _circle_nodes(n_theta), radial)
 
 
 def boundary_extrapolate(value_at_r1: float, value_at_r2: float, r1: float, r2: float,

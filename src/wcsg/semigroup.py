@@ -46,21 +46,24 @@ def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:
 
     The result carries the chain-rule derivative m_t f'(phi_t) phi_t' when f
     has a closed-form derivative, phi_t' is closed form and m_t is constant
-    in z; otherwise it is differentiated numerically.
+    in z; otherwise it is differentiated numerically. A trivial cocycle is
+    not evaluated or multiplied, so the values keep f's dtype.
     """
     if t < 0:
         raise InvalidParam("semigroup times must be >= 0")
+    trivial = sg.m.trivial
 
     def fn(z, t=float(t)):
-        moved = np.asarray(sg.phi(t, z))
-        return np.asarray(sg.m(t, z)) * np.asarray(f.fn(moved))
+        out = np.asarray(f.fn(np.asarray(sg.phi(t, z))))
+        return out if trivial else np.asarray(sg.m(t, z)) * out
 
     deriv = None
     if f.deriv is not None and sg.phi.prime is not None and sg.m.constant_in_z:
         def deriv(z, t=float(t)):
-            moved = np.asarray(sg.phi(t, z))
-            return (np.asarray(sg.m(t, z)) * np.asarray(f.deriv(moved))
-                    * np.asarray(sg.phi.prime(t, z)))
+            out = np.asarray(f.deriv(np.asarray(sg.phi(t, z))))
+            if not trivial:
+                out = np.asarray(sg.m(t, z)) * out
+            return out * np.asarray(sg.phi.prime(t, z))
 
     return HoloFn(fn, sg.phi.domain, name=f"C({t:g}){f.name or 'f'}", deriv=deriv)
 
@@ -140,11 +143,15 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
     if space.kind in ("hardy", "bergman", "dirichlet"):
         phi0 = abs(phi(t, 0.0))
         comps["abs_phi_t_0"] = phi0
+        if phi0 >= 1.0:
+            raise DomainExit(f"phi_t(0) reached the unit circle at t={t:g}", point=0.0, t=t)
     if space.kind == "hardy":
         comp = ((1.0 + phi0) / (1.0 - phi0)) ** (1.0 / space.p)
     elif space.kind == "bergman":
         sup_phi = certified_sup(lambda z: np.abs(np.asarray(phi(t, z))), space)
         comps["sup_abs_phi_t"] = sup_phi
+        if sup_phi <= phi0:
+            raise DomainExit(f"sup |phi_t| does not exceed |phi_t(0)| at t={t:g}", t=t)
         a, p = space.alpha, space.p
         if a >= 0:
             K = 1.0

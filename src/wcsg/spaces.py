@@ -198,11 +198,14 @@ def _is_numerically_zero(f: HoloFn, space: SpaceSpec) -> bool:
 
 
 def _density(space: SpaceSpec, f: HoloFn):
-    """Area integrand of a Bergman or Dirichlet functional, before scaling."""
+    """Area integrand of a Bergman or Dirichlet functional, before scaling,
+    as ``(g, radial)`` for :func:`disc_integral`: g of the point and the
+    radial weight of the radius (Bergman: |f|^p and (1 - s^2)^alpha;
+    Dirichlet: |f'|^2 and None)."""
     if space.kind == "bergman":
         a, p = space.alpha, space.p
-        return lambda z: np.abs(f.fn(z)) ** p * (1.0 - np.abs(z) ** 2) ** a
-    return lambda z: np.abs(derivative_on_grid(f, z)) ** 2
+        return lambda z: np.abs(f.fn(z)) ** p, lambda s: (1.0 - s * s) ** a
+    return lambda z: np.abs(derivative_on_grid(f, z)) ** 2, None
 
 
 def _area_scale(space: SpaceSpec, integral: float) -> float:
@@ -216,7 +219,8 @@ def _radial_functional(space: SpaceSpec, f: HoloFn, r: float, certify: bool) -> 
     """F(r): the p-power (or squared) integral functional truncated at r."""
     if space.kind == "hardy":
         return circle_mean_p(f, r, space.p, space.policy)
-    area = _area_scale(space, disc_integral(_density(space, f), r, space.policy, certify=certify))
+    g, radial = _density(space, f)
+    area = _area_scale(space, disc_integral(g, r, space.policy, certify=certify, radial=radial))
     if space.kind == "dirichlet":
         return abs(complex(f(0.0))) ** 2 + area
     return area
@@ -236,8 +240,9 @@ def _annulus_increment(space: SpaceSpec, f: HoloFn, r1: float, r2: float) -> flo
         return _radial_functional(space, f, r2, certify=False) - _radial_functional(
             space, f, r1, certify=False
         )
+    g, radial = _density(space, f)
     return _area_scale(
-        space, annulus_integral(_density(space, f), r1, r2, n_theta=space.policy.n_theta)
+        space, annulus_integral(g, r1, r2, n_theta=space.policy.n_theta, radial=radial)
     )
 
 

@@ -255,6 +255,16 @@ _BAD_INPUTS = {
         {"laws/string-rate": "error", "laws/ode-with-params": "error",
          "laws/catalog-with-ode": "error", "laws/ok": True},
     ),
+    "bound-table-base-point-on-the-circle": (
+        {"suite": "bound-table", "ts": [40.0],
+         "cases": [{"label": label, "space": space, "flow": _ATTRACTING}
+                   for label, space in [("hardy", _HARDY2),
+                                        ("bergman", {"kind": "bergman", "alpha": 1.0}),
+                                        ("dirichlet", {"kind": "dirichlet"})]]
+         + [{"label": "ok", "space": _HARDY2, "flow": _DILATION}]},
+        {"bound/hardy": "error", "bound/bergman": "error", "bound/dirichlet": "error",
+         "bound/ok": True},
+    ),
     "semigroup-check-grid-on-the-circle": (
         {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5], "grid_rmax": 1.0, "grid_n": 4},
          "pairs": [{"label": "disc", "flow": _DILATION, "cocycle": {"type": "trivial"}},
@@ -283,6 +293,9 @@ _ERROR_TEXT = {
         "bound/hardy-with-alpha-and-weight": "cases[0].space.alpha: not a key of kind 'hardy'",
         "bound/attracting-with-params": "cases[1].flow.params.rate: not a parameter of attracting"},
     "cocycle-check-missing-type": {"cocycle/?0": "cocycles[0].type: missing required key"},
+    "bound-table-base-point-on-the-circle": {
+        f"bound/{label}": "phi_t(0) reached the unit circle at t=40"
+        for label in ("hardy", "bergman", "dirichlet")},
     "admissibility-flag-not-a-boolean": {
         "admissibility/string": "cases[0].expect_admissible: expected true or false, got 'false'",
         "admissibility/number": "cases[1].expect_admissible: expected true or false, got 1",

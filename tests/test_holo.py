@@ -12,6 +12,7 @@ from wcsg.errors import DomainExit, NonConvergent
 from wcsg.holo import (
     DEFAULT_POLICY,
     QuadPolicy,
+    annulus_integral,
     boundary_extrapolate,
     cauchy_derivative_grid,
     circle_mean_p,
@@ -122,6 +123,95 @@ class TestDiscIntegral:
                 certify=False,
             )
             assert abs(v1 - v2) < 100.0 * DEFAULT_POLICY.tol * max(1.0, abs(v2))
+
+
+def _tensor_reference(g, r, m, n_theta):
+    """The tensor rule with g weighted at every node: a composite
+    Gauss-Legendre sum over holo's radial panels times the angular mean."""
+    ring = holo._circle_nodes(n_theta)
+    x, w = holo._gl_nodes(m)
+    total = 0.0
+    for a, b in holo._radial_panels(r):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        s = mid + half * x
+        vals = np.asarray(g(s[:, None] * ring[None, :]), dtype=float)
+        total += 2.0 * np.pi * half * float(np.dot(w, s * np.mean(vals, axis=1)))
+    return total
+
+
+def _bergman_weight(alpha):
+    return lambda s: (1.0 - s * s) ** alpha
+
+
+class TestRadialFactor:
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
+    def test_weight_alone_matches_closed_form(self, alpha):
+        # 2 pi int_0^r s (1-s^2)^alpha ds = pi (1 - (1-r^2)^(alpha+1)) / (alpha+1)
+        val = disc_integral(lambda z: np.ones(z.shape), 1.0 - 1e-6, radial=_bergman_weight(alpha))
+        exact = math.pi * (1.0 - (2e-6 - 1e-12) ** (alpha + 1.0)) / (alpha + 1.0)
+        assert val == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
+    @pytest.mark.parametrize("r", [0.5, 0.99])
+    def test_agrees_with_weight_inside_the_integrand(self, alpha, r):
+        f = mobius(0.3)
+        g = lambda z: np.abs(f.fn(z)) ** 2
+        inside = lambda z: np.abs(f.fn(z)) ** 2 * (1.0 - np.abs(z) ** 2) ** alpha
+        folded = disc_integral(g, r, radial=_bergman_weight(alpha))
+        assert folded == pytest.approx(disc_integral(inside, r), rel=1e-13)
+        r1, r2 = r, 1.0 - (1.0 - r) / 10.0
+        folded = annulus_integral(g, r1, r2, radial=_bergman_weight(alpha))
+        assert folded == pytest.approx(annulus_integral(inside, r1, r2), rel=1e-13)
+
+    def test_no_radial_factor_is_the_plain_tensor_rule(self):
+        oracles = [lambda z: np.ones(z.shape), lambda z: np.abs(z) ** 2,
+                   lambda z: (1.0 - np.abs(z) ** 2) ** 0.5,
+                   lambda z: np.abs(mobius(0.3).fn(z)) ** 2]
+        m_fine = lambda r: 2 * max(6, DEFAULT_POLICY.n_radial // len(holo._radial_panels(r)))
+        for g in oracles:
+            for r in (0.5, 0.99, 1.0 - 1e-6):
+                ref = _tensor_reference(g, r, m_fine(r), 2 * DEFAULT_POLICY.n_theta)
+                assert disc_integral(g, r) == ref
+                assert disc_integral(g, r, radial=lambda s: np.ones_like(s)) == ref
+
+    def test_radial_factor_runs_on_radial_nodes_only(self):
+        sizes = []
+
+        def radial(s):
+            sizes.append(np.shape(s))
+            return 1.0 - s * s
+
+        disc_integral(lambda z: np.ones(z.shape), 0.5, certify=False, radial=radial)
+        m = max(6, DEFAULT_POLICY.n_radial)
+        assert sizes == [(m,)]
+
+
+def _poisoned(bad, k=1234):
+    """An integrand equal to 1 except at the k-th node of each call."""
+    def g(z):
+        vals = np.ones(z.shape)
+        vals.flat[k % vals.size] = bad
+        return vals
+
+    return g
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("radial", [None, _bergman_weight(-0.5)])
+    @pytest.mark.parametrize("integral", [
+        lambda g, radial: disc_integral(g, 0.99, radial=radial),
+        lambda g, radial: disc_integral(g, 0.99, certify=False, radial=radial),
+        lambda g, radial: annulus_integral(g, 0.99, 0.999, radial=radial),
+    ], ids=["certified", "uncertified", "annulus"])
+    def test_one_bad_node_raises(self, bad, radial, integral):
+        with pytest.raises(NonConvergent, match="non-finite values in disc integrand"):
+            integral(_poisoned(bad), radial)
+
+    def test_overflowing_row_sum_raises(self):
+        with pytest.raises(NonConvergent, match="non-finite values in disc integrand"):
+            with np.errstate(over="ignore"):
+                disc_integral(lambda z: np.full(z.shape, 1e307), 0.5, certify=False)
 
 
 class TestExtrapolation:

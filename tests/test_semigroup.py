@@ -8,9 +8,14 @@ import pytest
 
 from wcsg import flows, holo, spaces
 from wcsg.cocycles import Semicocycle, cocycle_from_g, derivative_cocycle, trivial_cocycle
-from wcsg.errors import InvalidParam, UnsupportedSpaceBound
+from wcsg.errors import DomainExit, InvalidParam, UnsupportedSpaceBound
 from wcsg.exprs import to_holofn
-from wcsg.flows import disc_sample_grid, make_catalog_semiflow, semiflow_from_generator
+from wcsg.flows import (
+    disc_sample_grid,
+    make_catalog_semiflow,
+    real_sample_grid,
+    semiflow_from_generator,
+)
 from wcsg.semigroup import (
     WcSemigroup,
     apply,
@@ -58,6 +63,27 @@ class TestApply:
         for t in (0.5, 2.0):
             gap = np.max(np.abs(np.asarray(apply(sg, t, f).fn(pts)) - np.asarray(f.fn(pts))))
             assert gap < 1e-14
+
+    @pytest.mark.parametrize("real", [False, True], ids=["disc", "real"])
+    def test_trivial_cocycle_is_not_multiplied(self, real):
+        # m_t = 1 is skipped, not multiplied: the values and the chain rule
+        # equal m_t f(phi_t) and m_t f'(phi_t) phi_t' bit for bit. On the
+        # real line the skip keeps f's float values where m_t is complex.
+        if real:
+            sg = WcSemigroup(make_catalog_semiflow("translation-real"), trivial_cocycle(),
+                             SpaceSpec.sup_cont(holo.exp_abs_decay_weight()))
+            pts, same = real_sample_grid(), np.abs
+            fs = [holo.monomial(3, holo.REAL_LINE), holo.exp_fn(0.5, holo.REAL_LINE)]
+        else:
+            sg, pts, same = sg_trivial(), disc_sample_grid(0.95), lambda v: v
+            fs = [holo.exp_fn(0.5), holo.mobius(0.3 - 0.2j), holo.poly([0.2, -1.0, 0.5j])]
+        for f in fs:
+            for t in (0.0, 0.3, 2.0):
+                Cf, moved, m_t = apply(sg, t, f), sg.phi(t, pts), sg.m(t, pts)
+                assert np.array_equal(same(Cf.fn(pts)), same(m_t * f.fn(moved)))
+                assert Cf.fn(pts).dtype == f.fn(moved).dtype
+                chain = m_t * f.deriv(moved) * sg.phi.prime(t, pts)
+                assert np.array_equal(same(Cf.deriv(pts)), same(chain))
 
 
 class TestSemigroupResidual:
@@ -121,6 +147,11 @@ class TestTheoreticalBound:
         expected = math.sqrt(1.0 + 0.5 * (L + math.sqrt(L * (4.0 + L))))
         assert res.theoretical == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.30352, abs=1e-4)
+
+    def test_bergman_sup_at_the_base_point_is_a_domain_exit(self):
+        # attracting at t = 37: |phi_t| rounds to |phi_t(0)| < 1 on the whole sup grid
+        with pytest.raises(DomainExit, match="sup \\|phi_t\\| does not exceed"):
+            theoretical_bound(sg_trivial(SpaceSpec.bergman(1.0, 2.0)), 37.0)
 
     def test_translation_weight_ratio(self):
         # v = e^{-|x|}: v(x)/v(x+t) = e^{|x+t|-|x|} <= e^t, attained on x >= 0
