@@ -327,7 +327,8 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
     are doubled and disagreement beyond 100*tol raises NonConvergent.
     """
     if not 0.0 < r <= policy.r_cap + 1e-12:
-        raise DomainExit(f"disc radius {r:g} outside (0, r_cap]", point=r)
+        raise DomainExit(f"disc radius {float(r)!r} outside (0, r_cap = {policy.r_cap!r}]",
+                         point=r)
     m = max(6, policy.n_radial // max(1, len(_radial_panels(r))))
     coarse = _disc_integral_pass(g, r, m, policy.n_theta, radial)
     if not certify:

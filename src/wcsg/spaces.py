@@ -56,6 +56,8 @@ class SpaceSpec:
             raise ValueError("p must be >= 1")
         if self.kind == "bergman" and not (self.alpha is not None and self.alpha > -1):
             raise ValueError("bergman weight exponent must be > -1")
+        if self.kind == "sup-cont" and not self.real_halfwidth > 0:
+            raise ValueError(f"halfwidth must be positive, got {self.real_halfwidth!r}")
         if self.kind in SUP_KINDS:
             if self.v is None:
                 raise ValueError(f"{self.kind} needs a weight")
@@ -113,8 +115,10 @@ def _check_weight_positive(v: HoloFn, halfwidth: float):
     else:
         sample = (np.linspace(0.0, 0.999, 40)[:, None]
                   * np.exp(1j * np.linspace(0, 2 * np.pi, 33))[None, :]).ravel()
-    vals = np.real(np.asarray(v(sample)))
-    if not np.all(vals > 0.0):
+    vals = np.asarray(v(sample))
+    if np.any(np.imag(vals) != 0.0):
+        raise ValueError("weight must be real-valued on the domain (sampled check)")
+    if not np.all(np.real(vals) > 0.0):
         raise ValueError("weight must be strictly positive on the domain (sampled check)")
 
 
@@ -188,15 +192,6 @@ class NormEvaluation:
     real_halfwidth: float | None = None
 
 
-def _is_numerically_zero(f: HoloFn, space: SpaceSpec) -> bool:
-    if space.is_real:
-        pts = np.linspace(-space.real_halfwidth, space.real_halfwidth, 257)
-    else:
-        pts = (np.linspace(0.0, 0.95, 9)[:, None]
-               * np.exp(1j * np.linspace(0.0, 2 * np.pi, 17))[None, :]).ravel()
-    return bool(np.max(np.abs(f(pts))) < 1e-15)
-
-
 def _density(space: SpaceSpec, f: HoloFn):
     """Area integrand of a Bergman or Dirichlet functional, before scaling,
     as ``(g, radial)`` for :func:`disc_integral`: g of the point and the
@@ -257,9 +252,6 @@ def _sup_functional(space: SpaceSpec, f: HoloFn):
 
 
 def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
-    if _is_numerically_zero(f, space):
-        return NormEvaluation(0.0, method="zero-shortcircuit")
-
     if space.kind in INTEGRAL_KINDS:
         r1 = space.policy.r_cap
         r2 = 1.0 - (1.0 - r1) / 10.0

@@ -508,6 +508,8 @@ def run_generator_check(cfg: dict) -> list:
     tols = _tolerances(cfg, "config", {"residual": 1e-4, "order_min": 0.9})
     steps = tuple(_nums(cfg, "steps", "config", list(flows.DEFAULT_FD_STEPS)))
     radius = _num(cfg, "radius", "config", 0.9)
+    if not radius > 0:
+        raise ConfigError("config.radius", f"must be positive, got {radius!r}")
 
     def run(gcfg, path):
         sg = _build_semigroup(gcfg, path)
@@ -515,11 +517,7 @@ def run_generator_check(cfg: dict) -> list:
         f = build_function(_get(gcfg, "f", path, required=True), phi.domain, f"{path}.f")
         g = m.g if m.g is not None else holo.constant(0.0, phi.domain)
         rep = semigroup.generator_residual(sg, phi.generator, g, f, steps=steps, radius=radius)
-        numbers = {
-            "residual": rep.extrapolated,
-            "order": rep.order,
-            "dq_bounded": rep.dq_bounded,
-        }
+        numbers = {"residual": rep.extrapolated, "order": rep.order}
         ok = rep.extrapolated < tols["residual"] and (
             rep.order >= tols["order_min"] or rep.order == float("inf")
         )

@@ -265,6 +265,13 @@ _BAD_INPUTS = {
         {"bound/hardy": "error", "bound/bergman": "error", "bound/dirichlet": "error",
          "bound/ok": True},
     ),
+    "bound-table-underflowed-cocycle": (
+        {"suite": "bound-table", "ts": [1.0],
+         "cases": [{"label": label, "space": _HARDY2, "flow": _DILATION,
+                    "cocycle": {"type": "integral", "g": g}}
+                   for label, g in [("underflow", "-1000.0"), ("tiny", "-40.0")]]},
+        {"bound/underflow": "error", "bound/tiny": True},
+    ),
     "semigroup-check-grid-on-the-circle": (
         {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5], "grid_rmax": 1.0, "grid_n": 4},
          "pairs": [{"label": "disc", "flow": _DILATION, "cocycle": {"type": "trivial"}},
@@ -293,6 +300,7 @@ _ERROR_TEXT = {
         "bound/hardy-with-alpha-and-weight": "cases[0].space.alpha: not a key of kind 'hardy'",
         "bound/attracting-with-params": "cases[1].flow.params.rate: not a parameter of attracting"},
     "cocycle-check-missing-type": {"cocycle/?0": "cocycles[0].type: missing required key"},
+    "bound-table-underflowed-cocycle": {"bound/underflow": "sup |m_t| underflowed to 0 at t=1"},
     "bound-table-base-point-on-the-circle": {
         f"bound/{label}": "phi_t(0) reached the unit circle at t=40"
         for label in ("hardy", "bergman", "dirichlet")},
@@ -411,6 +419,19 @@ _BAD_CONFIGS = {
     "reconstruct-negative-time": (
         {"suite": "reconstruct", "sweep": {"ts": [-0.5, 0.5]}, "cases": [_RECONSTRUCT]},
         "sweep.ts[0]",
+    ),
+    "norm-table-complex-weight": (
+        {"suite": "norm-table", "spaces": [{"kind": "sup-holo", "weight": "1 + 0.9*i*z"}]},
+        "spaces[0]",
+    ),
+    "norm-table-sup-cont-halfwidth-zero": (
+        {"suite": "norm-table", "spaces": [{"kind": "sup-cont", "halfwidth": 0}]},
+        "spaces[0]",
+    ),
+    "generator-check-radius-zero": (
+        {"suite": "generator-check", "radius": 0.0,
+         "cases": [{"space": _HARDY2, "flow": _DILATION, "f": "z^2"}]},
+        "config.radius",
     ),
     "cocycle-check-grid-outside-the-disc": (
         {"suite": "cocycle-check", "flow": _DILATION, "sweep": {"grid_rmax": 3.0},

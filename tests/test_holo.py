@@ -112,6 +112,12 @@ class TestDiscIntegral:
         with pytest.raises(DomainExit):
             disc_integral(lambda z: np.ones(z.shape), 1.0)
 
+    def test_radius_error_prints_radius_and_cap_exactly(self):
+        # a radius just past r_cap = 1 - 1e-6 would print as 1 with %g
+        text = r"disc radius 0\.9999999 outside \(0, r_cap = 0\.999999\]"
+        with pytest.raises(DomainExit, match=text):
+            disc_integral(lambda z: np.ones(z.shape), 0.9999999)
+
     def test_doubling_stability_smooth_corpus(self):
         f = mobius(0.3)
         for r in (0.5, 0.99):

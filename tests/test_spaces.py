@@ -70,12 +70,18 @@ class TestNorm:
         for n in range(1, 7):
             assert norm(space, holo.monomial(n)) <= n + 1e-9
 
-    def test_zero_shortcircuit(self):
-        z = holo.constant(0.0)
-        for space in (SpaceSpec.hardy(2.0), SpaceSpec.dirichlet(), SpaceSpec.sup_holo()):
-            detail = norm_detail(space, z)
-            assert detail.value == 0.0
-            assert detail.method == "zero-shortcircuit"
+    @pytest.mark.parametrize("space", [
+        SpaceSpec.hardy(2.0), SpaceSpec.bergman(1.0), SpaceSpec.dirichlet(),
+        SpaceSpec.bloch(1.0), SpaceSpec.sup_holo(), SpaceSpec.sup_cont(holo.exp_abs_decay_weight()),
+    ], ids=lambda space: space.kind)
+    def test_zero_function_has_norm_zero(self, space):
+        dom = holo.REAL_LINE if space.is_real else holo.UNIT_DISC
+        assert norm_detail(space, holo.constant(0.0, dom)).value == 0.0
+
+    def test_tiny_function_keeps_its_norm(self):
+        # a function below 1e-15 everywhere is not the zero function
+        for space in (SpaceSpec.hardy(2.0), SpaceSpec.sup_holo()):
+            assert norm(space, holo.constant(1e-17)) == pytest.approx(1e-17, rel=1e-12, abs=0)
 
     def test_detail_reports_truncation_radii(self):
         detail = norm_detail(SpaceSpec.hardy(2.0), holo.monomial(2))
@@ -164,6 +170,18 @@ class TestSpaceInvariants:
         bad = holo.HoloFn(lambda z: np.real(z), holo.UNIT_DISC, name="signed")
         with pytest.raises(ValueError):
             SpaceSpec.sup_holo(bad)
+
+    def test_complex_weight_rejected(self):
+        # Re(1 + 0.9iz) > 0 on the disc, but the weight is not real
+        bad = holo.HoloFn(lambda z: 1.0 + 0.9j * z, holo.UNIT_DISC, name="1 + 0.9iz")
+        with pytest.raises(ValueError, match="real-valued"):
+            SpaceSpec.sup_holo(bad)
+        assert norm(SpaceSpec.sup_holo(holo.constant(2.0 + 0j)), holo.one()) == 2.0
+
+    @pytest.mark.parametrize("halfwidth", [0.0, -1.0])
+    def test_sup_cont_halfwidth_must_be_positive(self, halfwidth):
+        with pytest.raises(ValueError, match="halfwidth must be positive"):
+            SpaceSpec.sup_cont(holo.exp_abs_decay_weight(), halfwidth)
 
 
 @settings(max_examples=20, deadline=None)
