@@ -34,9 +34,6 @@ from .holo import DEFAULT_POLICY, HoloFn
 ZERO_GUARD = 1e-3
 BRANCH_TOL = 5e-2
 CHECK_TS = (0.25, 1.0)  # times at which declared zeros and the two branches are checked
-# Most points (time nodes x space points) in one flow evaluation of the time
-# integral; caps the memory of a block on large grids.
-NODE_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,13 +81,13 @@ def cocycle_from_g(g: HoloFn, phi: Semiflow) -> Semicocycle:
     The time integral uses Gauss-Legendre with the node count scaled by t and
     doubled for the convergence certificate. The flow and g are evaluated on
     blocks of time nodes x points, one call each per block of at most
-    NODE_BLOCK_POINTS; the sum runs node by node in node order, so it rounds
+    holo.BLOCK_POINTS; the sum runs node by node in node order, so it rounds
     as one node at a time does.
     """
     def log_integral(t, zs, n):
         xs, ws = holo.gl01(n)
         pts = zs.ravel()
-        rows = max(1, NODE_BLOCK_POINTS // max(1, pts.size))
+        rows = max(1, holo.BLOCK_POINTS // max(1, pts.size))
         acc = np.zeros(pts.shape, dtype=complex)
         for lo in range(0, n, rows):
             taus = xs[lo:lo + rows, None] * t  # one row of points per node

@@ -34,6 +34,13 @@ INNER_DERIV_NODES = 64
 
 OVERFLOW_GUARD = 1e12
 
+# Most points in one integrand call: a block of whole radial rows of a disc
+# integral, or of time nodes x points of an integral cocycle. Caps the memory
+# of a call on large grids. Blocks of 16,384 points (256 KB complex
+# temporaries) doubled the minor page faults of the disc integrals and ran
+# slower.
+BLOCK_POINTS = 1 << 13
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -149,11 +156,28 @@ def one(domain: Domain = UNIT_DISC) -> HoloFn:
     return dataclasses.replace(constant(1.0, domain), name="one")
 
 
+def _int_power(z, n: int):
+    """z ** n for an integer n >= 0, always a fresh array. Beyond n = 2 (kept
+    as numpy's exact values) binary powering with array products: numpy's
+    complex power does the same one element at a time, several times slower,
+    and rounds within a few ulp of it."""
+    if n <= 2:
+        return z ** n
+    out, base = None, z
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
 def monomial(n: int, domain: Domain = UNIT_DISC) -> HoloFn:
     if n < 0:
         raise ValueError("monomial degree must be >= 0")
-    deriv = np.zeros_like if n == 0 else (lambda z: n * z ** (n - 1))
-    return HoloFn(lambda z: z ** n, domain, name=f"e_{n}", deriv=deriv)
+    deriv = np.zeros_like if n == 0 else (lambda z: n * _int_power(z, n - 1))
+    return HoloFn(lambda z: _int_power(z, n), domain, name=f"e_{n}", deriv=deriv)
 
 
 def poly(coeffs, domain: Domain = UNIT_DISC) -> HoloFn:
@@ -291,27 +315,30 @@ def _radial_panels(r: float):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def _panel(g, a: float, b: float, x, w, ring, radial=None) -> float:
-    """Integral of g(z) radial(|z|) over the annulus a <= |z| <= b:
-    Gauss-Legendre nodes ``x``, weights ``w`` on [a, b] times the angular
-    trapezoid ``ring``.
+def _disc_integral_pass(g, panels, m: int, n_theta: int, radial) -> float:
+    """Integral of g(z) radial(|z|) over the annuli ``panels`` (a <= |z| <= b
+    each): m Gauss-Legendre nodes per panel times the n_theta-point angular
+    trapezoid.
 
-    g runs on every tensor node; ``radial`` (None means 1) runs on the radial
-    nodes only and joins the Gauss-Legendre weights. The finiteness check
-    reads the angular row means: a NaN or inf at any node, or a row sum that
-    overflows, makes its row mean non-finite."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    s = mid + half * x
-    rows = np.mean(np.asarray(g(s[:, None] * ring[None, :]), dtype=float), axis=1)
-    ensure_finite(rows, "disc integrand")
-    rw = s if radial is None else s * radial(s)
-    return 2.0 * np.pi * half * float(np.dot(w, rw * rows))
-
-
-def _disc_integral_pass(g, r: float, m_per_panel: int, n_theta: int, radial) -> float:
+    The radial nodes of all panels are stacked in panel order; g runs on
+    blocks of whole radial rows, at most BLOCK_POINTS points per call.
+    ``radial`` (None means 1) runs once on the stacked radial nodes and joins
+    the Gauss-Legendre weights. The finiteness check reads the angular row
+    means: a NaN or inf at any node, or a row sum that overflows, makes its
+    row mean non-finite. Each panel's sum runs in panel order, so the value
+    rounds as one g call per panel does."""
     ring = _circle_nodes(n_theta)
-    x, w = _gl_nodes(m_per_panel)
-    return sum(_panel(g, a, b, x, w, ring, radial) for a, b in _radial_panels(r))
+    x, w = _gl_nodes(m)
+    halves = [0.5 * (b - a) for a, b in panels]
+    s = np.concatenate([0.5 * (a + b) + h * x for (a, b), h in zip(panels, halves)])
+    step = max(1, BLOCK_POINTS // n_theta)
+    rows = np.empty(s.size)
+    for lo in range(0, s.size, step):
+        block = np.asarray(g(s[lo:lo + step, None] * ring[None, :]), dtype=float)
+        rows[lo:lo + step] = ensure_finite(np.mean(block, axis=1), "disc integrand")
+    rw = s if radial is None else s * radial(s)
+    return sum(2.0 * np.pi * h * float(np.dot(w, pw * pr))
+               for h, pw, pr in zip(halves, rw.reshape(-1, m), rows.reshape(-1, m)))
 
 
 def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: bool = True,
@@ -323,17 +350,19 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
     (1 - |z|^2)^alpha and is evaluated on the radial nodes only.
     Tensor rule: composite Gauss-Legendre on dyadic radial panels (nodes
     cluster toward the boundary, where Bergman-type weights are nearly
-    singular) times the angular trapezoid. With ``certify`` the node counts
-    are doubled and disagreement beyond 100*tol raises NonConvergent.
+    singular) times the angular trapezoid, with g called on blocks of whole
+    radial rows of at most BLOCK_POINTS points. With ``certify`` the node
+    counts are doubled and disagreement beyond 100*tol raises NonConvergent.
     """
     if not 0.0 < r <= policy.r_cap + 1e-12:
         raise DomainExit(f"disc radius {float(r)!r} outside (0, r_cap = {policy.r_cap!r}]",
                          point=r)
-    m = max(6, policy.n_radial // max(1, len(_radial_panels(r))))
-    coarse = _disc_integral_pass(g, r, m, policy.n_theta, radial)
+    panels = _radial_panels(r)
+    m = max(6, policy.n_radial // len(panels))
+    coarse = _disc_integral_pass(g, panels, m, policy.n_theta, radial)
     if not certify:
         return coarse
-    fine = _disc_integral_pass(g, r, 2 * m, 2 * policy.n_theta, radial)
+    fine = _disc_integral_pass(g, panels, 2 * m, 2 * policy.n_theta, radial)
     if abs(coarse - fine) > 100.0 * policy.tol * max(1.0, abs(fine)):
         raise NonConvergent(
             f"disc integral to r={r:g}: doubling moved the value by {abs(coarse - fine):.3e}"
@@ -345,7 +374,7 @@ def annulus_integral(g, r_inner: float, r_outer: float, n_theta: int = 256,
                      radial=None) -> float:
     """Single-panel tensor rule over a thin annulus (extrapolation helper);
     ``g`` and ``radial`` as in :func:`disc_integral`."""
-    return _panel(g, r_inner, r_outer, *_gl_nodes(16), _circle_nodes(n_theta), radial)
+    return _disc_integral_pass(g, [(r_inner, r_outer)], 16, n_theta, radial)
 
 
 def boundary_extrapolate(value_at_r1: float, value_at_r2: float, r1: float, r2: float,

@@ -303,8 +303,10 @@ class GeneratorResidualReport:
 
     ``per_h`` holds (h, sup |quotient - target|) pairs, ``extrapolated`` the
     Richardson limit of the quotient residual, ``order`` the observed
-    convergence rate. The check is pointwise on a sample grid inside the
-    domain, so it says nothing about whether f lies in the generator's domain.
+    convergence rate: inf when a residual is 0 or every residual is at
+    rounding level, 1e3 eps max(1, max |Af|, max |f|). The check is pointwise
+    on a sample grid inside the domain, so it says nothing about whether f
+    lies in the generator's domain.
     """
 
     per_h: tuple
@@ -334,8 +336,11 @@ def generator_residual(sg: WcSemigroup, G: HoloFn, g: HoloFn, f: HoloFn,
     # pointwise Richardson across the step ladder, then sup
     extrapolated = float(np.max(np.abs(holo.richardson(quotients, steps) - target)))
 
+    # residuals at rounding level mean an exact quotient: no order to fit
     res = [r for _, r in per_h]
-    if min(res) > 0:
+    floor = 1e3 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(target))),
+                                            float(np.max(np.abs(f_vals))))
+    if min(res) > 0 and max(res) > floor:
         slope = np.polyfit(np.log(steps), np.log(res), 1)[0]
     else:
         slope = float("inf")

@@ -309,6 +309,8 @@ class SaksReport:
 
 
 def saks_sup_check(space: SpaceSpec, f: HoloFn, radii, tol: float = 1e-3) -> SaksReport:
+    """Passes when the norm and the largest seminorm over ``radii`` agree to
+    within tol on either side: a seminorm above the norm fails too."""
     radii = [float(r) for r in radii]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidParam("radii must be nonempty and increase toward 1")
@@ -324,7 +326,7 @@ def saks_sup_check(space: SpaceSpec, f: HoloFn, radii, tol: float = 1e-3) -> Sak
         max_seminorm=best,
         gap=gap,
         tol=tol,
-        verdict=bool(gap < tol),
+        verdict=bool(abs(gap) < tol),
     )
 
 

@@ -61,6 +61,18 @@ class TestExitCodes:
         code = cli.main(["reconstruct", "--config", write_config(tmp_path, cfg)])
         assert code == 2
 
+    def test_exact_difference_quotient_passes(self, tmp_path):
+        # (f(x + h) - f(x))/h of f = x is 1 up to rounding at every h, so no
+        # order can be fitted: residuals at rounding level count as exact
+        cfg = {"suite": "generator-check", "cases": [
+            {"space": {"kind": "sup-cont"}, "flow": {"name": "translation-real"}, "f": "x"}]}
+        out = tmp_path / "r.json"
+        code = cli.main(["generator-check", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)])
+        (case,) = json.loads(out.read_text())["cases"]
+        assert code == 0 and case["verdict"] is True
+        assert case["numbers"]["order"] == "inf"
+
     def test_bad_case_embedded_not_fatal(self, tmp_path):
         # one broken case (integral cocycle with a bad expression is a config
         # error; use a flow the coboundary rejects instead) is recorded, the

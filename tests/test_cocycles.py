@@ -111,7 +111,7 @@ class TestBlockedTimeIntegral:
     def test_ode_flow_equals_per_node_loop(self, monkeypatch, n_points):
         # a 50-point block holds 3 nodes of 13 points (the last block of 32
         # nodes holds 2), or one node of 100
-        monkeypatch.setattr(cocycles, "NODE_BLOCK_POINTS", 50)
+        monkeypatch.setattr(holo, "BLOCK_POINTS", 50)
         phi = semiflow_from_generator(to_holofn("-0.9*z + 0.25*i*z^2"))
         g = to_holofn("0.4*z^2 + 1")
         zs = disc_sample_grid(0.9, 3, 4) if n_points == 13 else disc_sample_grid(0.9, 9, 11)

@@ -131,9 +131,10 @@ class TestDiscIntegral:
             assert abs(v1 - v2) < 100.0 * DEFAULT_POLICY.tol * max(1.0, abs(v2))
 
 
-def _tensor_reference(g, r, m, n_theta):
-    """The tensor rule with g weighted at every node: a composite
-    Gauss-Legendre sum over holo's radial panels times the angular mean."""
+def _tensor_reference(g, r, m, n_theta, radial=None):
+    """The tensor rule one panel at a time: a composite Gauss-Legendre sum
+    over holo's radial panels times the angular mean, with ``radial`` (None
+    means 1) on the radial nodes."""
     ring = holo._circle_nodes(n_theta)
     x, w = holo._gl_nodes(m)
     total = 0.0
@@ -141,8 +142,14 @@ def _tensor_reference(g, r, m, n_theta):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         s = mid + half * x
         vals = np.asarray(g(s[:, None] * ring[None, :]), dtype=float)
-        total += 2.0 * np.pi * half * float(np.dot(w, s * np.mean(vals, axis=1)))
+        rw = s if radial is None else s * radial(s)
+        total += 2.0 * np.pi * half * float(np.dot(w, rw * np.mean(vals, axis=1)))
     return total
+
+
+def _fine_m(r):
+    """Gauss-Legendre nodes per panel of disc_integral's fine pass to r."""
+    return 2 * max(6, DEFAULT_POLICY.n_radial // len(holo._radial_panels(r)))
 
 
 def _bergman_weight(alpha):
@@ -173,10 +180,9 @@ class TestRadialFactor:
         oracles = [lambda z: np.ones(z.shape), lambda z: np.abs(z) ** 2,
                    lambda z: (1.0 - np.abs(z) ** 2) ** 0.5,
                    lambda z: np.abs(mobius(0.3).fn(z)) ** 2]
-        m_fine = lambda r: 2 * max(6, DEFAULT_POLICY.n_radial // len(holo._radial_panels(r)))
         for g in oracles:
             for r in (0.5, 0.99, 1.0 - 1e-6):
-                ref = _tensor_reference(g, r, m_fine(r), 2 * DEFAULT_POLICY.n_theta)
+                ref = _tensor_reference(g, r, _fine_m(r), 2 * DEFAULT_POLICY.n_theta)
                 assert disc_integral(g, r) == ref
                 assert disc_integral(g, r, radial=lambda s: np.ones_like(s)) == ref
 
@@ -190,6 +196,87 @@ class TestRadialFactor:
         disc_integral(lambda z: np.ones(z.shape), 0.5, certify=False, radial=radial)
         m = max(6, DEFAULT_POLICY.n_radial)
         assert sizes == [(m,)]
+
+
+class TestBlockedPass:
+    """g runs on blocks of whole radial rows; the value is the per-panel rule."""
+
+    @pytest.mark.parametrize("radial", [None, _bergman_weight(0.5)], ids=["plain", "bergman"])
+    @pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 1e-6])
+    def test_blocks_across_panels_equal_the_per_panel_rule(self, monkeypatch, r, radial):
+        # 3,000 points: 11 rows of 256 or 5 rows of 512 per call, which cut
+        # across panels of 6, 12, 16, 32 or 256 rows
+        monkeypatch.setattr(holo, "BLOCK_POINTS", 3000)
+        f = mobius(0.3)
+        g = lambda z: np.abs(f.fn(z)) ** 2.5
+        ref = _tensor_reference(g, r, _fine_m(r), 2 * DEFAULT_POLICY.n_theta, radial)
+        assert disc_integral(g, r, radial=radial) == ref
+
+    # coarse: 120 rows of 256 in 11 calls of <= 11 rows, or in 4 of <= 32;
+    # fine: 240 rows of 512 in 48 calls of 5 rows, or in 15 of 16
+    @pytest.mark.parametrize("block, n_calls", [(3000, 11 + 48), (holo.BLOCK_POINTS, 4 + 15)])
+    def test_every_call_is_whole_rows_within_the_block(self, monkeypatch, block, n_calls):
+        monkeypatch.setattr(holo, "BLOCK_POINTS", block)
+        shapes = []
+
+        def g(z):
+            shapes.append(z.shape)
+            return np.ones(z.shape)
+
+        r = 1.0 - 1e-6  # 20 panels of 6 (coarse) and 12 (fine) rows
+        disc_integral(g, r)
+        n = DEFAULT_POLICY.n_theta
+        coarse = [k for k, c in shapes if c == n]
+        fine = [k for k, c in shapes if c == 2 * n]
+        assert len(coarse) + len(fine) == len(shapes)
+        assert all(k * c <= block for k, c in shapes)
+        assert (sum(coarse), sum(fine)) == (120, 240)
+        assert len(shapes) == n_calls
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_bad_node_in_the_last_block_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(holo, "BLOCK_POINTS", 3000)
+        calls = []
+
+        def g(z):
+            calls.append(z.shape)
+            vals = np.ones(z.shape)
+            if len(calls) == n_calls:
+                vals.flat[-1] = bad
+            return vals
+
+        n_calls = 0
+        disc_integral(g, 0.99)
+        n_calls, calls = len(calls), []
+        with pytest.raises(NonConvergent, match="non-finite values in disc integrand"):
+            disc_integral(g, 0.99)
+        assert len(calls) == n_calls
+
+
+_EPS = np.finfo(float).eps
+
+
+def _monomial_points():
+    rng = np.random.default_rng(7)
+    rs, ts = rng.uniform(0.5, 1.0, 500), rng.uniform(0.0, 2.0 * np.pi, 500)
+    disc = np.concatenate([rs * np.exp(1j * ts), [0.0, 1.0, -1.0, 1j, -1j, 0.5, 0.9 + 0.3j]])
+    real = np.concatenate([rng.uniform(-2.0, 2.0, 500), [0.0, 1.0, -1.0, 0.5]])
+    return disc, real
+
+
+class TestMonomial:
+    """Binary powering against numpy's power: within 4 n eps, bitwise for
+    n <= 2, and never the input array."""
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_matches_numpy_power(self, n):
+        for z, dom in zip(_monomial_points(), (holo.UNIT_DISC, holo.REAL_LINE)):
+            f = monomial(n, dom)
+            ref_f, ref_d = z ** n, n * z ** max(n - 1, 0)
+            for got, ref in ((f.fn(z), ref_f), (f.deriv(z), ref_d)):
+                assert np.all(np.abs(got - ref) <= 4 * n * _EPS * np.abs(ref))
+                assert n > 2 or np.array_equal(got, ref)
+                assert not np.shares_memory(got, z)
 
 
 def _poisoned(bad, k=1234):

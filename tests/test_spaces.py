@@ -138,6 +138,15 @@ class TestSaks:
         assert rep.norm == pytest.approx(math.sqrt(2.0), abs=1e-6)
         assert rep.gap < 1e-3
 
+    def test_seminorm_above_the_norm_fails(self):
+        # a sharp bump halfway between two real-line norm-grid points sits on
+        # the grid of the radius-0.5 seminorm, which then exceeds the norm
+        step = 80.0 / 8192
+        bump = holo.HoloFn(lambda x: np.exp(-((x - 0.5 * step) / 1e-3) ** 2), holo.REAL_LINE)
+        rep = saks_sup_check(SpaceSpec.sup_cont(holo.exp_abs_decay_weight()), bump, [0.5, 0.9])
+        assert rep.gap < -0.9
+        assert not rep.verdict
+
     def test_radii_must_increase(self):
         with pytest.raises(ValueError):
             saks_sup_check(SpaceSpec.hardy(2.0), holo.one(), [0.9, 0.5])
