@@ -22,12 +22,15 @@ from .suites import SUITES
 
 
 def run(config: dict) -> Report:
-    """Dispatch a validated config to its suite and assemble the report."""
+    """Dispatch a validated config to its suite and assemble the report. A
+    config that selects no case is a config error: it would pass vacuously."""
     suite = config.get("suite")
     if not isinstance(suite, str) or suite not in SUITES:
         raise ConfigError("suite", f"unknown suite {suite!r}")
     start = time.perf_counter()
     cases = SUITES[suite](config)
+    if not cases:
+        raise ConfigError("config", "selects no case")
     return Report(
         suite=suite,
         config=config,

@@ -35,11 +35,13 @@ INNER_DERIV_NODES = 64
 OVERFLOW_GUARD = 1e12
 
 # Most points in one integrand call: a block of whole radial rows of a disc
-# integral, or of time nodes x points of an integral cocycle. Caps the memory
-# of a call on large grids. Blocks of 16,384 points (256 KB complex
-# temporaries) doubled the minor page faults of the disc integrals and ran
-# slower.
-BLOCK_POINTS = 1 << 13
+# integral, of time nodes x points of an integral cocycle, or of a sup grid.
+# Caps the memory of a call on large grids. With 8,192-point blocks (128 KB
+# complex temporaries, glibc's default mmap threshold) whether each block
+# faulted its pages in afresh depended on the heap layout alone: one
+# benchmark workload took 6k or 170k minor faults as the size of the
+# environment varied. Blocks of 16,384 points doubled the faults.
+BLOCK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -299,6 +301,16 @@ def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_PO
     vals = np.abs(f(ring)) ** p
     ensure_finite(vals, "circle mean")
     return float(np.mean(vals))
+
+
+def taylor_coefficients(f: HoloFn, n: int):
+    """The Taylor coefficients a_0, .., a_{n/2 - 1} of f at 0, from the n-point
+    FFT of f on the circle of radius rho = 1 - 2/n (Bornemann's radius: the
+    aliased a_{k+n} enters damped by rho^n ~ e^-2, and dividing by rho^k
+    amplifies rounding by at most about e)."""
+    rho = 1.0 - 2.0 / n
+    vals = ensure_finite(f(rho * _circle_nodes(n)), "Taylor coefficients")
+    return np.fft.fft(vals)[: n // 2] / n / rho ** np.arange(n // 2)
 
 
 def _radial_panels(r: float):

@@ -367,6 +367,8 @@ def run_norm_table(cfg: dict) -> list:
     _check_keys(cfg, {"suite", "spaces", "max_degree", "saks", "tolerances"}, "config")
     tols = _tolerances(cfg, "config", {"hardy": 1e-8, "dirichlet": 1e-6, "bergman": 1e-6})
     max_deg = _num(cfg, "max_degree", "config", 8, int)
+    if max_deg < 0:
+        raise ConfigError("config.max_degree", f"must be >= 0, got {max_deg!r}")
     cases = []
     for i, scfg in enumerate(_list(cfg, "spaces", "config")):
         space = build_space(scfg, f"spaces[{i}]")

@@ -450,6 +450,17 @@ _BAD_CONFIGS = {
          "cocycles": [{"type": "trivial"}]},
         "sweep.grid_rmax",
     ),
+    "norm-table-negative-max-degree": (
+        {"suite": "norm-table", "spaces": [{"kind": "hardy"}], "max_degree": -3},
+        "config.max_degree",
+    ),
+    # a config that selects no case would pass vacuously
+    "norm-table-no-spaces": ({"suite": "norm-table", "spaces": []}, "config"),
+    "bound-table-no-cases": ({"suite": "bound-table", "ts": [1.0], "cases": []}, "config"),
+    "admissibility-no-cases": (
+        {"suite": "admissibility", "flow": {"name": "dilation"}, "cases": []},
+        "config",
+    ),
 }
 # Generators nested past exprs.MAX_DEPTH; each was a RecursionError traceback.
 _BAD_CONFIGS.update({

@@ -28,6 +28,19 @@ from wcsg.holo import (
 )
 
 
+class TestTaylorCoefficients:
+    def test_exp_coefficients(self):
+        a = holo.taylor_coefficients(exp_fn(1.0), 64)
+        assert a.shape == (32,)
+        expected = [1.0 / math.factorial(k) for k in range(32)]
+        assert np.allclose(a, expected, rtol=0, atol=1e-15)
+
+    def test_non_finite_values_raise(self):
+        bad = holo.HoloFn(lambda z: np.where(np.real(z) > 0.9, np.nan, z), holo.UNIT_DISC)
+        with pytest.raises(NonConvergent):
+            holo.taylor_coefficients(bad, 64)
+
+
 class TestCauchyDerivative:
     def test_square_at_half(self):
         d = cauchy_derivative_grid(monomial(2), 0.5, 0.3)
@@ -212,9 +225,9 @@ class TestBlockedPass:
         ref = _tensor_reference(g, r, _fine_m(r), 2 * DEFAULT_POLICY.n_theta, radial)
         assert disc_integral(g, r, radial=radial) == ref
 
-    # coarse: 120 rows of 256 in 11 calls of <= 11 rows, or in 4 of <= 32;
-    # fine: 240 rows of 512 in 48 calls of 5 rows, or in 15 of 16
-    @pytest.mark.parametrize("block, n_calls", [(3000, 11 + 48), (holo.BLOCK_POINTS, 4 + 15)])
+    # coarse: 120 rows of 256 in 11 calls of <= 11 rows, or in 8 of <= 16;
+    # fine: 240 rows of 512 in 48 calls of 5 rows, or in 30 of 8
+    @pytest.mark.parametrize("block, n_calls", [(3000, 11 + 48), (holo.BLOCK_POINTS, 8 + 30)])
     def test_every_call_is_whole_rows_within_the_block(self, monkeypatch, block, n_calls):
         monkeypatch.setattr(holo, "BLOCK_POINTS", block)
         shapes = []

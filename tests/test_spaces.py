@@ -6,15 +6,22 @@ polar-coordinate integrals for the Dirichlet energy.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcsg import holo
+from wcsg import holo, spaces, suites
+from wcsg.cocycles import trivial_cocycle
+from wcsg.errors import NonConvergent, Unbounded
+from wcsg.exprs import to_holofn
+from wcsg.flows import semiflow_from_generator
+from wcsg.semigroup import WcSemigroup, apply
 from wcsg.spaces import (
     SeminormIndex,
     SpaceSpec,
+    certified_sup,
     co_seminorm,
     default_corpus,
     norm,
@@ -88,6 +95,137 @@ class TestNorm:
         assert detail.r_truncate == pytest.approx(1.0 - 1e-6)
         assert detail.r_refine == pytest.approx(1.0 - 1e-7)
         assert detail.truncated_value <= detail.value + 1e-12
+
+
+class TestTaylorCoefficientPath:
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+    def test_weights_at_one_are_the_beta_values(self, alpha):
+        # (alpha+1) B(k+1, alpha+1) = prod_{j<=k} j/(j+alpha+1), exact in rationals;
+        # suites._beta goes through lgamma, whose rounding reaches ~2e-13 near k = 200
+        w = spaces._coefficient_weights(SpaceSpec.bergman(alpha), 1.0, 201)
+        a1, exact = Fraction(alpha) + 1, Fraction(1)
+        for k in range(201):
+            if k:
+                exact *= Fraction(k) / (k + a1)
+            assert w[k] == pytest.approx(float(exact), rel=1e-14, abs=0)
+            assert w[k] == pytest.approx(
+                (alpha + 1.0) * suites._beta(k + 1.0, alpha + 1.0), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("s", [0.5, 0.99])
+    @pytest.mark.parametrize("space", [SpaceSpec.bergman(-0.5), SpaceSpec.bergman(0.0),
+                                       SpaceSpec.bergman(1.5), SpaceSpec.dirichlet()],
+                             ids=lambda space: space.label)
+    def test_weights_below_one_match_the_area_integral(self, space, s):
+        w = spaces._coefficient_weights(space, s, 21)
+        for k in range(21):
+            if space.kind == "bergman":
+                g, radial = (lambda z, k=k: np.abs(z) ** (2 * k)), (
+                    lambda r: (1.0 - r * r) ** space.alpha)
+            elif k:
+                g, radial = (lambda z, k=k: k * k * np.abs(z) ** (2 * k - 2)), None
+            else:
+                assert w[0] == 1.0
+                continue
+            area = spaces._area_scale(space, holo.disc_integral(g, s, radial=radial))
+            assert w[k] == pytest.approx(area, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("n", range(7))
+    def test_dirichlet_seminorm_of_monomial(self, n, s):
+        expected = math.sqrt(n) * s ** n if n else 1.0
+        val = co_seminorm(SpaceSpec.dirichlet(), holo.monomial(n), SeminormIndex(s))
+        assert val == pytest.approx(expected, rel=1e-12)
+
+    def test_kernel_closed_forms(self):
+        # sum_k x^k/(k+1) = -ln(1-x)/x and 1 + sum_k k x^k = 1 + x/(1-x)^2, x = |a|^2;
+        # the area quadrature raised NonConvergent on both
+        bergman = norm_detail(SpaceSpec.bergman(0.0), holo.mobius_kernel(0.98))
+        dirichlet = norm_detail(SpaceSpec.dirichlet(), holo.mobius_kernel(0.95))
+        assert bergman.method == dirichlet.method == "taylor-coefficients"
+        assert bergman.value == pytest.approx(
+            math.sqrt(-math.log(1.0 - 0.9604) / 0.9604), rel=1e-12)
+        assert dirichlet.value == pytest.approx(math.sqrt(1.0 + 0.9025 / 0.0975 ** 2), rel=1e-12)
+
+    def test_slow_coefficients_fall_back_to_quadrature(self):
+        # the essential singularity at 1: the coefficient sum does not settle
+        detail = norm_detail(SpaceSpec.bergman(0.0), holo.singular_inner())
+        assert detail.method == "truncated-extrapolated"
+        assert detail.value == 0.6673188621060349
+
+    @pytest.mark.parametrize("expr", ["1/(z-0.5)", "z/((z-0.5)*(z+0.5))"])
+    @pytest.mark.parametrize("space", [SpaceSpec.bergman(0.0), SpaceSpec.dirichlet()],
+                             ids=lambda space: space.label)
+    def test_pole_inside_the_disc_is_left_to_quadrature(self, space, expr):
+        # a pole inside the FFT circle leaves no Taylor coefficient, so the
+        # coefficient sum alone would be about 0; the series misses f at the
+        # probe points, and the quadrature reports the divergence
+        with pytest.raises(NonConvergent):
+            norm_detail(space, to_holofn(expr))
+
+    def test_other_integral_norms_keep_quadrature(self):
+        for space in (SpaceSpec.hardy(2.0), SpaceSpec.bergman(0.0, 4.0)):
+            assert norm_detail(space, holo.monomial(2)).method == "truncated-extrapolated"
+
+    def test_bergman_norm_does_not_depend_on_r_cap(self):
+        space = SpaceSpec.bergman(1.0, policy=holo.QuadPolicy(r_cap=0.5))
+        expected = math.sqrt(2.0 * beta(4.0, 2.0))
+        assert norm(space, holo.monomial(3)) == pytest.approx(expected, rel=1e-14)
+
+    def test_ode_flow_dirichlet_norm_needs_no_derivative(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Cauchy circle reached")
+
+        monkeypatch.setattr(holo, "cauchy_derivative_grid", refuse)
+        G = holo.HoloFn(lambda z: 1.0 - z, holo.UNIT_DISC, name="1-z")
+        sg = WcSemigroup(semiflow_from_generator(G), trivial_cocycle(), SpaceSpec.dirichlet())
+        detail = norm_detail(sg.space, apply(sg, 1.0, holo.monomial(5)))
+        # phi_1(z) = c + d z with d = 1/e, c = 1 - d, so C(1) e_5 = (c + d z)^5
+        d = math.exp(-1.0)
+        c = 1.0 - d
+        coef = [math.comb(5, k) * c ** (5 - k) * d ** k for k in range(6)]
+        expected = math.sqrt(coef[0] ** 2 + sum(k * a * a for k, a in enumerate(coef)))
+        assert detail.method == "taylor-coefficients"
+        assert detail.value == pytest.approx(expected, rel=1e-8)
+
+
+class TestBlockedSup:
+    @staticmethod
+    def _unblocked(space, radius_scale):
+        if space.is_real:
+            return spaces.real_sup_points(space.real_halfwidth) * radius_scale
+        pts = spaces.disc_sup_points(space.policy.r_cap)
+        return pts if radius_scale == 1.0 else pts * (radius_scale / space.policy.r_cap)
+
+    @pytest.mark.parametrize("radius_scale", [1.0, 0.7])
+    @pytest.mark.parametrize("space", [SpaceSpec.sup_holo(),
+                                       SpaceSpec.sup_cont(holo.exp_abs_decay_weight())],
+                             ids=lambda space: space.kind)
+    def test_blocks_give_the_unblocked_max(self, monkeypatch, space, radius_scale):
+        monkeypatch.setattr(holo, "BLOCK_POINTS", 1000)
+        sizes = []
+
+        def values_at(z):
+            sizes.append(z.size)
+            return np.abs(z ** 3 - 0.5 * z + 0.25) * np.exp(-np.abs(z))
+
+        pts = self._unblocked(space, radius_scale)
+        assert certified_sup(values_at, space, radius_scale) == np.max(values_at(pts))
+        sizes.pop()
+        assert max(sizes) <= 1000 and sum(sizes) == pts.size and len(sizes) > 8
+
+    def test_nan_in_the_last_block_is_unbounded(self, monkeypatch):
+        monkeypatch.setattr(holo, "BLOCK_POINTS", 1000)
+        space = SpaceSpec.sup_holo()
+        last = spaces.disc_sup_points(space.policy.r_cap)[-1]
+        calls = []
+
+        def values_at(z):
+            calls.append(z.size)
+            return np.where(z == last, np.nan, np.abs(z))
+
+        with pytest.raises(Unbounded):
+            certified_sup(values_at, space)
+        assert len(calls) == -(-spaces.disc_sup_points(space.policy.r_cap).size // 1000)
 
 
 class TestCoSeminorm:
