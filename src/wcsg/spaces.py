@@ -299,10 +299,10 @@ def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | No
     """F(s) from the Taylor coefficients of f, at n = 4 n_theta FFT points and
     at 2n. None when the space is not Dirichlet or Bergman with p = 2, when
     the two sums differ by more than 100 tol max(1, |F|) or are not finite,
-    when f is not finite on the FFT circle, or when the series of the 2n-point
-    coefficients misses f at _SERIES_PROBES by more than 100 tol max(1, |f|):
-    a pole or branch cut inside the circle leaves the coefficients of a
-    function that is not f."""
+    when f is not finite on the FFT circle or at _SERIES_PROBES, or when the
+    series of the 2n-point coefficients misses f at _SERIES_PROBES by more
+    than 100 tol max(1, |f|): a pole or branch cut inside the circle leaves
+    the coefficients of a function that is not f."""
     if not (space.kind == "dirichlet" or (space.kind == "bergman" and space.p == 2.0)):
         return None
     n = 4 * space.policy.n_theta
@@ -313,8 +313,9 @@ def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | No
         return None
     with np.errstate(all="ignore"):  # f may have a pole at a probe
         at_probes = np.asarray(f(_SERIES_PROBES))
+    if not np.all(np.isfinite(at_probes)):
+        return None
     series = np.vander(_SERIES_PROBES, fine.size, increasing=True) @ fine
-    # NaN fails every comparison
     if not np.all(np.abs(series - at_probes) <= bound * np.maximum(1.0, np.abs(at_probes))):
         return None
     F_coarse, F_fine = (float(np.dot(_coefficient_weights(space, s, a.size), np.abs(a) ** 2))

@@ -34,6 +34,15 @@ def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+@pytest.fixture(params=["taylor-coefficients", "truncated-extrapolated"])
+def path(request, monkeypatch):
+    """Runs a p = 2 Bergman or Dirichlet test on the Taylor-coefficient path
+    and again on the quadrature fallback."""
+    if request.param == "truncated-extrapolated":
+        monkeypatch.setattr(spaces, "_coefficient_functional", lambda *args: None)
+    return request.param
+
+
 class TestNorm:
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("n", [0, 1, 3, 8])
@@ -41,18 +50,26 @@ class TestNorm:
         space = SpaceSpec.hardy(p)
         assert norm(space, holo.monomial(n)) == pytest.approx(1.0, abs=1e-8)
 
-    def test_dirichlet_monomial(self):
+    def test_dirichlet_monomial(self, path):
         # squared norm of z^n is n
-        assert norm(SpaceSpec.dirichlet(), holo.monomial(3)) == pytest.approx(
-            math.sqrt(3.0), abs=1e-6
-        )
+        detail = norm_detail(SpaceSpec.dirichlet(), holo.monomial(3))
+        assert detail.method == path
+        assert detail.value == pytest.approx(math.sqrt(3.0), abs=1e-6)
 
-    def test_bergman_via_beta_identity(self):
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_bergman_via_beta_identity(self, path, alpha, n):
         # ||e_n||^p = (alpha+1) B(np/2 + 1, alpha + 1)
-        space = SpaceSpec.bergman(alpha=0.0, p=2.0)
-        expected = math.sqrt(1.0 * beta(2.0, 1.0))
-        assert norm(space, holo.monomial(1)) == pytest.approx(expected, abs=1e-9)
-        assert expected == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        detail = norm_detail(SpaceSpec.bergman(alpha=alpha, p=2.0), holo.monomial(n))
+        expected = math.sqrt((alpha + 1.0) * beta(n + 1.0, alpha + 1.0))
+        assert detail.method == path
+        # the quadrature extrapolates the tail of the (1-r^2)^-1/2 weight
+        # least well: 2.1e-9 relative at alpha = -0.5, n = 4
+        rel = 1e-8 if alpha < 0 and path == "truncated-extrapolated" else 1e-9
+        assert detail.value == pytest.approx(expected, rel=rel, abs=0)
+
+    def test_beta_identity_at_degree_one(self):
+        assert math.sqrt(beta(2.0, 1.0)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_hardy_one_plus_z_parseval(self):
         assert norm(SpaceSpec.hardy(2.0), holo.poly([1, 1])) == pytest.approx(
@@ -152,13 +169,18 @@ class TestTaylorCoefficientPath:
         assert detail.method == "truncated-extrapolated"
         assert detail.value == 0.6673188621060349
 
-    @pytest.mark.parametrize("expr", ["1/(z-0.5)", "z/((z-0.5)*(z+0.5))"])
+    @pytest.mark.parametrize("expr", [
+        "1/(z-0.5)", "z/((z-0.5)*(z+0.5))", "1/z", "1/(z-0.3-0.4*i)",
+        # a pole at one probe whose principal part vanishes at the other
+        "z + (z-0.3-0.4*i)/z^2", "z + z/(z-0.3-0.4*i)^2",
+    ])
     @pytest.mark.parametrize("space", [SpaceSpec.bergman(0.0), SpaceSpec.dirichlet()],
                              ids=lambda space: space.label)
     def test_pole_inside_the_disc_is_left_to_quadrature(self, space, expr):
         # a pole inside the FFT circle leaves no Taylor coefficient, so the
         # coefficient sum alone would be about 0; the series misses f at the
-        # probe points, and the quadrature reports the divergence
+        # probe points, or f is not finite there, and the quadrature reports
+        # the divergence
         with pytest.raises(NonConvergent):
             norm_detail(space, to_holofn(expr))
 
@@ -234,10 +256,29 @@ class TestCoSeminorm:
             1.0, abs=1e-12
         )
 
-    def test_dirichlet_disc_area_oracle(self):
+    def test_dirichlet_disc_area_oracle(self, path):
         # (1/pi) * area(D_r) = r^2 for f = z, so the seminorm is r
         val = co_seminorm(SpaceSpec.dirichlet(), holo.monomial(1), SeminormIndex(0.5))
         assert val == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("space", [SpaceSpec.bergman(-0.5), SpaceSpec.bergman(1.5),
+                                       SpaceSpec.dirichlet()], ids=lambda space: space.label)
+    def test_polynomial_seminorm_closed_form(self, path, space, s):
+        # F(s) = sum_k w_k(s) |a_k|^2 with w_k from the area integral of |z|^2k
+        # (Bergman) or of k^2 |z|^(2k-2) (Dirichlet, plus |f(0)|^2)
+        coef = [0.5, 1.0, -0.25, 0.75]
+        if space.kind == "dirichlet":
+            expected = coef[0] ** 2 + sum(k * s ** (2 * k) * a * a for k, a in enumerate(coef))
+        else:
+            a1 = space.alpha + 1.0
+            x = s * s
+            # (alpha+1) int_0^x u^k (1-u)^alpha du by the binomial expansion of u^k = (1-(1-u))^k
+            expected = sum(a * a * sum(math.comb(k, j) * (-1) ** j * a1 / (a1 + j)
+                                       * (1.0 - (1.0 - x) ** (a1 + j)) for j in range(k + 1))
+                           for k, a in enumerate(coef))
+        val = co_seminorm(space, holo.poly(coef), SeminormIndex(s))
+        assert val == pytest.approx(math.sqrt(expected), rel=1e-9)
 
     def test_hardy_monomial_radius_power(self):
         val = co_seminorm(SpaceSpec.hardy(2.0), holo.monomial(2), SeminormIndex(0.9))
@@ -247,7 +288,7 @@ class TestCoSeminorm:
         "space",
         [SpaceSpec.hardy(2.0), SpaceSpec.bergman(0.5, 2.0), SpaceSpec.sup_holo()],
     )
-    def test_monotone_in_radius_and_below_norm(self, space):
+    def test_monotone_in_radius_and_below_norm(self, path, space):
         f = holo.poly([0.5, 1.0, -0.25])
         nrm = norm(space, f)
         vals = [co_seminorm(space, f, SeminormIndex(s)) for s in (0.3, 0.6, 0.9, 0.999)]
