@@ -10,8 +10,8 @@ check numerically).
 Bergman norms with p = 2 and Dirichlet norms, and their seminorms, are
 weighted sums of squared Taylor coefficients, which an FFT on a circle near
 the boundary gives; doubling the FFT length certifies the sum, and the series
-must reproduce f at two interior points. Where that certificate fails
-(coefficients that decay too slowly, or a pole inside the disc), and for
+must reproduce f, finite, at two interior points. Where that certificate
+fails (coefficients that decay too slowly, or a pole inside the disc), and for
 every other integral norm, the functional is truncated at ``policy.r_cap``
 and extrapolated to the boundary using the known tail exponent. Sup-type
 norms are certified grid maxima over a fixed grid, lower bounds for the true
