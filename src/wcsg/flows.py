@@ -96,6 +96,18 @@ CATALOG_PARAMS = {"dilation": {"c": complex}, "rotation": {"rate": float}, "attr
                   "translation-real": {}, "cubic-real": {}, "identity": {"domain": str}}
 
 
+def _linear_semiflow(name: str, w: complex, generator_name: str) -> Semiflow:
+    """phi_t(z) = e^(wt) z on the disc, generated by G(z) = w z."""
+    return Semiflow(
+        eval=lambda t, z: np.exp(w * t) * z,
+        domain=UNIT_DISC,
+        name=name,
+        generator=HoloFn(lambda z: w * z, UNIT_DISC, name=generator_name,
+                         deriv=lambda z: np.full(np.shape(z), w, dtype=complex)),
+        prime=lambda t, z: np.full(np.shape(z), np.exp(w * t), dtype=complex),
+    )
+
+
 def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
     """A closed-form semiflow by name; CATALOG_PARAMS lists its parameters."""
     params = dict(params or {})
@@ -103,24 +115,9 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
         c = complex(params.get("c", 1.0))
         if c.real < 0:
             raise InvalidParam("dilation requires Re(c) >= 0, else the disc is not invariant")
-        return Semiflow(
-            eval=lambda t, z, c=c: np.exp(-c * t) * z,
-            domain=UNIT_DISC,
-            name="dilation",
-            generator=HoloFn(lambda z, c=c: -c * z, UNIT_DISC, name="-c*z",
-                              deriv=lambda z, c=c: np.full(np.shape(z), -c, dtype=complex)),
-            prime=lambda t, z, c=c: np.full(np.shape(z), np.exp(-c * t), dtype=complex),
-        )
+        return _linear_semiflow("dilation", -c, "-c*z")
     if name == "rotation":
-        w = 1j * float(params.get("rate", 1.0))
-        return Semiflow(
-            eval=lambda t, z, w=w: np.exp(w * t) * z,
-            domain=UNIT_DISC,
-            name="rotation",
-            generator=HoloFn(lambda z, w=w: w * z, UNIT_DISC, name="i*rate*z",
-                              deriv=lambda z, w=w: np.full(np.shape(z), w, dtype=complex)),
-            prime=lambda t, z, w=w: np.full(np.shape(z), np.exp(w * t), dtype=complex),
-        )
+        return _linear_semiflow("rotation", 1j * float(params.get("rate", 1.0)), "i*rate*z")
     if name == "attracting":
         return Semiflow(
             eval=lambda t, z: np.exp(-t) * z + 1.0 - np.exp(-t),

@@ -140,6 +140,23 @@ def ensure_finite(values, what: str):
     return values
 
 
+def certify_doubling(coarse, fine, tol: float, what: str):
+    """``fine`` if it moved from ``coarse`` by at most 100 tol max(1, max|fine|),
+    else NonConvergent naming ``what``. A NaN fails the comparison and an inf
+    in ``fine`` leaves no finite bound, so a non-finite value never passes."""
+    gap = float(np.max(np.abs(coarse - fine)))
+    if not gap <= 100.0 * tol * max(1.0, float(np.max(np.abs(fine)))) < np.inf:
+        raise NonConvergent(f"{what}: doubling moved the value by {gap:.3e}")
+    return fine
+
+
+def row_blocks(n_rows: int, row_len: int):
+    """Slices of whole rows covering range(n_rows) in order, each of at most
+    BLOCK_POINTS points and at least one row."""
+    step = max(1, BLOCK_POINTS // max(1, row_len))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
 # ---------------------------------------------------------------------------
 # catalog constructors
 # ---------------------------------------------------------------------------
@@ -273,6 +290,29 @@ def gl01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def time_integral(h, t: float, zs, n: int):
+    """The integral of h(tau, z) over tau in [0, t] at each point z of zs:
+    the n-node Gauss-Legendre rule, certified against 2n nodes.
+
+    h runs on blocks of time nodes x points, a column of times against one
+    row of the points per node, and its values must be finite. The sum runs
+    node by node in node order, so it rounds as one node at a time does."""
+    pts = np.ravel(zs)
+
+    def rule(m):
+        xs, ws = gl01(m)
+        acc = np.zeros(pts.shape, dtype=complex)
+        for nodes in row_blocks(m, pts.size):
+            taus = xs[nodes, None] * t
+            with np.errstate(all="ignore"):  # a pole of h is reported below
+                vals = np.asarray(h(taus, np.broadcast_to(pts, (len(taus), pts.size))))
+            for w, v in zip(ws[nodes], ensure_finite(vals, "time integral")):
+                acc = acc + w * v
+        return t * acc.reshape(np.shape(zs))
+
+    return certify_doubling(rule(n), rule(2 * n), DEFAULT_POLICY.tol, f"time integral at t={t:g}")
+
+
 def cauchy_derivative_grid(f, zs, radii, n_nodes: int = INNER_DERIV_NODES):
     """Vectorized f'(z) on an array of points via the Cauchy integral formula.
 
@@ -343,11 +383,10 @@ def _disc_integral_pass(g, panels, m: int, n_theta: int, radial) -> float:
     x, w = _gl_nodes(m)
     halves = [0.5 * (b - a) for a, b in panels]
     s = np.concatenate([0.5 * (a + b) + h * x for (a, b), h in zip(panels, halves)])
-    step = max(1, BLOCK_POINTS // n_theta)
     rows = np.empty(s.size)
-    for lo in range(0, s.size, step):
-        block = np.asarray(g(s[lo:lo + step, None] * ring[None, :]), dtype=float)
-        rows[lo:lo + step] = ensure_finite(np.mean(block, axis=1), "disc integrand")
+    for block in row_blocks(s.size, n_theta):
+        vals = np.asarray(g(s[block, None] * ring[None, :]), dtype=float)
+        rows[block] = ensure_finite(np.mean(vals, axis=1), "disc integrand")
     rw = s if radial is None else s * radial(s)
     return sum(2.0 * np.pi * h * float(np.dot(w, pw * pr))
                for h, pw, pr in zip(halves, rw.reshape(-1, m), rows.reshape(-1, m)))
@@ -364,7 +403,7 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
     cluster toward the boundary, where Bergman-type weights are nearly
     singular) times the angular trapezoid, with g called on blocks of whole
     radial rows of at most BLOCK_POINTS points. With ``certify`` the node
-    counts are doubled and disagreement beyond 100*tol raises NonConvergent.
+    counts are doubled and :func:`certify_doubling` judges the two values.
     """
     if not 0.0 < r <= policy.r_cap + 1e-12:
         raise DomainExit(f"disc radius {float(r)!r} outside (0, r_cap = {policy.r_cap!r}]",
@@ -375,11 +414,7 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
     if not certify:
         return coarse
     fine = _disc_integral_pass(g, panels, 2 * m, 2 * policy.n_theta, radial)
-    if abs(coarse - fine) > 100.0 * policy.tol * max(1.0, abs(fine)):
-        raise NonConvergent(
-            f"disc integral to r={r:g}: doubling moved the value by {abs(coarse - fine):.3e}"
-        )
-    return fine
+    return certify_doubling(coarse, fine, policy.tol, f"disc integral to r={r:g}")
 
 
 def annulus_integral(g, r_inner: float, r_outer: float, n_theta: int = 256,

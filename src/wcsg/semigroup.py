@@ -75,7 +75,8 @@ def semigroup_residual(sg: WcSemigroup, ts, grid) -> tuple[float, float, float]:
     The laws are identities in the same values, so phi_u and m_u are
     evaluated once per distinct time u in {0, t, t+s}, phi_s(phi_t) and
     m_s(phi_t) once per pair, and only f runs per corpus function. The flow
-    runs first, so a flow that fails is reported before its cocycle."""
+    runs first, so a flow that fails is reported before its cocycle. The
+    maxima keep a NaN, so a non-finite value is a non-finite residual."""
     ts = [float(t) for t in ts]
     if any(t < 0 for t in ts):
         raise InvalidParam("semigroup times must be >= 0")
@@ -95,19 +96,19 @@ def semigroup_residual(sg: WcSemigroup, ts, grid) -> tuple[float, float, float]:
         for s in ts:
             lhs = phi_at(t + s)
             phi_st[t, s] = np.asarray(phi(s, phi_t))
-            semiflow = max(semiflow, float(np.max(np.abs(lhs - phi_st[t, s]))))
+            semiflow = np.maximum(semiflow, np.max(np.abs(lhs - phi_st[t, s])))
 
     cocycle, semigroup = float(np.max(np.abs(m_at(0.0) - 1.0))), 0.0
     for t in ts:
         m_t = m_at(t)
         for s in ts:
             m_ts, m_st = m_at(t + s), np.asarray(m(s, phi_at(t)))
-            cocycle = max(cocycle, float(np.max(np.abs(m_ts - m_t * m_st))))
+            cocycle = np.maximum(cocycle, np.max(np.abs(m_ts - m_t * m_st)))
             for f in spaces.default_corpus(real=sg.space.is_real):
                 lhs = m_ts * np.asarray(f.fn(phi_at(t + s)))
                 rhs = m_t * (m_st * np.asarray(f.fn(phi_st[t, s])))
-                semigroup = max(semigroup, float(np.max(np.abs(lhs - rhs))))
-    return semiflow, cocycle, semigroup
+                semigroup = np.maximum(semigroup, np.max(np.abs(lhs - rhs)))
+    return float(semiflow), float(cocycle), float(semigroup)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +193,6 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
     return comp, comps
 
 
-def _bloch_log_weight(z):
-    u = 1.0 - np.abs(z) ** 2
-    return u * np.log(2.0 / u)
-
-
 def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
     space = sg.space
     if sg.m.trivial:
@@ -206,11 +202,8 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
     if sup_m == 0.0:
         raise InvalidParam(f"sup |m_t| underflowed to 0 at t={t:g}")
     comps["sup_abs_m_t"] = sup_m
-    if sg.m.constant_in_z:
-        # multiplication by a constant scales any norm exactly
-        comps["multiplier"] = sup_m
-        return sup_m
-    if space.kind in ("hardy", "bergman", "sup-holo", "sup-cont"):
+    # multiplying by a constant, or on these spaces by any m_t, has norm sup |m_t|
+    if sg.m.constant_in_z or space.kind in ("hardy", "bergman", "sup-holo", "sup-cont"):
         comps["multiplier"] = sup_m
         return sup_m
     if space.kind == "bloch" and space.alpha is not None:
@@ -220,9 +213,9 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
             L = 2.0 ** (a - 1.0) / (a - 1.0)
             fac = (3.0 + L) * sup_m
         elif a == 1.0:
-            def logsup(z):
-                dm = np.abs(holo.derivative_on_grid(m_t, z))
-                return dm * _bloch_log_weight(z)
+            def logsup(z):  # |m_t'| times the log weight u log(2/u), u = 1 - |z|^2
+                u = 1.0 - np.abs(z) ** 2
+                return np.abs(holo.derivative_on_grid(m_t, z)) * (u * np.log(2.0 / u))
 
             S = certified_sup(logsup, space)
             fac = 3.0 * sup_m + S

@@ -108,11 +108,8 @@ def _default_label(space: SpaceSpec) -> str:
         return f"A^{space.p:g}_{space.alpha:g}"
     if space.kind == "dirichlet":
         return "Dirichlet"
-    if space.kind == "bloch":
-        return f"Bloch[{space.v.name or 'v'}]"
-    if space.kind == "sup-holo":
-        return f"Hv[{space.v.name or 'v'}]"
-    return f"Cv[{space.v.name or 'v'}]"
+    prefix = {"bloch": "Bloch", "sup-holo": "Hv", "sup-cont": "Cv"}[space.kind]
+    return f"{prefix}[{space.v.name or 'v'}]"
 
 
 def _check_weight_positive(v: HoloFn, halfwidth: float):
@@ -166,8 +163,8 @@ def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0) -> flo
 
     ``values_at`` maps a point array to nonnegative reals. Returns its
     maximum over the sup grid, a lower bound for the true sup. It runs on
-    blocks of at most holo.BLOCK_POINTS grid points; a maximum is exact in any
-    order, so the blocks do not move the value.
+    the blocks of :func:`holo.row_blocks`, one grid point to a row; a maximum
+    is exact in any order, so the blocks do not move the value.
     """
     if space.is_real:
         pts, scale = real_sup_points(space.real_halfwidth), radius_scale
@@ -175,9 +172,8 @@ def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0) -> flo
         pts = disc_sup_points(space.policy.r_cap)
         scale = 1.0 if radius_scale == 1.0 else radius_scale / space.policy.r_cap
     best = -np.inf
-    step = holo.BLOCK_POINTS
-    for lo in range(0, pts.size, step):
-        block = pts[lo:lo + step]
+    for rows in holo.row_blocks(pts.size, 1):
+        block = pts[rows]
         vals = np.asarray(values_at(block if scale == 1.0 else block * scale), dtype=float)
         top = np.max(vals)
         if not np.all(np.isfinite(vals)) or top > OVERFLOW_GUARD:
@@ -298,17 +294,19 @@ _SERIES_PROBES = np.array([0.0, 0.3 + 0.4j])
 def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | None:
     """F(s) from the Taylor coefficients of f, at n = 4 n_theta FFT points and
     at 2n. None when the space is not Dirichlet or Bergman with p = 2, when
-    the two sums differ by more than 100 tol max(1, |F|) or are not finite,
-    when f is not finite on the FFT circle or at _SERIES_PROBES, or when the
-    series of the 2n-point coefficients misses f at _SERIES_PROBES by more
-    than 100 tol max(1, |f|): a pole or branch cut inside the circle leaves
-    the coefficients of a function that is not f."""
+    the two sums fail :func:`holo.certify_doubling`, when f is not finite on
+    the FFT circle or at _SERIES_PROBES, or when the series of the
+    2n-point coefficients misses f at _SERIES_PROBES by more than
+    100 tol max(1, |f|): a pole or branch cut inside the circle leaves the
+    coefficients of a function that is not f."""
     if not (space.kind == "dirichlet" or (space.kind == "bergman" and space.p == 2.0)):
         return None
     n = 4 * space.policy.n_theta
-    bound = 100.0 * space.policy.tol
     try:
         coarse, fine = (holo.taylor_coefficients(f, m) for m in (n, 2 * n))
+        F_coarse, F_fine = (float(np.dot(_coefficient_weights(space, s, a.size), np.abs(a) ** 2))
+                            for a in (coarse, fine))
+        F = holo.certify_doubling(F_coarse, F_fine, space.policy.tol, "Taylor coefficient sum")
     except NonConvergent:
         return None
     with np.errstate(all="ignore"):  # f may have a pole at a probe
@@ -316,13 +314,10 @@ def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | No
     if not np.all(np.isfinite(at_probes)):
         return None
     series = np.vander(_SERIES_PROBES, fine.size, increasing=True) @ fine
-    if not np.all(np.abs(series - at_probes) <= bound * np.maximum(1.0, np.abs(at_probes))):
+    bound = 100.0 * space.policy.tol * np.maximum(1.0, np.abs(at_probes))
+    if not np.all(np.abs(series - at_probes) <= bound):
         return None
-    F_coarse, F_fine = (float(np.dot(_coefficient_weights(space, s, a.size), np.abs(a) ** 2))
-                        for a in (coarse, fine))
-    if not abs(F_coarse - F_fine) <= bound * max(1.0, abs(F_fine)):
-        return None
-    return F_fine
+    return F
 
 
 def _sup_functional(space: SpaceSpec, f: HoloFn):

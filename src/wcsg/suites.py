@@ -247,8 +247,7 @@ def build_cocycle(cfg: dict, phi: Semiflow, path: str = "cocycle") -> cocycles.S
             for i, item in enumerate(_list(cfg, "zeros", path, [])):
                 zpath = f"{path}.zeros[{i}]"
                 _check_keys(item, {"re", "im", "order"}, zpath)
-                b = complex(_number(item.get("re", 0.0), f"{zpath}.re"),
-                            _number(item.get("im", 0.0), f"{zpath}.im"))
+                b = _as_complex({k: v for k, v in item.items() if k != "order"}, zpath)
                 orders[b] = _num(item, "order", zpath, cast=int, required=True)
             return cocycles.coboundary(omega, phi, orders)
     raise ConfigError(f"{path}.type", f"unknown cocycle type {kind!r}")
@@ -439,7 +438,7 @@ def run_semigroup_check(cfg: dict) -> list:
             "semigroup_residual": r_sg,
             "tol": tol,
         }
-        return {"pair": pcfg["label"]}, numbers, max(r_flow, r_coc, r_sg) < tol, []
+        return {"pair": pcfg["label"]}, numbers, all(r < tol for r in (r_flow, r_coc, r_sg)), []
 
     return _run_cases(cfg, "pairs", {"label", "space", "flow", "cocycle", "tol"}, "laws", run)
 
@@ -550,10 +549,10 @@ def run_reconstruct(cfg: dict) -> list:
         for t in ts:
             a = np.asarray(phi_ode(t, grid))
             b = np.asarray(ref(t, grid))
-            dev = max(dev, float(np.max(np.abs(a - b))))
+            dev = np.maximum(dev, np.max(np.abs(a - b)))  # a NaN is kept
         zs = grid[:: max(1, len(grid) // 5)]
         fd_err = float(np.max(np.abs(flows.generator_fd(phi_ode, zs) - phi_ode.generator(zs))))
-        numbers = {"max_deviation": dev, "generator_fd_error": fd_err}
+        numbers = {"max_deviation": float(dev), "generator_fd_error": fd_err}
         ok = dev < tols["deviation"] and fd_err < tols["generator_fd"]
         return {"generator": phi_ode.name, "reference": ref.name}, numbers, ok, []
 

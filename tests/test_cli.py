@@ -96,6 +96,7 @@ class TestExitCodes:
 _HARDY2 = {"kind": "hardy", "p": 2.0}
 _DILATION = {"name": "dilation", "params": {"c": 1.0}}
 _ATTRACTING = {"name": "attracting"}
+_POLE_AT_AN_ORBIT = "1/(z-0.5762041267270017)"  # 1/(z - e^-0.5 0.95)
 
 # Each config breaks one input check; per case the expected verdict, "error"
 # for the cases the bad input reaches.
@@ -291,10 +292,41 @@ _BAD_INPUTS = {
                     "flow": {"name": "translation-real"}, "cocycle": {"type": "trivial"}}]},
         {"laws/disc": "error", "laws/real": True},
     ),
+    # g = 1/z has its pole at 0, a grid point the dilation fixes
+    "semigroup-check-integral-pole-on-the-grid": (
+        {"suite": "semigroup-check",
+         "pairs": [{"label": "pole", "flow": _DILATION,
+                    "cocycle": {"type": "integral", "g": "1/z"}},
+                   {"label": "ok", "flow": _DILATION, "cocycle": {"type": "integral", "g": "z"}}]},
+        {"laws/pole": "error", "laws/ok": True},
+    ),
+    "cocycle-check-integral-pole-on-the-grid": (
+        {"suite": "cocycle-check", "flow": _DILATION,
+         "cocycles": [{"type": "integral", "g": "1/z"}, {"type": "integral", "g": "z"}]},
+        {"cocycle/integral0": "error", "cocycle/integral1": True},
+    ),
+    # the pole of omega is phi_0.5(0.95), and 0.95 is a grid point: only the
+    # pair (0.5, 0.5) meets it, after finite residuals
+    "cocycle-check-coboundary-pole-on-an-orbit": (
+        {"suite": "cocycle-check", "flow": _DILATION, "sweep": {"ts": [0.0, 0.5]},
+         "cocycles": [{"type": "coboundary", "omega": _POLE_AT_AN_ORBIT}, {"type": "trivial"}]},
+        {"cocycle/coboundary0": False, "cocycle/trivial1": True},
+    ),
+    "semigroup-check-coboundary-pole-on-an-orbit": (
+        {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5]},
+         "pairs": [{"label": "pole", "flow": _DILATION,
+                    "cocycle": {"type": "coboundary", "omega": _POLE_AT_AN_ORBIT}},
+                   {"label": "ok", "flow": _DILATION, "cocycle": {"type": "trivial"}}]},
+        {"laws/pole": False, "laws/ok": True},
+    ),
 }
 
 # What the error of a case in _BAD_INPUTS must name.
 _ERROR_TEXT = {
+    "semigroup-check-integral-pole-on-the-grid": {
+        "laws/pole": "non-finite values in time integral"},
+    "cocycle-check-integral-pole-on-the-grid": {
+        "cocycle/integral0": "non-finite values in time integral"},
     "semigroup-check-grid-on-the-circle": {
         "laws/disc": "sweep.grid_rmax: a disc grid must lie inside the unit disc, got 1.0"},
     "reconstruct-generator-domain": {
@@ -501,6 +533,16 @@ class TestErrorContract:
         errors = {c["id"]: c.get("error") for c in json.loads(out.read_text())["cases"]}
         for cid, text in _ERROR_TEXT[name].items():
             assert text in errors[cid]
+
+    def test_reconstruct_keeps_a_nan_deviation(self, tmp_path):
+        # 0.01/z has its pole at the grid point 0: that trajectory is NaN at
+        # every time, and the deviation must say so rather than read 0
+        cfg = {"suite": "reconstruct", "cases": [
+            {"label": "a", "generator": "-z + 0.01/z", "reference": _DILATION}]}
+        out = tmp_path / "r.json"
+        assert run_cli(tmp_path, cfg, "--out", str(out)).returncode == 1
+        (case,) = json.loads(out.read_text())["cases"]
+        assert case["verdict"] is False and case["numbers"]["max_deviation"] == "nan"
 
     @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
     def test_bad_config_value_is_a_config_error(self, tmp_path, name):

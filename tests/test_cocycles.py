@@ -16,7 +16,13 @@ from wcsg.cocycles import (
     mdot0,
     trivial_cocycle,
 )
-from wcsg.errors import DegenerateFixedPoint, InvalidParam, OrderMismatch, ZeroNotFixed
+from wcsg.errors import (
+    DegenerateFixedPoint,
+    InvalidParam,
+    NonConvergent,
+    OrderMismatch,
+    ZeroNotFixed,
+)
 from wcsg.exprs import to_holofn
 from wcsg.flows import disc_sample_grid, make_catalog_semiflow, semiflow_from_generator
 
@@ -63,6 +69,18 @@ class TestIntegralCocycle:
         phi = make_catalog_semiflow("attracting")
         with pytest.raises(InvalidParam, match="cocycle times must be >= 0"):
             cocycle_law_residual(trivial_cocycle(), phi, (0.0, -0.5), GRID)
+
+    def test_law_residual_keeps_a_nan_after_the_first_pair(self):
+        # m_1 is NaN: only the pair (0.5, 0.5) reaches it, after finite residuals
+        m = cocycles.Semicocycle(
+            eval=lambda t, z: np.full(np.shape(z), np.nan if t == 1.0 else 1.0, dtype=complex))
+        assert math.isnan(cocycle_law_residual(m, dilation(), (0.0, 0.5), GRID))
+
+    def test_a_pole_of_g_on_an_orbit_is_nonconvergent(self):
+        # the grid holds 0, a fixed point of the dilation where 1/z has its pole
+        m = cocycle_from_g(to_holofn("1/z"), dilation())
+        with pytest.raises(NonConvergent, match="non-finite values in time integral"):
+            m(0.5, GRID)
 
     def test_never_vanishes(self):
         m = cocycle_from_g(holo.monomial(1), make_catalog_semiflow("attracting"))

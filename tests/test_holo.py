@@ -320,6 +320,122 @@ class TestFiniteness:
                 disc_integral(lambda z: np.full(z.shape, 1e307), 0.5, certify=False)
 
 
+class TestDoublingCertificate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["coarse", "fine"])
+    def test_a_non_finite_value_raises(self, bad, side):
+        good = np.array([0.5, 1.0 + 1j, -2.0])
+        spoilt = good.copy()
+        spoilt[1] = bad
+        coarse, fine = (spoilt, good) if side == "coarse" else (good, spoilt)
+        with pytest.raises(NonConvergent, match="the quantity: doubling moved the value by"):
+            holo.certify_doubling(coarse, fine, 1e-8, "the quantity")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_scalar_raises(self, bad):
+        with pytest.raises(NonConvergent, match="scalar"):
+            holo.certify_doubling(1.0, bad, 1e-8, "scalar")
+        with pytest.raises(NonConvergent, match="scalar"):
+            holo.certify_doubling(bad, 1.0, 1e-8, "scalar")
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_bound_is_100_tol_times_the_larger_of_1_and_max_fine(self, scale):
+        tol = 1e-8
+        fine = np.array([0.1, -1.0]) * scale
+        bound = 100.0 * tol * max(1.0, scale)
+        within, beyond = fine + 0.5 * bound, fine.copy()
+        beyond[0] += 2.0 * bound
+        assert holo.certify_doubling(within, fine, tol, "q") is fine
+        with pytest.raises(NonConvergent, match="a sum at t=1: doubling moved the value by"):
+            holo.certify_doubling(beyond, fine, tol, "a sum at t=1")
+
+    def test_equal_values_return_fine(self):
+        assert holo.certify_doubling(2.5, 2.5, 1e-8, "q") == 2.5
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("block", [50, 1000, holo.BLOCK_POINTS])
+    @pytest.mark.parametrize("n_rows, row_len", [(0, 7), (1, 1), (37, 1), (50_677, 1),
+                                                 (120, 256), (33, 13), (9, 4096), (5, 5000),
+                                                 (12, 0)])
+    def test_every_row_once_in_order_within_the_block(self, monkeypatch, block, n_rows,
+                                                      row_len):
+        monkeypatch.setattr(holo, "BLOCK_POINTS", block)
+        slices = list(holo.row_blocks(n_rows, row_len))
+        covered = [i for sl in slices for i in range(n_rows)[sl]]
+        assert covered == list(range(n_rows))
+        sizes = [len(range(n_rows)[sl]) for sl in slices]
+        assert all(k >= 1 for k in sizes)
+        if row_len > block:
+            assert set(sizes) <= {1}
+        else:
+            assert all(k * max(1, row_len) <= block for k in sizes)
+            # only the last block may hold fewer rows than fit
+            assert all(k == block // max(1, row_len) for k in sizes[:-1])
+
+
+def _per_node_time_integral(h, t, zs, n):
+    """The rule of holo.time_integral at n nodes, one h call per node."""
+    xs, ws = holo.gl01(n)
+    pts = np.ravel(zs)
+    acc = np.zeros(pts.shape, dtype=complex)
+    for x, w in zip(xs, ws):
+        acc = acc + w * np.asarray(h(np.array([[x]]) * t, pts[None, :]))[0]
+    return t * acc.reshape(np.shape(zs))
+
+
+def _orbit_integrand(taus, pts):
+    """exp(i tau z) z^2 + tau, standing in for g along a flow."""
+    return np.exp(1j * taus * pts) * pts ** 2 + taus
+
+
+class TestTimeIntegral:
+    @pytest.mark.parametrize("block", [50, holo.BLOCK_POINTS])
+    @pytest.mark.parametrize("shape", [(13,), (3, 5), (5000,)])
+    def test_equals_the_per_node_loop(self, monkeypatch, block, shape):
+        monkeypatch.setattr(holo, "BLOCK_POINTS", block)
+        n_pts = math.prod(shape)
+        zs = np.linspace(0.0, 0.9, n_pts) * np.exp(2j * np.pi * np.arange(n_pts) / 7)
+        zs = zs.reshape(shape)
+        for t, n in [(0.3, 8), (1.7, 55)]:
+            got = holo.time_integral(_orbit_integrand, t, zs, n)
+            assert got.shape == shape
+            assert np.array_equal(got, _per_node_time_integral(_orbit_integrand, t, zs, 2 * n))
+
+    @pytest.mark.parametrize("block", [50, holo.BLOCK_POINTS])
+    def test_every_call_is_whole_nodes_within_the_block(self, monkeypatch, block):
+        monkeypatch.setattr(holo, "BLOCK_POINTS", block)
+        shapes = []
+
+        def h(taus, pts):
+            shapes.append((taus.shape, pts.shape))
+            return np.ones(pts.shape)
+
+        holo.time_integral(h, 0.5, np.zeros(13), 8)
+        for taus_shape, pts_shape in shapes:
+            k = taus_shape[0]
+            assert taus_shape == (k, 1) and pts_shape == (k, 13) and k * 13 <= max(block, 13)
+        assert sum(taus_shape[0] for taus_shape, _ in shapes) == 8 + 16
+
+    def test_polynomial_in_time_is_exact(self):
+        zs = np.array([0.0, 0.5, -0.3 + 0.4j])
+        got = holo.time_integral(lambda taus, pts: 3.0 * taus ** 2 * pts + 1.0, 2.0, zs, 8)
+        assert np.allclose(got, 8.0 * zs + 2.0, rtol=0, atol=1e-14)
+
+    def test_a_pole_on_an_orbit_raises_without_a_warning(self):
+        # h has a pole at z = 0 for every tau; the warnings filter turns a
+        # numpy RuntimeWarning into a failure
+        h = lambda taus, pts: 1.0 / (pts + 0.0 * taus)
+        zs = np.array([0.5, 0.0, 0.25j])
+        with pytest.raises(NonConvergent, match="non-finite values in time integral"):
+            holo.time_integral(h, 1.0, zs, 8)
+
+    def test_an_unresolved_integrand_fails_the_doubling(self):
+        h = lambda taus, pts: np.exp(400j * taus) * np.ones(pts.shape)
+        with pytest.raises(NonConvergent, match="time integral at t=1: doubling moved the value"):
+            holo.time_integral(h, 1.0, np.zeros(3), 8)
+
+
 class TestExtrapolation:
     def test_boundary_extrapolate_linear_tail(self):
         F = lambda r: 1.0 - 3.0 * (1.0 - r)  # exact linear tail

@@ -106,6 +106,15 @@ class TestSemigroupResidual:
         with pytest.raises(InvalidParam):
             semigroup_residual(sg_trivial(), (0.5, -0.1), disc_sample_grid(0.9))
 
+    def test_a_nan_after_the_first_pair_is_kept(self):
+        # m_1 is NaN: only the pair (0.5, 0.5) reaches it, after finite residuals
+        phi = make_catalog_semiflow("dilation", {"c": 1.0})
+        m = Semicocycle(
+            eval=lambda t, z: np.full(np.shape(z), np.nan if t == 1.0 else 1.0, dtype=complex))
+        flow, cocycle, semigroup = semigroup_residual(
+            WcSemigroup(phi, m, SpaceSpec.hardy(2.0)), (0.0, 0.5), disc_sample_grid(0.9))
+        assert flow < 1e-15 and math.isnan(cocycle) and math.isnan(semigroup)
+
     @pytest.mark.parametrize("corpus_size", [1, 5, 20])
     def test_flow_is_evaluated_once_per_time_set(self, monkeypatch, corpus_size):
         # ts = (0, 0.25, 0.5): phi_u once for each of the 5 distinct u in
