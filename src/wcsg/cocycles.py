@@ -141,9 +141,18 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
         if drift > 1e-8:
             raise ZeroNotFixed(f"declared zero {b} moves by {drift:.3e} under the semiflow")
 
+    def omega_at(pts):
+        with np.errstate(all="ignore"):  # a pole is named below
+            w = np.asarray(omega(pts))
+        bad = ~np.isfinite(w)
+        if np.any(bad):
+            raise InvalidParam(f"omega is not finite at {complex(pts[np.argmax(bad)])}")
+        return w
+
     def eval_fn(t, z):
         """(phi_t')^order within ZERO_GUARD of a declared zero, the quotient
-        elsewhere; omega vanishing there is an undeclared zero."""
+        elsewhere; omega vanishing there is an undeclared zero, and omega
+        not finite at a point or at its image is a pole."""
         t, zs = float(t), np.asarray(z, dtype=complex)
         out = np.empty(zs.shape, dtype=complex)
         rest = np.ones(zs.shape, dtype=bool)
@@ -153,11 +162,13 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
                 out[mask] = np.asarray(phi.space_derivative(t, zs[mask])) ** n
                 rest &= ~mask
         if np.any(rest):
-            w = np.asarray(omega(zs[rest]))
+            w = omega_at(zs[rest])
             if np.any(w == 0):
                 raise InvalidParam(f"omega vanishes at {complex(zs[rest][np.argmax(w == 0)])}, "
                                    "which is not a declared zero")
-            out[rest] = np.asarray(omega(np.asarray(phi(t, zs[rest])))) / w
+            with np.errstate(all="ignore"):  # an overflow is reported below
+                quot = omega_at(np.asarray(phi(t, zs[rest]))) / w
+            out[rest] = holo.ensure_finite(quot, "coboundary quotient")
         return out
 
     # branch agreement on the guard circle

@@ -268,8 +268,9 @@ def _rk4_step(G, y, h):
 def _integrate(G, z, t_target, cfg: OdeCfg, domain: Domain):
     """RK4 from each start point of the 1-d array z to its own time in the
     array t_target, with per-point t, step h and accept/halve/double
-    decisions. A failed point stops stepping, as do all later ones, and the
-    first failure in array order is raised. Every live point takes one step
+    decisions. A failed point (one whose step leaves the domain or is not
+    finite) stops stepping, as do all later ones, and the first failure in
+    array order is raised. Every live point takes one step
     per pass, so a point still short of its time after ODE_STEP_BUDGET passes
     fails here as it would alone."""
     y, t, h = z.copy(), np.zeros(z.shape), np.minimum(cfg.h0, t_target)
@@ -283,22 +284,29 @@ def _integrate(G, z, t_target, cfg: OdeCfg, domain: Domain):
             first = int(idx[np.argmax(hi < 1e-14)])
             failure = StepUnderflow(f"step size underflow at t={t[first]:g}")
             continue
-        full = _rk4_step(G, y[idx], hi)
-        half = _rk4_step(G, _rk4_step(G, y[idx], 0.5 * hi), 0.5 * hi)
-        diff = half - full  # hypot and division by parts round as Python's complex abs and / do
-        err = np.hypot(diff.real, diff.imag)
+        with np.errstate(all="ignore"):  # a non-finite step is reported below
+            full = _rk4_step(G, y[idx], hi)
+            half = _rk4_step(G, _rk4_step(G, y[idx], 0.5 * hi), 0.5 * hi)
+            diff = half - full  # hypot and division by parts round as Python's complex abs and / do
+            err = np.hypot(diff.real, diff.imag)
+            y_new = half + (diff.view(float) / 15.0).view(diff.dtype)  # local 5th-order correction
         ok = ~(err > cfg.tol_step)
-        y_new = half + (diff.view(float) / 15.0).view(diff.dtype)  # local 5th-order correction
-        out = ok & (np.hypot(y_new.real, y_new.imag) >= bound) & (domain.kind == "disc")
+        bad = ~np.isfinite(y_new)
+        out = bad | ok & (np.hypot(y_new.real, y_new.imag) >= bound) & (domain.kind == "disc")
         if np.any(out):
             j = int(np.argmax(out))
             first = int(idx[j])
             t0, h0, r0 = t[first].item(), hi[j].item(), abs(y[first].item())
-            frac = (bound - r0) / max(abs(y_new[j].item()) - r0, 1e-300)
-            failure = EscapedDomain(
-                f"trajectory from {z[first].item()} reached the boundary near t={t0 + frac * h0:g}",
-                tau_estimate=t0 + min(max(frac, 0.0), 1.0) * h0,
-            )
+            if bad[j]:
+                failure = NonConvergent(f"trajectory from {z[first].item()} took a non-finite "
+                                        f"RK4 step at t={t0:g}")
+            else:
+                frac = (bound - r0) / max(abs(y_new[j].item()) - r0, 1e-300)
+                failure = EscapedDomain(
+                    f"trajectory from {z[first].item()} reached the boundary near "
+                    f"t={t0 + frac * h0:g}",
+                    tau_estimate=t0 + min(max(frac, 0.0), 1.0) * h0,
+                )
             continue
         passes += 1
         y[idx[ok]] = y_new[ok]

@@ -82,7 +82,9 @@ REAL_LINE = Domain("real")
 class QuadPolicy:
     """Quadrature policy: node counts, boundary truncation, tolerance.
 
-    n_theta   angular trapezoid nodes on circles
+    n_theta   angular trapezoid nodes on circles; a certified disc
+              integral's fine rows double from n_theta / 4 angles up to
+              2 n_theta and stop once the value settles
     n_radial  total radial Gauss-Legendre node budget for disc integrals
     r_cap     boundary truncation radius for integrals up to |z| = 1
     tol       relative tolerance target for the doubling certificates
@@ -367,29 +369,57 @@ def _radial_panels(r: float):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def _disc_integral_pass(g, panels, m: int, n_theta: int, radial) -> float:
-    """Integral of g(z) radial(|z|) over the annuli ``panels`` (a <= |z| <= b
-    each): m Gauss-Legendre nodes per panel times the n_theta-point angular
-    trapezoid.
-
-    The radial nodes of all panels are stacked in panel order; g runs on
-    blocks of whole radial rows, at most BLOCK_POINTS points per call.
-    ``radial`` (None means 1) runs once on the stacked radial nodes and joins
-    the Gauss-Legendre weights. The finiteness check reads the angular row
-    means: a NaN or inf at any node, or a row sum that overflows, makes its
-    row mean non-finite. Each panel's sum runs in panel order, so the value
-    rounds as one g call per panel does."""
-    ring = _circle_nodes(n_theta)
+def _radial_rule(panels, m: int, radial):
+    """The Gauss-Legendre radii of all ``panels`` (a <= |z| <= b each), m per
+    panel, stacked in panel order, and the function taking their angular row
+    means to the area integral. ``radial`` (None means 1) runs once, here, on
+    the stacked radii and joins the Gauss-Legendre weights. Each panel's sum
+    runs in panel order, so the value rounds as one g call per panel does."""
     x, w = _gl_nodes(m)
     halves = [0.5 * (b - a) for a, b in panels]
     s = np.concatenate([0.5 * (a + b) + h * x for (a, b), h in zip(panels, halves)])
+    rw = (s if radial is None else s * radial(s)).reshape(-1, m)
+
+    def total(rows):
+        return sum(2.0 * np.pi * h * float(np.dot(w, pw * pr))
+                   for h, pw, pr in zip(halves, rw, rows.reshape(-1, m)))
+
+    return s, total
+
+
+def _row_sums(g, s, ring):
+    """The sum of g over each row s_i ring, with g called on blocks of whole
+    rows, at most BLOCK_POINTS points per call. A NaN or inf at any node, or
+    a row sum that overflows, makes its row sum non-finite and raises."""
     rows = np.empty(s.size)
-    for block in row_blocks(s.size, n_theta):
+    for block in row_blocks(s.size, ring.size):
         vals = np.asarray(g(s[block, None] * ring[None, :]), dtype=float)
-        rows[block] = ensure_finite(np.mean(vals, axis=1), "disc integrand")
-    rw = s if radial is None else s * radial(s)
-    return sum(2.0 * np.pi * h * float(np.dot(w, pw * pr))
-               for h, pw, pr in zip(halves, rw.reshape(-1, m), rows.reshape(-1, m)))
+        rows[block] = ensure_finite(np.sum(vals, axis=1), "disc integrand")
+    return rows
+
+
+def _disc_integral_pass(g, panels, m: int, ring, radial) -> float:
+    """Integral of g(z) radial(|z|) over the annuli ``panels``: m
+    Gauss-Legendre nodes per panel times the angular trapezoid on ``ring``."""
+    s, total = _radial_rule(panels, m, radial)
+    return total(_row_sums(g, s, ring) / ring.size)
+
+
+def _angle_ladder(n_theta: int):
+    """The angle counts of a certified disc integral's fine rows: 2 n_theta
+    and its halvings, down to the last integer count >= n_theta / 4."""
+    ladder = [2 * n_theta]
+    while ladder[0] % 2 == 0 and ladder[0] // 2 >= n_theta / 4:
+        ladder.insert(0, ladder[0] // 2)
+    return ladder
+
+
+@lru_cache(maxsize=64)
+def _offset_circle_nodes(n: int):
+    """The n-th roots of unity turned by the golden fraction (sqrt(5) - 1)/2
+    of their spacing: a mode that a fine grid aliases to a constant enters a
+    trapezoid on these nodes with another phase."""
+    return _circle_nodes(n) * np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) / n)
 
 
 def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: bool = True,
@@ -402,26 +432,48 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
     Tensor rule: composite Gauss-Legendre on dyadic radial panels (nodes
     cluster toward the boundary, where Bergman-type weights are nearly
     singular) times the angular trapezoid, with g called on blocks of whole
-    radial rows of at most BLOCK_POINTS points. With ``certify`` the node
-    counts are doubled and :func:`certify_doubling` judges the two values.
+    radial rows of at most BLOCK_POINTS points. Uncertified: m nodes per
+    panel and n_theta angles.
+
+    With ``certify`` the fine rows carry 2m nodes per panel, and their
+    angles double along :func:`_angle_ladder`, from n_theta / 4 up to the
+    cap 2 n_theta: each doubling evaluates only the new odd-index nodes and
+    adds them to the running row sums. At the first level N where the
+    doubling moved the fine value by at most tol max(1, |fine|), or at the
+    cap, the coarse rows (m nodes per panel) run on N / 2 angles turned by
+    :func:`_offset_circle_nodes`, and :func:`certify_doubling` judges the
+    two values. A failed certificate below the cap doubles on; at the cap it
+    raises NonConvergent.
     """
     if not 0.0 < r <= policy.r_cap + 1e-12:
         raise DomainExit(f"disc radius {float(r)!r} outside (0, r_cap = {policy.r_cap!r}]",
                          point=r)
     panels = _radial_panels(r)
     m = max(6, policy.n_radial // len(panels))
-    coarse = _disc_integral_pass(g, panels, m, policy.n_theta, radial)
     if not certify:
-        return coarse
-    fine = _disc_integral_pass(g, panels, 2 * m, 2 * policy.n_theta, radial)
-    return certify_doubling(coarse, fine, policy.tol, f"disc integral to r={r:g}")
+        return _disc_integral_pass(g, panels, m, _circle_nodes(policy.n_theta), radial)
+    ladder = _angle_ladder(policy.n_theta)
+    s, total = _radial_rule(panels, 2 * m, radial)
+    sums = _row_sums(g, s, _circle_nodes(ladder[0]))
+    fine = total(sums / ladder[0])
+    for n in ladder[1:]:
+        sums = sums + _row_sums(g, s, _circle_nodes(n)[1::2])
+        fine, before = total(sums / n), fine
+        if n < ladder[-1] and not abs(fine - before) <= policy.tol * max(1.0, abs(fine)):
+            continue
+        coarse = _disc_integral_pass(g, panels, m, _offset_circle_nodes(n // 2), radial)
+        try:
+            return certify_doubling(coarse, fine, policy.tol, f"disc integral to r={r:g}")
+        except NonConvergent:
+            if n == ladder[-1]:
+                raise
 
 
 def annulus_integral(g, r_inner: float, r_outer: float, n_theta: int = 256,
                      radial=None) -> float:
     """Single-panel tensor rule over a thin annulus (extrapolation helper);
     ``g`` and ``radial`` as in :func:`disc_integral`."""
-    return _disc_integral_pass(g, [(r_inner, r_outer)], 16, n_theta, radial)
+    return _disc_integral_pass(g, [(r_inner, r_outer)], 16, _circle_nodes(n_theta), radial)
 
 
 def boundary_extrapolate(value_at_r1: float, value_at_r2: float, r1: float, r2: float,

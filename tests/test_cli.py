@@ -224,6 +224,14 @@ _BAD_INPUTS = {
          "cocycles": [{"type": "coboundary", "omega": "z"}, {"type": "trivial"}]},
         {"cocycle/coboundary0": "error", "cocycle/trivial1": True},
     ),
+    # 0.01/z has its pole at the grid point 0: the first RK4 step from 0 is
+    # not finite
+    "reconstruct-pole-at-a-start-point": (
+        {"suite": "reconstruct",
+         "cases": [{"label": "a", "generator": "-z + 0.01/z", "reference": _DILATION},
+                   {"label": "b", "generator": "-z", "reference": _DILATION}]},
+        {"reconstruct/a": "error", "reconstruct/b": True},
+    ),
     "reconstruct-non-lipschitz-zero": (
         {"suite": "reconstruct", "sweep": {"ts": [1.0], "grid_n": 20},
          "cases": [{"label": "a", "generator": "-x^(1/3)",
@@ -310,14 +318,14 @@ _BAD_INPUTS = {
     "cocycle-check-coboundary-pole-on-an-orbit": (
         {"suite": "cocycle-check", "flow": _DILATION, "sweep": {"ts": [0.0, 0.5]},
          "cocycles": [{"type": "coboundary", "omega": _POLE_AT_AN_ORBIT}, {"type": "trivial"}]},
-        {"cocycle/coboundary0": False, "cocycle/trivial1": True},
+        {"cocycle/coboundary0": "error", "cocycle/trivial1": True},
     ),
     "semigroup-check-coboundary-pole-on-an-orbit": (
         {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5]},
          "pairs": [{"label": "pole", "flow": _DILATION,
                     "cocycle": {"type": "coboundary", "omega": _POLE_AT_AN_ORBIT}},
                    {"label": "ok", "flow": _DILATION, "cocycle": {"type": "trivial"}}]},
-        {"laws/pole": False, "laws/ok": True},
+        {"laws/pole": "error", "laws/ok": True},
     ),
 }
 
@@ -333,6 +341,12 @@ _ERROR_TEXT = {
         "reconstruct/a": "cases[0].generator: a real-domain generator"},
     "cocycle-check-x-on-the-disc": {"cocycle/integral0": "cocycles[0].g: bad expression"},
     "cocycle-check-undeclared-zero": {"cocycle/coboundary0": "omega vanishes at 0j"},
+    "cocycle-check-coboundary-pole-on-an-orbit": {
+        "cocycle/coboundary0": "omega is not finite at (0.5762041267270017+0j)"},
+    "semigroup-check-coboundary-pole-on-an-orbit": {
+        "laws/pole": "omega is not finite at (0.5762041267270017+0j)"},
+    "reconstruct-pole-at-a-start-point": {
+        "reconstruct/a": "trajectory from 0j took a non-finite RK4 step at t=0"},
     "reconstruct-non-lipschitz-zero": {
         "reconstruct/a": "trajectory from -0.5 stalled at t=0.948778 after 4096 RK4 steps"},
     "bound-table-flow-and-space-domains": {
@@ -533,16 +547,6 @@ class TestErrorContract:
         errors = {c["id"]: c.get("error") for c in json.loads(out.read_text())["cases"]}
         for cid, text in _ERROR_TEXT[name].items():
             assert text in errors[cid]
-
-    def test_reconstruct_keeps_a_nan_deviation(self, tmp_path):
-        # 0.01/z has its pole at the grid point 0: that trajectory is NaN at
-        # every time, and the deviation must say so rather than read 0
-        cfg = {"suite": "reconstruct", "cases": [
-            {"label": "a", "generator": "-z + 0.01/z", "reference": _DILATION}]}
-        out = tmp_path / "r.json"
-        assert run_cli(tmp_path, cfg, "--out", str(out)).returncode == 1
-        (case,) = json.loads(out.read_text())["cases"]
-        assert case["verdict"] is False and case["numbers"]["max_deviation"] == "nan"
 
     @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
     def test_bad_config_value_is_a_config_error(self, tmp_path, name):

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from wcsg import exprs, holo
 from wcsg.cocycles import trivial_cocycle
-from wcsg.errors import EscapedDomain, InvalidParam, StepUnderflow, UnknownCatalogEntry
+from wcsg.errors import (
+    EscapedDomain,
+    InvalidParam,
+    NonConvergent,
+    StepUnderflow,
+    UnknownCatalogEntry,
+)
 from wcsg.flows import (
     OdeCfg,
     disc_sample_grid,
@@ -270,6 +276,18 @@ class TestArrayPath:
             phi(1.0, 0.5)
         assert str(batch.value) == str(alone.value)
         assert "trajectory from 0.5 stalled" in str(alone.value)
+
+    def test_a_non_finite_step_names_its_start_point(self):
+        # 0.01/z has its pole at 0: the first step from 0 is NaN, while 0.5
+        # integrates; the batch raises for 0, as 0 alone does, with no warning
+        phi = semiflow_from_generator(exprs.to_holofn("-z + 0.01/z"))
+        with pytest.raises(NonConvergent) as batch:
+            phi(0.5, np.array([0.5, 0.0, -0.5]))
+        with pytest.raises(NonConvergent) as alone:
+            phi(0.5, 0.0)
+        assert str(batch.value) == str(alone.value)
+        assert "trajectory from 0j took a non-finite RK4 step at t=0" in str(alone.value)
+        assert np.isfinite(phi(0.5, 0.5))
 
     @pytest.mark.parametrize("src", _ARRAY_PATH_EXPRS)
     def test_per_point_times_equal_each_time_alone(self, src):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcsg import holo
+from wcsg import holo, spaces
 from wcsg.errors import DomainExit, NonConvergent
 from wcsg.holo import (
     DEFAULT_POLICY,
@@ -211,40 +211,48 @@ class TestRadialFactor:
         assert sizes == [(m,)]
 
 
+def _recording(g, calls):
+    """g, appending each call's (rows, row length, first radius, first angle)."""
+    def wrapped(z):
+        calls.append((z.shape[0], z.shape[1], abs(z[0, 0]), np.angle(z[0, 0] / abs(z[0, 0]))))
+        return g(z)
+
+    return wrapped
+
+
 class TestBlockedPass:
-    """g runs on blocks of whole radial rows; the value is the per-panel rule."""
+    """g runs on blocks of whole radial rows; the fine value is the per-panel
+    rule at the angle count the ladder settled on."""
 
     @pytest.mark.parametrize("radial", [None, _bergman_weight(0.5)], ids=["plain", "bergman"])
     @pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 1e-6])
-    def test_blocks_across_panels_equal_the_per_panel_rule(self, monkeypatch, r, radial):
-        # 3,000 points: 11 rows of 256 or 5 rows of 512 per call, which cut
-        # across panels of 6, 12, 16, 32 or 256 rows
+    def test_fine_value_is_the_per_panel_rule_at_the_settled_count(self, monkeypatch, r, radial):
+        # 3,000 points: 46 rows of 64 or 23 of 128 per call, which cut across
+        # panels of 12, 24, 32 or 256 rows
         monkeypatch.setattr(holo, "BLOCK_POINTS", 3000)
         f = mobius(0.3)
         g = lambda z: np.abs(f.fn(z)) ** 2.5
-        ref = _tensor_reference(g, r, _fine_m(r), 2 * DEFAULT_POLICY.n_theta, radial)
-        assert disc_integral(g, r, radial=radial) == ref
+        calls = []
+        val = disc_integral(_recording(g, calls), r, radial=radial)
+        # the coarse rows of the settled level N run last, on N / 2 turned angles
+        n = 2 * calls[-1][1]
+        assert n in holo._angle_ladder(DEFAULT_POLICY.n_theta)[1:]
+        assert calls[-1][3] == pytest.approx(np.angle(holo._offset_circle_nodes(n // 2)[0]))
+        assert val == pytest.approx(_tensor_reference(g, r, _fine_m(r), n, radial),
+                                    rel=4 * _EPS, abs=0)
 
-    # coarse: 120 rows of 256 in 11 calls of <= 11 rows, or in 8 of <= 16;
-    # fine: 240 rows of 512 in 48 calls of 5 rows, or in 30 of 8
-    @pytest.mark.parametrize("block, n_calls", [(3000, 11 + 48), (holo.BLOCK_POINTS, 8 + 30)])
+    # fine rows: 240 of 64 angles, then 240 of the 64 new angles of 128;
+    # coarse rows: 120 of 64 turned angles. 46 or 64 rows per call.
+    @pytest.mark.parametrize("block, n_calls", [(3000, 6 + 6 + 3), (holo.BLOCK_POINTS, 4 + 4 + 2)])
     def test_every_call_is_whole_rows_within_the_block(self, monkeypatch, block, n_calls):
         monkeypatch.setattr(holo, "BLOCK_POINTS", block)
-        shapes = []
-
-        def g(z):
-            shapes.append(z.shape)
-            return np.ones(z.shape)
-
+        calls = []
         r = 1.0 - 1e-6  # 20 panels of 6 (coarse) and 12 (fine) rows
-        disc_integral(g, r)
-        n = DEFAULT_POLICY.n_theta
-        coarse = [k for k, c in shapes if c == n]
-        fine = [k for k, c in shapes if c == 2 * n]
-        assert len(coarse) + len(fine) == len(shapes)
-        assert all(k * c <= block for k, c in shapes)
-        assert (sum(coarse), sum(fine)) == (120, 240)
-        assert len(shapes) == n_calls
+        disc_integral(_recording(lambda z: np.ones(z.shape), calls), r)
+        assert all(c == DEFAULT_POLICY.n_theta // 4 and k * c <= block for k, c, _, _ in calls)
+        ends = np.cumsum([k for k, _, _, _ in calls])
+        assert {240, 480, 600} <= set(ends) and ends[-1] == 600
+        assert len(calls) == n_calls
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_bad_node_in_the_last_block_raises(self, monkeypatch, bad):
@@ -264,6 +272,86 @@ class TestBlockedPass:
         with pytest.raises(NonConvergent, match="non-finite values in disc integrand"):
             disc_integral(g, 0.99)
         assert len(calls) == n_calls
+
+
+def _angular(k):
+    """1 + cos(k arg z): 2 on any grid of N angles with N | k."""
+    return lambda z: 1.0 + np.cos(k * np.angle(z))
+
+
+def _peaked(z):
+    """A row whose trapezoid moves at every level up to 512 angles."""
+    return 1.0 / (1.0001 - np.real(z) / np.abs(z))
+
+
+class TestAngleLadder:
+    """The fine rows double their angles on nested nodes up to 2 n_theta; the
+    coarse rows run on half the settled count, turned off the fine grid."""
+
+    @pytest.mark.parametrize("n_theta, ladder", [
+        (16, [4, 8, 16, 32]), (17, [17, 34]), (18, [9, 18, 36]),
+        (100, [25, 50, 100, 200]), (256, [64, 128, 256, 512])])
+    def test_ladder(self, n_theta, ladder):
+        assert holo._angle_ladder(n_theta) == ladder
+        assert ladder[-1] == 2 * n_theta and ladder[-1] // 2 == n_theta
+        assert all(b == 2 * a for a, b in zip(ladder, ladder[1:]))
+
+    def test_odd_n_theta_runs_two_levels(self):
+        # fine rows at 17 angles, then the 17 new ones of 34; coarse at 17
+        calls = []
+        with pytest.raises(NonConvergent, match="disc integral to r=0.99: doubling moved"):
+            disc_integral(_recording(_peaked, calls), 0.99, QuadPolicy(n_theta=17))
+        assert {c for _, c, _, _ in calls} == {17}
+        panels = len(holo._radial_panels(0.99))
+        m = max(6, DEFAULT_POLICY.n_radial // panels)
+        assert sum(k for k, _, _, _ in calls) == (2 * m + 2 * m + m) * panels
+
+    @pytest.mark.parametrize("g, settles", [(_peaked, False), (_angular(128), True)],
+                             ids=["peaked", "aliased-below-the-cap"])
+    def test_points_stay_within_the_fixed_rule(self, g, settles):
+        # today's fixed rule: 2m rows of 2 n_theta and m rows of n_theta
+        r, n = 1.0 - 1e-6, DEFAULT_POLICY.n_theta
+        panels = holo._radial_panels(r)
+        m = max(6, DEFAULT_POLICY.n_radial // len(panels))
+        fine_s, _ = holo._radial_rule(panels, 2 * m, None)
+        calls = []
+        if settles:
+            assert disc_integral(_recording(g, calls), r) == pytest.approx(math.pi * r * r,
+                                                                          rel=1e-12)
+        else:
+            with pytest.raises(NonConvergent):
+                disc_integral(_recording(g, calls), r)
+        fine = sum(k * c for k, c, s, _ in calls if np.isclose(s, fine_s, rtol=0, atol=1e-15).any())
+        total = sum(k * c for k, c, _, _ in calls)
+        fixed = len(panels) * (2 * m * 2 * n + m * n)
+        assert fine == len(panels) * 2 * m * 2 * n
+        assert total <= 1.2 * fixed
+
+    def test_mode_aliased_at_every_level_raises(self):
+        # 1 + cos(512 theta) is 2 on every fine grid; the fixed rule returned
+        # twice the area, since its coarse 256 angles alias it too
+        with pytest.raises(NonConvergent, match="disc integral to r=0.99"):
+            disc_integral(_angular(512), 0.99)
+
+    @pytest.mark.parametrize("k", [128, 512])
+    def test_bergman_norm_of_a_high_mode_is_right_or_raises(self, k):
+        f = poly([1.0] + [0.0] * (k - 1) + [1.0])
+        ref = spaces.norm(spaces.SpaceSpec.bergman(0.5, 3.0, QuadPolicy(n_theta=4096)), f)
+        try:
+            val = spaces.norm(spaces.SpaceSpec.bergman(0.5, 3.0), f)
+        except NonConvergent:
+            return
+        assert val == pytest.approx(ref, rel=0, abs=1e-6)
+
+    def test_singular_inner_runs_to_the_cap(self, monkeypatch):
+        calls = []
+        certified = holo.disc_integral
+        monkeypatch.setattr(spaces, "disc_integral", lambda g, *a, certify=True, **kw: certified(
+            _recording(g, calls) if certify else g, *a, certify=certify, **kw))
+        detail = spaces.norm_detail(spaces.SpaceSpec.bergman(0.0), holo.singular_inner())
+        assert detail.method == "truncated-extrapolated"
+        assert detail.value == 0.6673188621060349
+        assert max(c for _, c, _, _ in calls) == DEFAULT_POLICY.n_theta
 
 
 _EPS = np.finfo(float).eps
