@@ -214,7 +214,7 @@ class TestRadialFactor:
 def _recording(g, calls):
     """g, appending each call's (rows, row length, first radius, first angle)."""
     def wrapped(z):
-        calls.append((z.shape[0], z.shape[1], abs(z[0, 0]), np.angle(z[0, 0] / abs(z[0, 0]))))
+        calls.append((z.shape[0], z.shape[1], abs(z[0, 0]), np.angle(z[0, 0])))
         return g(z)
 
     return wrapped
