@@ -227,8 +227,8 @@ class TestBlockedPass:
     @pytest.mark.parametrize("radial", [None, _bergman_weight(0.5)], ids=["plain", "bergman"])
     @pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 1e-6])
     def test_fine_value_is_the_per_panel_rule_at_the_settled_count(self, monkeypatch, r, radial):
-        # 3,000 points: 46 rows of 64 or 23 of 128 per call, which cut across
-        # panels of 12, 24, 32 or 256 rows
+        # 3,000 points: 46 rows of 64 angles per call (23 of 128 should the
+        # ladder settle at 256), which cut across panels of 6 to 256 rows
         monkeypatch.setattr(holo, "BLOCK_POINTS", 3000)
         f = mobius(0.3)
         g = lambda z: np.abs(f.fn(z)) ** 2.5
