@@ -256,7 +256,12 @@ def singular_inner() -> HoloFn:
 # positive continuous weights (returned values are real)
 
 def unit_weight(domain: Domain = UNIT_DISC) -> HoloFn:
-    return HoloFn(lambda z: np.ones(np.shape(z), dtype=float), domain, name="one")
+    """The weight 1: one object per domain, so a space can tell it by identity."""
+    return _UNIT_WEIGHTS[domain]
+
+
+_UNIT_WEIGHTS = {d: HoloFn(lambda z: np.ones(np.shape(z), dtype=float), d, name="one")
+                 for d in (UNIT_DISC, REAL_LINE)}
 
 
 def bloch_weight(alpha: float) -> HoloFn:

@@ -132,8 +132,12 @@ class BoundResult:
 
 
 def sup_abs_cocycle(sg: WcSemigroup, t: float) -> float:
-    """Certified grid maximum of |m_t| over the space's domain."""
-    return certified_sup(lambda z: np.abs(np.asarray(sg.m(t, z))), sg.space)
+    """Maximum of |m_t| over the space's sup grid: on the disc its outer
+    circle, by the maximum principle (:func:`spaces.modulus_sup`), and on the
+    real line the whole grid."""
+    if sg.space.is_real:
+        return certified_sup(lambda z: np.abs(np.asarray(sg.m(t, z))), sg.space)
+    return spaces.modulus_sup(lambda z: sg.m(t, z), sg.space)
 
 
 def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
@@ -147,7 +151,7 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
     if space.kind == "hardy":
         comp = ((1.0 + phi0) / (1.0 - phi0)) ** (1.0 / space.p)
     elif space.kind == "bergman":
-        sup_phi = certified_sup(lambda z: np.abs(np.asarray(phi(t, z))), space)
+        sup_phi = spaces.modulus_sup(lambda z: phi(t, z), space)
         comps["sup_abs_phi_t"] = sup_phi
         if sup_phi <= phi0:
             raise DomainExit(f"sup |phi_t| does not exceed |phi_t(0)| at t={t:g}", t=t)

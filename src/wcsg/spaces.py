@@ -14,8 +14,10 @@ must reproduce f, finite, at two interior points. Where that certificate
 fails (coefficients that decay too slowly, or a pole inside the disc), and for
 every other integral norm, the functional is truncated at ``policy.r_cap``
 and extrapolated to the boundary using the known tail exponent. Sup-type
-norms are certified grid maxima over a fixed grid, lower bounds for the true
-sup.
+norms are maxima over a fixed grid, lower bounds for the true sup. Where the
+functional is the modulus of a function holomorphic on the grid's disc (the
+H^infinity norm, |m_t|, |phi_t|), the maximum principle puts that maximum on
+the grid's outer circle, and only that circle is evaluated.
 """
 
 from __future__ import annotations
@@ -140,22 +142,48 @@ class SeminormIndex:
 # grids for sup-type evaluation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def disc_sup_points(r_cap: float):
-    """Polar sup grid: radii 0, 0.1, .., 0.4, then 1 - 2^(-k/4) up to r_cap
-    and r_cap itself; 512 uniform angles plus angles pi 2^(-j/4) clustered
-    on both sides of 0."""
-    dyadic = 1.0 - 2.0 ** (-np.arange(4, 81) / 4)
-    rs = np.unique(np.concatenate([np.arange(0.0, 0.45, 0.1), dyadic[dyadic <= r_cap], [r_cap]]))
+@lru_cache(maxsize=1)
+def _sup_circle():
+    """The angles of the disc sup grid as points e^(i theta) in increasing
+    theta: 512 uniform angles plus angles pi 2^(-j/4) clustered on both sides
+    of 0. Also the positions of the 512 uniform angles among them."""
     uniform = 2.0 * np.pi * np.arange(512) / 512
     clustered = np.pi * 2.0 ** (-np.arange(4, 65) / 4)
     angles = np.unique(np.concatenate([uniform, clustered, 2.0 * np.pi - clustered]))
-    return (rs[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    return np.exp(1j * angles), np.searchsorted(angles, uniform)
+
+
+@lru_cache(maxsize=32)
+def disc_sup_points(r_cap: float):
+    """Polar sup grid: radii 0, 0.1, .., 0.4, then 1 - 2^(-k/4) up to r_cap
+    and r_cap itself, times the angles of :func:`_sup_circle`; one row of
+    angles per radius, the outermost last."""
+    dyadic = 1.0 - 2.0 ** (-np.arange(4, 81) / 4)
+    rs = np.unique(np.concatenate([np.arange(0.0, 0.45, 0.1), dyadic[dyadic <= r_cap], [r_cap]]))
+    return (rs[:, None] * _sup_circle()[0][None, :]).ravel()
 
 
 @lru_cache(maxsize=32)
 def real_sup_points(halfwidth: float):
     return np.linspace(-halfwidth, halfwidth, 8193)
+
+
+def _grid_scale(space: SpaceSpec, radius_scale: float) -> float:
+    """The factor on the grid's points: radius_scale on the real line, and
+    radius_scale / r_cap on the disc, where the grid ends at r_cap."""
+    if space.is_real or radius_scale == 1.0:
+        return radius_scale
+    return radius_scale / space.policy.r_cap
+
+
+def _check_bounded(points, vals):
+    """Raise Unbounded naming the first point whose value is not finite or
+    exceeds the overflow guard."""
+    bad = ~np.isfinite(vals) | (vals > OVERFLOW_GUARD)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        what = "exceeded the overflow guard" if np.isfinite(vals[i]) else "is not finite"
+        raise Unbounded(f"sup evaluation {what} at {points[i]}")
 
 
 def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0) -> float:
@@ -164,22 +192,65 @@ def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0) -> flo
     ``values_at`` maps a point array to nonnegative reals. Returns its
     maximum over the sup grid, a lower bound for the true sup. It runs on
     the blocks of :func:`holo.row_blocks`, one grid point to a row; a maximum
-    is exact in any order, so the blocks do not move the value.
+    is exact in any order, so the blocks do not move the value. A value that
+    is not finite or exceeds the overflow guard raises Unbounded naming its
+    point.
     """
-    if space.is_real:
-        pts, scale = real_sup_points(space.real_halfwidth), radius_scale
-    else:
-        pts = disc_sup_points(space.policy.r_cap)
-        scale = 1.0 if radius_scale == 1.0 else radius_scale / space.policy.r_cap
+    pts = real_sup_points(space.real_halfwidth) if space.is_real else disc_sup_points(
+        space.policy.r_cap)
+    scale = _grid_scale(space, radius_scale)
     best = -np.inf
     for rows in holo.row_blocks(pts.size, 1):
-        block = pts[rows]
-        vals = np.asarray(values_at(block if scale == 1.0 else block * scale), dtype=float)
-        top = np.max(vals)
-        if not np.all(np.isfinite(vals)) or top > OVERFLOW_GUARD:
-            raise Unbounded("sup evaluation exceeded the overflow guard")
-        best = max(best, top)
+        block = pts[rows] if scale == 1.0 else pts[rows] * scale
+        with np.errstate(all="ignore"):  # a pole on the grid is reported below
+            vals = np.asarray(values_at(block), dtype=float)
+        _check_bounded(block, vals)
+        best = max(best, np.max(vals))
     return float(best)
+
+
+# Where the outer circle's Cauchy integral must reproduce F, as multiples of
+# its radius: 0 and a point off both axes.
+_CIRCLE_PROBES = np.array([0.0, 0.3 + 0.4j])
+
+
+def _modulus_sup(F, space: SpaceSpec, radius_scale: float = 1.0) -> tuple[float, str]:
+    """:func:`modulus_sup` and the method that gave it:
+    ``maximum-principle-circle`` or ``certified-grid-sup``."""
+    circle, uniform = _sup_circle()
+    scale = _grid_scale(space, radius_scale)
+    ring = disc_sup_points(space.policy.r_cap)[-circle.size:]
+    ring = ring if scale == 1.0 else ring * scale
+    probes = ring[0].real * _CIRCLE_PROBES  # ring[0] is at angle 0
+    zeta = ring[uniform]
+    with np.errstate(all="ignore"):  # a pole is left to the grid
+        vals = np.asarray(F(ring))
+        cauchy = np.mean(vals[uniform] * zeta / (zeta - probes[:, None]), axis=1)
+        miss = np.abs(cauchy - np.asarray(F(probes)))
+        mods = np.abs(vals)
+        top = np.max(mods)
+    if np.all(np.isfinite(vals)) and np.all(miss <= 1e3 * np.finfo(float).eps * max(1.0, top)):
+        _check_bounded(ring, mods)
+        return float(top), "maximum-principle-circle"
+    return certified_sup(lambda z: np.abs(np.asarray(F(z))), space, radius_scale), \
+        "certified-grid-sup"
+
+
+def modulus_sup(F, space: SpaceSpec, radius_scale: float = 1.0) -> float:
+    """max |F| over the disc sup grid, scaled as :func:`certified_sup` scales
+    it, for F holomorphic on the grid's disc (``F`` maps a point array to
+    complex values).
+
+    By the maximum principle |F| peaks on the grid's outer circle, so only
+    its row of the grid is evaluated, as long as that row resolves F: every
+    value on it is finite, and the trapezoid Cauchy integral over its 512
+    uniform angles reproduces F at 0 and at 0.3 + 0.4i times its radius
+    within 1e3 eps max(1, max |F| on the circle). Otherwise (a pole inside,
+    a singularity the circle does not resolve) the whole grid runs through
+    :func:`certified_sup`. Either way the value is a lower bound for the true
+    sup, and one past the overflow guard raises Unbounded.
+    """
+    return _modulus_sup(F, space, radius_scale)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +401,16 @@ def _sup_functional(space: SpaceSpec, f: HoloFn):
     return (lambda z: np.abs(f.fn(z)) * np.real(vfn(z))), 0.0
 
 
+def _sup_norm(space: SpaceSpec, f: HoloFn, radius_scale: float = 1.0) -> tuple[float, str]:
+    """A sup-type norm (radius_scale 1) or seminorm of f and its method. On
+    sup-holo with the unit weight the functional is |f|, whose sup
+    :func:`modulus_sup` takes on the grid's outer circle."""
+    if space.kind == "sup-holo" and space.v is holo.unit_weight():
+        return _modulus_sup(f.fn, space, radius_scale)
+    values_at, head = _sup_functional(space, f)
+    return head + certified_sup(values_at, space, radius_scale), "certified-grid-sup"
+
+
 def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
     F = _coefficient_functional(space, f, 1.0)
     if F is not None:
@@ -356,10 +437,10 @@ def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
             tail_exponent=_tail_exponent(space),
         )
 
-    values_at, head = _sup_functional(space, f)
+    value, method = _sup_norm(space, f)
     return NormEvaluation(
-        value=head + certified_sup(values_at, space),
-        method="certified-grid-sup",
+        value=value,
+        method=method,
         real_halfwidth=space.real_halfwidth if space.is_real else None,
     )
 
@@ -377,8 +458,7 @@ def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
             r = s * (1.0 - 1e-6) if space.kind == "hardy" else s
             F = _radial_functional(space, f, r, certify=False)
         return float(F ** _root(space))
-    values_at, head = _sup_functional(space, f)
-    return head + certified_sup(values_at, space, radius_scale=s)
+    return _sup_norm(space, f, s)[0]
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,14 @@ _BAD_INPUTS = {
         {"admissibility/string": "error", "admissibility/number": "error",
          "admissibility/null": "error", "admissibility/ok": True},
     ),
+    # f has its pole at 0.5, a point of the sup grid
+    "continuity-probe-pole-on-the-sup-grid": (
+        {"suite": "continuity-probe",
+         "cases": [{"label": label, "space": {"kind": "sup-holo", "weight": "one"},
+                    "flow": _DILATION, "f": f}
+                   for label, f in [("pole", "1/(z-0.5)"), ("ok", "e_1")]]},
+        {"continuity/pole": "error", "continuity/ok": True},
+    ),
     "continuity-probe-flag-not-a-boolean": (
         {"suite": "continuity-probe",
          "cases": [{"label": label, "space": _HARDY2, "flow": _DILATION, "f": "e_1",
@@ -337,6 +345,8 @@ _ERROR_TEXT = {
         "cocycle/integral0": "non-finite values in time integral"},
     "semigroup-check-grid-on-the-circle": {
         "laws/disc": "sweep.grid_rmax: a disc grid must lie inside the unit disc, got 1.0"},
+    "continuity-probe-pole-on-the-sup-grid": {
+        "continuity/pole": "sup evaluation is not finite at (0.5+0j)"},
     "reconstruct-generator-domain": {
         "reconstruct/a": "cases[0].generator: a real-domain generator"},
     "cocycle-check-x-on-the-disc": {"cocycle/integral0": "cocycles[0].g: bad expression"},

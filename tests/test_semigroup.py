@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wcsg import flows, holo, spaces
+from wcsg import flows, holo, semigroup, spaces
 from wcsg.cocycles import Semicocycle, cocycle_from_g, derivative_cocycle, trivial_cocycle
 from wcsg.errors import DomainExit, InvalidParam, UnsupportedSpaceBound
 from wcsg.exprs import to_holofn
@@ -362,6 +362,18 @@ class TestMultiplierAndSplit:
         for f in (holo.monomial(1), holo.poly([1, 1])):
             mf = HoloTimes(m, t, f)
             assert norm(space, mf) <= sup_m * norm(space, f) * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("flow", ["attracting", "dilation"])
+    def test_disc_sups_of_m_t_and_phi_t_run_on_the_outer_circle(self, monkeypatch, flow):
+        phi = make_catalog_semiflow(flow)
+        sg = WcSemigroup(phi, cocycle_from_g(holo.monomial(1), phi), SpaceSpec.bergman(0.5))
+        grid = {"m": spaces.certified_sup(lambda z: np.abs(sg.m(0.5, z)), sg.space),
+                "phi": spaces.certified_sup(lambda z: np.abs(phi(0.5, z)), sg.space)}
+        for module in (spaces, semigroup):  # the grid must not run
+            monkeypatch.setattr(module, "certified_sup", None)
+        comps = theoretical_bound(sg, 0.5).components
+        assert comps["sup_abs_m_t"] == grid["m"]
+        assert comps["sup_abs_phi_t"] == grid["phi"]
 
     def test_cocycle_named_one_keeps_its_multiplier(self):
         # triviality is a constructor flag, not the name "one"

@@ -17,7 +17,7 @@ from wcsg.cocycles import trivial_cocycle
 from wcsg.errors import NonConvergent, Unbounded
 from wcsg.exprs import to_holofn
 from wcsg.flows import semiflow_from_generator
-from wcsg.semigroup import WcSemigroup, apply
+from wcsg.semigroup import WcSemigroup, apply, default_test_functions
 from wcsg.spaces import (
     SeminormIndex,
     SpaceSpec,
@@ -248,6 +248,107 @@ class TestBlockedSup:
         with pytest.raises(Unbounded):
             certified_sup(values_at, space)
         assert len(calls) == -(-spaces.disc_sup_points(space.policy.r_cap).size // 1000)
+
+
+def _spike(theta0):
+    """exp(0.01 / (1.001 - e^{-i theta0} z)): bounded on the disc but for a
+    spike of height e^9.99 at angle theta0, a pole 0.001 outside the circle."""
+    rot = np.exp(-1j * theta0)
+    return holo.HoloFn(lambda z: np.exp(0.01 / (1.001 - rot * z)), holo.UNIT_DISC, name="spike")
+
+
+_SPIKE_ANGLES = [2.0 * np.pi * 100.5 / 512, 0.37 * np.pi / 1000]
+_SEMINORM_RADII = [0.5, 0.9, 0.9999]
+
+
+def _sup_holo_functions():
+    space = SpaceSpec.sup_holo()
+    return default_corpus() + default_test_functions(space)
+
+
+class TestModulusSup:
+    @staticmethod
+    def _grid_max(f, space, radius_scale=1.0):
+        return certified_sup(lambda z: np.abs(f.fn(z)), space, radius_scale)
+
+    @pytest.mark.parametrize("radius_scale", [1.0, 0.5, 0.9999])
+    def test_circle_is_the_outer_row_of_the_grid(self, radius_scale):
+        space = SpaceSpec.sup_holo()
+        seen = []
+
+        def F(z):
+            seen.append(z)
+            return z
+
+        spaces.modulus_sup(F, space, radius_scale)
+        grid = TestBlockedSup._unblocked(space, radius_scale)
+        row = grid[-spaces._sup_circle()[0].size:]
+        assert np.min(np.abs(row)) > np.max(np.abs(grid[:-row.size]))
+        assert seen[0].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("radius_scale", [1.0] + _SEMINORM_RADII)
+    def test_circle_gives_the_grid_max_bit_for_bit(self, radius_scale):
+        space = SpaceSpec.sup_holo()
+        for f in _sup_holo_functions():
+            assert spaces.modulus_sup(f.fn, space, radius_scale) == self._grid_max(
+                f, space, radius_scale), f.name
+
+    @pytest.mark.parametrize("theta0", _SPIKE_ANGLES)
+    def test_spike_falls_back_to_the_grid(self, theta0):
+        space = SpaceSpec.sup_holo()
+        f = _spike(theta0)
+        detail = norm_detail(space, f)
+        assert detail.method == "certified-grid-sup"
+        assert detail.value == self._grid_max(f, space)
+
+    def test_spike_between_the_angles_keeps_the_grid_value(self):
+        # at theta0 = 2 pi 100.5/512 the grid's inner rows reach higher than
+        # its outer row, which alone would read 1.301601
+        space = SpaceSpec.sup_holo()
+        f = _spike(_SPIKE_ANGLES[0])
+        row = spaces.disc_sup_points(space.policy.r_cap)[-spaces._sup_circle()[0].size:]
+        assert np.max(np.abs(f.fn(row))) == pytest.approx(1.301601, abs=1e-6)
+        assert norm(space, f) == pytest.approx(2.264636, abs=1e-6)
+
+    def test_singular_inner_falls_back_to_the_grid(self):
+        detail = norm_detail(SpaceSpec.sup_holo(), holo.singular_inner())
+        assert detail.method == "certified-grid-sup"
+
+    @pytest.mark.parametrize("expr", ["1/(z-0.5)", "z + 1e-12/(z-0.5)"])
+    def test_pole_inside_is_unbounded_at_its_grid_point(self, expr):
+        with pytest.raises(Unbounded, match=r"not finite at \(0\.5\+0j\)"):
+            norm(SpaceSpec.sup_holo(), to_holofn(expr))
+
+    def test_value_past_the_overflow_guard_is_unbounded(self):
+        with pytest.raises(Unbounded, match="exceeded the overflow guard at"):
+            norm(SpaceSpec.sup_holo(), to_holofn("1e13*z"))
+
+    def test_weight_one_as_an_expression_stays_on_the_grid(self):
+        space = SpaceSpec.sup_holo(to_holofn("1"))
+        detail = norm_detail(space, holo.monomial(3))
+        assert detail.method == "certified-grid-sup"
+        assert detail.value == norm(SpaceSpec.sup_holo(), holo.monomial(3))
+
+    def test_only_singular_inner_on_the_outer_circle_runs_the_grid(self, monkeypatch):
+        calls = []
+        grid = spaces.certified_sup
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return grid(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "certified_sup", counted)
+        space = SpaceSpec.sup_holo()
+        for f in _sup_holo_functions():
+            del calls[:]
+            detail = norm_detail(space, f)
+            seminorms = [co_seminorm(space, f, SeminormIndex(s)) for s in _SEMINORM_RADII[:2]]
+            if f.name == "singular_inner":
+                assert detail.method == "certified-grid-sup" and len(calls) == 1
+            else:
+                co_seminorm(space, f, SeminormIndex(_SEMINORM_RADII[2]))
+                assert detail.method == "maximum-principle-circle" and calls == [], f.name
+            assert all(v <= detail.value for v in seminorms)
 
 
 class TestCoSeminorm:
