@@ -82,9 +82,9 @@ REAL_LINE = Domain("real")
 class QuadPolicy:
     """Quadrature policy: node counts, boundary truncation, tolerance.
 
-    n_theta   angular trapezoid nodes on circles; a certified disc
-              integral's fine rows double from n_theta / 4 angles up to
-              2 n_theta and stop once the value settles
+    n_theta   angular trapezoid nodes of a circle mean; the fine rows of
+              a disc or annulus integral double from n_theta / 4 angles up
+              to 2 n_theta and stop once the value settles
     n_radial  total radial Gauss-Legendre node budget for disc integrals
     r_cap     boundary truncation radius for integrals up to |z| = 1
     tol       relative tolerance target for the doubling certificates
@@ -405,7 +405,8 @@ def _row_sums(g, s, ring):
 
 def _disc_integral_pass(g, panels, m: int, ring, radial) -> float:
     """Integral of g(z) radial(|z|) over the annuli ``panels``: m
-    Gauss-Legendre nodes per panel times the angular trapezoid on ``ring``."""
+    Gauss-Legendre nodes per panel times the angular trapezoid on ``ring``.
+    Uncertified: the coarse pass of :func:`_certified_area`."""
     s, total = _radial_rule(panels, m, radial)
     return total(_row_sums(g, s, ring) / ring.size)
 
@@ -427,36 +428,19 @@ def _offset_circle_nodes(n: int):
     return _circle_nodes(n) * np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) / n)
 
 
-def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: bool = True,
-                  radial=None) -> float:
-    """Area integral of g(z) radial(|z|) over the disc of radius r.
+def _certified_area(g, panels, m: int, policy: QuadPolicy, radial, what: str) -> float:
+    """Integral of g(z) radial(|z|) over the annuli ``panels``, certified.
 
-    ``g`` is real-valued on points; ``radial``, a function of the radius
-    (None means 1), carries a radial weight such as Bergman's
-    (1 - |z|^2)^alpha and is evaluated on the radial nodes only.
-    Tensor rule: composite Gauss-Legendre on dyadic radial panels (nodes
-    cluster toward the boundary, where Bergman-type weights are nearly
-    singular) times the angular trapezoid, with g called on blocks of whole
-    radial rows of at most BLOCK_POINTS points. Uncertified: m nodes per
-    panel and n_theta angles.
-
-    With ``certify`` the fine rows carry 2m nodes per panel, and their
-    angles double along :func:`_angle_ladder`, from n_theta / 4 up to the
-    cap 2 n_theta: each doubling evaluates only the new odd-index nodes and
-    adds them to the running row sums. At the first level N where the
-    doubling moved the fine value by at most tol max(1, |fine|), or at the
-    cap, the coarse rows (m nodes per panel) run on N / 2 angles turned by
+    The fine rows carry 2m Gauss-Legendre nodes per panel, and their angles
+    double along :func:`_angle_ladder`, from n_theta / 4 up to the cap
+    2 n_theta: each doubling evaluates only the new odd-index nodes and adds
+    them to the running row sums. At the first level N where the doubling
+    moved the fine value by at most tol max(1, |fine|), or at the cap, the
+    coarse rows (m nodes per panel) run on N / 2 angles turned by
     :func:`_offset_circle_nodes`, and :func:`certify_doubling` judges the
     two values. A failed certificate below the cap doubles on; at the cap it
-    raises NonConvergent.
+    raises NonConvergent naming ``what``.
     """
-    if not 0.0 < r <= policy.r_cap + 1e-12:
-        raise DomainExit(f"disc radius {float(r)!r} outside (0, r_cap = {policy.r_cap!r}]",
-                         point=r)
-    panels = _radial_panels(r)
-    m = max(6, policy.n_radial // len(panels))
-    if not certify:
-        return _disc_integral_pass(g, panels, m, _circle_nodes(policy.n_theta), radial)
     ladder = _angle_ladder(policy.n_theta)
     s, total = _radial_rule(panels, 2 * m, radial)
     sums = _row_sums(g, s, _circle_nodes(ladder[0]))
@@ -468,17 +452,39 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, certify: boo
             continue
         coarse = _disc_integral_pass(g, panels, m, _offset_circle_nodes(n // 2), radial)
         try:
-            return certify_doubling(coarse, fine, policy.tol, f"disc integral to r={r:g}")
+            return certify_doubling(coarse, fine, policy.tol, what)
         except NonConvergent:
             if n == ladder[-1]:
                 raise
 
 
-def annulus_integral(g, r_inner: float, r_outer: float, n_theta: int = 256,
+def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, radial=None) -> float:
+    """Area integral of g(z) radial(|z|) over the disc of radius r.
+
+    ``g`` is real-valued on points; ``radial``, a function of the radius
+    (None means 1), carries a radial weight such as Bergman's
+    (1 - |z|^2)^alpha and is evaluated on the radial nodes only.
+    Tensor rule: composite Gauss-Legendre on dyadic radial panels (nodes
+    cluster toward the boundary, where Bergman-type weights are nearly
+    singular) times the angular trapezoid, with g called on blocks of whole
+    radial rows of at most BLOCK_POINTS points; m = n_radial / panels nodes
+    per panel (at least 6), certified by :func:`_certified_area`.
+    """
+    if not 0.0 < r <= policy.r_cap + 1e-12:
+        raise DomainExit(f"disc radius {float(r)!r} outside (0, r_cap = {policy.r_cap!r}]",
+                         point=r)
+    panels = _radial_panels(r)
+    return _certified_area(g, panels, max(6, policy.n_radial // len(panels)), policy, radial,
+                           f"disc integral to r={r:g}")
+
+
+def annulus_integral(g, r_inner: float, r_outer: float, policy: QuadPolicy = DEFAULT_POLICY,
                      radial=None) -> float:
-    """Single-panel tensor rule over a thin annulus (extrapolation helper);
-    ``g`` and ``radial`` as in :func:`disc_integral`."""
-    return _disc_integral_pass(g, [(r_inner, r_outer)], 16, _circle_nodes(n_theta), radial)
+    """Integral over the thin annulus r_inner <= |z| <= r_outer (extrapolation
+    helper): one radial panel of m = 16 nodes, certified by
+    :func:`_certified_area`; ``g`` and ``radial`` as in :func:`disc_integral`."""
+    return _certified_area(g, [(r_inner, r_outer)], 16, policy, radial,
+                           f"annulus integral over [{float(r_inner)!r}, {float(r_outer)!r}]")
 
 
 def boundary_extrapolate(value_at_r1: float, value_at_r2: float, r1: float, r2: float,

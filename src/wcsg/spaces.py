@@ -155,11 +155,11 @@ def _sup_circle():
 
 @lru_cache(maxsize=32)
 def disc_sup_points(r_cap: float):
-    """Polar sup grid: radii 0, 0.1, .., 0.4, then 1 - 2^(-k/4) up to r_cap
-    and r_cap itself, times the angles of :func:`_sup_circle`; one row of
-    angles per radius, the outermost last."""
-    dyadic = 1.0 - 2.0 ** (-np.arange(4, 81) / 4)
-    rs = np.unique(np.concatenate([np.arange(0.0, 0.45, 0.1), dyadic[dyadic <= r_cap], [r_cap]]))
+    """Polar sup grid: those of the radii 0, 0.1, .., 0.4 and 1 - 2^(-k/4)
+    that lie below r_cap, and r_cap itself, times the angles of
+    :func:`_sup_circle`; one row of angles per radius, the outermost last."""
+    rs = np.concatenate([np.arange(0.0, 0.45, 0.1), 1.0 - 2.0 ** (-np.arange(4, 81) / 4)])
+    rs = np.unique(np.append(rs[rs < r_cap], r_cap))
     return (rs[:, None] * _sup_circle()[0][None, :]).ravel()
 
 
@@ -209,9 +209,9 @@ def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0) -> flo
     return float(best)
 
 
-# Where the outer circle's Cauchy integral must reproduce F, as multiples of
-# its radius: 0 and a point off both axes.
-_CIRCLE_PROBES = np.array([0.0, 0.3 + 0.4j])
+# Where a Taylor series must reproduce f, and (as multiples of its radius) the
+# outer circle's Cauchy integral must reproduce F: 0 and a point off both axes.
+_PROBES = np.array([0.0, 0.3 + 0.4j])
 
 
 def _modulus_sup(F, space: SpaceSpec, radius_scale: float = 1.0) -> tuple[float, str]:
@@ -221,7 +221,7 @@ def _modulus_sup(F, space: SpaceSpec, radius_scale: float = 1.0) -> tuple[float,
     scale = _grid_scale(space, radius_scale)
     ring = disc_sup_points(space.policy.r_cap)[-circle.size:]
     ring = ring if scale == 1.0 else ring * scale
-    probes = ring[0].real * _CIRCLE_PROBES  # ring[0] is at angle 0
+    probes = ring[0].real * _PROBES  # ring[0] is at angle 0
     zeta = ring[uniform]
     with np.errstate(all="ignore"):  # a pole is left to the grid
         vals = np.asarray(F(ring))
@@ -290,12 +290,12 @@ def _area_scale(space: SpaceSpec, integral: float) -> float:
     return integral / np.pi
 
 
-def _radial_functional(space: SpaceSpec, f: HoloFn, r: float, certify: bool) -> float:
+def _radial_functional(space: SpaceSpec, f: HoloFn, r: float) -> float:
     """F(r): the p-power (or squared) integral functional truncated at r."""
     if space.kind == "hardy":
         return circle_mean_p(f, r, space.p, space.policy)
     g, radial = _density(space, f)
-    area = _area_scale(space, disc_integral(g, r, space.policy, certify=certify, radial=radial))
+    area = _area_scale(space, disc_integral(g, r, space.policy, radial=radial))
     if space.kind == "dirichlet":
         return abs(complex(f(0.0))) ** 2 + area
     return area
@@ -312,13 +312,9 @@ def _root(space: SpaceSpec) -> float:
 
 def _annulus_increment(space: SpaceSpec, f: HoloFn, r1: float, r2: float) -> float:
     if space.kind == "hardy":
-        return _radial_functional(space, f, r2, certify=False) - _radial_functional(
-            space, f, r1, certify=False
-        )
+        return _radial_functional(space, f, r2) - _radial_functional(space, f, r1)
     g, radial = _density(space, f)
-    return _area_scale(
-        space, annulus_integral(g, r1, r2, n_theta=space.policy.n_theta, radial=radial)
-    )
+    return _area_scale(space, annulus_integral(g, r1, r2, space.policy, radial=radial))
 
 
 def _coefficient_weights(space: SpaceSpec, s: float, n: int):
@@ -358,18 +354,14 @@ def _coefficient_weights(space: SpaceSpec, s: float, n: int):
     return P[:n] * np.maximum(b, 0.0)
 
 
-# Where the Taylor series must reproduce f: 0 and a point off both axes.
-_SERIES_PROBES = np.array([0.0, 0.3 + 0.4j])
-
-
 def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | None:
     """F(s) from the Taylor coefficients of f, at n = 4 n_theta FFT points and
     at 2n. None when the space is not Dirichlet or Bergman with p = 2, when
     the two sums fail :func:`holo.certify_doubling`, when f is not finite on
-    the FFT circle or at _SERIES_PROBES, or when the series of the
-    2n-point coefficients misses f at _SERIES_PROBES by more than
-    100 tol max(1, |f|): a pole or branch cut inside the circle leaves the
-    coefficients of a function that is not f."""
+    the FFT circle or at _PROBES, or when the series of the 2n-point
+    coefficients misses f at _PROBES by more than 100 tol max(1, |f|): a
+    pole or branch cut inside the circle leaves the coefficients of a
+    function that is not f."""
     if not (space.kind == "dirichlet" or (space.kind == "bergman" and space.p == 2.0)):
         return None
     n = 4 * space.policy.n_theta
@@ -381,10 +373,10 @@ def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | No
     except NonConvergent:
         return None
     with np.errstate(all="ignore"):  # f may have a pole at a probe
-        at_probes = np.asarray(f(_SERIES_PROBES))
+        at_probes = np.asarray(f(_PROBES))
     if not np.all(np.isfinite(at_probes)):
         return None
-    series = np.vander(_SERIES_PROBES, fine.size, increasing=True) @ fine
+    series = np.vander(_PROBES, fine.size, increasing=True) @ fine
     bound = 100.0 * space.policy.tol * np.maximum(1.0, np.abs(at_probes))
     if not np.all(np.abs(series - at_probes) <= bound):
         return None
@@ -420,7 +412,7 @@ def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
     if space.kind in INTEGRAL_KINDS:
         r1 = space.policy.r_cap
         r2 = 1.0 - (1.0 - r1) / 10.0
-        F1 = _radial_functional(space, f, r1, certify=True)
+        F1 = _radial_functional(space, f, r1)
         F2 = F1 + _annulus_increment(space, f, r1, r2)
         if not np.isfinite(F2) or F2 > OVERFLOW_GUARD:
             raise Unbounded(f"{space.label}: radial functional exceeded the overflow guard")
@@ -456,7 +448,7 @@ def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
         F = _coefficient_functional(space, f, s)
         if F is None:
             r = s * (1.0 - 1e-6) if space.kind == "hardy" else s
-            F = _radial_functional(space, f, r, certify=False)
+            F = _radial_functional(space, f, r)
         return float(F ** _root(space))
     return _sup_norm(space, f, s)[0]
 

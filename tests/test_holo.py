@@ -99,6 +99,14 @@ class TestCircleMean:
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 
 
+def _coarse_pass(g, r, policy=DEFAULT_POLICY, radial=None):
+    """holo._disc_integral_pass on disc_integral's panels to r: m nodes per
+    panel times n_theta angles, with no certificate."""
+    panels = holo._radial_panels(r)
+    m = max(6, policy.n_radial // len(panels))
+    return holo._disc_integral_pass(g, panels, m, holo._circle_nodes(policy.n_theta), radial)
+
+
 class TestDiscIntegral:
     def test_area(self):
         r = 1.0 - 1e-6
@@ -133,14 +141,10 @@ class TestDiscIntegral:
 
     def test_doubling_stability_smooth_corpus(self):
         f = mobius(0.3)
+        g = lambda z: np.abs(f.fn(z)) ** 2
         for r in (0.5, 0.99):
-            v1 = disc_integral(lambda z: np.abs(f.fn(z)) ** 2, r, certify=False)
-            v2 = disc_integral(
-                lambda z: np.abs(f.fn(z)) ** 2,
-                r,
-                QuadPolicy(n_theta=512, n_radial=256),
-                certify=False,
-            )
+            v1 = _coarse_pass(g, r)
+            v2 = _coarse_pass(g, r, QuadPolicy(n_theta=512, n_radial=256))
             assert abs(v1 - v2) < 100.0 * DEFAULT_POLICY.tol * max(1.0, abs(v2))
 
 
@@ -206,7 +210,7 @@ class TestRadialFactor:
             sizes.append(np.shape(s))
             return 1.0 - s * s
 
-        disc_integral(lambda z: np.ones(z.shape), 0.5, certify=False, radial=radial)
+        _coarse_pass(lambda z: np.ones(z.shape), 0.5, radial=radial)
         m = max(6, DEFAULT_POLICY.n_radial)
         assert sizes == [(m,)]
 
@@ -346,11 +350,20 @@ class TestAngleLadder:
     def test_singular_inner_runs_to_the_cap(self, monkeypatch):
         calls = []
         certified = holo.disc_integral
-        monkeypatch.setattr(spaces, "disc_integral", lambda g, *a, certify=True, **kw: certified(
-            _recording(g, calls) if certify else g, *a, certify=certify, **kw))
+        monkeypatch.setattr(spaces, "disc_integral",
+                            lambda g, *a, **kw: certified(_recording(g, calls), *a, **kw))
         detail = spaces.norm_detail(spaces.SpaceSpec.bergman(0.0), holo.singular_inner())
         assert detail.method == "truncated-extrapolated"
-        assert detail.value == 0.6673188621060349
+        # n_theta = 4096 and n_radial = 512 give 0.66731886493
+        assert detail.value == 0.6673188649632443
+        assert max(c for _, c, _, _ in calls) == DEFAULT_POLICY.n_theta
+
+    def test_annulus_mode_aliased_at_every_level_raises_at_the_cap(self):
+        # 1 + cos(512 theta) is 2 on every fine grid; only the turned coarse
+        # rows see the mode, so the certificate fails up to the cap
+        calls = []
+        with pytest.raises(NonConvergent, match=r"annulus integral over \[0.5, 0.6\]"):
+            annulus_integral(_recording(_angular(512), calls), 0.5, 0.6)
         assert max(c for _, c, _, _ in calls) == DEFAULT_POLICY.n_theta
 
 
@@ -395,7 +408,7 @@ class TestFiniteness:
     @pytest.mark.parametrize("radial", [None, _bergman_weight(-0.5)])
     @pytest.mark.parametrize("integral", [
         lambda g, radial: disc_integral(g, 0.99, radial=radial),
-        lambda g, radial: disc_integral(g, 0.99, certify=False, radial=radial),
+        lambda g, radial: _coarse_pass(g, 0.99, radial=radial),
         lambda g, radial: annulus_integral(g, 0.99, 0.999, radial=radial),
     ], ids=["certified", "uncertified", "annulus"])
     def test_one_bad_node_raises(self, bad, radial, integral):
@@ -405,7 +418,7 @@ class TestFiniteness:
     def test_overflowing_row_sum_raises(self):
         with pytest.raises(NonConvergent, match="non-finite values in disc integrand"):
             with np.errstate(over="ignore"):
-                disc_integral(lambda z: np.full(z.shape, 1e307), 0.5, certify=False)
+                _coarse_pass(lambda z: np.full(z.shape, 1e307), 0.5)
 
 
 class TestDoublingCertificate:
