@@ -229,13 +229,13 @@ class AdmissibilityVerdict:
     admissible: bool
 
 
-def coboundary_admissibility(g: HoloFn, G: HoloFn, Gprime: HoloFn | None,
-                             fixed_pts, tol: float = 1e-8) -> AdmissibilityVerdict:
+def coboundary_admissibility(g: HoloFn, G: HoloFn, fixed_pts,
+                             tol: float = 1e-8) -> AdmissibilityVerdict:
     """A nonvanishing-symbol coboundary representation exists iff the ratio
     g(b)/G'(b) is a nonnegative integer at every fixed point b; the integer is
     the zero order the representing symbol must carry at b."""
     pts = np.asarray(fixed_pts, dtype=G.domain.dtype)
-    dGs = Gprime(pts) if Gprime is not None else holo.derivative_on_grid(G, pts)
+    dGs = holo.derivative_on_grid(G, pts)
     records = []
     for b, dG, gb in zip(pts.tolist(), np.asarray(dGs).tolist(), np.asarray(g(pts)).tolist()):
         b = complex(b)

@@ -82,9 +82,9 @@ REAL_LINE = Domain("real")
 class QuadPolicy:
     """Quadrature policy: node counts, boundary truncation, tolerance.
 
-    n_theta   angular trapezoid nodes of a circle mean; the fine rows of
-              a disc or annulus integral double from n_theta / 4 angles up
-              to 2 n_theta and stop once the value settles
+    n_theta   the fine rows of a circle mean or of a disc or annulus
+              integral double their trapezoid angles from n_theta / 4 up to
+              the cap 2 n_theta and stop once the value settles
     n_radial  total radial Gauss-Legendre node budget for disc integrals
     r_cap     boundary truncation radius for integrals up to |z| = 1
     tol       relative tolerance target for the doubling certificates
@@ -137,7 +137,7 @@ class HoloFn:
 
 def ensure_finite(values, what: str):
     """Reject NaN/Inf before they enter downstream quadrature."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonConvergent(f"non-finite values in {what}")
     return values
 
@@ -335,7 +335,8 @@ def cauchy_derivative_grid(f, zs, radii, n_nodes: int = INNER_DERIV_NODES):
 
 
 def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_POLICY) -> float:
-    """(1/2 pi) integral over the circle |z| = r of |f|^p. Exact for constants."""
+    """(1/2 pi) integral over the circle |z| = r of |f|^p: the angular
+    trapezoid on the one row r, certified by :func:`_certified_rows`."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if r < 0:
@@ -344,10 +345,9 @@ def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_PO
         raise DomainExit(f"circle radius {r:g} outside the domain", point=r)
     if r == 0.0:
         return float(abs(f(0.0)) ** p)
-    ring = r * _circle_nodes(policy.n_theta)
-    vals = np.abs(f(ring)) ** p
-    ensure_finite(vals, "circle mean")
-    return float(np.mean(vals))
+    row = (np.array([float(r)]), lambda means: float(means[0]))
+    return _certified_rows(lambda z: ensure_finite(np.abs(f.fn(z)) ** p, "circle mean"),
+                           row, row, policy, f"circle mean of |f|^{p:g} at r={r:g}")
 
 
 def taylor_coefficients(f: HoloFn, n: int):
@@ -399,25 +399,18 @@ def _row_sums(g, s, ring):
     rows = np.empty(s.size)
     for block in row_blocks(s.size, ring.size):
         vals = np.asarray(g(s[block, None] * ring[None, :]), dtype=float)
-        rows[block] = ensure_finite(np.sum(vals, axis=1), "disc integrand")
+        rows[block] = ensure_finite(vals.sum(axis=1), "disc integrand")
     return rows
 
 
-def _disc_integral_pass(g, panels, m: int, ring, radial) -> float:
-    """Integral of g(z) radial(|z|) over the annuli ``panels``: m
-    Gauss-Legendre nodes per panel times the angular trapezoid on ``ring``.
-    Uncertified: the coarse pass of :func:`_certified_area`."""
-    s, total = _radial_rule(panels, m, radial)
-    return total(_row_sums(g, s, ring) / ring.size)
-
-
+@lru_cache(maxsize=64)
 def _angle_ladder(n_theta: int):
-    """The angle counts of a certified disc integral's fine rows: 2 n_theta
-    and its halvings, down to the last integer count >= n_theta / 4."""
+    """The angle counts of a certified rule's fine rows: 2 n_theta and its
+    halvings, down to the last integer count >= n_theta / 4."""
     ladder = [2 * n_theta]
     while ladder[0] % 2 == 0 and ladder[0] // 2 >= n_theta / 4:
         ladder.insert(0, ladder[0] // 2)
-    return ladder
+    return tuple(ladder)
 
 
 @lru_cache(maxsize=64)
@@ -428,21 +421,22 @@ def _offset_circle_nodes(n: int):
     return _circle_nodes(n) * np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) / n)
 
 
-def _certified_area(g, panels, m: int, policy: QuadPolicy, radial, what: str) -> float:
-    """Integral of g(z) radial(|z|) over the annuli ``panels``, certified.
+def _certified_rows(g, fine_rule, coarse_rule, policy: QuadPolicy, what: str) -> float:
+    """total(row means of g), certified: the one angular rule of every circle
+    and area integral. Each rule is ``(s, total)``: the radii of its rows and
+    the function taking their angular means to the value.
 
-    The fine rows carry 2m Gauss-Legendre nodes per panel, and their angles
-    double along :func:`_angle_ladder`, from n_theta / 4 up to the cap
-    2 n_theta: each doubling evaluates only the new odd-index nodes and adds
-    them to the running row sums. At the first level N where the doubling
-    moved the fine value by at most tol max(1, |fine|), or at the cap, the
-    coarse rows (m nodes per panel) run on N / 2 angles turned by
+    The fine rows' angles double along :func:`_angle_ladder`, from
+    n_theta / 4 up to the cap 2 n_theta: each doubling evaluates only the new
+    odd-index nodes and adds them to the running row sums. At the first level
+    N where the doubling moved the fine value by at most tol max(1, |fine|),
+    or at the cap, the coarse rows run on N / 2 angles turned by
     :func:`_offset_circle_nodes`, and :func:`certify_doubling` judges the
     two values. A failed certificate below the cap doubles on; at the cap it
     raises NonConvergent naming ``what``.
     """
     ladder = _angle_ladder(policy.n_theta)
-    s, total = _radial_rule(panels, 2 * m, radial)
+    (s, total), (coarse_s, coarse_total) = fine_rule, coarse_rule
     sums = _row_sums(g, s, _circle_nodes(ladder[0]))
     fine = total(sums / ladder[0])
     for n in ladder[1:]:
@@ -450,12 +444,21 @@ def _certified_area(g, panels, m: int, policy: QuadPolicy, radial, what: str) ->
         fine, before = total(sums / n), fine
         if n < ladder[-1] and not abs(fine - before) <= policy.tol * max(1.0, abs(fine)):
             continue
-        coarse = _disc_integral_pass(g, panels, m, _offset_circle_nodes(n // 2), radial)
+        ring = _offset_circle_nodes(n // 2)
+        coarse = coarse_total(_row_sums(g, coarse_s, ring) / ring.size)
         try:
             return certify_doubling(coarse, fine, policy.tol, what)
         except NonConvergent:
             if n == ladder[-1]:
                 raise
+
+
+def _certified_area(g, panels, m: int, policy: QuadPolicy, radial, what: str) -> float:
+    """Integral of g(z) radial(|z|) over the annuli ``panels``: the fine rows
+    of :func:`_certified_rows` carry 2m Gauss-Legendre nodes per panel, the
+    coarse rows m."""
+    return _certified_rows(g, _radial_rule(panels, 2 * m, radial), _radial_rule(panels, m, radial),
+                           policy, what)
 
 
 def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, radial=None) -> float:

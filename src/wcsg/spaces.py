@@ -447,8 +447,7 @@ def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
     if space.kind in INTEGRAL_KINDS:
         F = _coefficient_functional(space, f, s)
         if F is None:
-            r = s * (1.0 - 1e-6) if space.kind == "hardy" else s
-            F = _radial_functional(space, f, r)
+            F = _radial_functional(space, f, s)
         return float(F ** _root(space))
     return _sup_norm(space, f, s)[0]
 

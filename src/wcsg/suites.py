@@ -609,9 +609,7 @@ def run_admissibility(cfg: dict) -> list:
 
     def run(acfg, path):
         g = _expr(_get(acfg, "g", path, required=True), phi.domain, f"{path}.g")
-        verdict = cocycles.coboundary_admissibility(
-            g, phi.generator, None, list(search.points), tol=tol
-        )
+        verdict = cocycles.coboundary_admissibility(g, phi.generator, list(search.points), tol=tol)
         ok = verdict.admissible
         if "expect_admissible" in acfg:
             ok = ok == _flag(acfg["expect_admissible"], f"{path}.expect_admissible")

@@ -225,13 +225,9 @@ def test_criterion_7_continuity_dichotomy():
 
 def test_criterion_8_coboundary_admissibility():
     phi = make_catalog_semiflow("dilation", {"c": 1.0})
-    v1 = coboundary_admissibility(
-        holo.constant(-1.0), phi.generator, holo.constant(-1.0), [0.0]
-    )
+    v1 = coboundary_admissibility(holo.constant(-1.0), phi.generator, [0.0])
     first_ok = v1.admissible and v1.records[0].nearest_order == 1
-    v2 = coboundary_admissibility(
-        holo.constant(-0.5), phi.generator, holo.constant(-1.0), [0.0]
-    )
+    v2 = coboundary_admissibility(holo.constant(-0.5), phi.generator, [0.0])
     second_ok = not v2.admissible
 
     m = coboundary(holo.monomial(2), phi, {0.0: 2})

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,13 +99,33 @@ class TestCircleMean:
         means = [circle_mean_p(f, r, 2.0) for r in radii]
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 
+    def test_mode_aliased_on_every_fine_grid_raises_at_the_cap(self):
+        # |1 + z^256|^2 is (1 + r^256)^2 ~ 4 on every grid of up to 256
+        # angles, and the mean is 1 + r^512 ~ 2: only the turned coarse rows
+        # see the mode, so the certificate fails up to the cap
+        calls = []
+
+        def fn(z):
+            calls.append(z.shape)
+            return 1.0 + z ** 256
+
+        with pytest.raises(NonConvergent, match=re.escape("circle mean of |f|^2 at r=0.999999")):
+            circle_mean_p(holo.HoloFn(fn), 0.999999, 2.0)
+        # the last call is the coarse row at the cap: n_theta turned angles
+        assert calls[-1] == (1, DEFAULT_POLICY.n_theta)
+
+    def test_a_nan_on_the_circle_names_the_circle_mean(self):
+        f = holo.HoloFn(lambda z: np.where(np.real(z) > 0.4, np.nan, z))
+        with pytest.raises(NonConvergent, match="non-finite values in circle mean"):
+            circle_mean_p(f, 0.5, 2.0)
+
 
 def _coarse_pass(g, r, policy=DEFAULT_POLICY, radial=None):
-    """holo._disc_integral_pass on disc_integral's panels to r: m nodes per
-    panel times n_theta angles, with no certificate."""
+    """holo's radial rule and row sums on disc_integral's panels to r: m
+    nodes per panel times n_theta angles, with no certificate."""
     panels = holo._radial_panels(r)
-    m = max(6, policy.n_radial // len(panels))
-    return holo._disc_integral_pass(g, panels, m, holo._circle_nodes(policy.n_theta), radial)
+    s, total = holo._radial_rule(panels, max(6, policy.n_radial // len(panels)), radial)
+    return total(holo._row_sums(g, s, holo._circle_nodes(policy.n_theta)) / policy.n_theta)
 
 
 class TestDiscIntegral:
@@ -296,7 +317,7 @@ class TestAngleLadder:
         (16, [4, 8, 16, 32]), (17, [17, 34]), (18, [9, 18, 36]),
         (100, [25, 50, 100, 200]), (256, [64, 128, 256, 512])])
     def test_ladder(self, n_theta, ladder):
-        assert holo._angle_ladder(n_theta) == ladder
+        assert holo._angle_ladder(n_theta) == tuple(ladder)
         assert ladder[-1] == 2 * n_theta and ladder[-1] // 2 == n_theta
         assert all(b == 2 * a for a, b in zip(ladder, ladder[1:]))
 

@@ -30,6 +30,10 @@ from wcsg.spaces import (
 )
 
 
+# 1 + z^256: a mode that a grid of 256 angles or fewer aliases to a constant
+_HIGH_MODE = holo.poly([1.0] + [0.0] * 255 + [1.0])
+
+
 def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
@@ -75,6 +79,27 @@ class TestNorm:
         assert norm(SpaceSpec.hardy(2.0), holo.poly([1, 1])) == pytest.approx(
             math.sqrt(2.0), abs=1e-8
         )
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_hardy_norm_of_a_high_mode_raises(self, p):
+        # 1 + z^256 is 1 + r^256 on every grid of up to 256 angles
+        with pytest.raises(NonConvergent, match="circle mean"):
+            norm(SpaceSpec.hardy(p), _HIGH_MODE)
+
+    @pytest.mark.parametrize("p, ref", [(2.0, math.sqrt(2.0)), (4.0, 6.0 ** 0.25)])
+    def test_hardy_norm_of_a_high_mode_with_enough_angles(self, p, ref):
+        # the mean of |1 + e^(i k theta)|^p is 2 for p = 2 and 6 for p = 4
+        space = SpaceSpec.hardy(p, holo.QuadPolicy(n_theta=4096))
+        assert norm(space, _HIGH_MODE) == pytest.approx(ref, rel=0, abs=1e-6)
+
+    def test_hardy_one_norm_of_one_plus_z(self):
+        # |1 + e^(i theta)| = 2 |cos(theta / 2)| has a kink at pi, so the
+        # trapezoid converges like n^-2, too slowly for tol at 512 angles
+        f = holo.poly([1, 1])
+        with pytest.raises(NonConvergent, match="circle mean"):
+            norm(SpaceSpec.hardy(1.0), f)
+        space = SpaceSpec.hardy(1.0, holo.QuadPolicy(n_theta=4096))
+        assert norm(space, f) == pytest.approx(4.0 / math.pi, rel=0, abs=1e-7)
 
     def test_sup_holo_unit_weight(self):
         space = SpaceSpec.sup_holo()
@@ -395,6 +420,18 @@ class TestCoSeminorm:
         val = co_seminorm(SpaceSpec.hardy(2.0), holo.monomial(2), SeminormIndex(0.9))
         assert val == pytest.approx(0.81, abs=1e-5)
 
+    def test_hardy_seminorm_is_taken_at_s(self):
+        # the circle of radius s, as Bergman, Dirichlet and the sup grid take
+        val = co_seminorm(SpaceSpec.hardy(2.0), holo.monomial(1), SeminormIndex(0.9))
+        assert val == pytest.approx(0.9, rel=0, abs=1e-15)
+
+    def test_hardy_seminorm_of_a_high_mode_raises(self):
+        with pytest.raises(NonConvergent, match="circle mean"):
+            co_seminorm(SpaceSpec.hardy(2.0), _HIGH_MODE, SeminormIndex(0.999))
+        space = SpaceSpec.hardy(2.0, holo.QuadPolicy(n_theta=4096))
+        assert co_seminorm(space, _HIGH_MODE, SeminormIndex(0.999)) == pytest.approx(
+            math.sqrt(1.0 + 0.999 ** 512), rel=0, abs=1e-15)
+
     @pytest.mark.parametrize(
         "space",
         [SpaceSpec.hardy(2.0), SpaceSpec.bergman(0.5, 2.0), SpaceSpec.sup_holo()],
@@ -423,6 +460,29 @@ class TestCoSeminorm:
         assert norm(space, holo.monomial(1)) == pytest.approx(0.3, rel=0, abs=1e-15)
         assert co_seminorm(space, holo.monomial(1), SeminormIndex(0.2)) == pytest.approx(
             0.2, rel=0, abs=1e-15)
+
+
+class TestHandCount:
+    def test_hardy_norm_of_e2_takes_three_circle_means_and_nothing_else(self, monkeypatch):
+        # one circle mean at r_cap and two for the extrapolation increment;
+        # the benchmark's traced runs count these layers through the same
+        # bindings and report a traced run as incorrect when a count differs
+        counts = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for name in ("circle_mean_p", "disc_integral", "annulus_integral", "certified_sup"):
+            counted(spaces, name)
+        counted(holo, "cauchy_derivative_grid")
+        norm(SpaceSpec.hardy(2.0), holo.monomial(2))
+        assert counts == {"circle_mean_p": 3}
 
 
 class TestSaks:
