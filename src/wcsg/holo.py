@@ -346,8 +346,8 @@ def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_PO
     if r == 0.0:
         return float(abs(f(0.0)) ** p)
     row = (np.array([float(r)]), lambda means: float(means[0]))
-    return _certified_rows(lambda z: ensure_finite(np.abs(f.fn(z)) ** p, "circle mean"),
-                           row, row, policy, f"circle mean of |f|^{p:g} at r={r:g}")
+    return _certified_rows(lambda z: np.abs(f.fn(z)) ** p, row, row, policy,
+                           f"circle mean of |f|^{p:g} at r={r:g}", "circle mean")
 
 
 def taylor_coefficients(f: HoloFn, n: int):
@@ -392,14 +392,15 @@ def _radial_rule(panels, m: int, radial):
     return s, total
 
 
-def _row_sums(g, s, ring):
+def _row_sums(g, s, ring, integrand: str):
     """The sum of g over each row s_i ring, with g called on blocks of whole
     rows, at most BLOCK_POINTS points per call. A NaN or inf at any node, or
-    a row sum that overflows, makes its row sum non-finite and raises."""
+    a row sum that overflows, makes its row sum non-finite and raises
+    NonConvergent naming ``integrand``."""
     rows = np.empty(s.size)
     for block in row_blocks(s.size, ring.size):
         vals = np.asarray(g(s[block, None] * ring[None, :]), dtype=float)
-        rows[block] = ensure_finite(vals.sum(axis=1), "disc integrand")
+        rows[block] = ensure_finite(vals.sum(axis=1), integrand)
     return rows
 
 
@@ -421,10 +422,12 @@ def _offset_circle_nodes(n: int):
     return _circle_nodes(n) * np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) / n)
 
 
-def _certified_rows(g, fine_rule, coarse_rule, policy: QuadPolicy, what: str) -> float:
+def _certified_rows(g, fine_rule, coarse_rule, policy: QuadPolicy, what: str,
+                    integrand: str) -> float:
     """total(row means of g), certified: the one angular rule of every circle
     and area integral. Each rule is ``(s, total)``: the radii of its rows and
-    the function taking their angular means to the value.
+    the function taking their angular means to the value. A non-finite row
+    sum raises NonConvergent naming ``integrand``.
 
     The fine rows' angles double along :func:`_angle_ladder`, from
     n_theta / 4 up to the cap 2 n_theta: each doubling evaluates only the new
@@ -437,15 +440,15 @@ def _certified_rows(g, fine_rule, coarse_rule, policy: QuadPolicy, what: str) ->
     """
     ladder = _angle_ladder(policy.n_theta)
     (s, total), (coarse_s, coarse_total) = fine_rule, coarse_rule
-    sums = _row_sums(g, s, _circle_nodes(ladder[0]))
+    sums = _row_sums(g, s, _circle_nodes(ladder[0]), integrand)
     fine = total(sums / ladder[0])
     for n in ladder[1:]:
-        sums = sums + _row_sums(g, s, _circle_nodes(n)[1::2])
+        sums = sums + _row_sums(g, s, _circle_nodes(n)[1::2], integrand)
         fine, before = total(sums / n), fine
         if n < ladder[-1] and not abs(fine - before) <= policy.tol * max(1.0, abs(fine)):
             continue
         ring = _offset_circle_nodes(n // 2)
-        coarse = coarse_total(_row_sums(g, coarse_s, ring) / ring.size)
+        coarse = coarse_total(_row_sums(g, coarse_s, ring, integrand) / ring.size)
         try:
             return certify_doubling(coarse, fine, policy.tol, what)
         except NonConvergent:
@@ -458,7 +461,7 @@ def _certified_area(g, panels, m: int, policy: QuadPolicy, radial, what: str) ->
     of :func:`_certified_rows` carry 2m Gauss-Legendre nodes per panel, the
     coarse rows m."""
     return _certified_rows(g, _radial_rule(panels, 2 * m, radial), _radial_rule(panels, m, radial),
-                           policy, what)
+                           policy, what, "disc integrand")
 
 
 def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, radial=None) -> float:
@@ -473,9 +476,8 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, radial=None)
     radial rows of at most BLOCK_POINTS points; m = n_radial / panels nodes
     per panel (at least 6), certified by :func:`_certified_area`.
     """
-    if not 0.0 < r <= policy.r_cap + 1e-12:
-        raise DomainExit(f"disc radius {float(r)!r} outside (0, r_cap = {policy.r_cap!r}]",
-                         point=r)
+    if not 0.0 < r < 1.0:
+        raise DomainExit(f"disc radius {float(r)!r} outside (0, 1)", point=r)
     panels = _radial_panels(r)
     return _certified_area(g, panels, max(6, policy.n_radial // len(panels)), policy, radial,
                            f"disc integral to r={r:g}")

@@ -17,7 +17,9 @@ and extrapolated to the boundary using the known tail exponent. Sup-type
 norms are maxima over a fixed grid, lower bounds for the true sup. Where the
 functional is the modulus of a function holomorphic on the grid's disc (the
 H^infinity norm, |m_t|, |phi_t|), the maximum principle puts that maximum on
-the grid's outer circle, and only that circle is evaluated.
+the grid's outer circle, and only that circle is evaluated. Norms and
+seminorms share one evaluator, whose one guard raises Unbounded for a value
+that is not finite or exceeds the overflow guard.
 """
 
 from __future__ import annotations
@@ -259,8 +261,8 @@ def modulus_sup(F, space: SpaceSpec, radius_scale: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class NormEvaluation:
-    """Norm value with its provenance: the method, and for the quadrature
-    path the truncation and extrapolation radii."""
+    """Norm or seminorm value with its provenance: the method, and for the
+    truncated-extrapolated path the truncation and extrapolation radii."""
 
     value: float
     method: str
@@ -269,7 +271,6 @@ class NormEvaluation:
     r_truncate: float | None = None
     r_refine: float | None = None
     tail_exponent: float | None = None
-    real_halfwidth: float | None = None
 
 
 def _density(space: SpaceSpec, f: HoloFn):
@@ -383,73 +384,56 @@ def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | No
     return F
 
 
-def _sup_functional(space: SpaceSpec, f: HoloFn):
-    """Pointwise functional whose grid sup gives a sup-type norm, plus the
-    |f(0)| head that the Bloch norm adds to it."""
-    vfn = space.v.fn
-    if space.kind == "bloch":
-        values_at = lambda z: np.abs(derivative_on_grid(f, z)) * np.real(vfn(z))
-        return values_at, abs(complex(f(0.0)))
-    return (lambda z: np.abs(f.fn(z)) * np.real(vfn(z))), 0.0
-
-
-def _sup_norm(space: SpaceSpec, f: HoloFn, radius_scale: float = 1.0) -> tuple[float, str]:
-    """A sup-type norm (radius_scale 1) or seminorm of f and its method. On
-    sup-holo with the unit weight the functional is |f|, whose sup
-    :func:`modulus_sup` takes on the grid's outer circle."""
-    if space.kind == "sup-holo" and space.v is holo.unit_weight():
-        return _modulus_sup(f.fn, space, radius_scale)
-    values_at, head = _sup_functional(space, f)
-    return head + certified_sup(values_at, space, radius_scale), "certified-grid-sup"
-
-
-def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
-    F = _coefficient_functional(space, f, 1.0)
+def _evaluate(space: SpaceSpec, f: HoloFn, s: float) -> NormEvaluation:
+    """The norm (s = 1) or the compact-open seminorm at radius s < 1 of f:
+    a certified Taylor-coefficient sum, the integral quadrature at s, the
+    integral norm truncated at r_cap and extrapolated to the boundary, the
+    maximum-principle circle of H^infinity with the unit weight, or the grid
+    sup (the Bloch one plus |f(0)|). The one overflow guard of every norm
+    and seminorm: a value that is not finite or exceeds it raises Unbounded."""
+    F = _coefficient_functional(space, f, s)
     if F is not None:
-        if F > OVERFLOW_GUARD:
-            raise Unbounded(f"{space.label}: Taylor coefficient sum exceeded the overflow guard")
-        return NormEvaluation(value=float(F ** 0.5), method="taylor-coefficients")
-    if space.kind in INTEGRAL_KINDS:
+        ev = NormEvaluation(float(F ** 0.5), "taylor-coefficients")
+    elif space.kind in INTEGRAL_KINDS and s < 1.0:
+        ev = NormEvaluation(float(_radial_functional(space, f, s) ** _root(space)), "quadrature")
+    elif space.kind in INTEGRAL_KINDS:
         r1 = space.policy.r_cap
         r2 = 1.0 - (1.0 - r1) / 10.0
         F1 = _radial_functional(space, f, r1)
         F2 = F1 + _annulus_increment(space, f, r1, r2)
-        if not np.isfinite(F2) or F2 > OVERFLOW_GUARD:
-            raise Unbounded(f"{space.label}: radial functional exceeded the overflow guard")
         ext = boundary_extrapolate(F1, F2, r1, r2, _tail_exponent(space))
         ext = max(ext, F2)  # the functionals are nondecreasing in r
         root = _root(space)
-        return NormEvaluation(
-            value=float(ext ** root),
-            method="truncated-extrapolated",
-            truncated_value=float(F1 ** root),
-            refined_value=float(F2 ** root),
-            r_truncate=r1,
-            r_refine=r2,
-            tail_exponent=_tail_exponent(space),
-        )
+        ev = NormEvaluation(value=float(ext ** root), method="truncated-extrapolated",
+                            truncated_value=float(F1 ** root), refined_value=float(F2 ** root),
+                            r_truncate=r1, r_refine=r2, tail_exponent=_tail_exponent(space))
+    elif space.kind == "sup-holo" and space.v is holo.unit_weight():
+        ev = NormEvaluation(*_modulus_sup(f.fn, space, s))
+    else:
+        vfn = space.v.fn
+        if space.kind == "bloch":
+            head, mod = abs(complex(f(0.0))), lambda z: np.abs(derivative_on_grid(f, z))
+        else:
+            head, mod = 0.0, lambda z: np.abs(f.fn(z))
+        ev = NormEvaluation(head + certified_sup(lambda z: mod(z) * np.real(vfn(z)), space, s),
+                            "certified-grid-sup")
+    if not ev.value <= OVERFLOW_GUARD:
+        raise Unbounded(f"{space.label}: the {ev.method} value {ev.value:g} is not finite "
+                        f"or exceeds the overflow guard {OVERFLOW_GUARD:g}")
+    return ev
 
-    value, method = _sup_norm(space, f)
-    return NormEvaluation(
-        value=value,
-        method=method,
-        real_halfwidth=space.real_halfwidth if space.is_real else None,
-    )
+
+def norm_detail(space: SpaceSpec, f: HoloFn) -> NormEvaluation:
+    return _evaluate(space, f, 1.0)
 
 
 def norm(space: SpaceSpec, f: HoloFn) -> float:
-    return norm_detail(space, f).value
+    return _evaluate(space, f, 1.0).value
 
 
 def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
     """Compact-open seminorm at radius idx.s (nondecreasing in s, below norm)."""
-    s = idx.s
-    if space.kind in INTEGRAL_KINDS:
-        F = _coefficient_functional(space, f, s)
-        if F is None:
-            F = _radial_functional(space, f, s)
-        return float(F ** _root(space))
-    return _sup_norm(space, f, s)[0]
+    return _evaluate(space, f, idx.s).value
 
 
 @dataclass(frozen=True)

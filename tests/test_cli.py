@@ -73,6 +73,16 @@ class TestExitCodes:
         assert code == 0 and case["verdict"] is True
         assert case["numbers"]["order"] == "inf"
 
+    def test_norm_whose_fourth_power_passes_the_guard_is_an_ordinary_case(self):
+        # ||1200 z||_{H^4} = 1200, while its fourth power 2.07e12 exceeds the
+        # overflow guard of 1e12
+        cfg = {"suite": "continuity-probe", "cases": [
+            {"label": "h4", "space": {"kind": "hardy", "p": 4.0}, "flow": _DILATION,
+             "f": "1200*z", "ts": [0.1, 0.01], "radii": [0.5],
+             "expect": {"gamma": False, "norm": False}}]}
+        (case,) = cli.run(cfg).cases
+        assert case.verdict is True
+
     def test_bad_case_embedded_not_fatal(self, tmp_path):
         # one broken case (integral cocycle with a bad expression is a config
         # error; use a flow the coboundary rejects instead) is recorded, the

@@ -125,7 +125,8 @@ def _coarse_pass(g, r, policy=DEFAULT_POLICY, radial=None):
     nodes per panel times n_theta angles, with no certificate."""
     panels = holo._radial_panels(r)
     s, total = holo._radial_rule(panels, max(6, policy.n_radial // len(panels)), radial)
-    return total(holo._row_sums(g, s, holo._circle_nodes(policy.n_theta)) / policy.n_theta)
+    ring = holo._circle_nodes(policy.n_theta)
+    return total(holo._row_sums(g, s, ring, "disc integrand") / policy.n_theta)
 
 
 class TestDiscIntegral:
@@ -154,11 +155,17 @@ class TestDiscIntegral:
         with pytest.raises(DomainExit):
             disc_integral(lambda z: np.ones(z.shape), 1.0)
 
-    def test_radius_error_prints_radius_and_cap_exactly(self):
-        # a radius just past r_cap = 1 - 1e-6 would print as 1 with %g
-        text = r"disc radius 0\.9999999 outside \(0, r_cap = 0\.999999\]"
+    def test_radius_error_prints_radius_and_bound_exactly(self):
+        # a radius just past 1 would print as 1 with %g
+        text = r"disc radius 1\.0000001 outside \(0, 1\)"
         with pytest.raises(DomainExit, match=text):
-            disc_integral(lambda z: np.ones(z.shape), 0.9999999)
+            disc_integral(lambda z: np.ones(z.shape), 1.0000001)
+
+    def test_radius_past_r_cap_is_inside_the_disc(self):
+        # pi r^4 / 2 at r = 1 - 1e-7, beyond r_cap = 1 - 1e-6
+        r = 0.9999999
+        val = disc_integral(lambda z: np.abs(z) ** 2, r)
+        assert val == pytest.approx(math.pi * r ** 4 / 2.0, rel=1e-11)
 
     def test_doubling_stability_smooth_corpus(self):
         f = mobius(0.3)

@@ -5,6 +5,7 @@ Hardy norms, the Beta identity for Bergman monomial norms (via lgamma), and
 polar-coordinate integrals for the Dirichlet energy.
 """
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcsg import holo, spaces, suites
+from wcsg import holo, semigroup, spaces, suites
 from wcsg.cocycles import trivial_cocycle
 from wcsg.errors import NonConvergent, Unbounded
 from wcsg.exprs import to_holofn
@@ -355,7 +356,8 @@ class TestModulusSup:
             norm(SpaceSpec.sup_holo(), to_holofn(expr))
 
     def test_value_past_the_overflow_guard_is_unbounded(self):
-        with pytest.raises(Unbounded, match="exceeded the overflow guard at"):
+        text = r"sup evaluation exceeded the overflow guard at \(0\.999999\+0j\)"
+        with pytest.raises(Unbounded, match=text):
             norm(SpaceSpec.sup_holo(), to_holofn("1e13*z"))
 
     def test_weight_one_as_an_expression_stays_on_the_grid(self):
@@ -454,12 +456,44 @@ class TestCoSeminorm:
             return
         assert val == pytest.approx(ref, rel=0, abs=1e-6)
 
+    @pytest.mark.parametrize("space", [SpaceSpec.bergman(0.5, 4.0), SpaceSpec.bergman(-0.5, 3.0)],
+                             ids=lambda space: space.label)
+    @pytest.mark.parametrize("f", [holo.monomial(1), holo.exp_fn(0.5)], ids=lambda f: f.name)
+    def test_area_seminorm_beyond_r_cap_lies_below_the_norm(self, space, f):
+        # s = 1 - 1e-7 lies past r_cap = 1 - 1e-6, inside the disc
+        nrm = norm(space, f)
+        val = co_seminorm(space, f, SeminormIndex(0.9999999))
+        assert nrm - 2.2e-4 < val <= nrm
+
     def test_sup_grid_stays_inside_r_cap(self):
         space = SpaceSpec.sup_holo(policy=holo.QuadPolicy(r_cap=0.3))
         assert np.max(np.abs(spaces.disc_sup_points(0.3))) == pytest.approx(0.3, rel=0, abs=1e-15)
         assert norm(space, holo.monomial(1)) == pytest.approx(0.3, rel=0, abs=1e-15)
         assert co_seminorm(space, holo.monomial(1), SeminormIndex(0.2)) == pytest.approx(
             0.2, rel=0, abs=1e-15)
+
+
+class TestOverflowGuard:
+    """One guard on the returned norm or seminorm, for every space: a value
+    above holo.OVERFLOW_GUARD = 1e12, not its p-th power, is Unbounded."""
+
+    @pytest.mark.parametrize("space, expr, expected", [
+        (SpaceSpec.hardy(4.0), "1200*z", 1200.0),
+        # 2000 ((alpha+1) B(3, alpha+1))^(1/4) at alpha = 0.5
+        (SpaceSpec.bergman(0.5, 4.0), "2000*z", 1382.88313856776),
+        (SpaceSpec.hardy(2.0), "2e6*z", 2e6),
+        (SpaceSpec.dirichlet(), "2e6*z", 2e6),
+    ], ids=lambda x: x.label if isinstance(x, SpaceSpec) else str(x))
+    def test_norm_whose_power_passes_the_guard_is_returned(self, space, expr, expected):
+        assert norm(space, to_holofn(expr)) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("space", [
+        SpaceSpec.hardy(2.0), SpaceSpec.bergman(0.0), SpaceSpec.bergman(0.5, 4.0),
+    ], ids=lambda space: space.label)
+    def test_integral_seminorm_past_the_guard_is_unbounded(self, space):
+        # 5e12, 1.77e12 and 2.90e12 at s = 0.5
+        with pytest.raises(Unbounded, match="exceeds the overflow guard"):
+            co_seminorm(space, to_holofn("1e13*z"), SeminormIndex(0.5))
 
 
 class TestHandCount:
@@ -483,6 +517,32 @@ class TestHandCount:
         counted(holo, "cauchy_derivative_grid")
         norm(SpaceSpec.hardy(2.0), holo.monomial(2))
         assert counts == {"circle_mean_p": 3}
+
+    def test_the_benchmark_bindings_hold(self, monkeypatch):
+        # the traced benchmark reads these parameters by name and rebinds
+        # the functions semigroup imports from spaces
+        params = {fn: set(inspect.signature(fn).parameters) for fn in (
+            spaces.certified_sup, holo.disc_integral, holo.cauchy_derivative_grid,
+            holo.real_derivative_grid)}
+        assert "values_at" in params[spaces.certified_sup]
+        assert "g" in params[holo.disc_integral]
+        assert {"zs", "n_nodes"} <= params[holo.cauchy_derivative_grid]
+        assert "xs" in params[holo.real_derivative_grid]
+        for name in ("norm", "co_seminorm", "certified_sup"):
+            assert getattr(semigroup, name) is getattr(spaces, name), name
+
+        counts = {}
+        for name in ("norm", "co_seminorm"):
+            fn = getattr(spaces, name)
+
+            def wrapped(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(spaces, name, wrapped)
+        radii = [0.5, 0.9, 0.99]
+        saks_sup_check(SpaceSpec.hardy(2.0), holo.poly([1, 1]), radii)
+        assert counts == {"norm": 1, "co_seminorm": len(radii)}
 
 
 class TestSaks:
