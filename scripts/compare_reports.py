@@ -6,7 +6,9 @@
 For each <suite>.json found in either directory, prints whether the two
 reports are byte-identical, every case whose verdict changed, and the
 largest absolute and relative shift of any reported float (relative to the
-larger magnitude of the pair). Differences that are not numeric shifts
+larger magnitude of the pair), and each float that moved by more than 1e-12
+relative with its two values, largest absolute shift first (at most 20
+lines per suite). Differences that are not numeric shifts
 (a missing key, a changed string) are counted as structural. Each
 <suite>.csv, which holds the per-row numbers the JSON omits, is compared
 byte for byte, naming the lines that differ; a CSV difference does not
@@ -18,6 +20,10 @@ import argparse
 import json
 import pathlib
 import sys
+
+# A float that moves by more than this, relative, is listed with both values.
+MOVED_REL = 1e-12
+MOVED_LINES = 20
 
 
 def _walk(a, b, path, out):
@@ -33,6 +39,8 @@ def _walk(a, b, path, out):
         rel = shift / scale if scale else 0.0
         if rel > out["rel"][0]:
             out["rel"] = (rel, path)
+        if rel > MOVED_REL:
+            out["moved"].append((path, a, b))
     elif isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             if key in a and key in b:
@@ -60,7 +68,7 @@ def compare_suite(path_a: pathlib.Path, path_b: pathlib.Path) -> dict:
         for cid in sorted(set(verdicts_a) | set(verdicts_b))
         if verdicts_a.get(cid, "absent") != verdicts_b.get(cid, "absent")
     ]
-    out = {"abs": (0.0, None), "rel": (0.0, None), "structural": []}
+    out = {"abs": (0.0, None), "rel": (0.0, None), "structural": [], "moved": []}
     _walk(doc_a, doc_b, "", out)
     return {"identical": raw_a == raw_b, "verdicts": changed, **out}
 
@@ -108,6 +116,11 @@ def main(argv=None) -> int:
               f"max rel shift {res['rel'][0]:.3g} at {res['rel'][1]}")
         for cid, va, vb in res["verdicts"]:
             print(f"  verdict {cid}: {va} -> {vb}")
+        moved = sorted(res["moved"], key=lambda m: -abs(m[1] - m[2]))
+        for path, va, vb in moved[:MOVED_LINES]:
+            print(f"  moved {path}: {va!r} -> {vb!r}")
+        if len(res["moved"]) > MOVED_LINES:
+            print(f"  and {len(res['moved']) - MOVED_LINES} more moved by over {MOVED_REL:g}")
         for path in res["structural"]:
             print(f"  structural difference at {path}")
         bad = bad or bool(res["verdicts"])

@@ -264,7 +264,9 @@ _UNIT_WEIGHTS = {d: HoloFn(lambda z: np.ones(np.shape(z), dtype=float), d, name=
                  for d in (UNIT_DISC, REAL_LINE)}
 
 
+@lru_cache(maxsize=32)
 def bloch_weight(alpha: float) -> HoloFn:
+    """(1 - |z|^2)^alpha: one object per alpha, so a space can tell it by identity."""
     if alpha <= 0:
         raise ValueError("bloch weight exponent must be positive")
     return HoloFn(lambda z: (1.0 - np.abs(z) ** 2) ** alpha, UNIT_DISC, name=f"v_{alpha:g}")
@@ -350,14 +352,24 @@ def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_PO
                            f"circle mean of |f|^{p:g} at r={r:g}", "circle mean")
 
 
+@lru_cache(maxsize=8)
 def taylor_coefficients(f: HoloFn, n: int):
     """The Taylor coefficients a_0, .., a_{n/2 - 1} of f at 0, from the n-point
     FFT of f on the circle of radius rho = 1 - 2/n (Bornemann's radius: the
     aliased a_{k+n} enters damped by rho^n ~ e^-2, and dividing by rho^k
-    amplifies rounding by at most about e)."""
+    amplifies rounding by at most about e).
+
+    Cached per (f, n), so the norm and the seminorms of one function, which
+    are taken one after another, share one expansion; the returned array is
+    read-only. A value on the circle or a coefficient that is not finite
+    raises NonConvergent."""
     rho = 1.0 - 2.0 / n
     vals = ensure_finite(f(rho * _circle_nodes(n)), "Taylor coefficients")
-    return np.fft.fft(vals)[: n // 2] / n / rho ** np.arange(n // 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        a = ensure_finite(np.fft.fft(vals)[: n // 2] / n / rho ** np.arange(n // 2),
+                          "Taylor coefficients")
+    a.flags.writeable = False
+    return a
 
 
 def _radial_panels(r: float):

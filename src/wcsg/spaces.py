@@ -13,17 +13,23 @@ the boundary gives; doubling the FFT length certifies the sum, and the series
 must reproduce f, finite, at two interior points. Where that certificate
 fails (coefficients that decay too slowly, or a pole inside the disc), and for
 every other integral norm, the functional is truncated at ``policy.r_cap``
-and extrapolated to the boundary using the known tail exponent. Sup-type
-norms are maxima over a fixed grid, lower bounds for the true sup. Where the
-functional is the modulus of a function holomorphic on the grid's disc (the
-H^infinity norm, |m_t|, |phi_t|), the maximum principle puts that maximum on
-the grid's outer circle, and only that circle is evaluated. Norms and
-seminorms share one evaluator, whose one guard raises Unbounded for a value
-that is not finite or exceeds the overflow guard.
+and extrapolated to the boundary using the known tail exponent. Bloch norms
+and seminorms come from the same expansion (one per function, cached): a
+search over radii and angles maximises (1 - |z|^2)^alpha |f'| on the
+derivative's series, certified by a uniform bound on how far doubling the FFT
+moved f'. Where the expansion or that bound fails, and for the other
+sup-type norms, the value is the maximum over a fixed grid. Either way it is
+a lower bound for the true sup. Where the functional is the modulus of a
+function holomorphic on the grid's disc (the H^infinity norm, |m_t|,
+|phi_t|), the maximum principle puts the grid's maximum on its outer circle,
+and only that circle is evaluated. Norms and seminorms share one evaluator,
+whose one guard raises Unbounded for a value that is not finite or exceeds
+the overflow guard.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,6 +72,9 @@ class SpaceSpec:
             raise ValueError("p must be >= 1")
         if self.kind == "bergman" and not (self.alpha is not None and self.alpha > -1):
             raise ValueError("bergman weight exponent must be > -1")
+        if self.kind == "bloch" and not (self.alpha is not None and self.alpha > 0
+                                         and self.v is holo.bloch_weight(self.alpha)):
+            raise ValueError("bloch weight must be holo.bloch_weight(alpha), alpha > 0")
         if self.kind == "sup-cont" and not self.real_halfwidth > 0:
             raise ValueError(f"halfwidth must be positive, got {self.real_halfwidth!r}")
         if self.kind in SUP_KINDS:
@@ -156,13 +165,18 @@ def _sup_circle():
 
 
 @lru_cache(maxsize=32)
-def disc_sup_points(r_cap: float):
-    """Polar sup grid: those of the radii 0, 0.1, .., 0.4 and 1 - 2^(-k/4)
-    that lie below r_cap, and r_cap itself, times the angles of
-    :func:`_sup_circle`; one row of angles per radius, the outermost last."""
+def _sup_radii(r_cap: float):
+    """The radii of the disc sup grid: those of 0, 0.1, .., 0.4 and
+    1 - 2^(-k/4) that lie below r_cap, and r_cap itself, in increasing order."""
     rs = np.concatenate([np.arange(0.0, 0.45, 0.1), 1.0 - 2.0 ** (-np.arange(4, 81) / 4)])
-    rs = np.unique(np.append(rs[rs < r_cap], r_cap))
-    return (rs[:, None] * _sup_circle()[0][None, :]).ravel()
+    return np.unique(np.append(rs[rs < r_cap], r_cap))
+
+
+@lru_cache(maxsize=32)
+def disc_sup_points(r_cap: float):
+    """Polar sup grid: the radii of :func:`_sup_radii` times the angles of
+    :func:`_sup_circle`; one row of angles per radius, the outermost last."""
+    return (_sup_radii(r_cap)[:, None] * _sup_circle()[0][None, :]).ravel()
 
 
 @lru_cache(maxsize=32)
@@ -355,45 +369,212 @@ def _coefficient_weights(space: SpaceSpec, s: float, n: int):
     return P[:n] * np.maximum(b, 0.0)
 
 
-def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | None:
-    """F(s) from the Taylor coefficients of f, at n = 4 n_theta FFT points and
-    at 2n. None when the space is not Dirichlet or Bergman with p = 2, when
-    the two sums fail :func:`holo.certify_doubling`, when f is not finite on
-    the FFT circle or at _PROBES, or when the series of the 2n-point
-    coefficients misses f at _PROBES by more than 100 tol max(1, |f|): a
-    pole or branch cut inside the circle leaves the coefficients of a
-    function that is not f."""
-    if not (space.kind == "dirichlet" or (space.kind == "bergman" and space.p == 2.0)):
-        return None
-    n = 4 * space.policy.n_theta
+_EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=8)
+def _probe_powers(n: int):
+    """The powers 0 .. n-1 of each point of _PROBES, one row per probe."""
+    return np.vander(_PROBES, n, increasing=True)
+
+
+def _expansion(f: HoloFn, policy: QuadPolicy):
+    """The Taylor coefficients of f from n = 4 n_theta and 2n FFT points, as
+    (coarse, fine, scale) with scale = sum |fine|, which bounds |f| on the FFT
+    circle. None when f is not finite on either FFT circle or at _PROBES, or
+    when the series of the fine coefficients misses f at _PROBES by more than
+    100 tol max(1, |f|) plus the FFT's rounding floor 1e3 eps scale: a pole
+    or branch cut inside the circle leaves the coefficients of a function
+    that is not f."""
+    n = 4 * policy.n_theta
     try:
-        coarse, fine = (holo.taylor_coefficients(f, m) for m in (n, 2 * n))
-        F_coarse, F_fine = (float(np.dot(_coefficient_weights(space, s, a.size), np.abs(a) ** 2))
-                            for a in (coarse, fine))
-        F = holo.certify_doubling(F_coarse, F_fine, space.policy.tol, "Taylor coefficient sum")
+        coarse, fine = holo.taylor_coefficients(f, n), holo.taylor_coefficients(f, 2 * n)
     except NonConvergent:
         return None
     with np.errstate(all="ignore"):  # f may have a pole at a probe
         at_probes = np.asarray(f(_PROBES))
     if not np.all(np.isfinite(at_probes)):
         return None
-    series = np.vander(_PROBES, fine.size, increasing=True) @ fine
-    bound = 100.0 * space.policy.tol * np.maximum(1.0, np.abs(at_probes))
-    if not np.all(np.abs(series - at_probes) <= bound):
+    scale = float(np.abs(fine).sum())
+    bound = 100.0 * policy.tol * np.maximum(1.0, np.abs(at_probes)) + 1e3 * _EPS * scale
+    if not np.all(np.abs(_probe_powers(fine.size) @ fine - at_probes) <= bound):
         return None
-    return F
+    return coarse, fine, scale
+
+
+def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | None:
+    """F(s) from the Taylor coefficients of f (:func:`_expansion`): the weighted
+    sums of the coarse and the fine coefficients, certified by
+    :func:`holo.certify_doubling`. None when the space is not Dirichlet or
+    Bergman with p = 2, or when the expansion or the certificate fails."""
+    if not (space.kind == "dirichlet" or (space.kind == "bergman" and space.p == 2.0)):
+        return None
+    expansion = _expansion(f, space.policy)
+    if expansion is None:
+        return None
+    F_coarse, F_fine = (float(np.dot(_coefficient_weights(space, s, a.size), np.abs(a) ** 2))
+                        for a in expansion[:2])
+    try:
+        return holo.certify_doubling(F_coarse, F_fine, space.policy.tol, "Taylor coefficient sum")
+    except NonConvergent:
+        return None
+
+
+@lru_cache(maxsize=16)
+def _radius_powers(R: float, n: int):
+    """k R^(k-1) for k = 1 .. n-1: the weights of the uniform bound of f'."""
+    k = np.arange(1.0, n)
+    return k * R ** (k - 1.0)
+
+
+def _bloch_search(space: SpaceSpec, f: HoloFn, s: float) -> float | None:
+    """The Bloch norm (s = 1) or seminorm at radius s < 1 of f, |f(0)| plus the
+    max of (1 - |z|^2)^alpha |f'(z)| over |z| <= R (R = r_cap for the norm,
+    s for a seminorm), from the Taylor expansion of f (:func:`_expansion`).
+
+    f' is the series of the fine coefficients, trimmed after its last
+    coefficient above 32 eps sum |a_k| (the FFT's rounding floor);
+    :func:`_weighted_radial_sup` finds its weighted maximum. The coarse and
+    fine derivatives differ by at most sum_k k |a_k^fine - a_k^coarse|
+    R^(k-1) on the disc of radius R; the value stands when that bound is at
+    most 100 tol max(1, value). None for a space that is not Bloch, and when
+    the expansion or that certificate fails."""
+    if space.kind != "bloch":
+        return None
+    expansion = _expansion(f, space.policy)
+    if expansion is None:
+        return None
+    coarse, fine, scale = expansion
+    R = s if s < 1.0 else space.policy.r_cap
+    diff = np.abs(fine[1:])
+    above = np.flatnonzero(diff > 32.0 * _EPS * scale)
+    K = int(above[-1]) + 1 if above.size else 0
+    diff[: coarse.size - 1] = np.abs(fine[1:coarse.size] - coarse[1:])
+    gap = float(np.dot(_radius_powers(R, fine.size), diff))
+    b = np.arange(1.0, K + 1) * fine[1:K + 1]  # the coefficients of f'
+    rs = _sweep_radii(space.policy.r_cap) * (R / space.policy.r_cap)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow guard reports it
+        value = abs(complex(f(0.0))) + (_weighted_radial_sup(b, space.alpha, rs) if K else 0.0)
+    return value if gap <= 100.0 * space.policy.tol * max(1.0, value) else None
+
+
+@lru_cache(maxsize=32)
+def _sweep_radii(r_cap: float):
+    """Every third radius of :func:`_sup_radii`, counted back from r_cap."""
+    return _sup_radii(r_cap)[::-3][::-1].copy()
+
+
+def _sample_peaks(vals, first_row: int, most: int = 8):
+    """Row and column indices of the largest sample at rows >= first_row,
+    then of up to most - 1 others there, largest first: those that are at
+    least half the largest and exceed each of their eight neighbours
+    (columns wrap around) by a relative 1e-9."""
+    n, m = vals.shape
+    ext = np.full((n + 2, m + 2), -np.inf)
+    ext[1:-1, 1:-1] = vals
+    ext[1:-1, 0], ext[1:-1, -1] = vals[:, -1], vals[:, 0]
+    peak = vals >= 0.5 * vals[first_row:].max()
+    peak[:first_row] = False
+    below = vals / (1.0 + 1e-9)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if di != 1 or dj != 1:
+                peak &= ext[di:di + n, dj:dj + m] < below
+    first = np.argmax(vals[first_row:]) + first_row * m
+    order = np.flatnonzero(peak)
+    order = order[np.argsort(-vals.flat[order], kind="stable")]
+    return np.unravel_index(np.concatenate(([first], order[order != first][:most - 1])), (n, m))
+
+
+def _weighted_radial_sup(b, alpha: float, rs) -> float:
+    """max of (1 - |z|^2)^alpha |F(z)| over |z| <= R, for F = sum_k b_k z^k
+    and the increasing radii rs, from 0 or more to R = rs[-1].
+
+    Sweep: each circle of rs sampled at L >= 4K angles (K = len(b)) by one
+    batched inverse FFT. Then safeguarded Newton (:func:`_ascend`) from the
+    peaks of the samples off the centre (:func:`_sample_peaks`). The largest
+    sample or refined value is returned: a lower bound for the sup. A
+    constant F peaks at the centre: |b_0|."""
+    K = b.size
+    if K == 1:
+        return abs(complex(b[0]))
+    L = max(16, 1 << (4 * K - 1).bit_length())
+    k = np.arange(K)
+    mods = np.abs(np.fft.ifft(b * rs[:, None] ** k, L)) * L
+    vals = (1.0 - rs * rs)[:, None] ** alpha * mods
+    terms = np.array([b, k * b, k * (k - 1.0) * b])
+
+    def local(u, theta):
+        """phi = alpha log(1 - r^2) + log|F| at (u, theta) = (log r, arg z),
+        its exponential, its gradient and its Hessian (uu, u theta, theta
+        theta). log|F| is harmonic in u + i theta, so with g1 = z F'/F and
+        g2 = z^2 F''/F its gradient is (Re g1, -Im g1) and its Hessian has
+        the entries Re G'', -Im G'' and -Re G'', G'' = g1 + g2 - g1^2."""
+        F, zF1, zzF2 = (complex(c) for c in terms @ np.exp(k * complex(u, theta)))
+        if F == 0.0:
+            return -math.inf, 0.0, None, None
+        g1 = zF1 / F
+        G2 = g1 + zzF2 / F - g1 * g1
+        w = -math.expm1(2.0 * u)  # 1 - r^2
+        t = 2.0 * alpha * (1.0 - w) / w
+        value = w ** alpha * abs(F)
+        grad = (g1.real - t, -g1.imag)
+        hess = (G2.real - 2.0 * t / w, -G2.imag, -G2.real)
+        return math.log(value) if value > 0.0 else -math.inf, value, grad, hess
+
+    best = float(vals.max())
+    for i, j in zip(*_sample_peaks(vals, 1 if rs[0] == 0.0 else 0)):
+        best = max(best, _ascend(local, math.log(rs[i]), 2.0 * math.pi * j / L, math.log(rs[-1])))
+    return best
+
+
+def _ascend(local, u: float, theta: float, u_max: float) -> float:
+    """The value at the end of safeguarded Newton ascent on ``local`` (see
+    :func:`_weighted_radial_sup`) from (u, theta), with u <= u_max: a step
+    that does not raise phi is halved, a step past u_max stops on it, and the
+    ascent ends when the step's predicted gain is below 4 eps."""
+    phi, value, grad, hess = local(u, theta)
+    for _ in range(32):
+        if grad is None:
+            break
+        (gu, gt), (huu, hut, htt) = grad, hess
+        det = huu * htt - hut * hut
+        if huu < 0.0 and det > 0.0:
+            su, st = (hut * gt - htt * gu) / det, (hut * gu - huu * gt) / det
+        else:
+            scale = max(1.0, abs(huu), abs(hut), abs(htt))
+            su, st = gu / scale, gt / scale
+        if u >= u_max and su > 0.0:  # on the outer circle: move along it
+            su, st = 0.0, (-gt / htt if htt < 0.0 else gt)
+        elif u + su > u_max:
+            su, st = u_max - u, st * (u_max - u) / su
+        if gu * su + gt * st <= 4.0 * _EPS:  # no gain above rounding left
+            break
+        for _ in range(12):
+            trial = local(min(u + su, u_max), theta + st)
+            if trial[0] > phi:
+                break
+            su, st = su / 2.0, st / 2.0
+        else:
+            break
+        u, theta = min(u + su, u_max), theta + st
+        phi, value, grad, hess = trial
+    return value
 
 
 def _evaluate(space: SpaceSpec, f: HoloFn, s: float) -> NormEvaluation:
     """The norm (s = 1) or the compact-open seminorm at radius s < 1 of f:
-    a certified Taylor-coefficient sum, the integral quadrature at s, the
-    integral norm truncated at r_cap and extrapolated to the boundary, the
-    maximum-principle circle of H^infinity with the unit weight, or the grid
-    sup (the Bloch one plus |f(0)|). The one overflow guard of every norm
-    and seminorm: a value that is not finite or exceeds it raises Unbounded."""
-    F = _coefficient_functional(space, f, s)
-    if F is not None:
+    a certified Taylor-coefficient sum, the certified Taylor-coefficient
+    search of a Bloch space (:func:`_bloch_search`), the integral quadrature
+    at s, the integral norm truncated at r_cap and extrapolated to the
+    boundary, the maximum-principle circle of H^infinity with the unit
+    weight, or the grid sup (the Bloch one plus |f(0)|, where the search's
+    expansion or certificate fails). The one overflow guard of every norm and
+    seminorm: a value that is not finite or exceeds it raises Unbounded."""
+    if (F := _coefficient_functional(space, f, s)) is not None:
         ev = NormEvaluation(float(F ** 0.5), "taylor-coefficients")
+    elif (sup := _bloch_search(space, f, s)) is not None:
+        ev = NormEvaluation(sup, "taylor-coefficient-search")
     elif space.kind in INTEGRAL_KINDS and s < 1.0:
         ev = NormEvaluation(float(_radial_functional(space, f, s) ** _root(space)), "quadrature")
     elif space.kind in INTEGRAL_KINDS:

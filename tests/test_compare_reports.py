@@ -70,3 +70,28 @@ def test_csv_rows_are_compared_byte_for_byte(tmp_path):
     assert "toy.json: byte-identical" in out
     assert "same.csv: byte-identical" in out
     assert "toy.csv: differs at lines [3]" in out
+
+
+def test_moved_floats_are_listed_with_both_values_largest_first(tmp_path):
+    moved = report(config={"suite": "toy", "tol": 1e-8 * (1 + 1e-13)})  # below 1e-12 relative
+    moved["cases"][0]["numbers"]["residual"] = 1.5e-12
+    moved["cases"][1]["numbers"]["residual"] = 3e-12
+    code, out = compare(tmp_path, {"toy": report()}, {"toy": moved})
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("  moved ")]
+    assert lines == ["  moved .cases.toy/b.numbers.residual: 2e-12 -> 3e-12",
+                     "  moved .cases.toy/a.numbers.residual: 1e-12 -> 1.5e-12"]
+
+
+def test_moved_floats_are_listed_twenty_lines_at_most(tmp_path):
+    many = {"config": {"suite": "toy"},
+            "cases": [{"id": f"toy/{i:02d}", "verdict": True, "numbers": {"x": 1.0}}
+                      for i in range(25)]}
+    shifted = json.loads(json.dumps(many))
+    for case in shifted["cases"]:
+        case["numbers"]["x"] = 2.0
+    code, out = compare(tmp_path, {"toy": many}, {"toy": shifted})
+    assert code == 0
+    assert out.count("  moved ") == 20
+    assert "  moved .cases.toy/19.numbers.x: 1.0 -> 2.0" in out
+    assert "  and 5 more moved by over 1e-12" in out

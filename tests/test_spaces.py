@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from wcsg import holo, semigroup, spaces, suites
 from wcsg.cocycles import trivial_cocycle
+from wcsg.defaults import DEFAULT_CONFIGS
 from wcsg.errors import NonConvergent, Unbounded
 from wcsg.exprs import to_holofn
 from wcsg.flows import semiflow_from_generator
@@ -153,7 +154,7 @@ class TestTaylorCoefficientPath:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
     def test_weights_at_one_are_the_beta_values(self, alpha):
         # (alpha+1) B(k+1, alpha+1) = prod_{j<=k} j/(j+alpha+1), exact in rationals;
-        # suites._beta goes through lgamma, whose rounding reaches ~2e-13 near k = 200
+        # the norm-table oracle takes the same product
         w = spaces._coefficient_weights(SpaceSpec.bergman(alpha), 1.0, 201)
         a1, exact = Fraction(alpha) + 1, Fraction(1)
         for k in range(201):
@@ -161,7 +162,30 @@ class TestTaylorCoefficientPath:
                 exact *= Fraction(k) / (k + a1)
             assert w[k] == pytest.approx(float(exact), rel=1e-14, abs=0)
             assert w[k] == pytest.approx(
-                (alpha + 1.0) * suites._beta(k + 1.0, alpha + 1.0), rel=1e-12, abs=0)
+                suites._bergman_monomial_power(k, 2.0, alpha), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_bergman_oracle_at_degree_200_is_exact(self, alpha):
+        # lgamma put the oracle 1.4e-14, 8.4e-14 and 1.7e-13 off here
+        exact = math.prod(Fraction(j, j + alpha + 1) for j in range(1, 201))
+        value = suites._bergman_monomial_power(200, 2.0, float(alpha))
+        assert abs(Fraction(value) / exact - 1) <= 1e-15
+
+    def test_bergman_oracle_off_the_integers_is_the_beta_value(self):
+        # z^3 on A^3_0.5: x = 4.5, (alpha+1) B(5.5, 1.5)
+        value = suites._bergman_monomial_power(3, 3.0, 0.5)
+        assert value == pytest.approx(1.5 * beta(5.5, 1.5), rel=1e-14)
+
+    @pytest.mark.parametrize("c", [1e9, 1e11])
+    @pytest.mark.parametrize("space", [SpaceSpec.bergman(0.0), SpaceSpec.dirichlet(),
+                                       SpaceSpec.bloch(1.0)], ids=lambda space: space.label)
+    def test_a_large_multiple_of_z_keeps_the_coefficient_path(self, space, c):
+        # the series must meet f(0) = 0 within the FFT's rounding of c z,
+        # about c eps, not within an absolute 1e-6
+        unit, detail = norm_detail(space, holo.monomial(1)), norm_detail(space, holo.poly([0, c]))
+        assert detail.method == unit.method != "truncated-extrapolated"
+        assert detail.method != "certified-grid-sup"
+        assert detail.value == pytest.approx(c * unit.value, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("s", [0.5, 0.99])
     @pytest.mark.parametrize("space", [SpaceSpec.bergman(-0.5), SpaceSpec.bergman(0.0),
@@ -244,6 +268,74 @@ class TestTaylorCoefficientPath:
         expected = math.sqrt(coef[0] ** 2 + sum(k * a * a for k, a in enumerate(coef)))
         assert detail.method == "taylor-coefficients"
         assert detail.value == pytest.approx(expected, rel=1e-8)
+
+
+def _bloch_monomial(n: int, alpha: float) -> float:
+    """The v_alpha Bloch norm of z^n: n r^(n-1) (1 - r^2)^alpha at its peak
+    r^2 = (n-1)/(n-1+2 alpha)."""
+    return n * ((n - 1) / (n - 1 + 2 * alpha)) ** ((n - 1) / 2) * (
+        2 * alpha / (n - 1 + 2 * alpha)) ** alpha
+
+
+class TestBlochSearch:
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_monomials(self, n, alpha):
+        detail = norm_detail(SpaceSpec.bloch(alpha), holo.monomial(n))
+        assert detail.method == "taylor-coefficient-search"
+        assert detail.value == pytest.approx(_bloch_monomial(n, alpha), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, f, exact", [
+        # |f(0)| + max over r of (1 - r^2) e^(r/2) / 2, at r = sqrt(5) - 2
+        (1.0, holo.exp_fn(0.5), 1.5312862605770),
+        # |1/(1 + 0.7 z)|' peaks at z = -0.7: 1 + 0.7 / 0.51
+        (1.0, holo.mobius_kernel(-0.7), 121.0 / 51.0),
+        # 2 r (1 - r^2)^2 at r^2 = 1/5
+        (2.0, holo.monomial(2), 1.28 / math.sqrt(5.0)),
+    ], ids=["exp(z/2)", "kernel(-0.7)", "z^2"])
+    def test_closed_forms(self, alpha, f, exact):
+        assert norm(SpaceSpec.bloch(alpha), f) == pytest.approx(exact, rel=0, abs=1e-12)
+
+    def test_saks_gap_of_exp_is_not_negative(self):
+        # the grid put the norm 6.8e-4 below the seminorm at 0.9999
+        rep = saks_sup_check(SpaceSpec.bloch(1.0), holo.exp_fn(0.5),
+                             [0.5, 0.9, 0.99, 0.999, 0.9999])
+        assert rep.gap >= 0.0
+        assert rep.norm == pytest.approx(1.5312862605770, rel=0, abs=1e-12)
+
+    def test_seminorm_past_the_peak_is_the_boundary_maximum(self):
+        # 2 s (1 - s^2) on |z| <= 0.5, below the peak at s^2 = 1/3
+        value = co_seminorm(SpaceSpec.bloch(1.0), holo.monomial(2), SeminormIndex(0.5))
+        assert value == pytest.approx(0.75, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("expr", ["1/(z-0.5)", "z + z/(z-0.3-0.4*i)^2"])
+    def test_pole_inside_the_disc_is_left_to_the_grid(self, expr):
+        assert spaces._bloch_search(SpaceSpec.bloch(1.0), to_holofn(expr), 1.0) is None
+
+    def test_singular_inner_keeps_the_grid(self):
+        detail = norm_detail(SpaceSpec.bloch(1.0), holo.singular_inner())
+        assert detail.method == "certified-grid-sup"
+        assert detail.value == 1.103638323514327
+
+    @pytest.mark.parametrize("label", ["bloch1-dilation-derivative",
+                                       "bloch2-attracting-trivial"])
+    def test_bound_table_norms_are_at_least_the_grid(self, label, monkeypatch):
+        cfg = DEFAULT_CONFIGS["bound-table"]
+        bcfg = next(c for c in cfg["cases"] if c["label"] == label)
+        sg = suites._build_semigroup(bcfg, label)
+        fs = default_test_functions(sg.space)
+        fs += [apply(sg, t, f) for t in cfg["ts"] for f in fs]
+        searched = [norm_detail(sg.space, f) for f in fs]
+        monkeypatch.setattr(spaces, "_bloch_search", lambda *args: None)
+        for f, detail in zip(fs, searched):
+            grid = norm_detail(sg.space, f)
+            assert grid.method == "certified-grid-sup"
+            if detail.method == "certified-grid-sup":
+                # only the singular inner function's slow coefficients fall back
+                assert f.name.endswith("singular_inner")
+                assert detail == grid
+            else:
+                assert detail.value >= grid.value * (1.0 - 1e-12), f.name
 
 
 class TestBlockedSup:
@@ -496,27 +588,50 @@ class TestOverflowGuard:
             co_seminorm(space, to_holofn("1e13*z"), SeminormIndex(0.5))
 
 
+def _count_layers(monkeypatch):
+    """Counts of the calls of the layers the benchmark traces, and of Taylor
+    expansions asked for, by the name of the function."""
+    counts = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("circle_mean_p", "disc_integral", "annulus_integral", "certified_sup"):
+        counted(spaces, name)
+    counted(holo, "cauchy_derivative_grid")
+    counted(holo, "taylor_coefficients")
+    return counts
+
+
 class TestHandCount:
     def test_hardy_norm_of_e2_takes_three_circle_means_and_nothing_else(self, monkeypatch):
         # one circle mean at r_cap and two for the extrapolation increment;
         # the benchmark's traced runs count these layers through the same
         # bindings and report a traced run as incorrect when a count differs
-        counts = {}
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapped(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapped)
-
-        for name in ("circle_mean_p", "disc_integral", "annulus_integral", "certified_sup"):
-            counted(spaces, name)
-        counted(holo, "cauchy_derivative_grid")
+        counts = _count_layers(monkeypatch)
         norm(SpaceSpec.hardy(2.0), holo.monomial(2))
         assert counts == {"circle_mean_p": 3}
+
+    def test_bloch_norm_of_e2_takes_two_expansions_and_nothing_else(self, monkeypatch):
+        counts = _count_layers(monkeypatch)
+        assert norm_detail(SpaceSpec.bloch(1.0), holo.monomial(2)).method == \
+            "taylor-coefficient-search"
+        assert counts == {"taylor_coefficients": 2}
+
+    @pytest.mark.parametrize("space", [SpaceSpec.bloch(1.0), SpaceSpec.bergman(0.0)],
+                             ids=lambda space: space.label)
+    def test_a_saks_row_expands_its_function_once(self, space):
+        # the norm and five seminorms ask for the same two expansions
+        before = holo.taylor_coefficients.cache_info()
+        saks_sup_check(space, holo.exp_fn(0.5), [0.5, 0.9, 0.99, 0.999, 0.9999])
+        after = holo.taylor_coefficients.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (2, 10)
 
     def test_the_benchmark_bindings_hold(self, monkeypatch):
         # the traced benchmark reads these parameters by name and rebinds
