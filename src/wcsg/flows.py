@@ -52,7 +52,8 @@ class Semiflow:
     ``eval`` maps (t, z) -> points for a numpy array z of the domain's dtype
     and a time t that is a float or an array broadcasting to z's shape (one
     time per point); calling the semiflow passes a scalar z as a one-point
-    array.
+    array. A law check takes one call per set of times (:meth:`at_times`),
+    so an ODE flow runs one RK4 batch for all of them.
     ``generator`` carries the closed-form vector field when known.
     ``prime`` carries the closed-form space derivative phi_t'(z) and is set
     only for affine flows, whose derivative is constant in z; otherwise
@@ -67,6 +68,15 @@ class Semiflow:
 
     def __call__(self, t: float, z):
         return holo.at_points(lambda w: self.eval(t, w), z, self.domain.dtype)
+
+    def at_times(self, ts, z):
+        """phi_t(z) for each time t of the sequence ts, one row per time, in one
+        call: a column of the times against the points z, repeated per time.
+        An ODE flow steps each point alone (:func:`_integrate`), so row i is
+        phi(ts[i], z) bit for bit, and the first failing row is raised."""
+        ts, z = np.asarray(ts, dtype=float), np.asarray(z)
+        return np.asarray(self(ts.reshape((-1,) + (1,) * z.ndim),
+                               np.broadcast_to(z, ts.shape + z.shape)))
 
     def space_derivative(self, t: float, z):
         """phi_t'(z), closed form when available, numerical otherwise."""
@@ -190,12 +200,17 @@ def right_derivative(quotient, steps, what: str):
 
 def generator_fd(phi: Semiflow, z, steps=DEFAULT_FD_STEPS):
     """One-sided difference (phi_h(z) - z)/h with Richardson extrapolation,
-    elementwise over the point array z."""
+    elementwise over the point array z; phi_h for every step h in one flow
+    call."""
     steps = tuple(float(h) for h in steps)
     if any(h <= 0 for h in steps) or any(b >= a for a, b in zip(steps, steps[1:])):
         raise InvalidParam("steps must be positive and strictly decreasing")
-    return holo.at_points(lambda w: right_derivative(lambda h: (phi(h, w) - w) / h, steps,
-                                                     "one-sided"), z, phi.domain.dtype)
+
+    def limit(w):
+        moved = dict(zip(steps, phi.at_times(steps, w)))
+        return right_derivative(lambda h: (moved[h] - w) / h, steps, "one-sided")
+
+    return holo.at_points(limit, z, phi.domain.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +272,8 @@ def fixed_points(phi: Semiflow, G: HoloFn, grid) -> FixedPointSearch:
 # ODE reconstruction
 # ---------------------------------------------------------------------------
 
-def _rk4_step(G, y, h):
-    k1 = G(y)
+def _rk4_step(G, y, h, k1=None):
+    k1 = G(y) if k1 is None else k1
     k2 = G(y + 0.5 * h * k1)
     k3 = G(y + 0.5 * h * k2)
     k4 = G(y + h * k3)
@@ -285,8 +300,10 @@ def _integrate(G, z, t_target, cfg: OdeCfg, domain: Domain):
             failure = StepUnderflow(f"step size underflow at t={t[first]:g}")
             continue
         with np.errstate(all="ignore"):  # a non-finite step is reported below
-            full = _rk4_step(G, y[idx], hi)
-            half = _rk4_step(G, _rk4_step(G, y[idx], 0.5 * hi), 0.5 * hi)
+            y0 = y[idx]
+            k1 = G(y0)  # the first stage of the full step and of the first half step
+            full = _rk4_step(G, y0, hi, k1)
+            half = _rk4_step(G, _rk4_step(G, y0, 0.5 * hi, k1), 0.5 * hi)
             diff = half - full  # hypot and division by parts round as Python's complex abs and / do
             err = np.hypot(diff.real, diff.imag)
             y_new = half + (diff.view(float) / 15.0).view(diff.dtype)  # local 5th-order correction

@@ -303,23 +303,23 @@ def time_integral(h, t: float, zs, n: int):
     """The integral of h(tau, z) over tau in [0, t] at each point z of zs:
     the n-node Gauss-Legendre rule, certified against 2n nodes.
 
-    h runs on blocks of time nodes x points, a column of times against one
-    row of the points per node, and its values must be finite. The sum runs
-    node by node in node order, so it rounds as one node at a time does."""
+    Both rules run in one pass over blocks of time nodes x points, the n
+    nodes first: h takes a column of times against one row of the points
+    per node, and its values must be finite. Each rule sums its nodes one at
+    a time in node order, so it rounds as one node at a time does."""
     pts = np.ravel(zs)
-
-    def rule(m):
-        xs, ws = gl01(m)
-        acc = np.zeros(pts.shape, dtype=complex)
-        for nodes in row_blocks(m, pts.size):
-            taus = xs[nodes, None] * t
-            with np.errstate(all="ignore"):  # a pole of h is reported below
-                vals = np.asarray(h(taus, np.broadcast_to(pts, (len(taus), pts.size))))
-            for w, v in zip(ws[nodes], ensure_finite(vals, "time integral")):
-                acc = acc + w * v
-        return t * acc.reshape(np.shape(zs))
-
-    return certify_doubling(rule(n), rule(2 * n), DEFAULT_POLICY.tol, f"time integral at t={t:g}")
+    (x1, w1), (x2, w2) = gl01(n), gl01(2 * n)
+    xs, ws = np.concatenate([x1, x2]), np.concatenate([w1, w2])
+    rule = np.repeat([0, 1], [n, 2 * n])  # the accumulator of each node
+    acc = [np.zeros(pts.shape, dtype=complex), np.zeros(pts.shape, dtype=complex)]
+    for nodes in row_blocks(3 * n, pts.size):
+        taus = xs[nodes, None] * t
+        with np.errstate(all="ignore"):  # a pole of h is reported below
+            vals = np.asarray(h(taus, np.broadcast_to(pts, (len(taus), pts.size))))
+        for i, w, v in zip(rule[nodes], ws[nodes], ensure_finite(vals, "time integral")):
+            acc[i] = acc[i] + w * v
+    coarse, fine = (t * a.reshape(np.shape(zs)) for a in acc)
+    return certify_doubling(coarse, fine, DEFAULT_POLICY.tol, f"time integral at t={t:g}")
 
 
 def cauchy_derivative_grid(f, zs, radii, n_nodes: int = INNER_DERIV_NODES):
@@ -411,8 +411,9 @@ def _row_sums(g, s, ring, integrand: str):
     NonConvergent naming ``integrand``."""
     rows = np.empty(s.size)
     for block in row_blocks(s.size, ring.size):
-        vals = np.asarray(g(s[block, None] * ring[None, :]), dtype=float)
-        rows[block] = ensure_finite(vals.sum(axis=1), integrand)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            sums = np.asarray(g(s[block, None] * ring[None, :]), dtype=float).sum(axis=1)
+        rows[block] = ensure_finite(sums, integrand)
     return rows
 
 

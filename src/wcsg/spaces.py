@@ -412,8 +412,9 @@ def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | No
     expansion = _expansion(f, space.policy)
     if expansion is None:
         return None
-    F_coarse, F_fine = (float(np.dot(_coefficient_weights(space, s, a.size), np.abs(a) ** 2))
-                        for a in expansion[:2])
+    with np.errstate(all="ignore"):  # a sum that overflows fails the certificate below
+        F_coarse, F_fine = [float(np.dot(_coefficient_weights(space, s, a.size), np.abs(a) ** 2))
+                            for a in expansion[:2]]
     try:
         return holo.certify_doubling(F_coarse, F_fine, space.policy.tol, "Taylor coefficient sum")
     except NonConvergent:

@@ -531,6 +531,25 @@ class TestTimeIntegral:
             assert got.shape == shape
             assert np.array_equal(got, _per_node_time_integral(_orbit_integrand, t, zs, 2 * n))
 
+    @pytest.mark.parametrize("block", [50, 13 * 20, holo.BLOCK_POINTS])
+    def test_both_rules_run_in_one_pass_and_certify_their_own_sums(self, monkeypatch, block):
+        # 13 * 20 points puts the last n-rule node and the first 2n-rule
+        # nodes of n = 8 in one block
+        monkeypatch.setattr(holo, "BLOCK_POINTS", block)
+        certified, calls = [], []
+        certify = holo.certify_doubling
+        monkeypatch.setattr(holo, "certify_doubling",
+                            lambda *a: certified.append(a[:2]) or certify(*a))
+        zs = np.linspace(0.0, 0.9, 13) * np.exp(2j * np.pi * np.arange(13) / 7)
+        h = lambda taus, pts: calls.append(taus[:, 0] / 0.3) or _orbit_integrand(taus, pts)
+        holo.time_integral(h, 0.3, zs, 8)
+        (coarse, fine), = certified
+        assert np.array_equal(coarse, _per_node_time_integral(_orbit_integrand, 0.3, zs, 8))
+        assert np.array_equal(fine, _per_node_time_integral(_orbit_integrand, 0.3, zs, 16))
+        nodes = np.concatenate(calls)
+        assert np.allclose(nodes, np.concatenate([holo.gl01(8)[0], holo.gl01(16)[0]]))
+        assert len(calls) == math.ceil(24 / (block // 13))
+
     @pytest.mark.parametrize("block", [50, holo.BLOCK_POINTS])
     def test_every_call_is_whole_nodes_within_the_block(self, monkeypatch, block):
         monkeypatch.setattr(holo, "BLOCK_POINTS", block)

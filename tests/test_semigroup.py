@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from wcsg import flows, holo, semigroup, spaces
-from wcsg.cocycles import Semicocycle, cocycle_from_g, derivative_cocycle, trivial_cocycle
-from wcsg.errors import DomainExit, InvalidParam, UnsupportedSpaceBound
+from wcsg.cli import run
+from wcsg.cocycles import (
+    Semicocycle,
+    cocycle_from_g,
+    cocycle_law_residual,
+    derivative_cocycle,
+    trivial_cocycle,
+)
+from wcsg.errors import DomainExit, EscapedDomain, InvalidParam, UnsupportedSpaceBound
 from wcsg.exprs import to_holofn
 from wcsg.flows import (
     disc_sample_grid,
@@ -119,26 +126,107 @@ class TestSemigroupResidual:
     def test_flow_is_evaluated_once_per_time_set(self, monkeypatch, corpus_size):
         # ts = (0, 0.25, 0.5): phi_u once for each of the 5 distinct u in
         # {0, t, t+s} and phi_s(phi_t) once for each of the 9 pairs, whatever
-        # the corpus size
+        # the corpus size; the times take one flow call, the pairs another
         corpus = (spaces.default_corpus() * 4)[:corpus_size]
         monkeypatch.setattr(spaces, "default_corpus", lambda real=False: corpus)
         ts, grid = (0.0, 0.25, 0.5), disc_sample_grid(0.9, 3, 4)
         phi = make_catalog_semiflow("attracting")
         evals = []
-        counted = dataclasses.replace(phi, eval=lambda t, z: evals.append(1) or phi.eval(t, z))
+        counted = dataclasses.replace(phi, eval=lambda t, z: evals.append(z.size) or phi.eval(t, z))
         semigroup_residual(WcSemigroup(counted, trivial_cocycle(), SpaceSpec.hardy(2.0)), ts, grid)
-        assert len(evals) == 5 + 9
+        assert len(evals) == 2 and sum(evals) == (5 + 9) * grid.size
 
         # with an integral cocycle on an ODE flow, each m_u and m_s(phi_t)
-        # at a time u, s > 0 adds two RK4 calls (the coarse and the doubled
-        # node set): 4 distinct u > 0 and 6 pairs with s > 0
+        # at a time u, s > 0 adds one RK4 call (the coarse and the doubled
+        # node set in one block): 4 distinct u > 0 and 6 pairs with s > 0
         calls = []
         integrate = flows._integrate
         monkeypatch.setattr(flows, "_integrate", lambda *a: calls.append(1) or integrate(*a))
         ode = semiflow_from_generator(to_holofn("1 - z"))
         sg = WcSemigroup(ode, cocycle_from_g(holo.monomial(1), ode), SpaceSpec.hardy(2.0))
         semigroup_residual(sg, ts, grid)
-        assert len(calls) == 5 + 9 + 2 * (4 + 6)
+        assert len(calls) == 2 + (4 + 6)
+
+
+def _one_time_per_call(phi):
+    """phi with an eval that runs each distinct time of a call alone, in the
+    order of its first point, as the law checks once called the flow."""
+    def eval_fn(t, z):
+        ts = np.broadcast_to(np.asarray(t, dtype=float), z.shape)
+        out = np.empty(z.shape, dtype=z.dtype)
+        for u in dict.fromkeys(ts.ravel().tolist()):
+            at = ts == u
+            out[at] = phi.eval(u, z[at])
+        return out
+
+    return dataclasses.replace(phi, eval=eval_fn)
+
+
+class TestOneFlowCallPerTimeSet:
+    """Each law check passes its times to an ODE flow as one column against
+    the points; every value equals the flow called once per time."""
+
+    ts, grid = (0.0, 0.25, 0.5), disc_sample_grid(0.9, 2, 6)
+
+    @staticmethod
+    def _flows():
+        phi = semiflow_from_generator(to_holofn("-0.9*z + (0.2 - 0.15*i)*z^2"))
+        return phi, _one_time_per_call(phi)
+
+    def test_semigroup_residual(self):
+        g = to_holofn("-0.5 + 0.4*i*z^2")
+        got, ref = (semigroup_residual(WcSemigroup(phi, cocycle_from_g(g, phi),
+                                                   SpaceSpec.hardy(2.0)), self.ts, self.grid)
+                    for phi in self._flows())
+        assert got == ref and min(got) > 0.0
+
+    def test_cocycle_law_residual_with_an_integral_cocycle(self):
+        g = to_holofn("1 - z + z^3")
+        got, ref = (cocycle_law_residual(cocycle_from_g(g, phi), phi, self.ts, self.grid)
+                    for phi in self._flows())
+        assert got == ref and got > 0.0
+
+    def test_generator_fd(self):
+        got, ref = (flows.generator_fd(phi, self.grid) for phi in self._flows())
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name, params", [
+        ("dilation", {"c": 0.7 - 0.4j}), ("rotation", {"rate": -1.3}), ("attracting", {}),
+        ("identity", {}), ("identity", {"domain": "real"}), ("translation-real", {}),
+        ("cubic-real", {}),
+    ])
+    def test_catalog_rows_equal_each_time_alone(self, name, params):
+        phi = make_catalog_semiflow(name, params)
+        grid = self.grid if phi.domain.kind == "disc" else real_sample_grid()
+        ts = (0.0, 0.013, 0.25, 1.7)
+        rows = phi.at_times(ts, grid)
+        assert rows.shape == (len(ts),) + grid.shape and rows.dtype == phi.domain.dtype
+        assert np.array_equal(rows, [phi(t, grid) for t in ts])
+
+    @pytest.mark.parametrize("t", [0.3, 1.7])
+    def test_time_integral(self, t):
+        g = to_holofn("1 - z + z^3")
+        got, ref = (holo.time_integral(lambda taus, pts: g(np.asarray(phi(taus, pts))), t,
+                                       self.grid, 32) for phi in self._flows())
+        assert np.array_equal(got, ref)
+
+    # u' = u^2 leaves the disc from 0.95 at t ~ 0.0526 and from 0.7125 at
+    # t ~ 0.40; each text is the one the flow gave when called once per time
+    @pytest.mark.parametrize("ts, text", [
+        ((0.0, 0.25, 0.5), "trajectory from (0.95+0j) reached the boundary near t=0.0525732"),
+        ((0.5, 0.25),
+         "trajectory from (0.7124999999999999+0j) reached the boundary near t=0.403457"),
+    ])
+    def test_an_escape_is_reported_as_by_one_call_per_time(self, ts, text):
+        phi = semiflow_from_generator(to_holofn("z^2"))
+        for flow in (phi, _one_time_per_call(phi)):
+            with pytest.raises(EscapedDomain) as err:
+                semigroup_residual(WcSemigroup(flow, trivial_cocycle(), SpaceSpec.hardy(2.0)),
+                                   ts, disc_sample_grid(0.95))
+            assert str(err.value) == text
+        report = run({"suite": "reconstruct", "sweep": {"ts": list(ts), "grid_rmax": 0.95},
+                      "cases": [{"generator": "z^2", "reference": {"name": "dilation"}}]})
+        assert [case.error for case in report.cases] == [text]
 
 
 class TestTheoreticalBound:

@@ -587,6 +587,16 @@ class TestOverflowGuard:
         with pytest.raises(Unbounded, match="exceeds the overflow guard"):
             co_seminorm(space, to_holofn("1e13*z"), SeminormIndex(0.5))
 
+    @pytest.mark.parametrize("space", [SpaceSpec.bergman(0.0), SpaceSpec.dirichlet()],
+                             ids=lambda space: space.label)
+    @pytest.mark.parametrize("expr", ["1e300*z", "1e305*z^5", "exp(700*z)"])
+    def test_a_coefficient_sum_that_overflows_raises_without_a_warning(self, space, expr):
+        # the squared coefficients (or the FFT) overflow, so the coefficient
+        # path leaves the norm to the area rule, whose integrand overflows
+        # too; the warnings filter turns a numpy RuntimeWarning into a failure
+        with pytest.raises(NonConvergent, match="non-finite values in disc integrand"):
+            norm(space, to_holofn(expr))
+
 
 def _count_layers(monkeypatch):
     """Counts of the calls of the layers the benchmark traces, and of Taylor
