@@ -10,13 +10,19 @@ m_{t+s}(z) = m_t(z) m_s(phi_t(z)). Three constructions are provided:
               across each zero by (phi_t')^order; declared zeros are checked
               to be fixed points and the two branches are cross-checked on
               the guard circle;
-* derivative: m_t = phi_t' (closed form for affine catalog flows).
+* derivative: m_t = phi_t', whose generator is G' for the flow's vector
+              field G.
+
+A semicocycle is fixed by its generator g = d/dt m_t |_{t=0}, since
+m_t = exp(integral_0^t g(phi_s) ds); so whether m_t is constant in z is
+read off g (:attr:`Semicocycle.constant_in_z`), once, whatever built it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,22 +40,31 @@ from .holo import HoloFn
 ZERO_GUARD = 1e-3
 BRANCH_TOL = 5e-2
 CHECK_TS = (0.25, 1.0)  # times at which declared zeros and the two branches are checked
+# Where a generator must take one value for its cocycle to be constant in z.
+_PROBES = {"real": np.linspace(-3, 3, 7), "disc": 0.8 * np.exp(2j * np.pi * np.arange(7) / 7)}
 
 
 @dataclass(frozen=True)
 class Semicocycle:
-    """Time-indexed scalar family with constructor provenance.
-
-    ``constant_in_z`` marks cocycles known to be spatially constant (integral
-    cocycles of constant g, derivative cocycles of affine flows); multiplication
-    by such a cocycle has exact operator norm sup|m_t|.
-    """
+    """Time-indexed scalar family with constructor provenance and, when
+    known, its generator ``g``, the time-derivative of m_t at 0."""
 
     eval: Callable
     provenance: str = "explicit"
     name: str = ""
-    constant_in_z: bool = False
-    g: HoloFn | None = None  # time-derivative at 0 when known
+    g: HoloFn | None = None
+
+    @cached_property
+    def constant_in_z(self) -> bool:
+        """m_t is constant in z: g is known and takes one value on the seven
+        probe points of its domain, so m_t = exp(t g). Multiplication by such
+        a cocycle has exact operator norm sup|m_t|. A pole of g makes it
+        non-constant."""
+        if self.g is None:
+            return False
+        with np.errstate(all="ignore"):
+            probe = np.asarray(self.g(_PROBES[self.g.domain.kind]))
+            return bool(np.max(np.abs(probe - probe.flat[0])) < 1e-14)
 
     def __call__(self, t: float, z):
         # no cast: a cocycle has no domain of its own
@@ -66,8 +81,7 @@ def trivial_cocycle() -> Semicocycle:
         eval=lambda t, z: np.ones(np.shape(z), dtype=complex),
         provenance="trivial",
         name="one",
-        constant_in_z=True,
-        g=None,
+        g=holo.constant(0.0),
     )
 
 
@@ -91,35 +105,20 @@ def cocycle_from_g(g: HoloFn, phi: Semiflow) -> Semicocycle:
         return np.exp(holo.time_integral(lambda taus, pts: g(np.asarray(phi(taus, pts))),
                                          t, zs, _time_nodes(t)))
 
-    # g constant in z makes the whole cocycle spatially constant
-    probe_pts = np.linspace(-3, 3, 7) if g.domain.kind == "real" else \
-        0.8 * np.exp(2j * np.pi * np.arange(7) / 7)
-    probe = np.asarray(g(probe_pts))
-    const = bool(np.max(np.abs(probe - probe.flat[0])) < 1e-14)
-    return Semicocycle(
-        eval=eval_fn,
-        provenance="integral",
-        name=f"exp-int[{g.name or 'g'}]",
-        constant_in_z=const,
-        g=g,
-    )
+    return Semicocycle(eval=eval_fn, provenance="integral", name=f"exp-int[{g.name or 'g'}]", g=g)
 
 
 def derivative_cocycle(phi: Semiflow) -> Semicocycle:
-    """m_t = phi_t' (a semicocycle by the chain rule).
-
-    Flows with a closed-form ``prime`` are affine, so m_t is constant in z.
-    """
+    """m_t = phi_t' (a semicocycle by the chain rule), with generator G' for
+    the flow's vector field G, or no generator when G is not known."""
     gprime = None
-    if phi.generator is not None and phi.domain.kind != "real":
-        gen = phi.generator
+    if (gen := phi.generator) is not None:
         gprime = HoloFn(lambda z: holo.derivative_on_grid(gen, z), phi.domain,
                         name=f"({gen.name or 'G'})'")
     return Semicocycle(
         eval=lambda t, z: np.asarray(phi.space_derivative(t, z)),
         provenance="derivative",
         name=f"{phi.name or 'phi'}-prime",
-        constant_in_z=phi.prime is not None,
         g=gprime,
     )
 
@@ -197,15 +196,18 @@ def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:
 
     phi_t for every t takes one flow call (one RK4 batch for an ODE flow),
     which runs before the cocycle at any t > 0, so a flow that fails is
-    reported before its cocycle, as in semigroup_residual."""
+    reported before its cocycle, as in semigroup_residual. As there, m_u on
+    the grid is evaluated once per distinct time u, and m_s(phi_t) once per
+    pair."""
     if any(t < 0 for t in ts):
         raise InvalidParam("cocycle times must be >= 0")
     pts = np.asarray(grid)
-    worst = float(np.max(np.abs(np.asarray(m(0.0, pts)) - 1.0)))
+    m_at = cache(lambda u: np.asarray(m(u, pts)))
+    worst = float(np.max(np.abs(m_at(0.0) - 1.0)))
     for t, moved in zip(ts, phi.at_times(ts, pts)):
-        mt = np.asarray(m(t, pts))
+        mt = m_at(t)
         for s in ts:
-            lhs = np.asarray(m(t + s, pts))
+            lhs = m_at(t + s)
             rhs = mt * np.asarray(m(s, moved))
             worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))  # a NaN is kept
     return float(worst)

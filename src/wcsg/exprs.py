@@ -3,8 +3,10 @@
 Accepted forms: float literals, the imaginary unit ``i``, the variable ``z``
 (or ``x`` on the real line), ``+ - * /``, powers with integer exponents or
 the real fractional exponents ``(1/3)`` and ``(2/3)``, ``exp(...)``, and the
-disc automorphism helper ``mobius(a)``. Printing is fully parenthesized and
-canonical, so parse(print(e)) reproduces the tree exactly.
+disc automorphism helper ``mobius(a)``, whose parameter is any expression
+without a variable (folded by the compiler below) with value in the open
+disc. Printing is fully parenthesized and canonical, so parse(print(e))
+reproduces the tree exactly.
 
 A parsed tree is compiled once into nested closures, one rule per node type,
 so evaluating an expression never walks its tree; a part without a variable
@@ -213,11 +215,10 @@ class _Parser:
             arg, depth = self.parenthesized()
             return Exp(arg), _within_limit(depth + 1)
         if val == "mobius":
-            arg, _ = self.parenthesized()
-            try:
-                a = _const_fold(arg)
-            except (ZeroDivisionError, OverflowError) as e:
-                raise ValueError(f"mobius parameter: {e}") from None
+            param = _compile(self.parenthesized()[0])
+            if not isinstance(param, _Const):
+                raise ValueError("mobius parameter must be a constant expression")
+            a = complex(param.value)
             if abs(a) >= 1:
                 raise ValueError("mobius parameter must lie in the open unit disc")
             return Mobius(a.real, a.imag), 1  # printed as a call: one group deep
@@ -231,20 +232,6 @@ def parse(src: str):
     node, _ = parser.parse_expr()
     parser.expect("end")
     return node
-
-
-def _const_fold(node) -> complex:
-    if isinstance(node, Num):
-        return complex(node.value)
-    if isinstance(node, Imag):
-        return 1j
-    if isinstance(node, Neg):
-        return -_const_fold(node.arg)
-    if isinstance(node, BinOp):
-        return _BINOPS[node.op](_const_fold(node.left), _const_fold(node.right))
-    if isinstance(node, Pow) and node.den == 1:
-        return _const_fold(node.base) ** node.num
-    raise ValueError("expected a constant expression")
 
 
 def print_expr(node) -> str:

@@ -55,9 +55,8 @@ class Semiflow:
     array. A law check takes one call per set of times (:meth:`at_times`),
     so an ODE flow runs one RK4 batch for all of them.
     ``generator`` carries the closed-form vector field when known.
-    ``prime`` carries the closed-form space derivative phi_t'(z) and is set
-    only for affine flows, whose derivative is constant in z; otherwise
-    differentiation goes through ``holo.derivative_on_grid``.
+    ``prime`` carries the closed-form space derivative phi_t'(z) when known;
+    otherwise differentiation goes through ``holo.derivative_on_grid``.
     """
 
     eval: Callable

@@ -135,15 +135,6 @@ class BoundResult:
         return self.empirical_lower <= self.theoretical * (1.0 + slack)
 
 
-def sup_abs_cocycle(sg: WcSemigroup, t: float) -> float:
-    """Maximum of |m_t| over the space's sup grid: on the disc its outer
-    circle, by the maximum principle (:func:`spaces.modulus_sup`), and on the
-    real line the whole grid."""
-    if sg.space.is_real:
-        return certified_sup(lambda z: np.abs(np.asarray(sg.m(t, z))), sg.space)
-    return spaces.modulus_sup(lambda z: sg.m(t, z), sg.space)
-
-
 def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
     space, phi = sg.space, sg.phi
     comps: dict = {}
@@ -206,7 +197,7 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
     if sg.m.trivial:
         comps["multiplier"] = 1.0
         return 1.0
-    sup_m = sup_abs_cocycle(sg, t)
+    sup_m = spaces.modulus_sup(lambda z: sg.m(t, z), space)
     if sup_m == 0.0:
         raise InvalidParam(f"sup |m_t| underflowed to 0 at t={t:g}")
     comps["sup_abs_m_t"] = sup_m

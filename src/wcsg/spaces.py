@@ -233,36 +233,38 @@ _PROBES = np.array([0.0, 0.3 + 0.4j])
 def _modulus_sup(F, space: SpaceSpec, radius_scale: float = 1.0) -> tuple[float, str]:
     """:func:`modulus_sup` and the method that gave it:
     ``maximum-principle-circle`` or ``certified-grid-sup``."""
-    circle, uniform = _sup_circle()
-    scale = _grid_scale(space, radius_scale)
-    ring = disc_sup_points(space.policy.r_cap)[-circle.size:]
-    ring = ring if scale == 1.0 else ring * scale
-    probes = ring[0].real * _PROBES  # ring[0] is at angle 0
-    zeta = ring[uniform]
-    with np.errstate(all="ignore"):  # a pole is left to the grid
-        vals = np.asarray(F(ring))
-        cauchy = np.mean(vals[uniform] * zeta / (zeta - probes[:, None]), axis=1)
-        miss = np.abs(cauchy - np.asarray(F(probes)))
-        mods = np.abs(vals)
-        top = np.max(mods)
-    if np.all(np.isfinite(vals)) and np.all(miss <= 1e3 * np.finfo(float).eps * max(1.0, top)):
-        _check_bounded(ring, mods)
-        return float(top), "maximum-principle-circle"
+    if not space.is_real:
+        circle, uniform = _sup_circle()
+        scale = _grid_scale(space, radius_scale)
+        ring = disc_sup_points(space.policy.r_cap)[-circle.size:]
+        ring = ring if scale == 1.0 else ring * scale
+        probes = ring[0].real * _PROBES  # ring[0] is at angle 0
+        zeta = ring[uniform]
+        with np.errstate(all="ignore"):  # a pole is left to the grid
+            vals = np.asarray(F(ring))
+            cauchy = np.mean(vals[uniform] * zeta / (zeta - probes[:, None]), axis=1)
+            miss = np.abs(cauchy - np.asarray(F(probes)))
+            mods = np.abs(vals)
+            top = np.max(mods)
+        if np.all(np.isfinite(vals)) and np.all(miss <= 1e3 * np.finfo(float).eps * max(1.0, top)):
+            _check_bounded(ring, mods)
+            return float(top), "maximum-principle-circle"
     return certified_sup(lambda z: np.abs(np.asarray(F(z))), space, radius_scale), \
         "certified-grid-sup"
 
 
 def modulus_sup(F, space: SpaceSpec, radius_scale: float = 1.0) -> float:
-    """max |F| over the disc sup grid, scaled as :func:`certified_sup` scales
-    it, for F holomorphic on the grid's disc (``F`` maps a point array to
-    complex values).
+    """max |F| over the space's sup grid, scaled as :func:`certified_sup`
+    scales it (``F`` maps a point array to complex values).
 
-    By the maximum principle |F| peaks on the grid's outer circle, so only
-    its row of the grid is evaluated, as long as that row resolves F: every
-    value on it is finite, and the trapezoid Cauchy integral over its 512
-    uniform angles reproduces F at 0 and at 0.3 + 0.4i times its radius
-    within 1e3 eps max(1, max |F| on the circle). Otherwise (a pole inside,
-    a singularity the circle does not resolve) the whole grid runs through
+    On the disc, for F holomorphic on the grid's disc, |F| peaks on the
+    grid's outer circle by the maximum principle, so only its row of the
+    grid is evaluated, as long as that row resolves F: every value on it is
+    finite, and the trapezoid Cauchy integral over its 512 uniform angles
+    reproduces F at 0 and at 0.3 + 0.4i times its radius within
+    1e3 eps max(1, max |F| on the circle). Otherwise (a pole inside, a
+    singularity the circle does not resolve), and on the real line, where
+    no maximum principle holds, the whole grid runs through
     :func:`certified_sup`. Either way the value is a lower bound for the true
     sup, and one past the overflow guard raises Unbounded.
     """
@@ -275,16 +277,10 @@ def modulus_sup(F, space: SpaceSpec, radius_scale: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class NormEvaluation:
-    """Norm or seminorm value with its provenance: the method, and for the
-    truncated-extrapolated path the truncation and extrapolation radii."""
+    """Norm or seminorm value with the method that gave it."""
 
     value: float
     method: str
-    truncated_value: float | None = None
-    refined_value: float | None = None
-    r_truncate: float | None = None
-    r_refine: float | None = None
-    tail_exponent: float | None = None
 
 
 def _density(space: SpaceSpec, f: HoloFn):
@@ -585,10 +581,7 @@ def _evaluate(space: SpaceSpec, f: HoloFn, s: float) -> NormEvaluation:
         F2 = F1 + _annulus_increment(space, f, r1, r2)
         ext = boundary_extrapolate(F1, F2, r1, r2, _tail_exponent(space))
         ext = max(ext, F2)  # the functionals are nondecreasing in r
-        root = _root(space)
-        ev = NormEvaluation(value=float(ext ** root), method="truncated-extrapolated",
-                            truncated_value=float(F1 ** root), refined_value=float(F2 ** root),
-                            r_truncate=r1, r_refine=r2, tail_exponent=_tail_exponent(space))
+        ev = NormEvaluation(float(ext ** _root(space)), "truncated-extrapolated")
     elif space.kind == "sup-holo" and space.v is holo.unit_weight():
         ev = NormEvaluation(*_modulus_sup(f.fn, space, s))
     else:

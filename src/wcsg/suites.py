@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import cocycles, exprs, flows, holo, semigroup, spaces
-from .errors import ConfigError, WcsgError
+from .errors import ConfigError, InvalidParam, WcsgError
 from .flows import (CATALOG_PARAMS, OdeCfg, Semiflow, make_catalog_semiflow,
                     semiflow_from_generator)
 from .holo import REAL_LINE, UNIT_DISC, HoloFn, QuadPolicy
@@ -529,8 +529,9 @@ def run_generator_check(cfg: dict) -> list:
         sg = _build_semigroup(gcfg, path)
         space, phi, m = sg.space, sg.phi, sg.m
         f = build_function(_get(gcfg, "f", path, required=True), phi.domain, f"{path}.f")
-        g = m.g if m.g is not None else holo.constant(0.0, phi.domain)
-        rep = semigroup.generator_residual(sg, phi.generator, g, f, steps=steps, radius=radius)
+        if m.g is None:
+            raise InvalidParam(f"the generator g of cocycle {m.name} is not known")
+        rep = semigroup.generator_residual(sg, phi.generator, m.g, f, steps=steps, radius=radius)
         numbers = {"residual": rep.extrapolated, "order": rep.order}
         ok = rep.extrapolated < tols["residual"] and (
             rep.order >= tols["order_min"] or rep.order == float("inf")

@@ -73,6 +73,26 @@ class TestExitCodes:
         assert code == 0 and case["verdict"] is True
         assert case["numbers"]["order"] == "inf"
 
+    def test_cocycle_of_unknown_generator_is_an_error_case(self):
+        # both cocycles give m_t = e^{-t}; only the integral one knows its g
+        base = {"space": _HARDY2, "flow": _DILATION, "f": "z"}
+        cfg = {"suite": "generator-check", "cases": [
+            {**base, "label": "cob", "cocycle": {
+                "type": "coboundary", "omega": "z", "zeros": [{"re": 0.0, "im": 0.0, "order": 1}]}},
+            {**base, "label": "int", "cocycle": {"type": "integral", "g": "-1.0"}}]}
+        cob, integral = cli.run(cfg).cases
+        assert cob.verdict == "error"
+        assert cob.error == "the generator g of cocycle cob[z] is not known"
+        assert integral.verdict is True
+
+    def test_real_line_derivative_cocycle_is_checked_against_its_generator(self):
+        # A f = G f' + G' f for m_t = phi_t'; against g = 0 the residual is 1.73
+        cfg = {"suite": "generator-check", "cases": [
+            {"space": {"kind": "sup-cont", "weight": "exp-decay"}, "flow": {"name": "cubic-real"},
+             "cocycle": {"type": "derivative"}, "f": "1.0 / (1.0 + x^2)"}]}
+        (case,) = cli.run(cfg).cases
+        assert case.verdict is True and case.numbers["residual"] < 1e-7
+
     def test_norm_whose_fourth_power_passes_the_guard_is_an_ordinary_case(self):
         # ||1200 z||_{H^4} = 1200, while its fourth power 2.07e12 exceeds the
         # overflow guard of 1e12

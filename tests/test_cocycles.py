@@ -1,5 +1,6 @@
 """Cocycle constructors and laws against closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,32 @@ class TestIntegralCocycle:
         phi = make_catalog_semiflow("attracting")
         with pytest.raises(InvalidParam, match="cocycle times must be >= 0"):
             cocycle_law_residual(trivial_cocycle(), phi, (0.0, -0.5), GRID)
+
+    def test_law_residual_solves_each_time_on_the_grid_once(self):
+        # the cocycle-check shape of the ode-flows workload: m_t(pts) once
+        # per distinct time in {0, t, t+s}, m_s(phi_t) once per pair
+        phi = make_catalog_semiflow("attracting")
+        m = cocycle_from_g(to_holofn("0.4*z^2"), phi)
+        calls = []
+
+        def counted(t, z):
+            calls.append(t)
+            return m.eval(t, z)
+
+        pts = disc_sample_grid(0.9, 1, 4)
+        assert cocycle_law_residual(dataclasses.replace(m, eval=counted), phi, [0.0, 0.25],
+                                    pts) == cocycle_law_residual(m, phi, [0.0, 0.25], pts)
+        assert len(calls) == 7 and sum(t > 0 for t in calls) == 4
+
+    def test_a_replaced_cocycle_keeps_its_generator_and_constancy(self):
+        # a benchmark tracer rebuilds cocycles with dataclasses.replace(m, eval=...)
+        phi = dilation()
+        for g, constant in ((holo.constant(-1.0), True), (holo.monomial(1), False)):
+            m = cocycle_from_g(g, phi)
+            rebuilt = dataclasses.replace(m, eval=lambda t, z, m=m: m.eval(t, z))
+            assert rebuilt.g is g and rebuilt.constant_in_z is constant
+        with pytest.raises(TypeError):
+            cocycles.Semicocycle(eval=phi.eval, constant_in_z=True)
 
     def test_law_residual_keeps_a_nan_after_the_first_pair(self):
         # m_1 is NaN: only the pair (0.5, 0.5) reaches it, after finite residuals
@@ -212,17 +239,62 @@ class TestMdot0:
     def test_trivial(self):
         assert abs(mdot0(trivial_cocycle(), 0.4)) < 1e-12
 
+    def test_trivial_cocycle_has_generator_zero(self):
+        m = trivial_cocycle()
+        assert np.all(m.g(np.array([0.0, 0.5j, -0.9])) == 0.0)
+        assert m.constant_in_z
+
+
+def elliptic(b=0.3, c=1.0):
+    """phi_t = tau_b(e^{-ct} tau_b(z)) with tau_b(z) = (b - z)/(1 - b z), its
+    generator c (z - b)(b z - 1)/(1 - b^2) and its closed-form phi_t', which
+    is not constant in z."""
+    def tau(z):
+        return (b - z) / (1 - b * z)
+
+    def dtau(z):
+        return (b * b - 1) / (1 - b * z) ** 2
+
+    k = c / (1 - b * b)
+    return flows.Semiflow(
+        eval=lambda t, z: tau(np.exp(-c * t) * tau(z)),
+        name="elliptic",
+        generator=holo.poly([b * k, -(1 + b * b) * k, b * k]),
+        prime=lambda t, z: dtau(np.exp(-c * t) * tau(z)) * np.exp(-c * t) * dtau(z),
+    )
+
 
 class TestDerivativeCocycle:
-    def test_constant_in_z_exactly_for_flows_with_prime(self):
-        from wcsg.flows import semiflow_from_generator
-
+    def test_constant_in_z_exactly_when_the_generator_is_affine(self):
         affine = [make_catalog_semiflow(n) for n in ("dilation", "rotation", "attracting",
                                                      "translation-real", "identity")]
-        others = [make_catalog_semiflow("cubic-real"),
+        affine.append(semiflow_from_generator(holo.poly([0.1, -1.0])))
+        others = [make_catalog_semiflow("cubic-real"), elliptic(),
                   semiflow_from_generator(holo.poly([0.0, 0.0, -1.0]))]
         assert all(derivative_cocycle(phi).constant_in_z for phi in affine)
         assert not any(derivative_cocycle(phi).constant_in_z for phi in others)
+
+    def test_real_line_derivative_cocycles_carry_their_generator(self):
+        xs = np.linspace(-2.0, 2.0, 5)
+        translation = derivative_cocycle(make_catalog_semiflow("translation-real"))
+        assert np.all(translation.g(xs) == 0.0)
+        cubic = derivative_cocycle(make_catalog_semiflow("cubic-real"))
+        assert cubic.g(1.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
+
+    def test_a_closed_form_prime_does_not_make_the_cocycle_constant(self):
+        # m_1 = phi_1' of the elliptic flow moves with z, so C(1)e_2 carries
+        # no chain-rule derivative, which would read 0.1209 at 0.5
+        from wcsg.semigroup import WcSemigroup, apply
+        from wcsg.spaces import SpaceSpec
+
+        phi = elliptic()
+        m = derivative_cocycle(phi)
+        assert m(1.0, 0.0) == pytest.approx(0.3258618, abs=1e-7)
+        assert m(1.0, 0.9) == pytest.approx(0.4805339, abs=1e-7)
+        assert not m.constant_in_z
+        Cf = apply(WcSemigroup(phi, m, SpaceSpec.hardy(2.0)), 1.0, holo.monomial(2))
+        assert Cf.deriv is None
+        assert holo.derivative_on_grid(Cf, 0.5) == pytest.approx(0.1456459, abs=1e-7)
 
     def test_ode_flow_derivative_matches_closed_form(self):
         from wcsg.flows import semiflow_from_generator

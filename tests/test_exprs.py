@@ -87,6 +87,12 @@ class TestCompiled:
     def test_mobius_parameter_folds_only_its_own_operator(self):
         assert parse("mobius(0.5 + 0)") == Mobius(0.5, 0.0)
 
+    def test_mobius_parameter_is_any_constant_the_compiler_folds(self):
+        assert parse("mobius(exp(-1))") == Mobius(float(np.exp(-1.0)), 0.0)
+        assert parse("mobius(0.125^(1/3) * i)") == Mobius(0.0, 0.5)
+        with pytest.raises(ValueError, match="mobius parameter must be a constant"):
+            parse("mobius(z)")
+
     @pytest.mark.parametrize("src", ["mobius(1/0)", "mobius(0^(-1))", "mobius(2^10000)",
                                      "z^1e999", "z^(1e999)", "1e999*z", "z + .5e400"])
     def test_arithmetic_faults_are_value_errors(self, src):

@@ -32,7 +32,6 @@ from wcsg.semigroup import (
     generator_residual,
     operator_norm_lower_bound,
     semigroup_residual,
-    sup_abs_cocycle,
     theoretical_bound,
 )
 from wcsg.spaces import SpaceSpec, norm
@@ -446,7 +445,7 @@ class TestMultiplierAndSplit:
         phi = make_catalog_semiflow("attracting")
         m = cocycle_from_g(holo.monomial(1), phi)
         t = 0.5
-        sup_m = sup_abs_cocycle(WcSemigroup(phi, m, space), t)
+        sup_m = spaces.modulus_sup(lambda z: m(t, z), space)
         for f in (holo.monomial(1), holo.poly([1, 1])):
             mf = HoloTimes(m, t, f)
             assert norm(space, mf) <= sup_m * norm(space, f) * (1.0 + 1e-6)
@@ -466,7 +465,7 @@ class TestMultiplierAndSplit:
     def test_cocycle_named_one_keeps_its_multiplier(self):
         # triviality is a constructor flag, not the name "one"
         m = Semicocycle(eval=lambda t, z: np.full(np.shape(z), 2.0, dtype=complex),
-                        name="one", constant_in_z=True)
+                        name="one", g=holo.constant(0.0))
         sg = WcSemigroup(make_catalog_semiflow("attracting"), m, SpaceSpec.hardy(2.0))
         res = theoretical_bound(sg, 0.5)
         assert res.components["multiplier"] == pytest.approx(2.0)

@@ -134,11 +134,11 @@ class TestNorm:
         for space in (SpaceSpec.hardy(2.0), SpaceSpec.sup_holo()):
             assert norm(space, holo.constant(1e-17)) == pytest.approx(1e-17, rel=1e-12, abs=0)
 
-    def test_detail_reports_truncation_radii(self):
-        detail = norm_detail(SpaceSpec.hardy(2.0), holo.monomial(2))
-        assert detail.r_truncate == pytest.approx(1.0 - 1e-6)
-        assert detail.r_refine == pytest.approx(1.0 - 1e-7)
-        assert detail.truncated_value <= detail.value + 1e-12
+    def test_detail_reports_the_method_above_the_truncated_value(self):
+        space, f = SpaceSpec.hardy(2.0), holo.monomial(2)
+        detail = norm_detail(space, f)
+        assert detail.method == "truncated-extrapolated"
+        assert spaces._radial_functional(space, f, space.policy.r_cap) ** 0.5 <= detail.value
 
     @pytest.mark.parametrize("r_cap", [0.5, 0.9, 0.99])
     @pytest.mark.parametrize("alpha", [-0.9, -0.5])
@@ -428,6 +428,16 @@ class TestModulusSup:
         detail = norm_detail(space, f)
         assert detail.method == "certified-grid-sup"
         assert detail.value == self._grid_max(f, space)
+
+    def test_real_line_runs_the_whole_grid(self):
+        # no maximum principle on the line
+        space = SpaceSpec.sup_cont(holo.exp_abs_decay_weight())
+
+        def F(x):
+            return np.exp(1j * x) / (1.0 + (x - 3.0) ** 2)
+
+        assert spaces._modulus_sup(F, space) == (
+            certified_sup(lambda x: np.abs(F(x)), space), "certified-grid-sup")
 
     def test_spike_between_the_angles_keeps_the_grid_value(self):
         # at theta0 = 2 pi 100.5/512 the grid's inner rows reach higher than
