@@ -41,18 +41,24 @@ ZERO_GUARD = 1e-3
 BRANCH_TOL = 5e-2
 CHECK_TS = (0.25, 1.0)  # times at which declared zeros and the two branches are checked
 # Where a generator must take one value for its cocycle to be constant in z.
-_PROBES = {"real": np.linspace(-3, 3, 7), "disc": 0.8 * np.exp(2j * np.pi * np.arange(7) / 7)}
+# The disc probes sit at distinct radii 0.2 .. 0.8 with golden-angle
+# arguments: a nonconstant polynomial of degree <= 6 cannot take one value on
+# seven points, and no z^n can, since their moduli differ.
+_PROBES = {"real": np.linspace(-3, 3, 7),
+           "disc": np.array([(0.2 + 0.1 * k) * np.exp(1j * k * np.pi * (3 - np.sqrt(5)))
+                             for k in range(7)])}
 
 
 @dataclass(frozen=True)
 class Semicocycle:
-    """Time-indexed scalar family with constructor provenance and, when
-    known, its generator ``g``, the time-derivative of m_t at 0."""
+    """Time-indexed scalar family with, when known, its generator ``g``, the
+    time-derivative of m_t at 0. ``trivial`` marks m_t = 1; only
+    :func:`trivial_cocycle` sets it, whatever the name."""
 
     eval: Callable
-    provenance: str = "explicit"
     name: str = ""
     g: HoloFn | None = None
+    trivial: bool = False
 
     @cached_property
     def constant_in_z(self) -> bool:
@@ -70,18 +76,13 @@ class Semicocycle:
         # no cast: a cocycle has no domain of its own
         return holo.at_points(lambda w: self.eval(t, w), z, None)
 
-    @property
-    def trivial(self) -> bool:
-        """m_t = 1; set only by :func:`trivial_cocycle`, whatever the name."""
-        return self.provenance == "trivial"
-
 
 def trivial_cocycle() -> Semicocycle:
     return Semicocycle(
         eval=lambda t, z: np.ones(np.shape(z), dtype=complex),
-        provenance="trivial",
         name="one",
         g=holo.constant(0.0),
+        trivial=True,
     )
 
 
@@ -105,7 +106,7 @@ def cocycle_from_g(g: HoloFn, phi: Semiflow) -> Semicocycle:
         return np.exp(holo.time_integral(lambda taus, pts: g(np.asarray(phi(taus, pts))),
                                          t, zs, _time_nodes(t)))
 
-    return Semicocycle(eval=eval_fn, provenance="integral", name=f"exp-int[{g.name or 'g'}]", g=g)
+    return Semicocycle(eval=eval_fn, name=f"exp-int[{g.name or 'g'}]", g=g)
 
 
 def derivative_cocycle(phi: Semiflow) -> Semicocycle:
@@ -117,7 +118,6 @@ def derivative_cocycle(phi: Semiflow) -> Semicocycle:
                         name=f"({gen.name or 'G'})'")
     return Semicocycle(
         eval=lambda t, z: np.asarray(phi.space_derivative(t, z)),
-        provenance="derivative",
         name=f"{phi.name or 'phi'}-prime",
         g=gprime,
     )
@@ -184,11 +184,7 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
                     f"on the guard circle (declared order {n})"
                 )
 
-    return Semicocycle(
-        eval=eval_fn,
-        provenance="coboundary",
-        name=f"cob[{omega.name or 'omega'}]",
-    )
+    return Semicocycle(eval=eval_fn, name=f"cob[{omega.name or 'omega'}]")
 
 
 def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:

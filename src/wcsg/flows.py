@@ -238,14 +238,14 @@ def _newton_refine(G: HoloFn, seed):
     return None
 
 
-def fixed_points(phi: Semiflow, G: HoloFn, grid) -> FixedPointSearch:
-    """Grid-seeded Newton zeros of G, verified against the semiflow itself.
+def fixed_points(phi: Semiflow, grid) -> FixedPointSearch:
+    """Grid-seeded Newton zeros of G = phi.generator, verified against the semiflow itself.
 
     Each candidate b must satisfy both G(b) ~ 0 and phi_t(b) ~ b at
     t = 0.1, 0.5, 1; zeros of G that the flow moves are reported as rejected
     (that is exactly how the real cube-root flow escapes its critical point).
     """
-    pts = np.asarray(grid)
+    G, pts = phi.generator, np.asarray(grid)
     gvals = np.abs(np.asarray(G(pts)))
     scale = float(np.max(gvals))
     if scale < FIXED_POINT_TOL:

@@ -224,6 +224,12 @@ _BAD_INPUTS = {
         {"admissibility/string": "error", "admissibility/number": "error",
          "admissibility/null": "error", "admissibility/ok": True},
     ),
+    # phi_t = id fixes every point, and G' = 0 at each: e^{tg} = 1 only for g = 0
+    "admissibility-identity-flow": (
+        {"suite": "admissibility", "flow": {"name": "identity"},
+         "cases": [{"g": "-1.0"}, {"g": "z"}]},
+        {"admissibility/case0": "error", "admissibility/case1": "error"},
+    ),
     # f has its pole at 0.5, a point of the sup grid
     "continuity-probe-pole-on-the-sup-grid": (
         {"suite": "continuity-probe",
@@ -402,6 +408,9 @@ _ERROR_TEXT = {
     "bound-table-base-point-on-the-circle": {
         f"bound/{label}": "phi_t(0) reached the unit circle at t=40"
         for label in ("hardy", "bergman", "dirichlet")},
+    "admissibility-identity-flow": {
+        f"admissibility/case{i}": "identity fixes every point: g(b)/G'(b) is undefined"
+        for i in range(2)},
     "admissibility-flag-not-a-boolean": {
         "admissibility/string": "cases[0].expect_admissible: expected true or false, got 'false'",
         "admissibility/number": "cases[1].expect_admissible: expected true or false, got 1",

@@ -1,5 +1,6 @@
 """Cocycle constructors and laws against closed forms."""
 
+import copy
 import dataclasses
 import math
 
@@ -17,6 +18,7 @@ from wcsg.cocycles import (
     mdot0,
     trivial_cocycle,
 )
+from wcsg.defaults import DEFAULT_CONFIGS
 from wcsg.errors import (
     DegenerateFixedPoint,
     InvalidParam,
@@ -26,6 +28,7 @@ from wcsg.errors import (
 )
 from wcsg.exprs import to_holofn
 from wcsg.flows import disc_sample_grid, make_catalog_semiflow, semiflow_from_generator
+from wcsg.suites import run_cocycle_check
 
 TS = (0.0, 0.1, 0.5, 1.0)
 GRID = disc_sample_grid(0.95)
@@ -94,8 +97,30 @@ class TestIntegralCocycle:
             m = cocycle_from_g(g, phi)
             rebuilt = dataclasses.replace(m, eval=lambda t, z, m=m: m.eval(t, z))
             assert rebuilt.g is g and rebuilt.constant_in_z is constant
+            assert not rebuilt.trivial
+        one = trivial_cocycle()
+        assert dataclasses.replace(one, eval=lambda t, z: one.eval(t, z)).trivial
         with pytest.raises(TypeError):
             cocycles.Semicocycle(eval=phi.eval, constant_in_z=True)
+        with pytest.raises(TypeError):
+            cocycles.Semicocycle(eval=phi.eval, provenance="trivial")
+
+    def test_symmetric_generators_are_not_constant(self):
+        # z^7 and z^14 take one value on seven equally spaced points of a
+        # circle; C(1)e_1 under the dilation is then e^{-1} z e^{a z^7},
+        # a = (1 - e^{-7})/7, whose derivative is e^{-1} e^{a z^7} (1 + 7 a z^7)
+        from wcsg.semigroup import WcSemigroup, apply
+        from wcsg.spaces import SpaceSpec
+
+        phi = dilation()
+        for g in ("z^7", "z^14"):
+            assert not cocycle_from_g(to_holofn(g), phi).constant_in_z
+        sg = WcSemigroup(phi, cocycle_from_g(to_holofn("z^7"), phi), SpaceSpec.hardy(2.0))
+        a, z = (1.0 - math.exp(-7.0)) / 7.0, 0.9
+        exact = math.exp(-1.0 + a * z ** 7) * (1.0 + 7.0 * a * z ** 7)
+        assert exact == pytest.approx(0.5820851, abs=1e-7)
+        got = holo.derivative_on_grid(apply(sg, 1.0, holo.monomial(1)), z)
+        assert abs(got - exact) < 1e-9
 
     def test_law_residual_keeps_a_nan_after_the_first_pair(self):
         # m_1 is NaN: only the pair (0.5, 0.5) reaches it, after finite residuals
@@ -223,6 +248,14 @@ class TestCoboundary:
 
 
 class TestMdot0:
+    def test_default_cocycle_check_round_trips_every_known_generator(self):
+        # the trivial (g = 0) and derivative (g = G') cocycles carry g too
+        cases = run_cocycle_check(copy.deepcopy(DEFAULT_CONFIGS["cocycle-check"]))
+        roundtrip = {c.id: c.numbers.get("mdot0_roundtrip") for c in cases}
+        assert roundtrip["cocycle/trivial0"] == 0.0
+        assert roundtrip["cocycle/derivative3"] < 1e-8
+        assert all(c.passed for c in cases)
+
     def test_round_trip_with_square_integrand(self):
         phi = make_catalog_semiflow("attracting")
         g = holo.monomial(2)

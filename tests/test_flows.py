@@ -117,26 +117,26 @@ class TestGeneratorFd:
 class TestFixedPoints:
     def test_dilation_origin(self):
         phi = make_catalog_semiflow("dilation", {"c": 1.0})
-        res = fixed_points(phi, phi.generator, disc_sample_grid(0.9))
+        res = fixed_points(phi, disc_sample_grid(0.9))
         assert len(res.points) == 1
         assert abs(res.points[0]) < 1e-10
         assert not res.trivial
 
     def test_attracting_empty_inside_disc(self):
         phi = make_catalog_semiflow("attracting")
-        res = fixed_points(phi, phi.generator, disc_sample_grid(0.9))
+        res = fixed_points(phi, disc_sample_grid(0.9))
         assert res.points == ()
 
     def test_identity_trivial_verdict(self):
         phi = make_catalog_semiflow("identity")
-        res = fixed_points(phi, phi.generator, disc_sample_grid(0.9))
+        res = fixed_points(phi, disc_sample_grid(0.9))
         assert res.trivial
         assert res.points == ()
 
     def test_cubic_zero_of_field_is_not_fixed(self):
         # G(0) = 0 but the flow escapes: the phi-side check must reject 0
         phi = make_catalog_semiflow("cubic-real")
-        res = fixed_points(phi, phi.generator, real_sample_grid(5.0, 11))
+        res = fixed_points(phi, real_sample_grid(5.0, 11))
         assert res.points == ()
         assert any(abs(b) < 1e-6 for b in res.rejected)
 
