@@ -26,7 +26,7 @@ from wcsg.suites import SUITES
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="reports")
-    parser.add_argument("--suites", nargs="*", default=list(SUITES))
+    parser.add_argument("--suites", nargs="*", default=list(SUITES), choices=list(SUITES))
     args = parser.parse_args(argv)
 
     out = pathlib.Path(args.out_dir)

@@ -37,7 +37,9 @@ from .errors import (
 from .flows import DEFAULT_FD_STEPS, Semiflow, right_derivative
 from .holo import HoloFn
 
-ZERO_GUARD = 1e-3
+# (phi_t')^order within this radius of a declared zero: its O(|z - b|) error
+# meets the quotient's O(eps / |z - b|) rounding error near sqrt(eps).
+ZERO_GUARD = 1e-8
 BRANCH_TOL = 5e-2
 CHECK_TS = (0.25, 1.0)  # times at which declared zeros and the two branches are checked
 # Where a generator must take one value for its cocycle to be constant in z.

@@ -129,10 +129,9 @@ class BoundResult:
     components: dict = field(default_factory=dict)
 
 
-def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
+def _composition_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
     space, phi = sg.space, sg.phi
-    comps: dict = {}
-    if space.kind in ("hardy", "bergman", "dirichlet"):
+    if space.kind in ("hardy", "bergman", "dirichlet", "bloch"):
         phi0 = abs(phi(t, 0.0))
         comps["abs_phi_t_0"] = phi0
         if phi0 >= 1.0:
@@ -165,15 +164,11 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
         K = certified_sup(kval, space)
         comps["K_weight"] = K
         # the norm carries |f(0)|: account for the moved base point via
-        # |f(phi_t(0)) - f(0)| <= (sup |f'| v) * int_segment 1/v
-        phi0 = phi(t, 0.0)
-        comps["abs_phi_t_0"] = abs(phi0)
-        if phi0 != 0:
-            tau, w = holo.gl01(32)
-            seg = abs(phi0) * float(np.dot(w, 1.0 / np.real(vfn(tau * phi0))))
-        else:
-            seg = 0.0
-        comps["base_point_shift"] = seg
+        # |f(phi_t(0)) - f(0)| <= (sup |f'| v) * int_0^|phi_t(0)| ds / (1 - s^2)^alpha;
+        # with s = tanh u the integrand is cosh(u)^(2 alpha - 2), smooth up to the circle
+        e = 2.0 * space.alpha - 2.0
+        seg = holo.time_integral(lambda u, _: np.cosh(u) ** e, math.atanh(phi0), 0.0, 32).real
+        comps["base_point_shift"] = seg = float(seg)
         comp = max(1.0, K + seg)
     else:  # sup-holo / sup-cont
         vfn = space.v.fn
@@ -183,13 +178,12 @@ def _composition_factor(sg: WcSemigroup, t: float) -> tuple[float, dict]:
 
         comp = certified_sup(kval, space)
         comps["K_weight"] = comp
-    return comp, comps
+    return comp
 
 
 def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
     space = sg.space
     if sg.m.trivial:
-        comps["multiplier"] = 1.0
         return 1.0
     sup_m = spaces.modulus_sup(lambda z: sg.m(t, z), space)
     if sup_m == 0.0:
@@ -197,7 +191,6 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
     comps["sup_abs_m_t"] = sup_m
     # multiplying by a constant, or on these spaces by any m_t, has norm sup |m_t|
     if sg.m.constant_in_z or space.kind in ("hardy", "bergman", "sup-holo", "sup-cont"):
-        comps["multiplier"] = sup_m
         return sup_m
     if space.kind == "bloch":
         a = space.alpha
@@ -215,7 +208,6 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
         else:
             L = 1.0 / (1.0 - a)
             fac = 3.0 * (1.0 + L) * norm(space, m_t)
-        comps["multiplier"] = fac
         return fac
     raise UnsupportedSpaceBound(
         f"no multiplication-operator bound for {space.label} with cocycle {sg.m.name!r}"
@@ -224,9 +216,9 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
 
 def theoretical_bound(sg: WcSemigroup, t: float) -> BoundResult:
     """Closed-form upper bound for the operator norm of C(t) on the space."""
-    comp, comps = _composition_factor(sg, t)
-    comps["composition"] = comp
-    mult = _multiplier_factor(sg, t, comps)
+    comps: dict = {}
+    comp = comps["composition"] = _composition_factor(sg, t, comps)
+    mult = comps["multiplier"] = _multiplier_factor(sg, t, comps)
     tag_map = {"sup-holo": "supweight", "sup-cont": "supweight"}
     base_tag = tag_map.get(sg.space.kind, sg.space.kind)
     tag = base_tag if sg.m.trivial else "product-split"

@@ -61,6 +61,14 @@ class TestExitCodes:
         code = cli.main(["reconstruct", "--config", write_config(tmp_path, cfg)])
         assert code == 2
 
+    def test_run_all_suites_rejects_an_unknown_suite(self, tmp_path):
+        script = SRC.parent / "scripts" / "run_all_suites.py"
+        proc = subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path / "r"),
+                               "--suites", "nope"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "r").exists()
+
     def test_exact_difference_quotient_passes(self, tmp_path):
         # (f(x + h) - f(x))/h of f = x is 1 up to rounding at every h, so no
         # order can be fitted: residuals at rounding level count as exact

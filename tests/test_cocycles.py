@@ -230,6 +230,21 @@ class TestCoboundary:
         with pytest.raises(OrderMismatch):
             coboundary(holo.monomial(2), phi, {0.0: 1})
 
+    @pytest.mark.parametrize("omega, exact, rounding", [
+        ("z + z^2", lambda z, q: q * (1.0 + q * z) / (1.0 + z), 0.0),
+        # exp(z) - 1.0 cancels near 0, so its quotient carries ~eps/|z| of rounding
+        ("exp(z) - 1.0", lambda z, q: np.expm1(q * z) / np.expm1(z), 4.0 * np.finfo(float).eps),
+    ], ids=["z+z^2", "exp(z)-1"])
+    def test_no_jump_at_the_zero_guard(self, omega, exact, rounding):
+        # m_t = omega(e^-t z) / omega(z) in closed form, on both sides of the guard
+        t = 1.0
+        m = coboundary(to_holofn(omega), dilation(1.0), {0.0: 1})
+        r = np.logspace(-12, math.log10(9.9e-4), 50)
+        zs = (r[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
+        want = exact(zs, math.exp(-t))
+        err = np.abs(np.asarray(m(t, zs)) - want) / np.abs(want)
+        assert np.all(err <= np.maximum(1e-8, rounding / np.abs(zs)))
+
     def test_law_residual(self):
         phi = dilation(1.0)
         m = coboundary(holo.monomial(2), phi, {0.0: 2})

@@ -272,6 +272,32 @@ class TestTheoreticalBound:
         assert res.components["K_weight"] <= math.exp(-0.5) + 1e-9
         assert res.theoretical == pytest.approx(1.0, abs=1e-12)
 
+    # attracting has phi_t(0) = r = 1 - e^-t; the base-point term is the
+    # integral of (1 - s^2)^-alpha over [0, r], in closed form for alpha = 1, 2
+    @pytest.mark.parametrize("alpha, exact", [
+        (1.0, math.atanh),
+        (2.0, lambda r: r / (2.0 * (1.0 - r * r)) + math.atanh(r) / 2.0),
+    ], ids=["alpha1", "alpha2"])
+    @pytest.mark.parametrize("t", [math.log(2.0), 1.0, math.log(1e3), math.log(1e4)])
+    def test_bloch_base_point_term_is_exact(self, alpha, exact, t):
+        res = theoretical_bound(sg_trivial(SpaceSpec.bloch(alpha)), t)
+        assert res.components["base_point_shift"] == pytest.approx(exact(-math.expm1(-t)),
+                                                                   rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [math.log(1e3), math.log(1e4)])
+    def test_bloch_bound_dominates_the_atanh_witness(self, t):
+        # (C(t) atanh)(0) = atanh(phi_t(0)) is the alpha = 1 base-point term itself
+        space, f = SpaceSpec.bloch(1.0), holo.HoloFn(np.arctanh, deriv=lambda z: 1.0 / (1.0 - z * z))
+        sg = sg_trivial(space)
+        ratio = norm(space, apply(sg, t, f)) / norm(space, f)
+        assert theoretical_bound(sg, t).theoretical >= ratio * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_bloch_base_point_on_the_circle_is_a_domain_exit(self, alpha):
+        # attracting at t = 38: phi_t(0) = 1 - e^-38 rounds to 1
+        with pytest.raises(DomainExit, match="reached the unit circle"):
+            theoretical_bound(sg_trivial(SpaceSpec.bloch(alpha)), 38.0)
+
     def test_dirichlet_general_cocycle_unsupported(self):
         phi = make_catalog_semiflow("dilation", {"c": 1.0})
         m = cocycle_from_g(holo.monomial(1), phi)  # genuinely z-dependent
