@@ -37,9 +37,6 @@ from .errors import (
 from .flows import DEFAULT_FD_STEPS, Semiflow, right_derivative
 from .holo import HoloFn
 
-# (phi_t')^order within this radius of a declared zero: its O(|z - b|) error
-# meets the quotient's O(eps / |z - b|) rounding error near sqrt(eps).
-ZERO_GUARD = 1e-8
 BRANCH_TOL = 5e-2
 CHECK_TS = (0.25, 1.0)  # times at which declared zeros and the two branches are checked
 # Where a generator must take one value for its cocycle to be constant in z.
@@ -49,6 +46,13 @@ CHECK_TS = (0.25, 1.0)  # times at which declared zeros and the two branches are
 _PROBES = {"real": np.linspace(-3, 3, 7),
            "disc": np.array([(0.2 + 0.1 * k) * np.exp(1j * k * np.pi * (3 - np.sqrt(5)))
                              for k in range(7)])}
+
+
+def zero_guard(order: int) -> float:
+    """Radius about a declared zero of this order inside which (phi_t')^order,
+    off by O(|z - b|), replaces the quotient, off by O(eps / |z - b|^order) if
+    omega cancels near the zero: the two meet here (1.5e-8 for order 1)."""
+    return float(np.finfo(float).eps) ** (1.0 / (order + 1))
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,9 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
 
     ``orders`` maps each zero of omega (complex) to its order. Declared zeros
     must be fixed points of phi (checked by sampling, ZeroNotFixed otherwise);
-    within ZERO_GUARD of a zero the derivative-power branch
+    within :func:`zero_guard` of a zero the derivative-power branch
     (phi_t'(z))^order is used, and the two branches are cross-checked on the
-    guard circle (OrderMismatch beyond BRANCH_TOL).
+    guard circle (OrderMismatch unless they agree to BRANCH_TOL).
     """
     zeros = [(complex(b), int(n)) for b, n in orders.items()]
     for b, n in zeros:
@@ -151,14 +155,14 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
         return w
 
     def eval_fn(t, z):
-        """(phi_t')^order within ZERO_GUARD of a declared zero, the quotient
+        """(phi_t')^order within the guard of a declared zero, the quotient
         elsewhere; omega vanishing there is an undeclared zero, and omega
         not finite at a point or at its image is a pole."""
         t, zs = float(t), np.asarray(z, dtype=complex)
         out = np.empty(zs.shape, dtype=complex)
         rest = np.ones(zs.shape, dtype=bool)
         for b, n in zeros:
-            mask = np.abs(zs - b) <= ZERO_GUARD
+            mask = np.abs(zs - b) <= zero_guard(n)
             if np.any(mask):
                 out[mask] = np.asarray(phi.space_derivative(t, zs[mask])) ** n
                 rest &= ~mask
@@ -175,12 +179,13 @@ def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
     # branch agreement on the guard circle
     ring = np.exp(2j * np.pi * np.arange(16) / 16)
     for b, n in zeros:
-        pts = b + ZERO_GUARD * ring
+        pts = b + zero_guard(n) * ring
         for t in CHECK_TS:
-            quot = np.asarray(omega(np.asarray(phi(t, pts)))) / np.asarray(omega(pts))
+            with np.errstate(all="ignore"):  # a non-finite quotient fails below
+                quot = np.asarray(omega(np.asarray(phi(t, pts)))) / np.asarray(omega(pts))
             power = np.asarray(phi.space_derivative(t, pts)) ** n
             gap = float(np.max(np.abs(quot - power)))
-            if gap > BRANCH_TOL * max(1.0, float(np.max(np.abs(power)))):
+            if not gap <= BRANCH_TOL * max(1.0, float(np.max(np.abs(power)))):
                 raise OrderMismatch(
                     f"zero {b}: quotient and derivative-power branches differ by {gap:.3e} "
                     f"on the guard circle (declared order {n})"

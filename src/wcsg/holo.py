@@ -299,9 +299,9 @@ def gl01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def time_integral(h, t: float, zs, n: int):
+def time_integral(h, t: float, zs, n: int, tol: float = DEFAULT_POLICY.tol):
     """The integral of h(tau, z) over tau in [0, t] at each point z of zs:
-    the n-node Gauss-Legendre rule, certified against 2n nodes.
+    the n-node Gauss-Legendre rule, certified against 2n nodes to tol.
 
     Both rules run in one pass over blocks of time nodes x points, the n
     nodes first: h takes a column of times against one row of the points
@@ -319,7 +319,7 @@ def time_integral(h, t: float, zs, n: int):
         for i, w, v in zip(rule[nodes], ws[nodes], ensure_finite(vals, "time integral")):
             acc[i] = acc[i] + w * v
     coarse, fine = (t * a.reshape(np.shape(zs)) for a in acc)
-    return certify_doubling(coarse, fine, DEFAULT_POLICY.tol, f"time integral at t={t:g}")
+    return certify_doubling(coarse, fine, tol, f"time integral at t={t:g}")
 
 
 def cauchy_derivative_grid(f, zs, radii, n_nodes: int = INNER_DERIV_NODES):

@@ -166,8 +166,8 @@ def _composition_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
         # the norm carries |f(0)|: account for the moved base point via
         # |f(phi_t(0)) - f(0)| <= (sup |f'| v) * int_0^|phi_t(0)| ds / (1 - s^2)^alpha;
         # with s = tanh u the integrand is cosh(u)^(2 alpha - 2), smooth up to the circle
-        e = 2.0 * space.alpha - 2.0
-        seg = holo.time_integral(lambda u, _: np.cosh(u) ** e, math.atanh(phi0), 0.0, 32).real
+        seg = holo.time_integral(lambda u, _: np.cosh(u) ** (2.0 * space.alpha - 2.0),
+                                 math.atanh(phi0), 0.0, 32, space.policy.tol).real
         comps["base_point_shift"] = seg = float(seg)
         comp = max(1.0, K + seg)
     else:  # sup-holo / sup-cont

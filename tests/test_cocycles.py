@@ -34,6 +34,11 @@ TS = (0.0, 0.1, 0.5, 1.0)
 GRID = disc_sample_grid(0.95)
 
 
+def _exp_tail(z):
+    """(exp(z) - 1 - z) / z^2 by its power series, for |z| < 1e-3."""
+    return sum(z**k / math.factorial(k + 2) for k in range(8))
+
+
 def dilation(c=1.0):
     return make_catalog_semiflow("dilation", {"c": c})
 
@@ -230,20 +235,35 @@ class TestCoboundary:
         with pytest.raises(OrderMismatch):
             coboundary(holo.monomial(2), phi, {0.0: 1})
 
-    @pytest.mark.parametrize("omega, exact, rounding", [
-        ("z + z^2", lambda z, q: q * (1.0 + q * z) / (1.0 + z), 0.0),
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wrong_order_of_a_cancelling_zero_detected(self, n):
+        # exp(z) - 1.0 - z has a zero of order 2 at 0, its value there a cancellation
+        with pytest.raises(OrderMismatch):
+            coboundary(to_holofn("exp(z) - 1.0 - z"), dilation(1.0), {0.0: n})
+
+    def test_no_finite_quotient_on_the_guard_circle_detected(self):
+        # omega = 0 gives 0/0 on the guard circle: no order fits
+        with pytest.raises(OrderMismatch):
+            coboundary(to_holofn("z - z"), dilation(1.0), {0.0: 1})
+
+    @pytest.mark.parametrize("omega, order, exact, floor, rounding", [
+        ("z + z^2", 1, lambda z, q: q * (1.0 + q * z) / (1.0 + z), 1e-8, 0.0),
         # exp(z) - 1.0 cancels near 0, so its quotient carries ~eps/|z| of rounding
-        ("exp(z) - 1.0", lambda z, q: np.expm1(q * z) / np.expm1(z), 4.0 * np.finfo(float).eps),
-    ], ids=["z+z^2", "exp(z)-1"])
-    def test_no_jump_at_the_zero_guard(self, omega, exact, rounding):
+        ("exp(z) - 1.0", 1, lambda z, q: np.expm1(q * z) / np.expm1(z), 1e-8,
+         4.0 * np.finfo(float).eps),
+        # and exp(z) - 1.0 - z carries ~eps/|z|^2; omega(z) / z^2 by its series
+        ("exp(z) - 1.0 - z", 2,
+         lambda z, q: q * q * _exp_tail(q * z) / _exp_tail(z), 2e-6, 32.0 * np.finfo(float).eps),
+    ], ids=["z+z^2", "exp(z)-1", "exp(z)-1-z"])
+    def test_no_jump_at_the_zero_guard(self, omega, order, exact, floor, rounding):
         # m_t = omega(e^-t z) / omega(z) in closed form, on both sides of the guard
         t = 1.0
-        m = coboundary(to_holofn(omega), dilation(1.0), {0.0: 1})
+        m = coboundary(to_holofn(omega), dilation(1.0), {0.0: order})
         r = np.logspace(-12, math.log10(9.9e-4), 50)
         zs = (r[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
         want = exact(zs, math.exp(-t))
         err = np.abs(np.asarray(m(t, zs)) - want) / np.abs(want)
-        assert np.all(err <= np.maximum(1e-8, rounding / np.abs(zs)))
+        assert np.all(err <= np.maximum(floor, rounding / np.abs(zs) ** order))
 
     def test_law_residual(self):
         phi = dilation(1.0)

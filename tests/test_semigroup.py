@@ -16,7 +16,13 @@ from wcsg.cocycles import (
     derivative_cocycle,
     trivial_cocycle,
 )
-from wcsg.errors import DomainExit, EscapedDomain, InvalidParam, UnsupportedSpaceBound
+from wcsg.errors import (
+    DomainExit,
+    EscapedDomain,
+    InvalidParam,
+    NonConvergent,
+    UnsupportedSpaceBound,
+)
 from wcsg.exprs import to_holofn
 from wcsg.flows import (
     disc_sample_grid,
@@ -291,6 +297,15 @@ class TestTheoreticalBound:
         sg = sg_trivial(space)
         ratio = norm(space, apply(sg, t, f)) / norm(space, f)
         assert theoretical_bound(sg, t).theoretical >= ratio * (1.0 - 1e-12)
+
+    def test_bloch_base_point_term_is_certified_to_the_space_tol(self):
+        # alpha = 2, t = 20: the 32- and 64-node rules differ by ~2e-14 relative,
+        # inside the 100 tol of the default tol 1e-8 but not of tol = 1e-18
+        sg = sg_trivial(SpaceSpec.bloch(2.0))
+        assert theoretical_bound(sg, 20.0).components["base_point_shift"] > 0
+        sg = sg_trivial(SpaceSpec.bloch(2.0, holo.QuadPolicy(tol=1e-18)))
+        with pytest.raises(NonConvergent, match="time integral"):
+            theoretical_bound(sg, 20.0)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_bloch_base_point_on_the_circle_is_a_domain_exit(self, alpha):
