@@ -100,9 +100,9 @@ class FixedPointSearch:
 # catalog
 # ---------------------------------------------------------------------------
 
-# The parameters of each catalog semiflow, with their types.
-CATALOG_PARAMS = {"dilation": {"c": complex}, "rotation": {"rate": float}, "attracting": {},
-                  "translation-real": {}, "cubic-real": {}, "identity": {"domain": str}}
+# The parameters of each catalog semiflow, with their defaults.
+CATALOG_PARAMS = {"dilation": {"c": 1 + 0j}, "rotation": {"rate": 1.0}, "attracting": {},
+                  "translation-real": {}, "cubic-real": {}, "identity": {"domain": "disc"}}
 
 
 def _linear_semiflow(name: str, w: complex, generator_name: str) -> Semiflow:
@@ -118,15 +118,18 @@ def _linear_semiflow(name: str, w: complex, generator_name: str) -> Semiflow:
 
 
 def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
-    """A closed-form semiflow by name; CATALOG_PARAMS lists its parameters."""
-    params = dict(params or {})
+    """A closed-form semiflow by name; CATALOG_PARAMS lists its parameters
+    and their defaults."""
+    if name not in CATALOG_PARAMS:
+        raise UnknownCatalogEntry(f"no catalog semiflow named {name!r}")
+    params = {**CATALOG_PARAMS[name], **(params or {})}
     if name == "dilation":
-        c = complex(params.get("c", 1.0))
+        c = complex(params["c"])
         if c.real < 0:
             raise InvalidParam("dilation requires Re(c) >= 0, else the disc is not invariant")
         return _linear_semiflow("dilation", -c, "-c*z")
     if name == "rotation":
-        return _linear_semiflow("rotation", 1j * float(params.get("rate", 1.0)), "i*rate*z")
+        return _linear_semiflow("rotation", 1j * float(params["rate"]), "i*rate*z")
     if name == "attracting":
         return Semiflow(
             eval=lambda t, z: np.exp(-t) * z + 1.0 - np.exp(-t),
@@ -151,20 +154,18 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
             name="cubic-real",
             generator=HoloFn(lambda x: np.cbrt(x) ** 2, REAL_LINE, name="x^(2/3)"),
         )
-    if name == "identity":
-        key = params.get("domain", "disc")
-        if key not in ("disc", "real"):
-            raise InvalidParam(f"identity domain must be disc or real, got {key!r}")
-        dom = UNIT_DISC if key == "disc" else REAL_LINE
-        zero = HoloFn(lambda z: np.zeros(np.shape(z), dtype=dom.dtype), dom, name="0")
-        return Semiflow(
-            eval=lambda t, z: z + 0,
-            domain=dom,
-            name="identity",
-            generator=zero,
-            prime=lambda t, z: np.ones(np.shape(z), dtype=dom.dtype),
-        )
-    raise UnknownCatalogEntry(f"no catalog semiflow named {name!r}")
+    key = params["domain"]  # "identity", the one name left
+    if key not in ("disc", "real"):
+        raise InvalidParam(f"identity domain must be disc or real, got {key!r}")
+    dom = UNIT_DISC if key == "disc" else REAL_LINE
+    zero = HoloFn(lambda z: np.zeros(np.shape(z), dtype=dom.dtype), dom, name="0")
+    return Semiflow(
+        eval=lambda t, z: z + 0,
+        domain=dom,
+        name="identity",
+        generator=zero,
+        prime=lambda t, z: np.ones(np.shape(z), dtype=dom.dtype),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,101 +27,100 @@ LN2 = 0.6931471805599453
 
 
 # ---------------------------------------------------------------------------
-# config validation and object building
+# config reading and object building
 # ---------------------------------------------------------------------------
 
-def _check_keys(cfg: dict, allowed, path: str, why: str = "unknown key"):
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, f"expected an object, got {type(cfg).__name__}")
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", why)
+@dataclasses.dataclass(frozen=True)
+class Required:
+    """The schema entry of a key without a default, read as ``kind``."""
+
+    kind: object
 
 
-def _check_variant_keys(cfg: dict, tag: str, own: dict, path: str, common=()):
-    """Check an object whose ``tag`` key names its variant (a space kind, a
-    cocycle type): it takes ``common`` keys and its variant's own keys. An
-    object of unknown variant may hold any variant's keys; its builder
-    rejects the variant."""
-    _check_keys(cfg, {tag, *common}.union(*own.values()), path)
-    kind = cfg.get(tag)
-    if isinstance(kind, str) and kind in own:
-        _check_keys(cfg, {tag, *common, *own[kind]}, path, f"not a key of {tag} {kind!r}")
-
-
-def _get(cfg: dict, key: str, path: str, default=None, required: bool = False):
-    """Read a config key; applied defaults are written back into the config
-    so the report's config echo is fully self-describing."""
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        if default is not None and isinstance(cfg, dict):
-            stored = default.copy() if isinstance(default, (dict, list)) else default
-            cfg[key] = stored
-            return stored
-        return default
-    return cfg[key]
-
-
-def _number(v, path: str, cast=float):
-    """Coerce one config scalar; anything but a finite JSON number is a
-    ConfigError. A boolean or a string is not a number, and an int key takes
-    only integral values."""
-    try:
-        if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-                or (cast is int and not float(v).is_integer())):
-            raise ValueError
-        return cast(v)
-    except (ValueError, OverflowError):
-        noun = "an integer" if cast is int else "a number"
-        raise ConfigError(path, f"expected {noun}, got {v!r}") from None
-
-
-def _flag(v, path: str) -> bool:
-    """One config boolean; anything but JSON true or false is a ConfigError."""
-    if not isinstance(v, bool):
+def _coerce(v, kind, path: str):
+    """One config value read as its kind (see :func:`_read`). A number is a
+    finite JSON number, not a boolean or a string, and an int takes only
+    integral values."""
+    if kind in (int, float):
+        try:
+            if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+                    or (kind is int and not float(v).is_integer())):
+                raise ValueError
+            return kind(v)
+        except (ValueError, OverflowError):
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(path, f"expected {noun}, got {v!r}") from None
+    if kind is complex:
+        if not isinstance(v, dict):
+            return complex(_coerce(v, float, path))
+        v = _read(v, path, {"re": 0.0, "im": 0.0})
+        return complex(v["re"], v["im"])
+    if kind is bool and not isinstance(v, bool):
         raise ConfigError(path, f"expected true or false, got {v!r}")
+    if kind is dict and not isinstance(v, dict):
+        raise ConfigError(path, f"expected an object, got {type(v).__name__}")
+    if isinstance(kind, list) and not isinstance(v, list):
+        raise ConfigError(path, f"expected a list, got {type(v).__name__}")
+    if kind == [float]:
+        if not v:
+            raise ConfigError(path, "expected a nonempty list of numbers")
+        return [_coerce(x, float, f"{path}[{i}]") for i, x in enumerate(v)]
     return v
 
 
-def _num(cfg: dict, key: str, path: str, default=None, cast=float, required: bool = False):
-    """A scalar config key, coerced by :func:`_number`."""
-    return _number(_get(cfg, key, path, default, required), f"{path}.{key}", cast)
+def _read(cfg: dict, path: str, schema: dict, why: str = "unknown key") -> dict:
+    """The values of the config object ``cfg`` at ``path``, one per entry of
+    ``schema``; any other key of ``cfg`` is an error, for the reason ``why``.
 
-
-def _list(cfg: dict, key: str, path: str, default=None) -> list:
-    """A list-valued config key, required unless a default is given."""
-    vals = _get(cfg, key, path, default, required=default is None)
-    if not isinstance(vals, list):
-        raise ConfigError(f"{path}.{key}", f"expected a list, got {type(vals).__name__}")
-    return vals
-
-
-def _nums(cfg: dict, key: str, path: str, default, cast=float) -> list:
-    """A nonempty list-of-scalars config key (every such list is a sampling
-    ladder), each entry coerced by :func:`_number`."""
-    vals = _list(cfg, key, path, default)
-    if not vals:
-        raise ConfigError(f"{path}.{key}", "expected a nonempty list of numbers")
-    return [_number(v, f"{path}.{key}[{i}]", cast) for i, v in enumerate(vals)]
-
-
-def _as_complex(v, path: str) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(_number(v, path))
-    if isinstance(v, dict) and set(v) <= {"re", "im"}:
-        return complex(_number(v.get("re", 0.0), f"{path}.re"),
-                       _number(v.get("im", 0.0), f"{path}.im"))
-    raise ConfigError(path, "expected a number or {re, im}")
-
-
-def _named_numbers(cfg: dict, path: str, defaults: dict) -> dict:
-    """A section of named numbers: only the keys of ``defaults``, each coerced
-    to its default's type. The echo shows every value used, defaults too."""
-    _check_keys(cfg, set(defaults), path)
-    values = {k: _num(cfg, k, path, d, type(d)) for k, d in defaults.items()}
-    cfg.update(values)
+    An entry is a default, read as its type and written back into ``cfg``
+    when the key is absent, so that the report's echo shows every value a
+    run used; a type, for an optional key, which reads as None when absent;
+    or ``Required(kind)``. The kinds are bool, int, float, complex (a number
+    or ``{re, im}``), dict (an object; null reads, and is written back, as
+    ``{}``), ``[]`` (any list), ``[float]`` (a nonempty ladder of numbers, as
+    a nonempty list default reads) and ``object`` (anything, as a string
+    default reads, for its builder to check). Null for any other kind is an
+    error.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(path, f"expected an object, got {type(cfg).__name__}")
+    for key in cfg:
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}", why)
+    values = {}
+    for key, entry in schema.items():
+        default = not isinstance(entry, (Required, type))
+        kind = entry.kind if isinstance(entry, Required) else entry
+        if default:
+            kind = ([float] if entry else []) if isinstance(entry, list) else type(entry)
+        if key in cfg:
+            if kind is dict and cfg[key] is None:
+                cfg[key] = {}
+            values[key] = _coerce(cfg[key], kind, f"{path}.{key}")
+        elif default:
+            cfg[key] = values[key] = entry.copy() if isinstance(entry, (dict, list)) else entry
+        elif isinstance(entry, Required):
+            raise ConfigError(f"{path}.{key}", "missing required key")
+        else:
+            values[key] = None
     return values
+
+
+def _variant(cfg: dict, path: str, tag: str, variants: dict, common=None) -> dict:
+    """Check the keys of an object whose ``tag`` key names its variant (a
+    space kind, a cocycle type), and return its schema: ``tag``, the
+    variant's own entries and the ``common`` ones. An object of missing or
+    unknown variant may hold any variant's keys; its builder rejects it."""
+    kind, common = cfg.get(tag) if isinstance(cfg, dict) else None, common or {}
+    if isinstance(kind, str) and kind in variants:
+        schema = {tag: object, **variants[kind], **common}
+        why = f"not a key of {tag} {kind!r}"
+    else:
+        schema, why = {tag: Required(object), **common}, "unknown key"
+        for own in variants.values():
+            schema.update(dict.fromkeys(own, object))
+    _read(cfg, path, dict.fromkeys(schema, object), why)
+    return schema
 
 
 @contextlib.contextmanager
@@ -139,7 +138,7 @@ def _config_errors(path: str):
 def _settings(cls, cfg: dict, path: str):
     """A settings dataclass (QuadPolicy, OdeCfg) from its config section: one
     key per field, each defaulting to the field's default."""
-    values = _named_numbers(cfg, path, {f.name: f.default for f in dataclasses.fields(cls)})
+    values = _read(cfg, path, {f.name: f.default for f in dataclasses.fields(cls)})
     with _config_errors(path):
         return cls(**values)
 
@@ -162,93 +161,75 @@ def _build_weight(spec, domain, path: str) -> HoloFn:
     return _expr(spec, domain, path)
 
 
-# The keys of each space kind besides ``kind`` and ``policy``.
-_SPACE_KEYS = {"hardy": {"p"}, "bergman": {"alpha", "p"}, "dirichlet": set(),
-               "bloch": {"alpha"}, "sup-holo": {"weight"}, "sup-cont": {"weight", "halfwidth"}}
+# The own entries of each space kind; every kind also takes a ``policy``.
+_SPACE_KEYS = {"hardy": {"p": 2.0}, "bergman": {"alpha": Required(float), "p": 2.0},
+               "dirichlet": {}, "bloch": {"alpha": 1.0}, "sup-holo": {"weight": "one"},
+               "sup-cont": {"weight": "exp-decay", "halfwidth": 40.0}}
 
 
 def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
-    _check_variant_keys(cfg, "kind", _SPACE_KEYS, path, {"policy"})
-    kind = _get(cfg, "kind", path, required=True)
-    policy = _get(cfg, "policy", path)
-    policy = (holo.DEFAULT_POLICY if policy is None
-              else _settings(QuadPolicy, policy, f"{path}.policy"))
+    v = _read(cfg, path, _variant(cfg, path, "kind", _SPACE_KEYS, {"policy": {}}))
+    kind = v["kind"]
+    policy = _settings(QuadPolicy, v["policy"], f"{path}.policy")
     with _config_errors(path):
         if kind == "hardy":
-            return SpaceSpec.hardy(_num(cfg, "p", path, 2.0), policy)
+            return SpaceSpec.hardy(v["p"], policy)
         if kind == "bergman":
-            return SpaceSpec.bergman(
-                _num(cfg, "alpha", path, required=True),
-                _num(cfg, "p", path, 2.0),
-                policy,
-            )
+            return SpaceSpec.bergman(v["alpha"], v["p"], policy)
         if kind == "dirichlet":
             return SpaceSpec.dirichlet(policy)
         if kind == "bloch":
-            return SpaceSpec.bloch(_num(cfg, "alpha", path, 1.0), policy)
+            return SpaceSpec.bloch(v["alpha"], policy)
         if kind == "sup-holo":
-            w = _build_weight(_get(cfg, "weight", path, "one"), UNIT_DISC, f"{path}.weight")
-            return SpaceSpec.sup_holo(w, policy)
+            return SpaceSpec.sup_holo(_build_weight(v["weight"], UNIT_DISC, f"{path}.weight"),
+                                      policy)
         if kind == "sup-cont":
-            w = _build_weight(
-                _get(cfg, "weight", path, "exp-decay"), REAL_LINE, f"{path}.weight"
-            )
-            return SpaceSpec.sup_cont(w, _num(cfg, "halfwidth", path, 40.0), policy)
+            w = _build_weight(v["weight"], REAL_LINE, f"{path}.weight")
+            return SpaceSpec.sup_cont(w, v["halfwidth"], policy)
     raise ConfigError(f"{path}.kind", f"unknown space kind {kind!r}")
 
 
-# How a catalog parameter of each declared type is read.
-_PARAM_READERS = {complex: _as_complex, float: _number, str: lambda v, path: v}
-
-
 def build_flow(cfg: dict, path: str = "flow") -> Semiflow:
-    _check_keys(cfg, {"name", "params", "generator", "ode"}, path)
-    name = _get(cfg, "name", path)
-    gen = _get(cfg, "generator", path)
+    v = _read(cfg, path, dict.fromkeys(("name", "params", "generator", "ode"), object))
+    name, gen = v["name"], v["generator"]
     if (name is None) == (gen is None):
         raise ConfigError(path, "give exactly one of 'name' (catalog) or 'generator' (ODE)")
-    if name is not None:
-        _check_keys(cfg, {"name", "params"}, path, "not a key of a catalog flow")
-        own = CATALOG_PARAMS.get(name) if isinstance(name, str) else None
-        if own is None:
-            raise ConfigError(path, f"no catalog semiflow named {name!r}")
-        params = _section(cfg, "params", path)
-        _check_keys(params, own, f"{path}.params", f"not a parameter of {name}")
-        built = {k: _PARAM_READERS[own[k]](v, f"{path}.params.{k}") for k, v in params.items()}
+    if name is None:
+        ode = _read(cfg, path, {"generator": object, "ode": {}}, "not a key of an ODE flow")["ode"]
+        ode = _settings(OdeCfg, ode, f"{path}.ode")
         with _config_errors(path):
-            return make_catalog_semiflow(name, built)
-    _check_keys(cfg, {"generator", "ode"}, path, "not a key of an ODE flow")
-    ode = _settings(OdeCfg, _section(cfg, "ode", path), f"{path}.ode")
+            return semiflow_from_generator(_expr(gen, None, f"{path}.generator"), ode)
+    own = CATALOG_PARAMS.get(name) if isinstance(name, str) else None
+    if own is None:
+        raise ConfigError(path, f"no catalog semiflow named {name!r}")
+    params = _read(cfg, path, {"name": object, "params": {}}, "not a key of a catalog flow")
+    params = _read(params["params"], f"{path}.params", own, f"not a parameter of {name}")
     with _config_errors(path):
-        return semiflow_from_generator(_expr(gen, None, f"{path}.generator"), ode)
+        return make_catalog_semiflow(name, params)
 
 
-_TRIVIAL = {"type": "trivial"}
-
-# The keys of each cocycle type besides ``type``.
-_COCYCLE_KEYS = {"trivial": set(), "integral": {"g"}, "derivative": set(),
-                 "coboundary": {"omega", "zeros"}}
+# The own entries of each cocycle type.
+_COCYCLE_KEYS = {"trivial": {}, "integral": {"g": Required(object)}, "derivative": {},
+                 "coboundary": {"omega": Required(object), "zeros": []}}
 
 
 def build_cocycle(cfg: dict, phi: Semiflow, path: str = "cocycle") -> cocycles.Semicocycle:
-    _check_variant_keys(cfg, "type", _COCYCLE_KEYS, path)
-    kind = _get(cfg, "type", path, required=True)
+    v = _read(cfg, path, _variant(cfg, path, "type", _COCYCLE_KEYS))
+    kind = v["type"]
     with _config_errors(path):
         if kind == "trivial":
             return cocycles.trivial_cocycle()
         if kind == "integral":
-            g = _expr(_get(cfg, "g", path, required=True), phi.domain, f"{path}.g")
-            return cocycles.cocycle_from_g(g, phi)
+            return cocycles.cocycle_from_g(_expr(v["g"], phi.domain, f"{path}.g"), phi)
         if kind == "derivative":
             return cocycles.derivative_cocycle(phi)
         if kind == "coboundary":
-            omega = _expr(_get(cfg, "omega", path, required=True), phi.domain, f"{path}.omega")
+            omega = _expr(v["omega"], phi.domain, f"{path}.omega")
             orders = {}
-            for i, item in enumerate(_list(cfg, "zeros", path, [])):
-                zpath = f"{path}.zeros[{i}]"
-                _check_keys(item, {"re", "im", "order"}, zpath)
-                b = _as_complex({k: v for k, v in item.items() if k != "order"}, zpath)
-                orders[b] = _num(item, "order", zpath, cast=int, required=True)
+            for i, item in enumerate(v["zeros"]):
+                zero = _read(item, f"{path}.zeros[{i}]",
+                             {"re": 0.0, "im": 0.0, "order": Required(int)})
+                orders[complex(zero["re"], zero["im"])] = zero["order"]
             return cocycles.coboundary(omega, phi, orders)
     raise ConfigError(f"{path}.type", f"unknown cocycle type {kind!r}")
 
@@ -272,47 +253,32 @@ def build_function(spec, domain, path: str) -> HoloFn:
     return _expr(spec, domain, path)
 
 
-def _section(cfg: dict, key: str, path: str) -> dict:
-    """Fetch (or materialize) a nested config section."""
-    val = _get(cfg, key, path, {})
-    if val is None:
-        val = {}
-        cfg[key] = val
-    return val
-
-
-def _tolerances(cfg: dict, path: str, defaults: dict) -> dict:
-    return _named_numbers(_section(cfg, "tolerances", path), f"{path}.tolerances", defaults)
-
-
-def _sweep(cfg: dict, ts, rmax: float, n: int):
+def _sweep(sweep: dict, ts, rmax: float, n: int):
     """The sweep section: sample times, grid radius and grid density.
 
     The laws hold for times t >= 0 only, so negative times are rejected. A
     grid with no angles or no radius collapses to the origin, where every
     law holds trivially, so both are rejected too."""
-    sweep = _section(cfg, "sweep", "config")
-    _check_keys(sweep, {"ts", "grid_rmax", "grid_n"}, "sweep")
-    ts = _nums(sweep, "ts", "sweep", ts)
-    rmax = _num(sweep, "grid_rmax", "sweep", rmax)
-    n = _num(sweep, "grid_n", "sweep", n, int)
-    for i, t in enumerate(ts):
+    v = _read(sweep, "sweep", {"ts": ts, "grid_rmax": rmax, "grid_n": n})
+    for i, t in enumerate(v["ts"]):
         if t < 0:
             raise ConfigError(f"sweep.ts[{i}]", f"must be >= 0, got {t!r}")
-    if not rmax > 0:
-        raise ConfigError("sweep.grid_rmax", f"must be positive, got {rmax!r}")
-    if n < 1:
-        raise ConfigError("sweep.grid_n", f"must be >= 1, got {n!r}")
-    return ts, rmax, n
+    if not v["grid_rmax"] > 0:
+        raise ConfigError("sweep.grid_rmax", f"must be positive, got {v['grid_rmax']!r}")
+    if v["grid_n"] < 1:
+        raise ConfigError("sweep.grid_n", f"must be >= 1, got {v['grid_n']!r}")
+    return v["ts"], v["grid_rmax"], v["grid_n"]
 
 
-def _build_semigroup(cfg: dict, path: str, space=None, cocycle=_TRIVIAL) -> WcSemigroup:
-    """Space, flow and cocycle of one case. ``space`` and ``cocycle`` are the
-    defaults of their keys; a key whose default is None is required."""
-    space = build_space(_get(cfg, "space", path, space, space is None), f"{path}.space")
-    phi = build_flow(_get(cfg, "flow", path, required=True), f"{path}.flow")
-    m = build_cocycle(_get(cfg, "cocycle", path, cocycle, cocycle is None), phi, f"{path}.cocycle")
-    return WcSemigroup(phi, m, space)
+# The entries of a case that builds a semigroup.
+_SEMIGROUP = {"space": Required(dict), "flow": Required(dict), "cocycle": {"type": "trivial"}}
+
+
+def _build_semigroup(case: dict, path: str) -> WcSemigroup:
+    """The semigroup of a case from its ``space``, ``flow`` and ``cocycle``."""
+    space = build_space(case["space"], f"{path}.space")
+    phi = build_flow(case["flow"], f"{path}.flow")
+    return WcSemigroup(phi, build_cocycle(case["cocycle"], phi, f"{path}.cocycle"), space)
 
 
 def _grid_for(domain, rmax: float = 0.95, n: int = 12):
@@ -336,21 +302,24 @@ def _guarded(case_id: str, inputs: dict, run) -> Case:
     return Case(id=case_id, inputs=inputs, numbers=numbers, verdict=bool(ok), rows=rows)
 
 
-def _run_cases(cfg: dict, key: str, allowed, id_prefix: str, run) -> list:
-    """The case loop: ``run(entry, path)`` for each entry of ``cfg[key]``.
+def _run_cases(entries: list, key: str, schema: dict, id_prefix: str, run) -> list:
+    """The case loop: ``run(values, path)`` for each entry of the config's
+    ``key`` list, its values read against ``schema`` and a ``label``.
 
-    Each entry is checked against ``allowed``; its label defaults to
-    ``case<i>`` (``pair<i>`` for ``pairs``) and the case id is
-    ``<id_prefix>/<label>``. A case that fails is recorded as an error case.
+    Every entry's keys are checked before any case runs; its values are read
+    in its case, so a bad value is that case's error. The label defaults to
+    ``case<i>`` (``pair<i>`` for ``pairs``); the case id is
+    ``<id_prefix>/<label>``.
     """
     noun = key[:-1]
+    labels = [_read(entry, f"{key}[{i}]", {"label": f"{noun}{i}", **dict.fromkeys(schema, object)})
+              ["label"] for i, entry in enumerate(entries)]
     cases = []
-    for i, entry in enumerate(_list(cfg, key, "config")):
+    for i, (entry, label) in enumerate(zip(entries, labels)):
         path = f"{key}[{i}]"
-        _check_keys(entry, allowed, path)
-        label = _get(entry, "label", path, f"{noun}{i}")
         inputs = {"pair": label} if noun == "pair" else {"label": label}
-        cases.append(_guarded(f"{id_prefix}/{label}", inputs, lambda: run(entry, path)))
+        cases.append(_guarded(f"{id_prefix}/{label}", inputs,
+                              lambda: run(_read(entry, path, {"label": object, **schema}), path)))
     return cases
 
 
@@ -378,13 +347,15 @@ def _bergman_monomial_power(n: int, p: float, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 def run_norm_table(cfg: dict) -> list:
-    _check_keys(cfg, {"suite", "spaces", "max_degree", "saks", "tolerances"}, "config")
-    tols = _tolerances(cfg, "config", {"hardy": 1e-8, "dirichlet": 1e-6, "bergman": 1e-6})
-    max_deg = _num(cfg, "max_degree", "config", 8, int)
+    c = _read(cfg, "config", {"suite": object, "tolerances": {}, "max_degree": 8,
+                              "spaces": Required([]), "saks": dict})
+    tols = _read(c["tolerances"], "config.tolerances",
+                 {"hardy": 1e-8, "dirichlet": 1e-6, "bergman": 1e-6})
+    max_deg = c["max_degree"]
     if max_deg < 0:
         raise ConfigError("config.max_degree", f"must be >= 0, got {max_deg!r}")
     cases = []
-    for i, scfg in enumerate(_list(cfg, "spaces", "config")):
+    for i, scfg in enumerate(c["spaces"]):
         space = build_space(scfg, f"spaces[{i}]")
         for n in range(max_deg + 1):
             inputs = {"space": space.label, "n": n}
@@ -411,18 +382,17 @@ def run_norm_table(cfg: dict) -> list:
 
             cases.append(_guarded(f"norm/{space.label}/e_{n}", inputs, run))
 
-    saks_cfg = _get(cfg, "saks", "config")
-    if saks_cfg:
-        _check_keys(saks_cfg, {"spaces", "radii", "gap_tol"}, "saks")
-        radii = _nums(saks_cfg, "radii", "saks", [0.5, 0.9, 0.99, 0.999, 0.9999])
-        gap_tol = _num(saks_cfg, "gap_tol", "saks", 1e-3)
-        for i, scfg in enumerate(_list(saks_cfg, "spaces", "saks")):
+    if c["saks"]:
+        saks = _read(c["saks"], "saks", {"radii": [0.5, 0.9, 0.99, 0.999, 0.9999],
+                                         "gap_tol": 1e-3, "spaces": Required([])})
+        radii = saks["radii"]
+        for i, scfg in enumerate(saks["spaces"]):
             space = build_space(scfg, f"saks.spaces[{i}]")
             corpus = spaces.default_corpus(real=space.is_real)
             for f in corpus:
 
                 def run(space=space, f=f):
-                    rep = spaces.saks_sup_check(space, f, radii, tol=gap_tol)
+                    rep = spaces.saks_sup_check(space, f, radii, tol=saks["gap_tol"])
                     numbers = {
                         "norm": rep.norm,
                         "max_seminorm": rep.max_seminorm,
@@ -437,35 +407,37 @@ def run_norm_table(cfg: dict) -> list:
 
 
 def run_semigroup_check(cfg: dict) -> list:
-    _check_keys(cfg, {"suite", "pairs", "sweep"}, "config")
-    ts, rmax, grid_n = _sweep(cfg, [0.0, 0.1, 0.5, 1.0], 0.95, 12)
+    c = _read(cfg, "config", {"suite": object, "sweep": {}, "pairs": Required([])})
+    ts, rmax, grid_n = _sweep(c["sweep"], [0.0, 0.1, 0.5, 1.0], 0.95, 12)
 
-    def run(pcfg, path):
-        tol = _num(pcfg, "tol", path, 1e-10)
-        sg = _build_semigroup(pcfg, path, space={"kind": "hardy", "p": 2.0}, cocycle=None)
+    def run(v, path):
+        sg = _build_semigroup(v, path)
         grid = _grid_for(sg.phi.domain, rmax, grid_n)
         r_flow, r_coc, r_sg = semigroup.semigroup_residual(sg, ts, grid)
         numbers = {
             "semiflow_residual": r_flow,
             "cocycle_residual": r_coc,
             "semigroup_residual": r_sg,
-            "tol": tol,
+            "tol": v["tol"],
         }
-        return {"pair": pcfg["label"]}, numbers, all(r < tol for r in (r_flow, r_coc, r_sg)), []
+        return {"pair": v["label"]}, numbers, all(r < v["tol"] for r in (r_flow, r_coc, r_sg)), []
 
-    return _run_cases(cfg, "pairs", {"label", "space", "flow", "cocycle", "tol"}, "laws", run)
+    schema = {"tol": 1e-10, "space": {"kind": "hardy", "p": 2.0}, "flow": Required(dict),
+              "cocycle": Required(dict)}
+    return _run_cases(c["pairs"], "pairs", schema, "laws", run)
 
 
 def run_cocycle_check(cfg: dict) -> list:
-    _check_keys(cfg, {"suite", "flow", "cocycles", "sweep", "tolerances"}, "config")
-    tols = _tolerances(cfg, "config", {"law": 1e-7, "mdot0": 1e-5})
-    ts, rmax, grid_n = _sweep(cfg, [0.0, 0.1, 0.5, 1.0], 0.95, 12)
-    phi = build_flow(_get(cfg, "flow", "config", required=True), "flow")
+    c = _read(cfg, "config", {"suite": object, "tolerances": {}, "sweep": {},
+                              "flow": Required(dict), "cocycles": Required([])})
+    tols = _read(c["tolerances"], "config.tolerances", {"law": 1e-7, "mdot0": 1e-5})
+    ts, rmax, grid_n = _sweep(c["sweep"], [0.0, 0.1, 0.5, 1.0], 0.95, 12)
+    phi = build_flow(c["flow"], "flow")
     grid = _grid_for(phi.domain, rmax, grid_n)
     cases = []
-    for i, ccfg in enumerate(_list(cfg, "cocycles", "config")):
+    for i, ccfg in enumerate(c["cocycles"]):
         path = f"cocycles[{i}]"
-        _check_variant_keys(ccfg, "type", _COCYCLE_KEYS, path)
+        _variant(ccfg, path, "type", _COCYCLE_KEYS)
         cid = f"cocycle/{ccfg.get('type', '?')}{i}"
 
         def run(ccfg=ccfg, path=path):
@@ -485,15 +457,14 @@ def run_cocycle_check(cfg: dict) -> list:
 
 
 def run_bound_table(cfg: dict) -> list:
-    _check_keys(cfg, {"suite", "cases", "ts", "slack", "max_test_degree"}, "config")
-    ts = _nums(cfg, "ts", "config", [0.25, LN2, 1.0])
-    slack = _num(cfg, "slack", "config", 1e-3)
-    max_deg = _num(cfg, "max_test_degree", "config", 8, int)
+    c = _read(cfg, "config", {"suite": object, "ts": [0.25, LN2, 1.0], "slack": 1e-3,
+                              "max_test_degree": 8, "cases": Required([])})
+    ts, slack = c["ts"], c["slack"]
 
-    def run(bcfg, path):
-        sg = _build_semigroup(bcfg, path)
+    def run(v, path):
+        sg = _build_semigroup(v, path)
         space, phi, m = sg.space, sg.phi, sg.m
-        testset = semigroup.default_test_functions(space, max_degree=max_deg)
+        testset = semigroup.default_test_functions(space, max_degree=c["max_test_degree"])
         ref_norms = [spaces.norm(space, f) for f in testset]
         rows, ok = [], True
         for t in ts:
@@ -506,21 +477,22 @@ def run_bound_table(cfg: dict) -> list:
         inputs = {"space": space.label, "flow": phi.name, "cocycle": m.name}
         return inputs, {"worst_ratio": worst_ratio, "slack": slack}, ok, rows
 
-    return _run_cases(cfg, "cases", {"label", "space", "flow", "cocycle"}, "bound", run)
+    return _run_cases(c["cases"], "cases", _SEMIGROUP, "bound", run)
 
 
 def run_generator_check(cfg: dict) -> list:
-    _check_keys(cfg, {"suite", "cases", "steps", "radius", "tolerances"}, "config")
-    tols = _tolerances(cfg, "config", {"residual": 1e-4, "order_min": 0.9})
-    steps = tuple(_nums(cfg, "steps", "config", list(flows.DEFAULT_FD_STEPS)))
-    radius = _num(cfg, "radius", "config", 0.9)
+    c = _read(cfg, "config", {"suite": object, "tolerances": {},
+                              "steps": list(flows.DEFAULT_FD_STEPS), "radius": 0.9,
+                              "cases": Required([])})
+    tols = _read(c["tolerances"], "config.tolerances", {"residual": 1e-4, "order_min": 0.9})
+    steps, radius = tuple(c["steps"]), c["radius"]
     if not radius > 0:
         raise ConfigError("config.radius", f"must be positive, got {radius!r}")
 
-    def run(gcfg, path):
-        sg = _build_semigroup(gcfg, path)
+    def run(v, path):
+        sg = _build_semigroup(v, path)
         space, phi, m = sg.space, sg.phi, sg.m
-        f = build_function(_get(gcfg, "f", path, required=True), phi.domain, f"{path}.f")
+        f = build_function(v["f"], phi.domain, f"{path}.f")
         rep = semigroup.generator_residual(sg, f, steps=steps, radius=radius)
         numbers = {"residual": rep.extrapolated, "order": rep.order}
         ok = rep.extrapolated < tols["residual"] and (
@@ -530,21 +502,19 @@ def run_generator_check(cfg: dict) -> list:
         inputs = {"space": space.label, "flow": phi.name, "cocycle": m.name, "f": f.name}
         return inputs, numbers, ok, rows
 
-    return _run_cases(cfg, "cases", {"label", "space", "flow", "cocycle", "f"}, "generator", run)
+    return _run_cases(c["cases"], "cases", {**_SEMIGROUP, "f": Required(object)}, "generator",
+                      run)
 
 
 def run_reconstruct(cfg: dict) -> list:
-    _check_keys(cfg, {"suite", "cases", "sweep", "tolerances", "ode"}, "config")
-    tols = _tolerances(cfg, "config", {"deviation": 1e-6, "generator_fd": 1e-5})
-    ts, rmax, grid_n = _sweep(cfg, [0.25, 0.5, 0.75, 1.0], 0.9, 6)
-    ode_cfg = _section(cfg, "ode", "config")
+    c = _read(cfg, "config", {"suite": object, "tolerances": {}, "sweep": {}, "ode": {},
+                              "cases": Required([])})
+    tols = _read(c["tolerances"], "config.tolerances", {"deviation": 1e-6, "generator_fd": 1e-5})
+    ts, rmax, grid_n = _sweep(c["sweep"], [0.25, 0.5, 0.75, 1.0], 0.9, 6)
 
-    def run(rcfg, path):
-        phi_ode = build_flow(
-            {"generator": _get(rcfg, "generator", path, required=True), "ode": ode_cfg},
-            f"{path}",
-        )
-        ref = build_flow(_get(rcfg, "reference", path, required=True), f"{path}.reference")
+    def run(v, path):
+        phi_ode = build_flow({"generator": v["generator"], "ode": c["ode"]}, path)
+        ref = build_flow(v["reference"], f"{path}.reference")
         if phi_ode.domain.kind != ref.domain.kind:
             raise ConfigError(f"{path}.generator", f"a {phi_ode.domain.kind}-domain generator "
                               f"cannot rebuild the {ref.domain.kind}-domain flow {ref.name}")
@@ -557,39 +527,32 @@ def run_reconstruct(cfg: dict) -> list:
         ok = dev < tols["deviation"] and fd_err < tols["generator_fd"]
         return {"generator": phi_ode.name, "reference": ref.name}, numbers, ok, []
 
-    return _run_cases(cfg, "cases", {"label", "generator", "reference"}, "reconstruct", run)
+    schema = {"generator": Required(object), "reference": Required(dict)}
+    return _run_cases(c["cases"], "cases", schema, "reconstruct", run)
 
 
 def run_continuity_probe(cfg: dict) -> list:
-    _check_keys(cfg, {"suite", "cases"}, "config")
+    c = _read(cfg, "config", {"suite": object, "cases": Required([])})
 
-    def run(pcfg, path):
-        sg = _build_semigroup(pcfg, path)
+    def run(v, path):
+        sg = _build_semigroup(v, path)
         space, phi, m = sg.space, sg.phi, sg.m
-        f = build_function(_get(pcfg, "f", path, required=True), phi.domain, f"{path}.f")
-        ts = _nums(pcfg, "ts", path, [0.1, 0.01, 0.001])
-        radii = _nums(pcfg, "radii", path, [0.5, 0.9])
-        tols = _tolerances(pcfg, path, {"co": 1e-3, "norm": 1e-3})
-        cap = _get(pcfg, "norm_cap", path)
-        probe = semigroup.continuity_probe(
-            sg,
-            f,
-            ts,
-            radii,
-            tol_co=tols["co"],
-            tol_norm=tols["norm"],
-            norm_cap=_number(cap, f"{path}.norm_cap") if cap is not None else None,
-        )
-        expect = _section(pcfg, "expect", path)
-        _check_keys(expect, {"gamma", "norm"}, f"{path}.expect")
-        want = {k: _flag(v, f"{path}.expect.{k}") for k, v in expect.items()}
-        ok = all(getattr(probe, f"{k}_verdict") == v for k, v in want.items())
+        f = build_function(v["f"], phi.domain, f"{path}.f")
+        tols = _read(v["tolerances"], f"{path}.tolerances", {"co": 1e-3, "norm": 1e-3})
+        expect = _read(v["expect"], f"{path}.expect", {"gamma": bool, "norm": bool})
+        want = {k: w for k, w in expect.items() if w is not None}
+        if not want:
+            raise ConfigError(f"{path}.expect", "declares no verdict: the case would pass "
+                              "vacuously")
+        probe = semigroup.continuity_probe(sg, f, v["ts"], v["radii"], tol_co=tols["co"],
+                                           tol_norm=tols["norm"], norm_cap=v["norm_cap"])
+        ok = all(getattr(probe, f"{k}_verdict") == w for k, w in want.items())
         rows = [
             {
                 "t": rec.t,
                 "norm_residual": rec.norm_residual,
                 "norm_of_Cf": rec.norm_of_Cf,
-                **{f"co_residual_r{r:g}": v for r, v in rec.co_residuals},
+                **{f"co_residual_r{r:g}": res for r, res in rec.co_residuals},
             }
             for rec in probe.records
         ]
@@ -597,30 +560,31 @@ def run_continuity_probe(cfg: dict) -> list:
         numbers = {"gamma_verdict": probe.gamma_verdict, "norm_verdict": probe.norm_verdict}
         return inputs, numbers, ok, rows
 
-    allowed = {"label", "space", "flow", "cocycle", "f", "ts", "radii", "tolerances",
-               "norm_cap", "expect"}
-    return _run_cases(cfg, "cases", allowed, "continuity", run)
+    schema = {**_SEMIGROUP, "f": Required(object), "ts": [0.1, 0.01, 0.001],
+              "radii": [0.5, 0.9], "tolerances": {}, "norm_cap": float, "expect": {}}
+    return _run_cases(c["cases"], "cases", schema, "continuity", run)
 
 
 def run_admissibility(cfg: dict) -> list:
-    _check_keys(cfg, {"suite", "flow", "cases", "tol"}, "config")
-    tol = _num(cfg, "tol", "config", 1e-8)
-    phi = build_flow(_get(cfg, "flow", "config", required=True), "flow")
+    c = _read(cfg, "config", {"suite": object, "tol": 1e-8, "flow": Required(dict),
+                              "cases": Required([])})
+    phi = build_flow(c["flow"], "flow")
     search = flows.fixed_points(phi, _grid_for(phi.domain, 0.9))
 
-    def run(acfg, path):
-        g = _expr(_get(acfg, "g", path, required=True), phi.domain, f"{path}.g")
+    def run(v, path):
+        g = _expr(v["g"], phi.domain, f"{path}.g")
         if search.trivial:
             raise DegenerateFixedPoint("identity fixes every point: g(b)/G'(b) is undefined")
-        verdict = cocycles.coboundary_admissibility(g, phi.generator, list(search.points), tol=tol)
-        ok = verdict.admissible
-        if "expect_admissible" in acfg:
-            ok = ok == _flag(acfg["expect_admissible"], f"{path}.expect_admissible")
+        verdict = cocycles.coboundary_admissibility(g, phi.generator, list(search.points),
+                                                    tol=c["tol"])
+        want = v["expect_admissible"]
+        ok = verdict.admissible if want is None else verdict.admissible == want
         rows = [dataclasses.asdict(r) for r in verdict.records]
         inputs = {"flow": phi.name, "g": g.name, "fixed_points": list(search.points)}
         return inputs, {"admissible": verdict.admissible}, ok, rows
 
-    return _run_cases(cfg, "cases", {"label", "g", "expect_admissible"}, "admissibility", run)
+    schema = {"g": Required(object), "expect_admissible": bool}
+    return _run_cases(c["cases"], "cases", schema, "admissibility", run)
 
 
 SUITES = {

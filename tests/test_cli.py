@@ -135,6 +135,7 @@ _HARDY2 = {"kind": "hardy", "p": 2.0}
 _DILATION = {"name": "dilation", "params": {"c": 1.0}}
 _ATTRACTING = {"name": "attracting"}
 _POLE_AT_AN_ORBIT = "1/(z-0.5762041267270017)"  # 1/(z - e^-0.5 0.95)
+_CONTINUOUS = {"gamma": True, "norm": True}  # a continuity-probe case's expect
 
 # Each config breaks one input check; per case the expected verdict, "error"
 # for the cases the bad input reaches.
@@ -165,17 +166,18 @@ _BAD_INPUTS = {
             "suite": "continuity-probe",
             "cases": [
                 {"label": "increasing", "space": {"kind": "sup-holo"}, "flow": _DILATION,
-                 "f": "e_1", "ts": [0.001, 0.01, 0.1]},
+                 "f": "e_1", "ts": [0.001, 0.01, 0.1], "expect": _CONTINUOUS},
                 {"label": "no-ts", "space": {"kind": "sup-holo"}, "flow": _DILATION,
-                 "f": "e_1", "ts": []},
+                 "f": "e_1", "ts": [], "expect": _CONTINUOUS},
                 {"label": "no-radii", "space": {"kind": "sup-holo"}, "flow": _DILATION,
-                 "f": "e_1", "radii": []},
+                 "f": "e_1", "radii": [], "expect": _CONTINUOUS},
                 {"label": "radius-one", "space": {"kind": "sup-holo"}, "flow": _DILATION,
-                 "f": "e_1", "radii": [0.5, 1.0]},
+                 "f": "e_1", "radii": [0.5, 1.0], "expect": _CONTINUOUS},
                 {"label": "bad-monomial", "space": {"kind": "sup-holo"}, "flow": _DILATION,
-                 "f": "e_x"},
+                 "f": "e_x", "expect": _CONTINUOUS},
                 {"label": "decreasing", "space": {"kind": "sup-holo"}, "flow": _DILATION,
-                 "f": "e_1", "ts": [0.1, 0.01, 0.001], "tolerances": {"co": 1e-2, "norm": 1e-2}},
+                 "f": "e_1", "ts": [0.1, 0.01, 0.001], "tolerances": {"co": 1e-2, "norm": 1e-2},
+                 "expect": _CONTINUOUS},
             ],
         },
         {"continuity/increasing": "error", "continuity/no-ts": "error",
@@ -242,7 +244,7 @@ _BAD_INPUTS = {
     "continuity-probe-pole-on-the-sup-grid": (
         {"suite": "continuity-probe",
          "cases": [{"label": label, "space": {"kind": "sup-holo", "weight": "one"},
-                    "flow": _DILATION, "f": f}
+                    "flow": _DILATION, "f": f, "expect": _CONTINUOUS}
                    for label, f in [("pole", "1/(z-0.5)"), ("ok", "e_1")]]},
         {"continuity/pole": "error", "continuity/ok": True},
     ),
@@ -676,7 +678,8 @@ _TINY_CONFIGS = {
                    "radii": [0.5], "tolerances": {"co": 1e-2, "norm": 1e-2},
                    "norm_cap": 10.0, "expect": {"gamma": True}},
                   {"label": "d", "space": _HARDY2, "flow": _ATTRACTING, "f": "e_1",
-                   "ts": [0.1, 0.01], "radii": [0.5]}],
+                   "ts": [0.1, 0.01], "radii": [0.5],
+                   "expect": {"gamma": False, "norm": False}}],
     },
     "admissibility": {
         "suite": "admissibility",
@@ -810,6 +813,53 @@ class TestConfigEcho:
         space = report_to_dict(cli.run(cfg))["config"]["spaces"][0]
         assert space["policy"] == {"n_theta": 512, "n_radial": 128, "r_cap": 1.0 - 1e-6,
                                    "tol": 1e-8}
+
+    @pytest.mark.parametrize("suite", sorted(DEFAULT_CONFIGS))
+    def test_echo_reruns_to_the_same_report(self, suite):
+        report = report_to_json(cli.run(copy.deepcopy(DEFAULT_CONFIGS[suite])))
+        echo = json.loads(report)["config"]
+        assert report_to_json(cli.run(echo)) == report
+
+    def test_catalog_parameter_defaults(self):
+        cfg = {"suite": "semigroup-check", "sweep": {"ts": [0.5], "grid_n": 2},
+               "pairs": [{"flow": {"name": "dilation"}, "cocycle": {"type": "trivial"}},
+                         {"flow": {"name": "identity"}, "cocycle": {"type": "trivial"}}]}
+        pairs = report_to_dict(cli.run(cfg))["config"]["pairs"]
+        assert [pair["flow"]["params"] for pair in pairs] == [
+            {"c": {"re": 1.0, "im": 0.0}}, {"domain": "disc"}]
+
+    def test_every_space_echoes_its_policy(self):
+        def spaces(node):
+            if isinstance(node, dict):
+                if "kind" in node:
+                    yield node
+                node = list(node.values())
+            if isinstance(node, list):
+                for value in node:
+                    yield from spaces(value)
+
+        echoes = [report_to_dict(cli.run(copy.deepcopy(cfg)))["config"]
+                  for cfg in DEFAULT_CONFIGS.values()]
+        policies = [space["policy"] for echo in echoes for space in spaces(echo)]
+        assert len(policies) == 35  # every space of every default config
+        assert all(set(policy) == {"n_theta", "n_radial", "r_cap", "tol"} for policy in policies)
+
+    def test_null_norm_cap_and_missing_expect_are_error_cases(self):
+        case = {"space": _HARDY2, "flow": _DILATION, "f": "e_1", "ts": [0.1, 0.01],
+                "radii": [0.5], "tolerances": {"co": 1e-2, "norm": 1e-2}}
+        cfg = {"suite": "continuity-probe",
+               "cases": [{**case, "label": "null-cap", "norm_cap": None, "expect": _CONTINUOUS},
+                         {**case, "label": "no-expect"},
+                         {**case, "label": "empty-expect", "expect": {}},
+                         {**case, "label": "ok", "expect": _CONTINUOUS}]}
+        errors = {c.id: c.error for c in cli.run(copy.deepcopy(cfg)).cases}
+        assert errors == {
+            "continuity/null-cap": "cases[0].norm_cap: expected a number, got None",
+            "continuity/no-expect":
+                "cases[1].expect: declares no verdict: the case would pass vacuously",
+            "continuity/empty-expect":
+                "cases[2].expect: declares no verdict: the case would pass vacuously",
+            "continuity/ok": None}
 
 
 class TestEmission:

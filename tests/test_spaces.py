@@ -5,6 +5,7 @@ Hardy norms, the Beta identity for Bergman monomial norms (via lgamma), and
 polar-coordinate integrals for the Dirichlet energy.
 """
 
+import copy
 import inspect
 import math
 from fractions import Fraction
@@ -321,7 +322,7 @@ class TestBlochSearch:
                                        "bloch2-attracting-trivial"])
     def test_bound_table_norms_are_at_least_the_grid(self, label, monkeypatch):
         cfg = DEFAULT_CONFIGS["bound-table"]
-        bcfg = next(c for c in cfg["cases"] if c["label"] == label)
+        bcfg = copy.deepcopy(next(c for c in cfg["cases"] if c["label"] == label))
         sg = suites._build_semigroup(bcfg, label)
         fs = default_test_functions(sg.space)
         fs += [apply(sg, t, f) for t in cfg["ts"] for f in fs]
