@@ -8,12 +8,10 @@ reports are byte-identical, every case whose verdict changed, and the
 largest absolute and relative shift of any reported float (relative to the
 larger magnitude of the pair), and each float that moved by more than 1e-12
 relative with its two values, largest absolute shift first (at most 20
-lines per suite). Differences that are not numeric shifts
-(a missing key, a changed string) are counted as structural. Each
-<suite>.csv, which holds the per-row numbers the JSON omits, is compared
-byte for byte, naming the lines that differ; a CSV difference does not
-change the exit code. Exit code 1 if any verdict changed or a suite's JSON
-is missing on one side, 0 otherwise.
+lines per suite); a case's rows are walked like its numbers. Differences
+that are not numeric shifts (a missing key, a changed string) are counted
+as structural. Exit code 1 if any verdict changed or a suite's JSON is
+missing on one side, 0 otherwise.
 """
 
 import argparse
@@ -73,19 +71,6 @@ def compare_suite(path_a: pathlib.Path, path_b: pathlib.Path) -> dict:
     return {"identical": raw_a == raw_b, "verdicts": changed, **out}
 
 
-def csv_difference(raw_a: bytes, raw_b: bytes):
-    """None for byte-identical CSVs, else the numbers of the lines that differ
-    (at most five) and the line counts when they differ."""
-    if raw_a == raw_b:
-        return None
-    rows_a, rows_b = raw_a.splitlines(), raw_b.splitlines()
-    lines = [i + 1 for i, (x, y) in enumerate(zip(rows_a, rows_b)) if x != y]
-    text = f"at lines {lines[:5]}" + (" and more" if len(lines) > 5 else "")
-    if len(rows_a) != len(rows_b):
-        text += f"; {len(rows_a)} lines against {len(rows_b)}"
-    return text
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -93,19 +78,14 @@ def main(argv=None) -> int:
     parser.add_argument("dir_b", type=pathlib.Path)
     args = parser.parse_args(argv)
 
-    names = sorted({p.name for d in (args.dir_a, args.dir_b)
-                    for pattern in ("*.json", "*.csv") for p in d.glob(pattern)})
+    names = sorted({p.name for d in (args.dir_a, args.dir_b) for p in d.glob("*.json")})
     bad = False
     overall = (0.0, None)
     for name in names:
         path_a, path_b = args.dir_a / name, args.dir_b / name
         if not (path_a.exists() and path_b.exists()):
             print(f"{name}: only in {args.dir_a if path_a.exists() else args.dir_b}")
-            bad = bad or name.endswith(".json")
-            continue
-        if path_a.suffix == ".csv":
-            diff = csv_difference(path_a.read_bytes(), path_b.read_bytes())
-            print(f"{name}: " + (f"differs {diff}" if diff else "byte-identical"))
+            bad = True
             continue
         res = compare_suite(path_a, path_b)
         overall = max(overall, res["abs"], key=lambda x: x[0])

@@ -3,10 +3,10 @@
 
     python3 scripts/run_all_suites.py --out-dir reports/
 
-Writes <suite>.json and <suite>.csv per suite plus a combined summary line
-per suite on stdout. Exit code 0 iff every verdict in every suite passed.
-Running this twice into two directories must produce byte-identical JSON
-(the determinism contract).
+Writes <suite>.json per suite, every case's per-t rows included, plus a
+summary line per suite on stdout. Exit code 0 iff every verdict in every
+suite passed. Running this twice into two directories must produce
+byte-identical JSON (the determinism contract).
 """
 
 import argparse
@@ -19,7 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from wcsg.cli import run
 from wcsg.defaults import DEFAULT_CONFIGS
-from wcsg.reporting import emit_csv, emit_json
+from wcsg.reporting import emit_json
 from wcsg.suites import SUITES
 
 
@@ -36,7 +36,6 @@ def main(argv=None) -> int:
     for suite in args.suites:
         report = run(copy.deepcopy(DEFAULT_CONFIGS[suite]))
         emit_json(report, str(out / f"{suite}.json"))
-        emit_csv(report, str(out / f"{suite}.csv"))
         s = report.summary
         all_pass = all_pass and s["all_pass"]
         print(

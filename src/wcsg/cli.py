@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    wcsg <suite> [--config FILE] [--out report.json] [--csv report.csv] [--timings]
+    wcsg <suite> [--config FILE] [--out report.json] [--timings]
 
 Exit codes: 0 all verdicts pass, 1 some verdict fails, 2 config/IO error.
 Reports are deterministic: identical configs on the same build produce
@@ -17,7 +17,7 @@ import time
 
 from .defaults import DEFAULT_CONFIGS
 from .errors import ConfigError, WcsgError
-from .reporting import Report, emit_csv, emit_json
+from .reporting import Report, emit_json
 from .suites import SUITES
 
 
@@ -47,7 +47,6 @@ def main(argv=None) -> int:
     parser.add_argument("suite", choices=sorted(SUITES))
     parser.add_argument("--config", help="JSON config file (built-in default otherwise)")
     parser.add_argument("--out", help="write the JSON report here")
-    parser.add_argument("--csv", help="write the flattened CSV here")
     parser.add_argument(
         "--timings", action="store_true", help="include wall-clock in the JSON report"
     )
@@ -89,8 +88,6 @@ def main(argv=None) -> int:
     try:
         if args.out:
             emit_json(report, args.out, include_timing=args.timings)
-        if args.csv:
-            emit_csv(report, args.csv)
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 2

@@ -122,6 +122,9 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
     and their defaults."""
     if name not in CATALOG_PARAMS:
         raise UnknownCatalogEntry(f"no catalog semiflow named {name!r}")
+    for key in params or {}:
+        if key not in CATALOG_PARAMS[name]:
+            raise InvalidParam(f"{key}: not a parameter of {name}")
     params = {**CATALOG_PARAMS[name], **(params or {})}
     if name == "dilation":
         c = complex(params["c"])

@@ -1,4 +1,4 @@
-"""Deterministic report assembly and JSON/CSV emission.
+"""Deterministic report assembly and JSON emission.
 
 Reports echo the configuration that produced them plus every default that
 applied, so a report is self-describing. The canonical JSON is byte-stable
@@ -9,13 +9,12 @@ excluded unless explicitly requested.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 CORPUS_VERSION = "1"
 
 
@@ -28,7 +27,7 @@ class Case:
     numbers: dict
     verdict: bool | str
     error: str | None = None
-    rows: list = field(default_factory=list)  # per-t numeric records for CSV
+    rows: list = field(default_factory=list)  # per-t records; in the JSON when non-empty
 
     @property
     def passed(self) -> bool:
@@ -68,8 +67,6 @@ def sanitize(value):
         return int(value)
     if isinstance(value, np.bool_):
         return bool(value)
-    if is_dataclass(value) and not isinstance(value, type):
-        return sanitize(asdict(value))
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)  # "inf"/"nan" are not valid JSON numbers
     return value
@@ -90,6 +87,7 @@ def report_to_dict(report: Report, include_timing: bool = False) -> dict:
                 "numbers": sanitize(c.numbers),
                 "verdict": c.verdict,
                 **({"error": c.error} if c.error else {}),
+                **({"rows": sanitize(c.rows)} if c.rows else {}),
             }
             for c in report.cases
         ],
@@ -107,38 +105,3 @@ def report_to_json(report: Report, include_timing: bool = False) -> str:
 def emit_json(report: Report, path: str, include_timing: bool = False) -> None:
     with open(path, "w") as fh:
         fh.write(report_to_json(report, include_timing))
-
-
-def _case_rows(case: Case):
-    if case.rows:
-        for row in case.rows:
-            yield row
-    elif case.numbers:
-        yield dict(case.numbers)
-
-
-def emit_csv(report: Report, path: str) -> None:
-    """Flatten per-case numeric records, one row per (case, t)."""
-    columns: list = []
-    seen = set()
-    flat = []
-    for case in report.cases:
-        for row in _case_rows(case):
-            srow = {}
-            for k, v in row.items():
-                sv = sanitize(v)
-                if isinstance(sv, dict):  # complex split into two columns
-                    srow[f"{k}_re"] = sv["re"]
-                    srow[f"{k}_im"] = sv["im"]
-                else:
-                    srow[k] = sv
-            flat.append((case.id, srow))
-            for k in srow:
-                if k not in seen:
-                    seen.add(k)
-                    columns.append(k)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id"] + columns)
-        for cid, srow in flat:
-            writer.writerow([cid] + [srow.get(k, "") for k in columns])

@@ -293,7 +293,7 @@ def _grid_for(domain, rmax: float = 0.95, n: int = 12):
 
 def _guarded(case_id: str, inputs: dict, run) -> Case:
     """The one place a Case is built. ``run()`` gives ``(inputs, numbers, ok,
-    rows)``; a case without rows writes its numbers as its CSV row. If it
+    rows)``; the report writes rows only for a case that has some. If it
     raises a WcsgError, the case is an error case with the given ``inputs``."""
     try:
         inputs, numbers, ok, rows = run()
@@ -471,7 +471,7 @@ def run_bound_table(cfg: dict) -> list:
             res = semigroup.theoretical_bound(sg, t)
             lower = semigroup.operator_norm_lower_bound(sg, t, testset, ref_norms)
             rows.append({"t": t, "theoretical": res.theoretical, "empirical_lower": lower,
-                         "formula": res.formula_tag})
+                         "formula": res.formula_tag, "components": res.components})
             ok = ok and lower <= res.theoretical * (1.0 + slack)
         worst_ratio = max(r["empirical_lower"] / r["theoretical"] for r in rows)
         inputs = {"space": space.label, "flow": phi.name, "cocycle": m.name}

@@ -1,13 +1,15 @@
-"""CLI surface: exit codes, config validation, JSON/CSV emission, determinism."""
+"""CLI surface: exit codes, config validation, JSON emission, determinism."""
 
+import contextlib
 import copy
-import csv
 import functools
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from wcsg import cli, exprs
 from wcsg.defaults import DEFAULT_CONFIGS
 from wcsg.errors import ConfigError, WcsgError
-from wcsg.reporting import Case, Report, emit_csv, report_to_dict, report_to_json
+from wcsg.reporting import report_to_dict, report_to_json, sanitize
 from wcsg.suites import SUITES, build_space
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -577,6 +579,24 @@ _BAD_CONFIGS.update({
 
 
 def run_cli(tmp_path, cfg, *extra):
+    """``cli.main`` in-process, as ``wcsg <suite> --config FILE *extra``: the
+    exit code and the captured stdout and stderr, every warning raised during
+    the run written to stderr as Python would print it. An uncaught exception
+    propagates and fails the test."""
+    argv = [cfg["suite"], "--config", write_config(tmp_path, cfg), *extra]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_subprocess(tmp_path, cfg, *extra):
+    """``python -m wcsg.cli`` in a fresh interpreter, for what only a real
+    start-up shows: the entry point, the imports and their warnings."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run(
@@ -586,7 +606,22 @@ def run_cli(tmp_path, cfg, *extra):
     )
 
 
+# The first bad input of each suite, run once through a real interpreter.
+_ONE_BAD_INPUT_PER_SUITE = [min(name for name, (cfg, _) in _BAD_INPUTS.items()
+                                if cfg["suite"] == suite) for suite in sorted(SUITES)]
+
+
 class TestErrorContract:
+    @pytest.mark.parametrize("name", _ONE_BAD_INPUT_PER_SUITE)
+    def test_entry_point_keeps_the_contract(self, tmp_path, name):
+        cfg, expected = _BAD_INPUTS[name]
+        out = tmp_path / "r.json"
+        proc = run_cli_subprocess(tmp_path, cfg, "--out", str(out))
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.returncode == 1
+        doc = json.loads(out.read_text())
+        assert {c["id"]: c["verdict"] for c in doc["cases"]} == expected
+
     @pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
     def test_bad_input_is_an_error_case_not_a_traceback(self, tmp_path, name):
         cfg, expected = _BAD_INPUTS[name]
@@ -868,30 +903,23 @@ class TestEmission:
         doc = report_to_dict(report)
         assert json.loads(report_to_json(report)) == doc
 
-    def test_csv_one_row_per_t(self, tmp_path):
-        cfg = copy.deepcopy(DEFAULT_CONFIGS["continuity-probe"])
-        cfg["cases"] = [cfg["cases"][1]]  # three sampled times
-        report = cli.run(cfg)
-        path = tmp_path / "r.csv"
-        emit_csv(report, str(path))
-        rows = list(csv.reader(path.open()))
-        assert len(rows) == 1 + 3  # header + one row per t
-        assert rows[0][0] == "case_id"
+    @pytest.mark.parametrize("suite", sorted(DEFAULT_CONFIGS))
+    def test_a_case_writes_its_rows_when_it_has_some(self, suite):
+        report = cli.run(copy.deepcopy(DEFAULT_CONFIGS[suite]))
+        for case, doc in zip(report.cases, json.loads(report_to_json(report))["cases"]):
+            if case.rows:
+                assert doc["rows"] == sanitize(case.rows), case.id
+            else:
+                assert "rows" not in doc, case.id
 
-    def test_csv_row_of_a_case_without_rows_is_its_numbers(self, tmp_path):
-        cases = [Case(id="a", inputs={}, numbers={"x": 1.5, "z": 2j}, verdict=True),
-                 Case(id="b", inputs={}, numbers={}, verdict="error", error="boom")]
-        path = tmp_path / "r.csv"
-        emit_csv(Report(suite="norm-table", config={}, cases=cases), str(path))
-        rows = list(csv.reader(path.open()))
-        assert rows == [["case_id", "x", "z_re", "z_im"], ["a", "1.5", "0.0", "2.0"]]
-
-    def test_empty_report_header_only(self, tmp_path):
-        report = Report(suite="norm-table", config={}, cases=[])
-        path = tmp_path / "empty.csv"
-        emit_csv(report, str(path))
-        rows = list(csv.reader(path.open()))
-        assert rows == [["case_id"]]
+    def test_bound_rows_carry_the_factors_of_the_bound(self):
+        report = cli.run(copy.deepcopy(DEFAULT_CONFIGS["bound-table"]))
+        rows = [row for case in report_to_dict(report)["cases"] for row in case["rows"]]
+        assert rows
+        for row in rows:
+            comps = row["components"]
+            assert {"composition", "multiplier"} <= set(comps)
+            assert row["theoretical"] == comps["composition"] * comps["multiplier"]
 
     def test_timing_excluded_by_default(self):
         report = cli.run(copy.deepcopy(DEFAULT_CONFIGS["admissibility"]))

@@ -8,12 +8,10 @@ import sys
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 
 
-def write_tree(root, reports, csvs=None):
+def write_tree(root, reports):
     root.mkdir()
     for suite, doc in reports.items():
         (root / f"{suite}.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
-    for suite, text in (csvs or {}).items():
-        (root / f"{suite}.csv").write_text(text)
     return root
 
 
@@ -27,9 +25,9 @@ def report(verdict=True, config=None):
     }
 
 
-def compare(tmp_path, left, right, csv_left=None, csv_right=None):
-    a = write_tree(tmp_path / "a", left, csv_left)
-    b = write_tree(tmp_path / "b", right, csv_right)
+def compare(tmp_path, left, right):
+    a = write_tree(tmp_path / "a", left)
+    b = write_tree(tmp_path / "b", right)
     proc = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
                           capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout
@@ -60,16 +58,18 @@ def test_suite_on_one_side_exits_one(tmp_path):
     assert "other.json: only in" in out
 
 
-def test_csv_rows_are_compared_byte_for_byte(tmp_path):
-    rows = "case_id,t,theoretical\ntoy/a,0.5,1.25\ntoy/a,1.0,2.5\n"
-    moved = rows.replace("2.5", "2.5000000000000004")
-    code, out = compare(tmp_path, {"toy": report(), "same": report()},
-                        {"toy": report(), "same": report()},
-                        {"toy": rows, "same": rows}, {"toy": moved, "same": rows})
+def test_moved_row_value_is_listed_by_its_path(tmp_path):
+    def with_rows(last):
+        doc = report()
+        doc["cases"][0]["rows"] = [{"t": 0.5, "theoretical": 1.25},
+                                   {"t": 1.0, "theoretical": last}]
+        return doc
+
+    code, out = compare(tmp_path, {"toy": with_rows(2.5)},
+                        {"toy": with_rows(2.75)})
     assert code == 0
-    assert "toy.json: byte-identical" in out
-    assert "same.csv: byte-identical" in out
-    assert "toy.csv: differs at lines [3]" in out
+    lines = [line for line in out.splitlines() if line.startswith("  moved ")]
+    assert lines == ["  moved .cases.toy/a.rows[1].theoretical: 2.5 -> 2.75"]
 
 
 def test_moved_floats_are_listed_with_both_values_largest_first(tmp_path):

@@ -64,6 +64,13 @@ class TestCatalog:
         with pytest.raises(InvalidParam):
             make_catalog_semiflow("dilation", {"c": -0.5})
 
+    @pytest.mark.parametrize("name, params", [("dilation", {"rate": 5.0}),
+                                              ("attracting", {"c": 1.0}),
+                                              ("identity", {"domain": "disc", "c": 2.0})])
+    def test_parameter_the_flow_does_not_take(self, name, params):
+        with pytest.raises(InvalidParam, match=f"not a parameter of {name}"):
+            make_catalog_semiflow(name, params)
+
 
 class TestLawResidual:
     @pytest.mark.parametrize("name,params", [
