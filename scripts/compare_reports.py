@@ -6,7 +6,7 @@
 For each <suite>.json found in either directory, prints whether the two
 reports are byte-identical, every case whose verdict changed, and the
 largest absolute and relative shift of any reported float (relative to the
-larger magnitude of the pair), and each float that moved by more than 1e-12
+larger magnitude of the pair) or "no float moved", and each float that moved by more than 1e-12
 relative with its two values, largest absolute shift first (at most 20
 lines per suite); a case's rows are walked like its numbers. Differences
 that are not numeric shifts (a missing key, a changed string) are counted
@@ -92,8 +92,10 @@ def main(argv=None) -> int:
         if res["identical"]:
             print(f"{name}: byte-identical")
             continue
-        print(f"{name}: differs; max abs shift {res['abs'][0]:.3g} at {res['abs'][1]}, "
-              f"max rel shift {res['rel'][0]:.3g} at {res['rel'][1]}")
+        shifts = "no float moved" if res["abs"][1] is None else (
+            f"max abs shift {res['abs'][0]:.3g} at {res['abs'][1]}, "
+            f"max rel shift {res['rel'][0]:.3g} at {res['rel'][1]}")
+        print(f"{name}: differs; {shifts}")
         for cid, va, vb in res["verdicts"]:
             print(f"  verdict {cid}: {va} -> {vb}")
         moved = sorted(res["moved"], key=lambda m: -abs(m[1] - m[2]))

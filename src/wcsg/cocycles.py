@@ -217,9 +217,10 @@ def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:
 
 
 def mdot0(m: Semicocycle, z, steps=DEFAULT_FD_STEPS):
-    """Richardson-extrapolated (m_h(z) - 1)/h, elementwise over the point array z."""
-    return holo.at_points(lambda w: right_derivative(lambda h: (m(h, w) - 1.0) / h, steps,
-                                                     "cocycle"), z, None)
+    """g = d/dt m_t at t = 0+: the quotients (m_h(z) - 1)/h, elementwise over
+    the point array z."""
+    return holo.at_points(lambda w: right_derivative(
+        lambda hs: [(m(h, w) - 1.0) / h for h in hs], steps, "cocycle"), z, None)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,6 @@ class WcsgError(Exception):
 class DomainExit(WcsgError):
     """A point (or a quadrature circle around it) left the declared domain."""
 
-    def __init__(self, message, point=None, t=None):
-        super().__init__(message)
-        self.point = point
-        self.t = t
-
 
 class NonConvergent(WcsgError):
     """Node-doubling or extrapolation failed its agreement certificate."""
@@ -65,8 +60,7 @@ class UnsupportedSpaceBound(WcsgError):
 
 
 class ConfigError(WcsgError):
-    """Invalid experiment configuration; carries the offending field path."""
+    """Invalid experiment configuration, named by the offending field path."""
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
-        self.path = path

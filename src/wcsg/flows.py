@@ -185,15 +185,18 @@ def real_sample_grid(xmax: float = 10.0, n: int = 21):
     return np.linspace(-xmax, xmax, n)
 
 
-def right_derivative(quotient, steps, what: str):
-    """Richardson limit h -> 0+ of the point array quotient(h) over a
-    decreasing step ladder, elementwise.
+def right_derivative(quotients, steps, what: str):
+    """Richardson limit h -> 0+ of difference quotients over a decreasing step
+    ladder, elementwise: ``quotients(steps)`` gives one point array per step.
 
+    The ladder is checked first, so no quotient is taken at a bad step.
     Raises NonConvergent("<what> quotients diverge ...") when, at any point,
     the last consecutive difference grows past ten times the first.
     """
     steps = tuple(float(h) for h in steps)
-    quotients = [quotient(h) for h in steps]
+    if len(steps) < 2 or min(steps) <= 0 or any(b >= a for a, b in zip(steps, steps[1:])):
+        raise InvalidParam("steps must be two or more positive, strictly decreasing values")
+    quotients = list(quotients(steps))
     diffs = [np.abs(a - b) for a, b in zip(quotients, quotients[1:])]
     scale = np.maximum(1.0, np.max(np.abs(quotients), axis=0))
     if len(diffs) >= 2 and np.any(diffs[-1] > 10.0 * diffs[0] + 1e-9 * scale):
@@ -202,16 +205,14 @@ def right_derivative(quotient, steps, what: str):
 
 
 def generator_fd(phi: Semiflow, z, steps=DEFAULT_FD_STEPS):
-    """One-sided difference (phi_h(z) - z)/h with Richardson extrapolation,
-    elementwise over the point array z; phi_h for every step h in one flow
-    call."""
-    steps = tuple(float(h) for h in steps)
-    if any(h <= 0 for h in steps) or any(b >= a for a, b in zip(steps, steps[1:])):
-        raise InvalidParam("steps must be positive and strictly decreasing")
-
+    """G = d/dt phi_t at t = 0+: the one-sided quotients (phi_h(z) - z)/h,
+    elementwise over the point array z, with phi_h for every step h in one
+    flow call."""
     def limit(w):
-        moved = dict(zip(steps, phi.at_times(steps, w)))
-        return right_derivative(lambda h: (moved[h] - w) / h, steps, "one-sided")
+        def quotients(hs):
+            return [(moved - w) / h for h, moved in zip(hs, phi.at_times(hs, w))]
+
+        return right_derivative(quotients, steps, "one-sided")
 
     return holo.at_points(limit, z, phi.domain.dtype)
 
@@ -350,7 +351,7 @@ def semiflow_from_generator(G: HoloFn, cfg: OdeCfg = OdeCfg()) -> Semiflow:
     def eval_fn(t, z):
         ts = np.broadcast_to(np.asarray(t, dtype=float), z.shape).ravel()
         if np.any(ts < 0):
-            raise DomainExit("semiflow times must be >= 0", t=t)
+            raise DomainExit("semiflow times must be >= 0")
         return _integrate(field, z.ravel(), ts, cfg, G.domain).reshape(z.shape)
 
     return Semiflow(

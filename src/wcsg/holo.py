@@ -342,9 +342,9 @@ def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_PO
     if p < 1:
         raise ValueError("p must be >= 1")
     if r < 0:
-        raise DomainExit("negative radius", point=r)
+        raise DomainExit("negative radius")
     if f.domain.kind == "disc" and r >= 1.0:
-        raise DomainExit(f"circle radius {r:g} outside the domain", point=r)
+        raise DomainExit(f"circle radius {r:g} outside the domain")
     if r == 0.0:
         return float(abs(f(0.0)) ** p)
     row = (np.array([float(r)]), lambda means: float(means[0]))
@@ -490,7 +490,7 @@ def disc_integral(g, r: float, policy: QuadPolicy = DEFAULT_POLICY, radial=None)
     per panel (at least 6), certified by :func:`_certified_area`.
     """
     if not 0.0 < r < 1.0:
-        raise DomainExit(f"disc radius {float(r)!r} outside (0, 1)", point=r)
+        raise DomainExit(f"disc radius {float(r)!r} outside (0, 1)")
     panels = _radial_panels(r)
     return _certified_area(g, panels, max(6, policy.n_radial // len(panels)), policy, radial,
                            f"disc integral to r={r:g}")

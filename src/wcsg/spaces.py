@@ -615,13 +615,9 @@ def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
 class SaksReport:
     """Norm vs supremum of seminorms, per the Saks identity."""
 
-    space: str
-    fn: str
     norm: float
-    seminorms: tuple  # (radius, value) pairs
     max_seminorm: float
     gap: float
-    tol: float
     verdict: bool
 
 
@@ -632,17 +628,12 @@ def saks_sup_check(space: SpaceSpec, f: HoloFn, radii, tol: float = 1e-3) -> Sak
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidParam("radii must be nonempty and increase toward 1")
     nrm = norm(space, f)
-    vals = tuple((r, co_seminorm(space, f, SeminormIndex(r))) for r in radii)
-    best = max(v for _, v in vals)
+    best = max(co_seminorm(space, f, SeminormIndex(r)) for r in radii)
     gap = nrm - best
     return SaksReport(
-        space=space.label,
-        fn=f.name,
         norm=nrm,
-        seminorms=vals,
         max_seminorm=best,
         gap=gap,
-        tol=tol,
         verdict=bool(abs(gap) < tol),
     )
 

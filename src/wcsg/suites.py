@@ -281,13 +281,15 @@ def _build_semigroup(case: dict, path: str) -> WcSemigroup:
     return WcSemigroup(phi, build_cocycle(case["cocycle"], phi, f"{path}.cocycle"), space)
 
 
-def _grid_for(domain, rmax: float = 0.95, n: int = 12):
-    """The law sample grid; a disc grid must lie inside the open disc."""
+def _grid_for(domain, rmax: float, n: int, key: str):
+    """The sample grid of every law, generator and fixed-point check: the
+    2n + 1 points of [-rmax, rmax] on the real line, and on the disc the
+    origin and n angles on each of 4 radii up to rmax, which must lie inside
+    the open disc. ``key`` is the config path of rmax."""
     if domain.kind == "real":
-        return flows.real_sample_grid(10.0, 2 * n + 1)
+        return flows.real_sample_grid(rmax, 2 * n + 1)
     if rmax >= 1:
-        raise ConfigError("sweep.grid_rmax",
-                          f"a disc grid must lie inside the unit disc, got {rmax!r}")
+        raise ConfigError(key, f"a disc grid must lie inside the unit disc, got {rmax!r}")
     return flows.disc_sample_grid(rmax, 4, n)
 
 
@@ -412,7 +414,7 @@ def run_semigroup_check(cfg: dict) -> list:
 
     def run(v, path):
         sg = _build_semigroup(v, path)
-        grid = _grid_for(sg.phi.domain, rmax, grid_n)
+        grid = _grid_for(sg.phi.domain, rmax, grid_n, "sweep.grid_rmax")
         r_flow, r_coc, r_sg = semigroup.semigroup_residual(sg, ts, grid)
         numbers = {
             "semiflow_residual": r_flow,
@@ -433,7 +435,7 @@ def run_cocycle_check(cfg: dict) -> list:
     tols = _read(c["tolerances"], "config.tolerances", {"law": 1e-7, "mdot0": 1e-5})
     ts, rmax, grid_n = _sweep(c["sweep"], [0.0, 0.1, 0.5, 1.0], 0.95, 12)
     phi = build_flow(c["flow"], "flow")
-    grid = _grid_for(phi.domain, rmax, grid_n)
+    grid = _grid_for(phi.domain, rmax, grid_n, "sweep.grid_rmax")
     cases = []
     for i, ccfg in enumerate(c["cocycles"]):
         path = f"cocycles[{i}]"
@@ -493,7 +495,8 @@ def run_generator_check(cfg: dict) -> list:
         sg = _build_semigroup(v, path)
         space, phi, m = sg.space, sg.phi, sg.m
         f = build_function(v["f"], phi.domain, f"{path}.f")
-        rep = semigroup.generator_residual(sg, f, steps=steps, radius=radius)
+        grid = _grid_for(phi.domain, radius, 16, "config.radius")
+        rep = semigroup.generator_residual(sg, f, steps, grid)
         numbers = {"residual": rep.extrapolated, "order": rep.order}
         ok = rep.extrapolated < tols["residual"] and (
             rep.order >= tols["order_min"] or rep.order == float("inf")
@@ -518,7 +521,7 @@ def run_reconstruct(cfg: dict) -> list:
         if phi_ode.domain.kind != ref.domain.kind:
             raise ConfigError(f"{path}.generator", f"a {phi_ode.domain.kind}-domain generator "
                               f"cannot rebuild the {ref.domain.kind}-domain flow {ref.name}")
-        grid = _grid_for(ref.domain, rmax, grid_n)
+        grid = _grid_for(ref.domain, rmax, grid_n, "sweep.grid_rmax")
         # one flow call per flow for every sweep time; a NaN is kept
         dev = np.max(np.abs(phi_ode.at_times(ts, grid) - ref.at_times(ts, grid)))
         zs = grid[:: max(1, len(grid) // 5)]
@@ -569,7 +572,9 @@ def run_admissibility(cfg: dict) -> list:
     c = _read(cfg, "config", {"suite": object, "tol": 1e-8, "flow": Required(dict),
                               "cases": Required([])})
     phi = build_flow(c["flow"], "flow")
-    search = flows.fixed_points(phi, _grid_for(phi.domain, 0.9))
+    # the Newton seeds reach x = 10 on the real line
+    search = flows.fixed_points(phi, _grid_for(phi.domain, 10.0 if phi.domain.kind == "real"
+                                               else 0.9, 12, "flow"))
 
     def run(v, path):
         g = _expr(v["g"], phi.domain, f"{path}.g")

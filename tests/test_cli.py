@@ -197,6 +197,15 @@ _BAD_INPUTS = {
          "cases": [{"label": "a", "space": _HARDY2, "flow": _DILATION, "f": "z^2"}]},
         {"generator/a": "error"},
     ),
+    # a radius of 1 or more puts the disc grid on or past the circle; the
+    # real line takes it as the grid's halfwidth
+    "generator-check-radius-one": (
+        {"suite": "generator-check", "radius": 1.0,
+         "cases": [{"label": "disc", "space": _HARDY2, "flow": _DILATION, "f": "z^2"},
+                   {"label": "real", "space": {"kind": "sup-cont"},
+                    "flow": {"name": "translation-real"}, "f": "1.0 / (1.0 + x^2)"}]},
+        {"generator/disc": "error", "generator/real": True},
+    ),
     "cocycle-check-entry-types": (
         {
             "suite": "cocycle-check",
@@ -387,6 +396,8 @@ _BAD_INPUTS = {
 
 # What the error of a case in _BAD_INPUTS must name.
 _ERROR_TEXT = {
+    "generator-check-radius-one": {
+        "generator/disc": "config.radius: a disc grid must lie inside the unit disc, got 1.0"},
     "semigroup-check-integral-pole-on-the-grid": {
         "laws/pole": "non-finite values in time integral"},
     "cocycle-check-integral-pole-on-the-grid": {
@@ -406,7 +417,7 @@ _ERROR_TEXT = {
     "reconstruct-pole-at-a-start-point": {
         "reconstruct/a": "trajectory from 0j took a non-finite RK4 step at t=0"},
     "reconstruct-non-lipschitz-zero": {
-        "reconstruct/a": "trajectory from -0.5 stalled at t=0.948778 after 4096 RK4 steps"},
+        "reconstruct/a": "trajectory from -0.54 stalled at t=0.998521 after 4096 RK4 steps"},
     "bound-table-flow-and-space-domains": {
         "bound/real-identity-on-hardy":
             "flow identity acts on the real domain, but H^2 lives on the disc domain",
@@ -828,8 +839,65 @@ class TestConfigValidation:
             assert json.loads((configs / name).read_text())["suite"] == name[: -len(".json")]
 
 
+def _case_lists(cfg):
+    """The paths of a config's case lists: its lists of objects, at the top
+    level or in an object there (``saks.spaces``)."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from ((key, *path) for path in _case_lists(value))
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            yield (key,)
+
+
+def _at(cfg, path):
+    return functools.reduce(lambda node, key: node[key], path, cfg)
+
+
+def _entries_alone(cfg):
+    """The config once per entry of its case lists, with that entry alone in
+    its list and every other case list empty."""
+    lists = list(_case_lists(cfg))
+    for path in lists:
+        for entry in _at(cfg, path):
+            alone = copy.deepcopy(cfg)
+            for other in lists:
+                _at(alone, other[:-1])[other[-1]] = []
+            _at(alone, path[:-1])[path[-1]] = [copy.deepcopy(entry)]
+            yield alone
+
+
+def _key_paths(node, path=()):
+    """The path of every key of every object in a config."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(node, dict):
+            yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, (*path, key))
+
+
+def _report_or_error(cfg):
+    try:
+        return report_to_json(cli.run(copy.deepcopy(cfg)))
+    except WcsgError as e:
+        return f"error: {e}"
+
+
 class TestConfigEcho:
     """Every default that a run applies appears in the report's config echo."""
+
+    @pytest.mark.parametrize("suite", sorted(DEFAULT_CONFIGS))
+    def test_built_in_configs_restate_no_default(self, suite):
+        # the schema holds every default: a built-in key whose deletion leaves
+        # the report as it is would be a second copy of one
+        restated = []
+        for alone in _entries_alone(DEFAULT_CONFIGS[suite]):
+            report = _report_or_error(alone)
+            for path in _key_paths(alone):
+                cut = copy.deepcopy(alone)
+                del _at(cut, path[:-1])[path[-1]]
+                if _report_or_error(cut) == report:
+                    restated.append(path)
+        assert restated == []
 
     def test_ode_defaults(self):
         report = cli.run(copy.deepcopy(DEFAULT_CONFIGS["reconstruct"]))

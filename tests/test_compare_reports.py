@@ -52,6 +52,14 @@ def test_config_key_on_one_side_is_structural(tmp_path):
     assert "structural difference at .config.ode" in out
 
 
+def test_only_structural_differences_say_no_float_moved(tmp_path):
+    extra = {"suite": "toy", "tol": 1e-8, "label": "b"}
+    code, out = compare(tmp_path, {"toy": report()}, {"toy": report(config=extra)})
+    assert code == 0
+    assert "toy.json: differs; no float moved\n" in out
+    assert "at None" not in out
+
+
 def test_suite_on_one_side_exits_one(tmp_path):
     code, out = compare(tmp_path, {"toy": report()}, {"toy": report(), "other": report()})
     assert code == 1

@@ -14,6 +14,7 @@ from wcsg.cocycles import (
     cocycle_from_g,
     cocycle_law_residual,
     derivative_cocycle,
+    mdot0,
     trivial_cocycle,
 )
 from wcsg.errors import (
@@ -25,7 +26,10 @@ from wcsg.errors import (
 )
 from wcsg.exprs import to_holofn
 from wcsg.flows import (
+    DEFAULT_FD_STEPS,
+    Semiflow,
     disc_sample_grid,
+    generator_fd,
     make_catalog_semiflow,
     real_sample_grid,
     semiflow_from_generator,
@@ -52,6 +56,9 @@ def sg_dilation_derivative(space=None):
 def sg_trivial(space=None, flow="attracting", params=None):
     phi = make_catalog_semiflow(flow, params or {})
     return WcSemigroup(phi, trivial_cocycle(), space or SpaceSpec.hardy(2.0))
+
+
+GENERATOR_GRID = disc_sample_grid(0.9, 4, 16)  # generator-check's grid at its default radius
 
 
 class TestApply:
@@ -118,6 +125,17 @@ class TestSemigroupResidual:
     def test_negative_time_is_invalid(self):
         with pytest.raises(InvalidParam):
             semigroup_residual(sg_trivial(), (0.5, -0.1), disc_sample_grid(0.9))
+
+    def test_grid_outside_the_domain_is_a_domain_exit(self):
+        with pytest.raises(DomainExit, match="sample grid must lie inside the domain"):
+            semigroup_residual(sg_trivial(), (0.5,), np.array([0.5, 1.5 + 0j]))
+
+    def test_phi_t_leaving_the_disc_names_its_start_point(self):
+        # phi_t(z) = e^t z carries 0.9 out of the disc by t = 0.5; 0.1 stays in
+        phi = Semiflow(eval=lambda t, z: np.exp(t) * z, name="expanding")
+        sg = WcSemigroup(phi, trivial_cocycle(), SpaceSpec.hardy(2.0))
+        with pytest.raises(DomainExit, match=r"^phi_t left the domain at t=0.5 from \(0\.9\+0j\)$"):
+            semigroup_residual(sg, (0.0, 0.5), np.array([0.1, 0.9 + 0j]))
 
     def test_a_nan_after_the_first_pair_is_kept(self):
         # m_1 is NaN: only the pair (0.5, 0.5) reaches it, after finite residuals
@@ -416,7 +434,7 @@ class TestGeneratorFormula:
 class TestGeneratorResidual:
     def test_dilation_on_e2(self):
         sg = sg_trivial(SpaceSpec.hardy(2.0), flow="dilation", params={"c": 1.0})
-        rep = generator_residual(sg, holo.monomial(2), radius=0.9)
+        rep = generator_residual(sg, holo.monomial(2), DEFAULT_FD_STEPS, GENERATOR_GRID)
         assert rep.extrapolated < 1e-6
         assert rep.order >= 0.9
 
@@ -425,7 +443,7 @@ class TestGeneratorResidual:
         phi = make_catalog_semiflow("identity")
         g = holo.monomial(2)
         sg = WcSemigroup(phi, cocycle_from_g(g, phi), SpaceSpec.sup_holo())
-        rep = generator_residual(sg, holo.monomial(1), radius=0.9)
+        rep = generator_residual(sg, holo.monomial(1), DEFAULT_FD_STEPS, GENERATOR_GRID)
         assert rep.extrapolated < 1e-8
 
     def test_unknown_cocycle_generator_is_invalid(self):
@@ -433,14 +451,48 @@ class TestGeneratorResidual:
         phi = make_catalog_semiflow("dilation", {"c": 1.0})
         sg = WcSemigroup(phi, coboundary(holo.monomial(2), phi, {0.0: 2}), SpaceSpec.hardy(2.0))
         with pytest.raises(InvalidParam, match=r"the generator g of cocycle cob\[e_2\] is not"):
-            generator_residual(sg, holo.monomial(1))
+            generator_residual(sg, holo.monomial(1), DEFAULT_FD_STEPS, GENERATOR_GRID)
 
     def test_trivial_case_zero_residual(self):
         phi = make_catalog_semiflow("identity")
         sg = WcSemigroup(phi, trivial_cocycle(), SpaceSpec.sup_holo())
-        rep = generator_residual(sg, holo.one(), radius=0.9)
+        rep = generator_residual(sg, holo.one(), DEFAULT_FD_STEPS, GENERATOR_GRID)
         assert rep.extrapolated < 1e-14
         assert all(r < 1e-14 for _, r in rep.per_h)
+
+
+# The three t -> 0+ limits of the generator: G of the flow, g of the cocycle
+# and A f = G f' + g f of the semigroup, each at the step ladder ``steps``.
+def _right_limits(phi, m, steps):
+    sg = WcSemigroup(phi, m, SpaceSpec.sup_cont(holo.exp_abs_decay_weight())
+                     if phi.domain.kind == "real" else SpaceSpec.hardy(2.0))
+    grid = real_sample_grid(1.0, 5) if phi.domain.kind == "real" else GENERATOR_GRID
+    return {"generator_fd": lambda: generator_fd(phi, grid[1:3], steps),
+            "mdot0": lambda: mdot0(m, grid[1:3], steps),
+            "generator_residual": lambda: generator_residual(sg, holo.monomial(1, phi.domain),
+                                                             steps, grid)}
+
+
+@pytest.mark.parametrize("steps", [(1e-2,), (1e-3, 1e-2), (1e-2, 1e-2), (1e-2, 0.0),
+                                   (1e-2, -5e-3)])
+@pytest.mark.parametrize("limit", ["generator_fd", "mdot0", "generator_residual"])
+def test_each_generator_limit_rejects_a_bad_ladder_with_one_message(limit, steps):
+    phi = make_catalog_semiflow("attracting")
+    with pytest.raises(InvalidParam, match=r"^steps must be two or more positive, strictly "
+                                           r"decreasing values$"):
+        _right_limits(phi, cocycle_from_g(holo.monomial(1), phi), steps)[limit]()
+
+
+@pytest.mark.parametrize("limit", ["generator_fd", "mdot0", "generator_residual"])
+def test_each_generator_limit_rejects_diverging_quotients(limit):
+    # phi_t(x) = x + 1e-10 t^-3 and m_t(x) = 1 + 1e-10 t^-3 have the quotients
+    # 1e-10 h^-4, and so has f(x) = x: over the default ladder their
+    # differences grow sixteenfold
+    zero = holo.HoloFn(lambda x: np.zeros(np.shape(x)), holo.REAL_LINE, name="0")
+    phi = Semiflow(eval=lambda t, x: x + 1e-10 / t ** 3, domain=holo.REAL_LINE, generator=zero)
+    m = Semicocycle(eval=lambda t, x: 1.0 + 1e-10 / t ** 3 + 0 * x, g=zero)
+    with pytest.raises(NonConvergent, match="quotients diverge as h decreases"):
+        _right_limits(phi, m, DEFAULT_FD_STEPS)[limit]()
 
 
 class TestContinuityProbe:
@@ -521,6 +573,34 @@ class TestMultiplierAndSplit:
         assert res.components["multiplier"] == pytest.approx(2.0)
         assert res.formula_tag == "product-split"
         assert res.theoretical == pytest.approx(2.0 * res.components["composition"])
+
+    # m_t = e^{tz} is a cocycle of the identity flow with g(z) = z, so the
+    # composition factor is 1 and the bound is the multiplier factor alone.
+    # sup |m_t| = e^t, and |m_t'| = t e^{t Re z} peaks on the positive axis.
+    @pytest.mark.parametrize("alpha", [2.0, 1.0, 0.5])
+    def test_bloch_multiplier_factor_of_a_z_dependent_cocycle(self, alpha):
+        t = 0.5
+        m = Semicocycle(eval=lambda t, z: np.exp(t * z), name="exp(tz)", g=holo.monomial(1))
+        sg = WcSemigroup(make_catalog_semiflow("identity"), m, SpaceSpec.bloch(alpha))
+        res = theoretical_bound(sg, t)
+        comps = res.components
+        assert comps["sup_abs_m_t"] == pytest.approx(math.exp(t), rel=1e-6)
+        if alpha > 1:  # (3 + L) sup |m_t| with L = 2^(alpha-1) / (alpha-1) = 2
+            assert comps["multiplier"] == 5.0 * comps["sup_abs_m_t"]
+        elif alpha == 1:  # 3 sup |m_t| + sup |m_t'| u log(2/u), u = 1 - |z|^2, from the grid
+            x = np.linspace(0.0, 1.0, 2_000_001)[:-1]
+            u = 1.0 - x * x
+            hand = 3.0 * comps["sup_abs_m_t"] + np.max(t * np.exp(t * x) * u * np.log(2.0 / u))
+            assert hand * (1.0 - 1e-4) <= comps["multiplier"] <= hand * (1.0 + 1e-12)
+        else:  # 3 (1 + L) ||m_t|| with L = 1/(1-alpha) = 2, and ||m_t|| = 1 + sup |m_t'| v_alpha,
+            # attained where t (1 - x^2) = x
+            x = (math.sqrt(1.0 + 4.0 * t * t) - 1.0) / (2.0 * t)
+            hand = 9.0 * (1.0 + t * math.exp(t * x) * math.sqrt(1.0 - x * x))
+            assert comps["multiplier"] == pytest.approx(hand, rel=1e-9)
+        assert res.theoretical == comps["multiplier"]
+        fs = default_test_functions(sg.space)
+        lower = operator_norm_lower_bound(sg, t, fs, [norm(sg.space, f) for f in fs])
+        assert lower <= res.theoretical
 
     def test_split_estimate_hardy(self):
         sg = sg_dilation_derivative(SpaceSpec.hardy(2.0))

@@ -323,7 +323,8 @@ class TestBlochSearch:
     def test_bound_table_norms_are_at_least_the_grid(self, label, monkeypatch):
         cfg = DEFAULT_CONFIGS["bound-table"]
         bcfg = copy.deepcopy(next(c for c in cfg["cases"] if c["label"] == label))
-        sg = suites._build_semigroup(bcfg, label)
+        sg = suites._build_semigroup(suites._read(bcfg, label, {"label": object,
+                                                               **suites._SEMIGROUP}), label)
         fs = default_test_functions(sg.space)
         fs += [apply(sg, t, f) for t in cfg["ts"] for f in fs]
         searched = [norm_detail(sg.space, f) for f in fs]
