@@ -223,29 +223,18 @@ def mdot0(m: Semicocycle, z, steps=DEFAULT_FD_STEPS):
         lambda hs: [(m(h, w) - 1.0) / h for h in hs], steps, "cocycle"), z, None)
 
 
-@dataclass(frozen=True)
-class AdmissibilityRecord:
-    point: complex
-    ratio: complex
-    nearest_order: int
-    distance: float
-    admissible: bool
-
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    records: tuple
-    admissible: bool
-
-
 def coboundary_admissibility(g: HoloFn, G: HoloFn, fixed_pts,
-                             tol: float = 1e-8) -> AdmissibilityVerdict:
+                             tol: float = 1e-8) -> tuple[dict, list]:
     """A nonvanishing-symbol coboundary representation exists iff the ratio
     g(b)/G'(b) is a nonnegative integer at every fixed point b; the integer is
-    the zero order the representing symbol must carry at b."""
+    the zero order the representing symbol must carry at b.
+
+    Returns ``({admissible}, rows)`` with one row per fixed point: ``point``,
+    ``ratio``, ``nearest_order``, its ``distance`` from the ratio, and
+    whether the point is ``admissible``."""
     pts = np.asarray(fixed_pts, dtype=G.domain.dtype)
     dGs = holo.derivative_on_grid(G, pts)
-    records = []
+    rows = []
     for b, dG, gb in zip(pts.tolist(), np.asarray(dGs).tolist(), np.asarray(g(pts)).tolist()):
         b = complex(b)
         if abs(dG) < tol:
@@ -253,16 +242,6 @@ def coboundary_admissibility(g: HoloFn, G: HoloFn, fixed_pts,
         ratio = complex(gb) / dG
         nearest = max(0, int(round(ratio.real)))
         dist = abs(ratio - nearest)
-        records.append(
-            AdmissibilityRecord(
-                point=b,
-                ratio=ratio,
-                nearest_order=nearest,
-                distance=dist,
-                admissible=bool(dist <= 1e-6 + 10.0 * tol),
-            )
-        )
-    return AdmissibilityVerdict(
-        records=tuple(records),
-        admissible=all(r.admissible for r in records),
-    )
+        rows.append({"point": b, "ratio": ratio, "nearest_order": nearest, "distance": dist,
+                     "admissible": bool(dist <= 1e-6 + 10.0 * tol)})
+    return {"admissible": all(row["admissible"] for row in rows)}, rows

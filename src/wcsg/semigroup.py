@@ -13,7 +13,7 @@ above, a sup over a fixed, versioned test-function set below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -119,16 +119,6 @@ def semigroup_residual(sg: WcSemigroup, ts, grid) -> tuple[float, float, float]:
 # operator-norm bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundResult:
-    """Theoretical operator-norm upper bound with the factors it is built from."""
-
-    t: float
-    theoretical: float
-    formula_tag: str
-    components: dict = field(default_factory=dict)
-
-
 def _composition_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
     space, phi = sg.space, sg.phi
     if space.kind in ("hardy", "bergman", "dirichlet", "bloch"):
@@ -206,20 +196,17 @@ def _multiplier_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
     )
 
 
-def theoretical_bound(sg: WcSemigroup, t: float) -> BoundResult:
-    """Closed-form upper bound for the operator norm of C(t) on the space."""
+def theoretical_bound(sg: WcSemigroup, t: float) -> dict:
+    """Closed-form upper bound for the operator norm of C(t) on the space: the
+    bound-table row ``{t, theoretical, formula, components}``, the last
+    holding the factors the bound is built from."""
     comps: dict = {}
     comp = comps["composition"] = _composition_factor(sg, t, comps)
     mult = comps["multiplier"] = _multiplier_factor(sg, t, comps)
     tag_map = {"sup-holo": "supweight", "sup-cont": "supweight"}
     base_tag = tag_map.get(sg.space.kind, sg.space.kind)
     tag = base_tag if sg.m.trivial else "product-split"
-    return BoundResult(
-        t=t,
-        theoretical=comp * mult,
-        formula_tag=tag,
-        components=comps,
-    )
+    return {"t": t, "theoretical": comp * mult, "formula": tag, "components": comps}
 
 
 def default_test_functions(space: SpaceSpec, max_degree: int = 8):
@@ -262,43 +249,36 @@ def generator_formula_apply(G: HoloFn, g: HoloFn, f: HoloFn) -> HoloFn:
     return HoloFn(fn, f.domain, name=f"A[{f.name or 'f'}]")
 
 
-@dataclass(frozen=True)
-class GeneratorResidualReport:
-    """Difference-quotient evidence for Af = G f' + g f at interior points.
+def generator_residual(sg: WcSemigroup, f: HoloFn, steps, grid) -> tuple[dict, list]:
+    """Difference-quotient evidence for Af = G f' + g f on the grid, with G
+    and g read off the semigroup and Af the t -> 0+ limit of (C(h)f - f)/h.
 
-    ``per_h`` holds (h, sup |quotient - target|) pairs, ``extrapolated`` the
-    Richardson limit of the quotient residual, ``order`` the observed
-    convergence rate: inf when a residual is 0 or every residual is at
-    rounding level, 1e3 eps max(1, max |Af|, max |f|). The check is pointwise
-    on a sample grid inside the domain, so it says nothing about whether f
-    lies in the generator's domain.
+    Returns ``({residual, order}, rows)``: ``residual`` is the sup residual of
+    the Richardson limit, ``order`` the observed convergence rate of the
+    quotient residuals, inf when a residual is 0 or every residual is at
+    rounding level, 1e3 eps max(1, max |Af|, max |f|); ``rows`` holds one
+    ``{h, sup_residual}`` per step, sup |quotient - target|. The check is
+    pointwise on a sample grid inside the domain, so it says nothing about
+    whether f lies in the generator's domain.
     """
-
-    per_h: tuple
-    extrapolated: float
-    order: float
-
-
-def generator_residual(sg: WcSemigroup, f: HoloFn, steps, grid) -> GeneratorResidualReport:
-    """Evidence for Af = G f' + g f on the grid, with G and g read off the
-    semigroup and Af the t -> 0+ limit of (C(h)f - f)/h."""
     if sg.m.g is None:
         raise InvalidParam(f"the generator g of cocycle {sg.m.name} is not known")
     pts = np.asarray(grid)
     target = np.asarray(generator_formula_apply(sg.phi.generator, sg.m.g, f).fn(pts))
     f_vals = np.asarray(f.fn(pts))
-    per_h = []
+    rows = []
 
     def quotients(hs):
         qs = [(np.asarray(apply(sg, h, f).fn(pts)) - f_vals) / h for h in hs]
-        per_h.extend((h, float(np.max(np.abs(q - target)))) for h, q in zip(hs, qs))
+        rows.extend({"h": h, "sup_residual": float(np.max(np.abs(q - target)))}
+                    for h, q in zip(hs, qs))
         return qs
 
     limit = right_derivative(quotients, steps, "generator")
-    extrapolated = float(np.max(np.abs(limit - target)))
+    residual = float(np.max(np.abs(limit - target)))
 
     # residuals at rounding level mean an exact quotient: no order to fit
-    hs, res = zip(*per_h)
+    hs, res = zip(*((row["h"], row["sup_residual"]) for row in rows))
     floor = 1e3 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(target))),
                                             float(np.max(np.abs(f_vals))))
     if min(res) > 0 and max(res) > floor:
@@ -306,62 +286,38 @@ def generator_residual(sg: WcSemigroup, f: HoloFn, steps, grid) -> GeneratorResi
     else:
         slope = float("inf")
 
-    return GeneratorResidualReport(per_h=tuple(per_h), extrapolated=extrapolated,
-                                   order=float(slope))
+    return {"residual": residual, "order": float(slope)}, rows
 
 
 # ---------------------------------------------------------------------------
 # continuity probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuityRecord:
-    t: float
-    norm_residual: float
-    co_residuals: tuple  # (radius, residual) pairs
-    norm_of_Cf: float
-
-
-@dataclass(frozen=True)
-class ContinuityProbe:
-    """Norm-strong versus mixed-topology strong continuity evidence at 0+.
-
-    gamma_verdict: compact-open residuals die at the smallest sampled t and
-    the orbit stays norm-bounded. norm_verdict: the norm residual itself dies.
-    """
-
-    records: tuple
-    gamma_verdict: bool
-    norm_verdict: bool
-
-
 def continuity_probe(sg: WcSemigroup, f: HoloFn, ts, radii,
                      tol_co: float = 1e-3, tol_norm: float = 1e-3,
-                     norm_cap: float | None = None) -> ContinuityProbe:
+                     norm_cap: float | None = None) -> tuple[dict, list]:
+    """Norm-strong versus mixed-topology strong continuity evidence at 0+.
+
+    Returns ``({gamma_verdict, norm_verdict}, rows)`` with one row per t:
+    ``t``, ``norm_residual`` ||C(t)f - f||, ``norm_of_Cf`` and one
+    ``co_residual_r<r>`` per radius r, the seminorm of C(t)f - f there.
+    gamma_verdict: the compact-open residuals die at the smallest sampled t
+    and the orbit stays below ``norm_cap``. norm_verdict: the norm residual
+    itself dies.
+    """
     ts = [float(t) for t in ts]
     if not ts or min(ts) <= 0 or any(b >= a for a, b in zip(ts, ts[1:])):
         raise InvalidParam("ts must be positive and decreasing toward 0")
     if norm_cap is None:
         norm_cap = 10.0 * (norm(sg.space, f) + 1.0)
-    records = []
+    rows = []
     for t in ts:
         Cf = apply(sg, t, f)
         diff = Cf - f
-        co = tuple((r, co_seminorm(sg.space, diff, SeminormIndex(r))) for r in radii)
-        records.append(
-            ContinuityRecord(
-                t=t,
-                norm_residual=norm(sg.space, diff),
-                co_residuals=co,
-                norm_of_Cf=norm(sg.space, Cf),
-            )
-        )
-    last = records[-1]
-    gamma = all(v < tol_co for _, v in last.co_residuals) and all(
-        rec.norm_of_Cf <= norm_cap for rec in records
-    )
-    return ContinuityProbe(
-        records=tuple(records),
-        gamma_verdict=bool(gamma),
-        norm_verdict=bool(last.norm_residual < tol_norm),
-    )
+        co = [co_seminorm(sg.space, diff, SeminormIndex(r)) for r in radii]
+        rows.append({"t": t, "norm_residual": norm(sg.space, diff),
+                     "norm_of_Cf": norm(sg.space, Cf),
+                     **{f"co_residual_r{r:g}": v for r, v in zip(radii, co)}})
+    gamma = all(v < tol_co for v in co) and all(row["norm_of_Cf"] <= norm_cap for row in rows)
+    return {"gamma_verdict": bool(gamma),
+            "norm_verdict": bool(rows[-1]["norm_residual"] < tol_norm)}, rows

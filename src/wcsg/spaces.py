@@ -611,31 +611,18 @@ def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
     return _evaluate(space, f, idx.s).value
 
 
-@dataclass(frozen=True)
-class SaksReport:
-    """Norm vs supremum of seminorms, per the Saks identity."""
-
-    norm: float
-    max_seminorm: float
-    gap: float
-    verdict: bool
-
-
-def saks_sup_check(space: SpaceSpec, f: HoloFn, radii, tol: float = 1e-3) -> SaksReport:
-    """Passes when the norm and the largest seminorm over ``radii`` agree to
-    within tol on either side: a seminorm above the norm fails too."""
+def saks_sup_check(space: SpaceSpec, f: HoloFn, radii, tol: float = 1e-3) -> tuple[dict, bool]:
+    """``({norm, max_seminorm, gap}, verdict)``: the norm against the largest
+    seminorm over ``radii``, per the Saks identity. The verdict passes when
+    the two agree to within tol on either side: a seminorm above the norm
+    fails too."""
     radii = [float(r) for r in radii]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidParam("radii must be nonempty and increase toward 1")
     nrm = norm(space, f)
     best = max(co_seminorm(space, f, SeminormIndex(r)) for r in radii)
     gap = nrm - best
-    return SaksReport(
-        norm=nrm,
-        max_seminorm=best,
-        gap=gap,
-        verdict=bool(abs(gap) < tol),
-    )
+    return {"norm": nrm, "max_seminorm": best, "gap": gap}, bool(abs(gap) < tol)
 
 
 def default_corpus(real: bool = False):

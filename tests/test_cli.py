@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcsg import cli, exprs
+from wcsg import cli, cocycles, exprs, flows, semigroup, spaces
 from wcsg.defaults import DEFAULT_CONFIGS
 from wcsg.errors import ConfigError, WcsgError
 from wcsg.reporting import report_to_dict, report_to_json, sanitize
-from wcsg.suites import SUITES, build_space
+from wcsg.semigroup import WcSemigroup
+from wcsg.suites import SUITES, build_cocycle, build_flow, build_function, build_space
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -392,6 +393,53 @@ _BAD_INPUTS = {
                    {"label": "ok", "flow": _DILATION, "cocycle": {"type": "trivial"}}]},
         {"laws/pole": "error", "laws/ok": True},
     ),
+    # a cap or tolerance of 0 would make the verdict it bounds false whatever
+    # the probe finds, so "expect": false would pass vacuously
+    "continuity-probe-nonpositive-bounds": (
+        {"suite": "continuity-probe",
+         "cases": [{"label": label, "space": {"kind": "sup-holo"}, "flow": _DILATION, "f": "e_1",
+                    **extra}
+                   for label, extra in [
+                       ("cap", {"norm_cap": 0, "expect": {"gamma": False}}),
+                       ("norm", {"tolerances": {"norm": 0}, "expect": {"norm": False}}),
+                       ("co", {"tolerances": {"co": -1e-3}, "expect": {"gamma": False}}),
+                       ("ok", {"tolerances": {"co": 1e-2, "norm": 1e-2},
+                               "expect": _CONTINUOUS})]]},
+        {"continuity/cap": "error", "continuity/norm": "error", "continuity/co": "error",
+         "continuity/ok": True},
+    ),
+    "semigroup-check-nonpositive-tol": (
+        {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5], "grid_n": 4},
+         "pairs": [{"label": "zero", "flow": _DILATION, "cocycle": {"type": "trivial"}, "tol": 0},
+                   {"label": "ok", "flow": _DILATION, "cocycle": {"type": "trivial"}}]},
+        {"laws/zero": "error", "laws/ok": True},
+    ),
+    # every check a space or a function makes of its own parameters
+    "generator-check-space-parameters": (
+        {"suite": "generator-check",
+         "cases": [{"label": label, "space": space, "flow": _DILATION, "f": "z"}
+                   for label, space in [
+                       ("n-theta", {"kind": "hardy", "policy": {"n_theta": 8}}),
+                       ("n-radial", {"kind": "hardy", "policy": {"n_radial": 4}}),
+                       ("r-cap", {"kind": "hardy", "policy": {"r_cap": 1.0}}),
+                       ("tol", {"kind": "hardy", "policy": {"tol": 0}}),
+                       ("bergman-alpha", {"kind": "bergman", "alpha": -1}),
+                       ("bloch-alpha", {"kind": "bloch", "alpha": 0}),
+                       ("ok", _HARDY2)]]},
+        {**{f"generator/{label}": "error" for label in (
+            "n-theta", "n-radial", "r-cap", "tol", "bergman-alpha", "bloch-alpha")},
+         "generator/ok": True},
+    ),
+    "generator-check-specs-of-f": (
+        {"suite": "generator-check",
+         "cases": [{"label": label, "space": _HARDY2, "flow": _DILATION, "f": f}
+                   for label, f in [("negative-monomial", "e_-1"), ("character", "z $"),
+                                    ("trailing", "z)"), ("exponent", "z^1.5"),
+                                    ("mobius", "mobius(2)*z"), ("ok", "z")]]},
+        {**{f"generator/{label}": "error" for label in (
+            "negative-monomial", "character", "trailing", "exponent", "mobius")},
+         "generator/ok": True},
+    ),
 }
 
 # What the error of a case in _BAD_INPUTS must name.
@@ -445,6 +493,27 @@ _ERROR_TEXT = {
         "laws/string-rate": "pairs[0].flow.params.rate: expected a number, got '2'",
         "laws/ode-with-params": "pairs[1].flow.params: not a key of an ODE flow",
         "laws/catalog-with-ode": "pairs[2].flow.ode: not a key of a catalog flow"},
+    "continuity-probe-nonpositive-bounds": {
+        "continuity/cap": "cases[0].norm_cap: must be positive, got 0.0",
+        "continuity/norm": "cases[1].tolerances.norm: must be positive, got 0.0",
+        "continuity/co": "cases[2].tolerances.co: must be positive, got -0.001"},
+    "semigroup-check-nonpositive-tol": {"laws/zero": "pairs[0].tol: must be positive, got 0.0"},
+    "generator-check-space-parameters": {
+        "generator/n-theta": "cases[0].space.policy: n_theta must be >= 16",
+        "generator/n-radial": "cases[1].space.policy: n_radial must be >= 8",
+        "generator/r-cap": "cases[2].space.policy: r_cap must lie in (0, 1)",
+        "generator/tol": "cases[3].space.policy: tol must be positive",
+        "generator/bergman-alpha": "cases[4].space: bergman weight exponent must be > -1",
+        "generator/bloch-alpha": "cases[5].space: bloch weight exponent must be positive"},
+    "generator-check-specs-of-f": {
+        "generator/negative-monomial":
+            "cases[0].f: bad monomial name: monomial degree must be >= 0",
+        "generator/character": "cases[1].f: bad expression: bad character at position 1",
+        "generator/trailing": "cases[2].f: bad expression: expected end, got ')'",
+        "generator/exponent":
+            "cases[3].f: bad expression: exponent must be an integer or 1/3, 2/3",
+        "generator/mobius":
+            "cases[4].f: bad expression: mobius parameter must lie in the open unit disc"},
 }
 
 
@@ -580,6 +649,49 @@ _BAD_CONFIGS = {
         "config",
     ),
 }
+# A top-level value out of range, and its config error in full. A tolerance of
+# 0 or less can make a verdict pass or fail whatever its check finds, and a
+# negative max_test_degree would leave the witness set without monomials.
+_OUT_OF_RANGE = {
+    "norm-table-zero-tolerance": (
+        {"suite": "norm-table", "spaces": [_HARDY2], "tolerances": {"hardy": 0}},
+        "config.tolerances.hardy: must be positive, got 0.0"),
+    "norm-table-negative-saks-gap-tol": (
+        {"suite": "norm-table", "spaces": [_HARDY2], "saks": {"spaces": [_HARDY2],
+                                                             "gap_tol": -1e-3}},
+        "saks.gap_tol: must be positive, got -0.001"),
+    "cocycle-check-zero-law-tolerance": (
+        {"suite": "cocycle-check", "flow": _DILATION, "tolerances": {"law": 0},
+         "cocycles": [{"type": "trivial"}]},
+        "config.tolerances.law: must be positive, got 0.0"),
+    "generator-check-zero-order-min": (
+        {"suite": "generator-check", "tolerances": {"order_min": 0},
+         "cases": [{"space": _HARDY2, "flow": _DILATION, "f": "z^2"}]},
+        "config.tolerances.order_min: must be positive, got 0.0"),
+    "reconstruct-zero-deviation": (
+        {"suite": "reconstruct", "tolerances": {"deviation": 0}, "cases": [_RECONSTRUCT]},
+        "config.tolerances.deviation: must be positive, got 0.0"),
+    # the ratio at 0 is exactly 1: the case is admissible
+    "admissibility-negative-tol": (
+        {"suite": "admissibility", "flow": _DILATION, "tol": -1,
+         "cases": [{"g": "-1.0", "expect_admissible": False}]},
+        "config.tol: must be positive, got -1.0"),
+    # tol = 0 would switch off the degenerate fixed-point guard at the double zero 0
+    "admissibility-zero-tol": (
+        {"suite": "admissibility", "flow": {"generator": "-z^2"}, "tol": 0,
+         "cases": [{"g": "-1.0"}]},
+        "config.tol: must be positive, got 0.0"),
+    "bound-table-negative-max-test-degree": (
+        {"suite": "bound-table", "max_test_degree": -1,
+         "cases": [{"space": _HARDY2, "flow": _DILATION}]},
+        "config.max_test_degree: must be >= 0, got -1"),
+    "bound-table-negative-slack": (
+        {"suite": "bound-table", "slack": -1e-3, "cases": [{"space": _HARDY2, "flow": _DILATION}]},
+        "config.slack: must be >= 0, got -0.001"),
+}
+_BAD_CONFIGS.update({name: (cfg, text.split(":")[0])
+                     for name, (cfg, text) in _OUT_OF_RANGE.items()})
+
 # Generators nested past exprs.MAX_DEPTH; each was a RecursionError traceback.
 _BAD_CONFIGS.update({
     f"admissibility-deep-{kind}": (
@@ -660,6 +772,11 @@ class TestErrorContract:
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 2
         assert f"config error: {field}:" in proc.stderr
+
+    @pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE))
+    def test_out_of_range_value_names_its_range(self, tmp_path, name):
+        cfg, text = _OUT_OF_RANGE[name]
+        assert f"config error: {text}\n" in run_cli(tmp_path, cfg).stderr
 
 
 # One small config per suite, fast enough to run many times; the fuzz test
@@ -923,6 +1040,17 @@ class TestConfigEcho:
         echo = json.loads(report)["config"]
         assert report_to_json(cli.run(echo)) == report
 
+    def test_in_memory_echo_reruns_to_the_same_report(self):
+        # the echo of a catalog flow's complex default is {re, im}, not a
+        # Python complex, which the reader rejects
+        cfg = {"suite": "generator-check",
+               "cases": [{"space": {"kind": "hardy"}, "flow": {"name": "dilation"}, "f": "z"}]}
+        report = cli.run(cfg)
+        assert report.config["cases"][0]["flow"]["params"] == {"c": {"re": 1.0, "im": 0.0}}
+        rerun = cli.run(copy.deepcopy(report.config))
+        assert rerun.summary["all_pass"]
+        assert report_to_json(rerun) == report_to_json(report)
+
     def test_catalog_parameter_defaults(self):
         cfg = {"suite": "semigroup-check", "sweep": {"ts": [0.5], "grid_n": 2},
                "pairs": [{"flow": {"name": "dilation"}, "cocycle": {"type": "trivial"}},
@@ -963,6 +1091,79 @@ class TestConfigEcho:
             "continuity/empty-expect":
                 "cases[2].expect: declares no verdict: the case would pass vacuously",
             "continuity/ok": None}
+
+
+def _first_entries(suite, *keys):
+    """The report of the default config of ``suite`` cut to the first entry
+    of each case list ``keys`` (a path into the config, such as
+    ``("saks", "spaces")``), and that report's case dicts as the JSON writes
+    them."""
+    cfg = copy.deepcopy(DEFAULT_CONFIGS[suite])
+    for key in keys:
+        _at(cfg, key[:-1])[key[-1]] = _at(cfg, key)[:1]
+    report = cli.run(cfg)
+    return report, report_to_dict(report)["cases"]
+
+
+def _semigroup(case):
+    """The semigroup of a resolved case from a report's config echo."""
+    phi = build_flow(case["flow"])
+    return WcSemigroup(phi, build_cocycle(case["cocycle"], phi), build_space(case["space"]))
+
+
+class TestEachCaseWritesWhatItsDiagnosticReturns:
+    """A case's numbers and rows are the diagnostic's return, placed in the
+    report unchanged; bound-table adds the lower bound to each row."""
+
+    def test_bound_table(self):
+        report, cases = _first_entries("bound-table", ("cases",))
+        echo = report.config
+        sg = _semigroup(echo["cases"][0])
+        fs = semigroup.default_test_functions(sg.space, max_degree=echo["max_test_degree"])
+        norms = [spaces.norm(sg.space, f) for f in fs]
+        rows = [{**semigroup.theoretical_bound(sg, t),
+                 "empirical_lower": semigroup.operator_norm_lower_bound(sg, t, fs, norms)}
+                for t in echo["ts"]]
+        assert cases[0]["rows"] == sanitize(rows)
+
+    def test_generator_check(self):
+        report, cases = _first_entries("generator-check", ("cases",))
+        echo = report.config
+        sg = _semigroup(echo["cases"][0])
+        f = build_function(echo["cases"][0]["f"], sg.phi.domain, "f")
+        grid = flows.disc_sample_grid(echo["radius"], 4, 16)
+        numbers, rows = semigroup.generator_residual(sg, f, tuple(echo["steps"]), grid)
+        assert (cases[0]["numbers"], cases[0]["rows"]) == (sanitize(numbers), sanitize(rows))
+
+    def test_continuity_probe(self):
+        report, cases = _first_entries("continuity-probe", ("cases",))
+        case = report.config["cases"][0]
+        sg = _semigroup(case)
+        f = build_function(case["f"], sg.phi.domain, "f")
+        tols = case["tolerances"]
+        numbers, rows = semigroup.continuity_probe(sg, f, case["ts"], case["radii"],
+                                                   tol_co=tols["co"], tol_norm=tols["norm"],
+                                                   norm_cap=case["norm_cap"])
+        assert (cases[0]["numbers"], cases[0]["rows"]) == (sanitize(numbers), sanitize(rows))
+
+    def test_saks(self):
+        report, cases = _first_entries("norm-table", ("spaces",), ("saks", "spaces"))
+        saks = report.config["saks"]
+        space = build_space(saks["spaces"][0])
+        f = spaces.default_corpus(real=space.is_real)[0]
+        numbers, _ = spaces.saks_sup_check(space, f, saks["radii"], tol=saks["gap_tol"])
+        case = next(c for c in cases if c["id"] == f"saks/{space.label}/{f.name}")
+        assert case["numbers"] == sanitize(numbers)
+        assert "rows" not in case
+
+    def test_admissibility(self):
+        report, cases = _first_entries("admissibility", ("cases",))
+        echo = report.config
+        phi = build_flow(echo["flow"])
+        g = exprs.to_holofn(echo["cases"][0]["g"], phi.domain)
+        numbers, rows = cocycles.coboundary_admissibility(
+            g, phi.generator, report.cases[0].inputs["fixed_points"], tol=echo["tol"])
+        assert (cases[0]["numbers"], cases[0]["rows"]) == (sanitize(numbers), sanitize(rows))
 
 
 class TestEmission:

@@ -377,23 +377,23 @@ class TestAdmissibility:
     def test_derivative_cocycle_of_dilation_is_admissible(self):
         # G = -z, G' = -1, g = -1 at the fixed point 0: ratio 1, order 1
         phi = dilation(1.0)
-        verdict = coboundary_admissibility(holo.constant(-1.0), phi.generator, [0.0])
-        rec = verdict.records[0]
-        assert rec.admissible and rec.nearest_order == 1
-        assert rec.ratio == pytest.approx(1.0, abs=1e-12)
+        _, rows = coboundary_admissibility(holo.constant(-1.0), phi.generator, [0.0])
+        rec = rows[0]
+        assert rec["admissible"] and rec["nearest_order"] == 1
+        assert rec["ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_half_ratio_not_admissible(self):
         phi = dilation(1.0)
-        verdict = coboundary_admissibility(holo.constant(-0.5), phi.generator, [0.0])
-        rec = verdict.records[0]
-        assert not rec.admissible
-        assert rec.ratio == pytest.approx(0.5, abs=1e-12)
+        _, rows = coboundary_admissibility(holo.constant(-0.5), phi.generator, [0.0])
+        rec = rows[0]
+        assert not rec["admissible"]
+        assert rec["ratio"] == pytest.approx(0.5, abs=1e-12)
 
     def test_vanishing_g_admissible_order_zero(self):
         phi = dilation(1.0)
-        verdict = coboundary_admissibility(holo.constant(0.0), phi.generator, [0.0])
-        rec = verdict.records[0]
-        assert rec.admissible and rec.nearest_order == 0
+        _, rows = coboundary_admissibility(holo.constant(0.0), phi.generator, [0.0])
+        rec = rows[0]
+        assert rec["admissible"] and rec["nearest_order"] == 0
 
     def test_degenerate_derivative(self):
         G = holo.monomial(2)  # G'(0) = 0
@@ -413,11 +413,11 @@ class TestAdmissibility:
         monkeypatch.setattr(holo, "cauchy_derivative_grid", counted)
         G = to_holofn("-z")
         assert G.deriv is None
-        verdict = coboundary_admissibility(holo.constant(-1.0), G, [0.0])
+        _, rows = coboundary_admissibility(holo.constant(-1.0), G, [0.0])
         assert len(calls) == 1
-        rec = verdict.records[0]
-        assert rec.admissible and rec.nearest_order == 1
-        assert rec.ratio == pytest.approx(1.0, abs=1e-12)
+        rec = rows[0]
+        assert rec["admissible"] and rec["nearest_order"] == 1
+        assert rec["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

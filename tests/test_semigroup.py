@@ -258,15 +258,15 @@ class TestTheoreticalBound:
         sg = sg_trivial(SpaceSpec.hardy(2.0))
         res = theoretical_bound(sg, math.log(2.0))
         # phi_t(0) = 1/2 at t = ln 2: ((1 + 1/2)/(1 - 1/2))^(1/2) = sqrt(3)
-        assert res.theoretical == pytest.approx(math.sqrt(3.0), abs=1e-9)
-        assert res.formula_tag == "hardy"
+        assert res["theoretical"] == pytest.approx(math.sqrt(3.0), abs=1e-9)
+        assert res["formula"] == "hardy"
 
     def test_dirichlet_attracting(self):
         sg = sg_trivial(SpaceSpec.dirichlet())
         res = theoretical_bound(sg, math.log(2.0))
         L = -math.log(0.75)
         expected = math.sqrt(1.0 + 0.5 * (L + math.sqrt(L * (4.0 + L))))
-        assert res.theoretical == pytest.approx(expected, abs=1e-12)
+        assert res["theoretical"] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.30352, abs=1e-4)
 
     def test_bergman_sup_at_the_base_point_is_a_domain_exit(self):
@@ -280,21 +280,21 @@ class TestTheoreticalBound:
         phi = make_catalog_semiflow("translation-real")
         sg = WcSemigroup(phi, trivial_cocycle(), space)
         res = theoretical_bound(sg, 1.0)
-        assert res.theoretical == pytest.approx(math.e, rel=1e-9)
-        assert res.theoretical <= math.e * 1.001
+        assert res["theoretical"] == pytest.approx(math.e, rel=1e-9)
+        assert res["theoretical"] <= math.e * 1.001
 
     def test_bergman_dilation_is_one(self):
         sg = sg_trivial(SpaceSpec.bergman(0.0, 2.0), flow="dilation", params={"c": 1.0})
         res = theoretical_bound(sg, 1.0)
-        assert res.theoretical == pytest.approx(1.0, abs=1e-9)
+        assert res["theoretical"] == pytest.approx(1.0, abs=1e-9)
 
     def test_bloch_dilation_decay(self):
         # the weight-ratio factor decays like e^{-Re(c) t}; the norm bound
         # floors at 1 because constants are fixed by the operator
         sg = sg_trivial(SpaceSpec.bloch(1.0), flow="dilation", params={"c": 1.0})
         res = theoretical_bound(sg, 0.5)
-        assert res.components["K_weight"] <= math.exp(-0.5) + 1e-9
-        assert res.theoretical == pytest.approx(1.0, abs=1e-12)
+        assert res["components"]["K_weight"] <= math.exp(-0.5) + 1e-9
+        assert res["theoretical"] == pytest.approx(1.0, abs=1e-12)
 
     # attracting has phi_t(0) = r = 1 - e^-t; the base-point term is the
     # integral of (1 - s^2)^-alpha over [0, r], in closed form for alpha = 1, 2
@@ -305,7 +305,7 @@ class TestTheoreticalBound:
     @pytest.mark.parametrize("t", [math.log(2.0), 1.0, math.log(1e3), math.log(1e4)])
     def test_bloch_base_point_term_is_exact(self, alpha, exact, t):
         res = theoretical_bound(sg_trivial(SpaceSpec.bloch(alpha)), t)
-        assert res.components["base_point_shift"] == pytest.approx(exact(-math.expm1(-t)),
+        assert res["components"]["base_point_shift"] == pytest.approx(exact(-math.expm1(-t)),
                                                                    rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("t", [math.log(1e3), math.log(1e4)])
@@ -314,13 +314,13 @@ class TestTheoreticalBound:
         space, f = SpaceSpec.bloch(1.0), holo.HoloFn(np.arctanh, deriv=lambda z: 1.0 / (1.0 - z * z))
         sg = sg_trivial(space)
         ratio = norm(space, apply(sg, t, f)) / norm(space, f)
-        assert theoretical_bound(sg, t).theoretical >= ratio * (1.0 - 1e-12)
+        assert theoretical_bound(sg, t)["theoretical"] >= ratio * (1.0 - 1e-12)
 
     def test_bloch_base_point_term_is_certified_to_the_space_tol(self):
         # alpha = 2, t = 20: the 32- and 64-node rules differ by ~2e-14 relative,
         # inside the 100 tol of the default tol 1e-8 but not of tol = 1e-18
         sg = sg_trivial(SpaceSpec.bloch(2.0))
-        assert theoretical_bound(sg, 20.0).components["base_point_shift"] > 0
+        assert theoretical_bound(sg, 20.0)["components"]["base_point_shift"] > 0
         sg = sg_trivial(SpaceSpec.bloch(2.0, holo.QuadPolicy(tol=1e-18)))
         with pytest.raises(NonConvergent, match="time integral"):
             theoretical_bound(sg, 20.0)
@@ -340,7 +340,7 @@ class TestTheoreticalBound:
 
     def test_product_split_tag_for_weighted(self):
         sg = sg_dilation_derivative()
-        assert theoretical_bound(sg, 0.5).formula_tag == "product-split"
+        assert theoretical_bound(sg, 0.5)["formula"] == "product-split"
 
 
 def lower_bound(sg, t, testset=None):
@@ -373,9 +373,9 @@ class TestEmpiricalLower:
         phi = make_catalog_semiflow("dilation", {"c": 1.0})
         sg = WcSemigroup(phi, cocycle_from_g(holo.constant(-40.0), phi), SpaceSpec.hardy(2.0))
         res = theoretical_bound(sg, 1.0)
-        assert res.theoretical == pytest.approx(math.exp(-40.0), rel=1e-12, abs=0)
+        assert res["theoretical"] == pytest.approx(math.exp(-40.0), rel=1e-12, abs=0)
         lower = lower_bound(sg, 1.0)
-        assert lower == pytest.approx(res.theoretical, rel=1e-12, abs=0)
+        assert lower == pytest.approx(res["theoretical"], rel=1e-12, abs=0)
 
     def test_underflowed_cocycle_is_invalid(self):
         phi = make_catalog_semiflow("dilation", {"c": 1.0})
@@ -387,7 +387,7 @@ class TestEmpiricalLower:
         sg = sg_dilation_derivative()
         res = theoretical_bound(sg, 0.5)
         lower = lower_bound(sg, 0.5, testset=[holo.monomial(n) for n in range(5)])
-        assert lower <= res.theoretical * (1 + 1e-3)
+        assert lower <= res["theoretical"] * (1 + 1e-3)
 
     def test_versioned_corpus_contents(self):
         names = [f.name for f in default_test_functions(SpaceSpec.sup_holo())]
@@ -434,17 +434,17 @@ class TestGeneratorFormula:
 class TestGeneratorResidual:
     def test_dilation_on_e2(self):
         sg = sg_trivial(SpaceSpec.hardy(2.0), flow="dilation", params={"c": 1.0})
-        rep = generator_residual(sg, holo.monomial(2), DEFAULT_FD_STEPS, GENERATOR_GRID)
-        assert rep.extrapolated < 1e-6
-        assert rep.order >= 0.9
+        rep, _ = generator_residual(sg, holo.monomial(2), DEFAULT_FD_STEPS, GENERATOR_GRID)
+        assert rep["residual"] < 1e-6
+        assert rep["order"] >= 0.9
 
     def test_multiplication_semigroup(self):
         # phi = id, m_t = e^{t g}: the generator acts by multiplication with g
         phi = make_catalog_semiflow("identity")
         g = holo.monomial(2)
         sg = WcSemigroup(phi, cocycle_from_g(g, phi), SpaceSpec.sup_holo())
-        rep = generator_residual(sg, holo.monomial(1), DEFAULT_FD_STEPS, GENERATOR_GRID)
-        assert rep.extrapolated < 1e-8
+        rep, _ = generator_residual(sg, holo.monomial(1), DEFAULT_FD_STEPS, GENERATOR_GRID)
+        assert rep["residual"] < 1e-8
 
     def test_unknown_cocycle_generator_is_invalid(self):
         # a coboundary carries no g, so Af = G f' + g f has no target
@@ -456,9 +456,9 @@ class TestGeneratorResidual:
     def test_trivial_case_zero_residual(self):
         phi = make_catalog_semiflow("identity")
         sg = WcSemigroup(phi, trivial_cocycle(), SpaceSpec.sup_holo())
-        rep = generator_residual(sg, holo.one(), DEFAULT_FD_STEPS, GENERATOR_GRID)
-        assert rep.extrapolated < 1e-14
-        assert all(r < 1e-14 for _, r in rep.per_h)
+        rep, rows = generator_residual(sg, holo.one(), DEFAULT_FD_STEPS, GENERATOR_GRID)
+        assert rep["residual"] < 1e-14
+        assert all(row["sup_residual"] < 1e-14 for row in rows)
 
 
 # The three t -> 0+ limits of the generator: G of the flow, g of the cocycle
@@ -498,31 +498,31 @@ def test_each_generator_limit_rejects_diverging_quotients(limit):
 class TestContinuityProbe:
     def test_dilation_on_sup_space(self):
         sg = sg_trivial(SpaceSpec.sup_holo(), flow="dilation", params={"c": 1.0})
-        probe = continuity_probe(
+        probe, rows = continuity_probe(
             sg, holo.monomial(1), [0.1, 0.01, 0.001], [0.5, 0.9], tol_co=0.01, tol_norm=0.01
         )
         # norm residual is 1 - e^{-t} (up to the grid cap)
-        for rec in probe.records:
-            assert rec.norm_residual == pytest.approx(1.0 - math.exp(-rec.t), abs=1e-4)
-        assert probe.norm_verdict and probe.gamma_verdict
+        for rec in rows:
+            assert rec["norm_residual"] == pytest.approx(1.0 - math.exp(-rec["t"]), abs=1e-4)
+        assert probe["norm_verdict"] and probe["gamma_verdict"]
 
     def test_rotation_dichotomy(self):
         sg = sg_trivial(SpaceSpec.sup_holo(), flow="rotation", params={"rate": 0.2})
-        probe = continuity_probe(
+        probe, rows = continuity_probe(
             sg, holo.singular_inner(), [0.1, 0.01, 0.001], [0.5, 0.9], norm_cap=1.0 + 1e-9
         )
-        assert probe.gamma_verdict
-        assert not probe.norm_verdict
-        assert all(rec.norm_residual >= 0.1 for rec in probe.records)
-        assert all(rec.norm_of_Cf <= 1.0 + 1e-12 for rec in probe.records)
+        assert probe["gamma_verdict"]
+        assert not probe["norm_verdict"]
+        assert all(rec["norm_residual"] >= 0.1 for rec in rows)
+        assert all(rec["norm_of_Cf"] <= 1.0 + 1e-12 for rec in rows)
 
     def test_identity_all_zero(self):
         phi = make_catalog_semiflow("identity")
         sg = WcSemigroup(phi, trivial_cocycle(), SpaceSpec.sup_holo())
-        probe = continuity_probe(sg, holo.exp_fn(), [0.1, 0.001], [0.5, 0.9])
-        for rec in probe.records:
-            assert rec.norm_residual < 1e-14
-            assert all(v < 1e-14 for _, v in rec.co_residuals)
+        probe, rows = continuity_probe(sg, holo.exp_fn(), [0.1, 0.001], [0.5, 0.9])
+        for rec in rows:
+            assert rec["norm_residual"] < 1e-14
+            assert all(v < 1e-14 for k, v in rec.items() if k.startswith("co_residual"))
 
     def test_norm_convergence_implies_gamma(self):
         # norm topology is finer: a positive norm verdict forces a positive gamma verdict
@@ -531,11 +531,11 @@ class TestContinuityProbe:
             sg_dilation_derivative(SpaceSpec.hardy(2.0)),
         ]
         for sg in cases:
-            probe = continuity_probe(
+            probe, _ = continuity_probe(
                 sg, holo.monomial(1), [0.1, 0.01, 0.001], [0.5, 0.9], tol_co=0.01, tol_norm=0.01
             )
-            if probe.norm_verdict:
-                assert probe.gamma_verdict
+            if probe["norm_verdict"]:
+                assert probe["gamma_verdict"]
 
 
 class TestMultiplierAndSplit:
@@ -560,7 +560,7 @@ class TestMultiplierAndSplit:
                 "phi": spaces.certified_sup(lambda z: np.abs(phi(0.5, z)), sg.space)}
         for module in (spaces, semigroup):  # the grid must not run
             monkeypatch.setattr(module, "certified_sup", None)
-        comps = theoretical_bound(sg, 0.5).components
+        comps = theoretical_bound(sg, 0.5)["components"]
         assert comps["sup_abs_m_t"] == grid["m"]
         assert comps["sup_abs_phi_t"] == grid["phi"]
 
@@ -570,9 +570,9 @@ class TestMultiplierAndSplit:
                         name="one", g=holo.constant(0.0))
         sg = WcSemigroup(make_catalog_semiflow("attracting"), m, SpaceSpec.hardy(2.0))
         res = theoretical_bound(sg, 0.5)
-        assert res.components["multiplier"] == pytest.approx(2.0)
-        assert res.formula_tag == "product-split"
-        assert res.theoretical == pytest.approx(2.0 * res.components["composition"])
+        assert res["components"]["multiplier"] == pytest.approx(2.0)
+        assert res["formula"] == "product-split"
+        assert res["theoretical"] == pytest.approx(2.0 * res["components"]["composition"])
 
     # m_t = e^{tz} is a cocycle of the identity flow with g(z) = z, so the
     # composition factor is 1 and the bound is the multiplier factor alone.
@@ -583,7 +583,7 @@ class TestMultiplierAndSplit:
         m = Semicocycle(eval=lambda t, z: np.exp(t * z), name="exp(tz)", g=holo.monomial(1))
         sg = WcSemigroup(make_catalog_semiflow("identity"), m, SpaceSpec.bloch(alpha))
         res = theoretical_bound(sg, t)
-        comps = res.components
+        comps = res["components"]
         assert comps["sup_abs_m_t"] == pytest.approx(math.exp(t), rel=1e-6)
         if alpha > 1:  # (3 + L) sup |m_t| with L = 2^(alpha-1) / (alpha-1) = 2
             assert comps["multiplier"] == 5.0 * comps["sup_abs_m_t"]
@@ -597,17 +597,17 @@ class TestMultiplierAndSplit:
             x = (math.sqrt(1.0 + 4.0 * t * t) - 1.0) / (2.0 * t)
             hand = 9.0 * (1.0 + t * math.exp(t * x) * math.sqrt(1.0 - x * x))
             assert comps["multiplier"] == pytest.approx(hand, rel=1e-9)
-        assert res.theoretical == comps["multiplier"]
+        assert res["theoretical"] == comps["multiplier"]
         fs = default_test_functions(sg.space)
         lower = operator_norm_lower_bound(sg, t, fs, [norm(sg.space, f) for f in fs])
-        assert lower <= res.theoretical
+        assert lower <= res["theoretical"]
 
     def test_split_estimate_hardy(self):
         sg = sg_dilation_derivative(SpaceSpec.hardy(2.0))
         t = 0.5
         bound = theoretical_bound(sg, t)
         for f in (holo.monomial(2), holo.poly([1, 1])):
-            assert norm(sg.space, apply(sg, t, f)) <= bound.theoretical * norm(
+            assert norm(sg.space, apply(sg, t, f)) <= bound["theoretical"] * norm(
                 sg.space, f
             ) * (1.0 + 1e-6)
 
