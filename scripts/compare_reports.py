@@ -11,7 +11,8 @@ relative with its two values, largest absolute shift first (at most 20
 lines per suite); a case's rows are walked like its numbers. Differences
 that are not numeric shifts (a missing key, a changed string) are counted
 as structural. Exit code 1 if any verdict changed or a suite's JSON is
-missing on one side, 0 otherwise.
+missing on one side; 2 if a directory is missing or neither holds a JSON
+report, so that a comparison of nothing never passes; 0 otherwise.
 """
 
 import argparse
@@ -78,7 +79,14 @@ def main(argv=None) -> int:
     parser.add_argument("dir_b", type=pathlib.Path)
     args = parser.parse_args(argv)
 
+    for d in (args.dir_a, args.dir_b):
+        if not d.is_dir():
+            print(f"io error: {d}: not a directory", file=sys.stderr)
+            return 2
     names = sorted({p.name for d in (args.dir_a, args.dir_b) for p in d.glob("*.json")})
+    if not names:
+        print(f"io error: no <suite>.json in {args.dir_a} or {args.dir_b}", file=sys.stderr)
+        return 2
     bad = False
     overall = (0.0, None)
     for name in names:

@@ -5,8 +5,8 @@
 
 Writes <suite>.json per suite, every case's per-t rows included, plus a
 summary line per suite on stdout. Exit code 0 iff every verdict in every
-suite passed. Running this twice into two directories must produce
-byte-identical JSON (the determinism contract).
+suite passed, and 2 if a report cannot be written. Running this twice into
+two directories must produce byte-identical JSON (the determinism contract).
 """
 
 import argparse
@@ -30,18 +30,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     all_pass = True
     t0 = time.perf_counter()
-    for suite in args.suites:
-        report = run(copy.deepcopy(DEFAULT_CONFIGS[suite]))
-        emit_json(report, str(out / f"{suite}.json"))
-        s = report.summary
-        all_pass = all_pass and s["all_pass"]
-        print(
-            f"{suite:18s} {s['n_pass']:3d}/{s['n_cases']:<3d} pass"
-            f"  ({report.wall_clock:6.2f}s)"
-        )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for suite in args.suites:
+            report = run(copy.deepcopy(DEFAULT_CONFIGS[suite]))
+            emit_json(report, str(out / f"{suite}.json"))
+            s = report.summary
+            all_pass = all_pass and s["all_pass"]
+            print(
+                f"{suite:18s} {s['n_pass']:3d}/{s['n_cases']:<3d} pass"
+                f"  ({report.wall_clock:6.2f}s)"
+            )
+    except OSError as e:
+        print(f"io error: {e}", file=sys.stderr)
+        return 2
     print(f"total wall-clock: {time.perf_counter() - t0:.2f}s")
     return 0 if all_pass else 1
 

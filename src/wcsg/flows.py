@@ -222,14 +222,13 @@ def generator_fd(phi: Semiflow, z, steps=DEFAULT_FD_STEPS):
 # ---------------------------------------------------------------------------
 
 def _newton_refine(G: HoloFn, seed):
+    """Newton on G from seed until its step is at rounding level (a small |G|
+    stops seeds apart near a multiple zero); a zero if |G| < FIXED_POINT_TOL."""
     is_real = G.domain.kind == "real"
     z = float(np.real(seed)) if is_real else complex(seed)
     for _ in range(80):
         if G.domain.kind == "disc" and abs(z) >= 1.0:
             return None
-        gz = G(z)
-        if abs(gz) < FIXED_POINT_TOL:
-            return z
         if is_real:
             # step scales with |z| so non-Lipschitz zeros (x^{2/3}) stay tractable
             h = max(1e-13, 0.05 * abs(z))
@@ -237,10 +236,12 @@ def _newton_refine(G: HoloFn, seed):
         else:
             dg = holo.derivative_on_grid(G, z)
         if abs(dg) < 1e-14:
-            return None
-        step = gz / dg
+            break
+        step = G(z) / dg
         z = float((z - step).real) if is_real else z - step
-    return None
+        if abs(step) <= 4.0 * np.finfo(float).eps * max(1.0, abs(z)):
+            break
+    return z if abs(G(z)) < FIXED_POINT_TOL else None
 
 
 def fixed_points(phi: Semiflow, grid) -> FixedPointSearch:
@@ -258,11 +259,8 @@ def fixed_points(phi: Semiflow, grid) -> FixedPointSearch:
     found = []
     for seed in pts:
         z = _newton_refine(G, seed)
-        if z is None:
-            continue
-        if not phi.domain.contains(z, margin=1e-12):
-            continue
-        if all(abs(z - w) > 1e-6 for w in found):
+        if (z is not None and phi.domain.contains(z, margin=1e-12)
+                and all(abs(z - w) > 1e-6 for w in found)):
             found.append(z)
     found.sort(key=lambda w: (round(abs(w), 12), np.angle(complex(w))))
     verified, rejected = [], []

@@ -266,12 +266,13 @@ _UNIT_WEIGHTS = {d: HoloFn(lambda z: np.ones(np.shape(z), dtype=float), d, name=
 
 @lru_cache(maxsize=32)
 def bloch_weight(alpha: float) -> HoloFn:
-    """(1 - |z|^2)^alpha: one object per alpha, so a space can tell it by identity."""
+    """(1 - |z|^2)^alpha, one object per alpha, as named weights are."""
     if alpha <= 0:
         raise ValueError("bloch weight exponent must be positive")
     return HoloFn(lambda z: (1.0 - np.abs(z) ** 2) ** alpha, UNIT_DISC, name=f"v_{alpha:g}")
 
 
+@lru_cache(maxsize=1)
 def exp_abs_decay_weight() -> HoloFn:
     return HoloFn(lambda x: np.exp(-np.abs(x)), REAL_LINE, name="exp(-|x|)")
 

@@ -126,8 +126,8 @@ def _composition_factor(sg: WcSemigroup, t: float, comps: dict) -> float:
         comps["abs_phi_t_0"] = phi0
         if phi0 >= 1.0:
             raise DomainExit(f"phi_t(0) reached the unit circle at t={t:g}")
-    if space.kind in ("bloch", "sup-holo", "sup-cont"):
-        vfn, bloch = space.v.fn, space.kind == "bloch"
+    if space.weight is not None:  # Bloch and sup-type spaces
+        vfn, bloch = space.weight.fn, space.kind == "bloch"
 
         def kval(z):  # (|phi_t'| v(z)) / v(phi_t(z)), the factor |phi_t'| on Bloch only
             dphi = np.abs(np.asarray(phi.space_derivative(t, z))) if bloch else 1.0
@@ -300,7 +300,7 @@ def continuity_probe(sg: WcSemigroup, f: HoloFn, ts, radii,
 
     Returns ``({gamma_verdict, norm_verdict}, rows)`` with one row per t:
     ``t``, ``norm_residual`` ||C(t)f - f||, ``norm_of_Cf`` and one
-    ``co_residual_r<r>`` per radius r, the seminorm of C(t)f - f there.
+    ``co_residual_r<repr(r)>`` per radius r, the seminorm of C(t)f - f there.
     gamma_verdict: the compact-open residuals die at the smallest sampled t
     and the orbit stays below ``norm_cap``. norm_verdict: the norm residual
     itself dies.
@@ -308,6 +308,7 @@ def continuity_probe(sg: WcSemigroup, f: HoloFn, ts, radii,
     ts = [float(t) for t in ts]
     if not ts or min(ts) <= 0 or any(b >= a for a, b in zip(ts, ts[1:])):
         raise InvalidParam("ts must be positive and decreasing toward 0")
+    radii = spaces.check_radii(radii)
     if norm_cap is None:
         norm_cap = 10.0 * (norm(sg.space, f) + 1.0)
     rows = []
@@ -317,7 +318,7 @@ def continuity_probe(sg: WcSemigroup, f: HoloFn, ts, radii,
         co = [co_seminorm(sg.space, diff, SeminormIndex(r)) for r in radii]
         rows.append({"t": t, "norm_residual": norm(sg.space, diff),
                      "norm_of_Cf": norm(sg.space, Cf),
-                     **{f"co_residual_r{r:g}": v for r, v in zip(radii, co)}})
+                     **{f"co_residual_r{r!r}": v for r, v in zip(radii, co)}})
     gamma = all(v < tol_co for v in co) and all(row["norm_of_Cf"] <= norm_cap for row in rows)
     return {"gamma_verdict": bool(gamma),
             "norm_verdict": bool(rows[-1]["norm_residual"] < tol_norm)}, rows

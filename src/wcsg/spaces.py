@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import holo
+from . import exprs, holo
 from .errors import InvalidParam, NonConvergent, Unbounded
 from .holo import (
     DEFAULT_POLICY,
@@ -50,47 +50,53 @@ from .holo import (
 )
 
 INTEGRAL_KINDS = ("hardy", "bergman", "dirichlet")
-SUP_KINDS = ("bloch", "sup-holo", "sup-cont")
+
+# Each space kind's own parameters and their defaults (None: required); every
+# kind also takes a ``policy``, and a Bloch space's weight is (1 - |z|^2)^alpha.
+SPACE_PARAMS = {"hardy": {"p": 2.0}, "bergman": {"alpha": None, "p": 2.0}, "dirichlet": {},
+                "bloch": {"alpha": 1.0}, "sup-holo": {"weight": "one"},
+                "sup-cont": {"weight": "exp-decay", "halfwidth": 40.0}}
 
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Tagged description of a function space plus its quadrature policy."""
+    """A space kind, its own parameters (one left out takes its SPACE_PARAMS
+    default, one the kind does not take is a ValueError) and a quadrature policy."""
 
     kind: str
-    p: float = 2.0
+    p: float | None = None
     alpha: float | None = None
-    v: HoloFn | None = None
+    weight: HoloFn | str | None = None
+    halfwidth: float | None = None
     policy: QuadPolicy = DEFAULT_POLICY
-    real_halfwidth: float = 40.0
-    label: str = ""
 
     def __post_init__(self):
-        if self.kind not in INTEGRAL_KINDS + SUP_KINDS:
+        if self.kind not in SPACE_PARAMS:
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind in ("hardy", "bergman") and self.p < 1:
+        own = SPACE_PARAMS[self.kind]
+        for key in ("p", "alpha", "weight", "halfwidth"):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, own.get(key))
+            elif key not in own:
+                raise ValueError(f"{key}: not a parameter of {self.kind}")
+        if self.p is not None and self.p < 1:
             raise ValueError("p must be >= 1")
         if self.kind == "bergman" and not (self.alpha is not None and self.alpha > -1):
             raise ValueError("bergman weight exponent must be > -1")
-        if self.kind == "bloch" and not (self.alpha is not None and self.alpha > 0
-                                         and self.v is holo.bloch_weight(self.alpha)):
-            raise ValueError("bloch weight must be holo.bloch_weight(alpha), alpha > 0")
-        if self.kind == "sup-cont" and not self.real_halfwidth > 0:
-            raise ValueError(f"halfwidth must be positive, got {self.real_halfwidth!r}")
-        if self.kind in SUP_KINDS:
-            if self.v is None:
-                raise ValueError(f"{self.kind} needs a weight")
-            _check_weight_positive(self.v, self.real_halfwidth)
-        if not self.label:
-            object.__setattr__(self, "label", _default_label(self))
+        if self.halfwidth is not None and not self.halfwidth > 0:
+            raise ValueError(f"halfwidth must be positive, got {self.halfwidth!r}")
+        if self.kind == "bloch":
+            object.__setattr__(self, "weight", holo.bloch_weight(self.alpha))
+        elif "weight" in own:
+            object.__setattr__(self, "weight", _weight(self))
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def hardy(cls, p: float = 2.0, policy: QuadPolicy = DEFAULT_POLICY):
+    def hardy(cls, p: float | None = None, policy: QuadPolicy = DEFAULT_POLICY):
         return cls("hardy", p=p, policy=policy)
 
     @classmethod
-    def bergman(cls, alpha: float, p: float = 2.0, policy: QuadPolicy = DEFAULT_POLICY):
+    def bergman(cls, alpha: float, p: float | None = None, policy: QuadPolicy = DEFAULT_POLICY):
         return cls("bergman", p=p, alpha=alpha, policy=policy)
 
     @classmethod
@@ -98,44 +104,53 @@ class SpaceSpec:
         return cls("dirichlet", policy=policy)
 
     @classmethod
-    def bloch(cls, alpha: float = 1.0, policy: QuadPolicy = DEFAULT_POLICY):
-        return cls("bloch", alpha=alpha, v=holo.bloch_weight(alpha), policy=policy)
+    def bloch(cls, alpha: float | None = None, policy: QuadPolicy = DEFAULT_POLICY):
+        return cls("bloch", alpha=alpha, policy=policy)
 
     @classmethod
-    def sup_holo(cls, v: HoloFn | None = None, policy: QuadPolicy = DEFAULT_POLICY):
-        return cls("sup-holo", v=v if v is not None else holo.unit_weight(), policy=policy)
+    def sup_holo(cls, weight: HoloFn | str | None = None, policy: QuadPolicy = DEFAULT_POLICY):
+        return cls("sup-holo", weight=weight, policy=policy)
 
     @classmethod
-    def sup_cont(cls, v: HoloFn, halfwidth: float = 40.0, policy: QuadPolicy = DEFAULT_POLICY):
-        return cls("sup-cont", v=v, real_halfwidth=halfwidth, policy=policy)
+    def sup_cont(cls, weight: HoloFn | str | None = None, halfwidth: float | None = None,
+                 policy: QuadPolicy = DEFAULT_POLICY):
+        return cls("sup-cont", weight=weight, halfwidth=halfwidth, policy=policy)
 
     @property
     def is_real(self) -> bool:
         return self.kind == "sup-cont"
 
+    @property
+    def label(self) -> str:
+        if self.kind == "hardy":
+            return f"H^{self.p:g}"
+        if self.kind == "bergman":
+            return f"A^{self.p:g}_{self.alpha:g}"
+        if self.kind == "dirichlet":
+            return "Dirichlet"
+        prefix = {"bloch": "Bloch", "sup-holo": "Hv", "sup-cont": "Cv"}[self.kind]
+        return f"{prefix}[{self.weight.name or 'v'}]"
 
-def _default_label(space: SpaceSpec) -> str:
-    if space.kind == "hardy":
-        return f"H^{space.p:g}"
-    if space.kind == "bergman":
-        return f"A^{space.p:g}_{space.alpha:g}"
-    if space.kind == "dirichlet":
-        return "Dirichlet"
-    prefix = {"bloch": "Bloch", "sup-holo": "Hv", "sup-cont": "Cv"}[space.kind]
-    return f"{prefix}[{space.v.name or 'v'}]"
 
-
-def _check_weight_positive(v: HoloFn, halfwidth: float):
-    if v.domain.kind == "real":
-        sample = np.linspace(-halfwidth, halfwidth, 501)
-    else:
-        sample = (np.linspace(0.0, 0.999, 40)[:, None]
-                  * np.exp(1j * np.linspace(0, 2 * np.pi, 33))[None, :]).ravel()
-    vals = np.asarray(v(sample))
+def _weight(space: SpaceSpec) -> HoloFn:
+    """A sup-holo or sup-cont weight from a HoloFn, "one", "exp-decay" or an
+    expression on the space's domain; real and > 0 on the space's sup grid."""
+    spec, domain = space.weight, holo.REAL_LINE if space.is_real else holo.UNIT_DISC
+    names = {"one": holo.unit_weight(domain), "exp-decay": holo.exp_abs_decay_weight()}
+    if isinstance(spec, str):
+        try:
+            spec = names[spec] if spec in names else exprs.to_holofn(spec, domain)
+        except ValueError as e:
+            raise ValueError(f"weight: bad expression: {e}") from None
+    elif not isinstance(spec, HoloFn):
+        raise ValueError(f"weight: expected a name or an expression string, got {spec!r}")
+    pts = real_sup_points(space.halfwidth) if space.is_real else disc_sup_points(space.policy.r_cap)
+    vals = np.asarray(spec.fn(pts))  # as the norms evaluate it
     if np.any(np.imag(vals) != 0.0):
         raise ValueError("weight must be real-valued on the domain (sampled check)")
     if not np.all(np.real(vals) > 0.0):
         raise ValueError("weight must be strictly positive on the domain (sampled check)")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -212,7 +227,7 @@ def certified_sup(values_at, space: SpaceSpec, radius_scale: float = 1.0) -> flo
     is not finite or exceeds the overflow guard raises Unbounded naming its
     point.
     """
-    pts = real_sup_points(space.real_halfwidth) if space.is_real else disc_sup_points(
+    pts = real_sup_points(space.halfwidth) if space.is_real else disc_sup_points(
         space.policy.r_cap)
     scale = _grid_scale(space, radius_scale)
     best = -np.inf
@@ -582,10 +597,10 @@ def _evaluate(space: SpaceSpec, f: HoloFn, s: float) -> NormEvaluation:
         ext = boundary_extrapolate(F1, F2, r1, r2, _tail_exponent(space))
         ext = max(ext, F2)  # the functionals are nondecreasing in r
         ev = NormEvaluation(float(ext ** _root(space)), "truncated-extrapolated")
-    elif space.kind == "sup-holo" and space.v is holo.unit_weight():
+    elif space.kind == "sup-holo" and space.weight is holo.unit_weight():
         ev = NormEvaluation(*_modulus_sup(f.fn, space, s))
     else:
-        vfn = space.v.fn
+        vfn = space.weight.fn
         if space.kind == "bloch":
             head, mod = abs(complex(f(0.0))), lambda z: np.abs(derivative_on_grid(f, z))
         else:
@@ -611,14 +626,20 @@ def co_seminorm(space: SpaceSpec, f: HoloFn, idx: SeminormIndex) -> float:
     return _evaluate(space, f, idx.s).value
 
 
+def check_radii(radii) -> list:
+    """The radii as floats, nonempty and increasing toward 1 (so their reprs differ)."""
+    radii = [float(r) for r in radii]
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InvalidParam("radii must be nonempty and increase toward 1")
+    return radii
+
+
 def saks_sup_check(space: SpaceSpec, f: HoloFn, radii, tol: float = 1e-3) -> tuple[dict, bool]:
     """``({norm, max_seminorm, gap}, verdict)``: the norm against the largest
     seminorm over ``radii``, per the Saks identity. The verdict passes when
     the two agree to within tol on either side: a seminorm above the norm
     fails too."""
-    radii = [float(r) for r in radii]
-    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InvalidParam("radii must be nonempty and increase toward 1")
+    radii = check_radii(radii)
     nrm = norm(space, f)
     best = max(co_seminorm(space, f, SeminormIndex(r)) for r in radii)
     gap = nrm - best

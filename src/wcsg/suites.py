@@ -18,7 +18,7 @@ from . import cocycles, exprs, flows, holo, semigroup, spaces
 from .errors import ConfigError, DegenerateFixedPoint, WcsgError
 from .flows import (CATALOG_PARAMS, OdeCfg, Semiflow, make_catalog_semiflow,
                     semiflow_from_generator)
-from .holo import REAL_LINE, UNIT_DISC, HoloFn, QuadPolicy
+from .holo import HoloFn, QuadPolicy
 from .reporting import Case
 from .semigroup import WcSemigroup
 from .spaces import SpaceSpec
@@ -167,40 +167,18 @@ def _expr(spec, domain, path: str) -> HoloFn:
         raise ConfigError(path, f"bad expression: {e}")
 
 
-def _build_weight(spec, domain, path: str) -> HoloFn:
-    if spec == "one":
-        return holo.unit_weight(domain)
-    if spec == "exp-decay":
-        return holo.exp_abs_decay_weight()
-    return _expr(spec, domain, path)
-
-
-# The own entries of each space kind; every kind also takes a ``policy``.
-_SPACE_KEYS = {"hardy": {"p": 2.0}, "bergman": {"alpha": Required(float), "p": 2.0},
-               "dirichlet": {}, "bloch": {"alpha": 1.0}, "sup-holo": {"weight": "one"},
-               "sup-cont": {"weight": "exp-decay", "halfwidth": 40.0}}
+# Each space kind's own entries (spaces.SPACE_PARAMS); every kind also takes a ``policy``.
+_SPACE_KEYS = {kind: {k: Required(float) if d is None else d for k, d in own.items()}
+               for kind, own in spaces.SPACE_PARAMS.items()}
 
 
 def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
-    v = _read(cfg, path, _variant(cfg, path, "kind", _SPACE_KEYS, {"policy": {}}))
-    kind = v["kind"]
-    policy = _settings(QuadPolicy, v["policy"], f"{path}.policy")
+    values = _read(cfg, path, _variant(cfg, path, "kind", _SPACE_KEYS, {"policy": {}}))
+    values["policy"] = _settings(QuadPolicy, values["policy"], f"{path}.policy")
+    if not (isinstance(values["kind"], str) and values["kind"] in _SPACE_KEYS):
+        raise ConfigError(f"{path}.kind", f"unknown space kind {values['kind']!r}")
     with _config_errors(path):
-        if kind == "hardy":
-            return SpaceSpec.hardy(v["p"], policy)
-        if kind == "bergman":
-            return SpaceSpec.bergman(v["alpha"], v["p"], policy)
-        if kind == "dirichlet":
-            return SpaceSpec.dirichlet(policy)
-        if kind == "bloch":
-            return SpaceSpec.bloch(v["alpha"], policy)
-        if kind == "sup-holo":
-            return SpaceSpec.sup_holo(_build_weight(v["weight"], UNIT_DISC, f"{path}.weight"),
-                                      policy)
-        if kind == "sup-cont":
-            w = _build_weight(v["weight"], REAL_LINE, f"{path}.weight")
-            return SpaceSpec.sup_cont(w, v["halfwidth"], policy)
-    raise ConfigError(f"{path}.kind", f"unknown space kind {kind!r}")
+        return SpaceSpec(**values)
 
 
 def build_flow(cfg: dict, path: str = "flow") -> Semiflow:
@@ -432,7 +410,7 @@ def run_semigroup_check(cfg: dict) -> list:
         }
         return {"pair": v["label"]}, numbers, all(r < v["tol"] for r in (r_flow, r_coc, r_sg)), []
 
-    schema = {"tol": 1e-10, "space": {"kind": "hardy", "p": 2.0}, "flow": Required(dict),
+    schema = {"tol": 1e-10, "space": {"kind": "hardy"}, "flow": Required(dict),
               "cocycle": Required(dict)}
     return _run_cases(c["pairs"], "pairs", schema, "laws", run)
 

@@ -72,6 +72,22 @@ class TestExitCodes:
         assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "r").exists()
 
+    def test_unwritable_report_is_an_io_error(self, tmp_path):
+        out = tmp_path / "missing-dir" / "r.json"
+        proc = run_cli(tmp_path, DEFAULT_CONFIGS["admissibility"], "--out", str(out))
+        assert proc.returncode == 2
+        assert f"io error: [Errno 2] No such file or directory: '{out}'\n" in proc.stderr
+
+    def test_run_all_suites_reports_an_unusable_out_dir(self, tmp_path):
+        script = SRC.parent / "scripts" / "run_all_suites.py"
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "r"
+        proc = subprocess.run([sys.executable, str(script), "--out-dir", str(out),
+                               "--suites", "admissibility"], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"io error: [Errno 20] Not a directory: '{out}'\n"
+
     def test_exact_difference_quotient_passes(self, tmp_path):
         # (f(x + h) - f(x))/h of f = x is 1 up to rounding at every h, so no
         # order can be fitted: residuals at rounding level count as exact
@@ -435,9 +451,11 @@ _BAD_INPUTS = {
          "cases": [{"label": label, "space": _HARDY2, "flow": _DILATION, "f": f}
                    for label, f in [("negative-monomial", "e_-1"), ("character", "z $"),
                                     ("trailing", "z)"), ("exponent", "z^1.5"),
-                                    ("mobius", "mobius(2)*z"), ("ok", "z")]]},
+                                    ("mobius", "mobius(2)*z"), ("leading-operator", "*z"),
+                                    ("ok", "z")]]},
         {**{f"generator/{label}": "error" for label in (
-            "negative-monomial", "character", "trailing", "exponent", "mobius")},
+            "negative-monomial", "character", "trailing", "exponent", "mobius",
+            "leading-operator")},
          "generator/ok": True},
     ),
 }
@@ -513,7 +531,8 @@ _ERROR_TEXT = {
         "generator/exponent":
             "cases[3].f: bad expression: exponent must be an integer or 1/3, 2/3",
         "generator/mobius":
-            "cases[4].f: bad expression: mobius parameter must lie in the open unit disc"},
+            "cases[4].f: bad expression: mobius parameter must lie in the open unit disc",
+        "generator/leading-operator": "cases[5].f: bad expression: unexpected token '*'"},
 }
 
 
@@ -1164,6 +1183,40 @@ class TestEachCaseWritesWhatItsDiagnosticReturns:
         numbers, rows = cocycles.coboundary_admissibility(
             g, phi.generator, report.cases[0].inputs["fixed_points"], tol=echo["tol"])
         assert (cases[0]["numbers"], cases[0]["rows"]) == (sanitize(numbers), sanitize(rows))
+
+
+class TestOneFieldPerRadiusAndOnePointPerZero:
+    @staticmethod
+    def _probe(radii):
+        return cli.run({"suite": "continuity-probe", "cases": [
+            {"space": {"kind": "hardy"}, "flow": {"name": "dilation"}, "f": "e_1",
+             "radii": radii, "expect": {"gamma": True}}]}).cases[0]
+
+    def test_radii_that_print_alike_write_two_fields(self):
+        case = self._probe([0.9, 0.90000001])
+        assert case.verdict is True
+        for row in case.rows:
+            assert [k for k in row if k.startswith("co_")] == ["co_residual_r0.9",
+                                                               "co_residual_r0.90000001"]
+
+    def test_default_radii_keep_their_field_names(self):
+        report = cli.run(copy.deepcopy(DEFAULT_CONFIGS["continuity-probe"]))
+        assert report.config["cases"][0]["radii"] == [0.5, 0.9]
+        for row in report.cases[0].rows:
+            assert [k for k in row if k.startswith("co_")] == ["co_residual_r0.5",
+                                                               "co_residual_r0.9"]
+
+    @pytest.mark.parametrize("radii", [[0.9, 0.5], [0.5, 0.5]])
+    def test_the_probe_checks_its_radii_as_the_saks_check_does(self, radii):
+        case = self._probe(radii)
+        assert (case.verdict, case.error) == ("error", "radii must be nonempty and increase "
+                                                       "toward 1")
+
+    def test_a_double_zero_is_one_fixed_point(self):
+        case = cli.run({"suite": "admissibility", "flow": {"generator": "-z^2"}, "tol": 1e-30,
+                        "cases": [{"g": "-1.0"}]}).cases[0]
+        assert case.inputs["fixed_points"] == [0j]
+        assert [row["point"] for row in case.rows] == [0j]
 
 
 class TestEmission:

@@ -25,12 +25,31 @@ def report(verdict=True, config=None):
     }
 
 
-def compare(tmp_path, left, right):
-    a = write_tree(tmp_path / "a", left)
-    b = write_tree(tmp_path / "b", right)
-    proc = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
+def run_script(a, b):
+    return subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
                           capture_output=True, text=True, timeout=60)
+
+
+def compare(tmp_path, left, right):
+    proc = run_script(write_tree(tmp_path / "a", left), write_tree(tmp_path / "b", right))
     return proc.returncode, proc.stdout
+
+
+def test_missing_directory_exits_two(tmp_path):
+    a, missing = write_tree(tmp_path / "a", {"toy": report()}), tmp_path / "missing"
+    for left, right in ((a, missing), (missing, a), (missing, tmp_path / "also-missing")):
+        proc = run_script(left, right)
+        assert proc.returncode == 2
+        assert proc.stderr == f"io error: {missing}: not a directory\n"
+        assert proc.stdout == ""
+
+
+def test_trees_without_reports_exit_two(tmp_path):
+    a, b = write_tree(tmp_path / "a", {}), write_tree(tmp_path / "b", {})
+    proc = run_script(a, b)
+    assert proc.returncode == 2
+    assert proc.stderr == f"io error: no <suite>.json in {a} or {b}\n"
+    assert "largest absolute shift" not in proc.stdout
 
 
 def test_identical_trees(tmp_path):

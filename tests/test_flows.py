@@ -140,6 +140,12 @@ class TestFixedPoints:
         assert res.trivial
         assert res.points == ()
 
+    def test_double_zero_is_one_point(self):
+        # Newton converges only linearly to the double zero 0 of -z^2: every
+        # seed must end on it, not at its own point near it
+        phi = semiflow_from_generator(exprs.to_holofn("-z^2"))
+        assert fixed_points(phi, disc_sample_grid(0.9, 4, 12)).points == (0j,)
+
     def test_cubic_zero_of_field_is_not_fixed(self):
         # G(0) = 0 but the flow escapes: the phi-side check must reject 0
         phi = make_catalog_semiflow("cubic-real")
@@ -165,6 +171,12 @@ class TestOdeReconstruction:
         phi = semiflow_from_generator(G)
         z = 0.3 - 0.4j
         assert complex(phi(2.0, z)) == pytest.approx(z, abs=1e-14)
+
+    def test_step_underflow_at_a_pole(self):
+        # u^4 = z^4 + 4t reaches the pole 0 of z^(-3) at t = 1e-4 from z = 0.1 + 0.1i
+        phi = semiflow_from_generator(exprs.to_holofn("z^(-3)"))
+        with pytest.raises(StepUnderflow, match=r"^step size underflow at t=0\.0001$"):
+            phi(1.0, 0.1 + 0.1j)
 
     def test_round_trip_generator_recovery(self):
         G = holo.HoloFn(lambda z: -z, holo.UNIT_DISC, name="-z")

@@ -6,6 +6,7 @@ polar-coordinate integrals for the Dirichlet energy.
 """
 
 import copy
+import dataclasses
 import inspect
 import math
 from fractions import Fraction
@@ -344,7 +345,7 @@ class TestBlockedSup:
     @staticmethod
     def _unblocked(space, radius_scale):
         if space.is_real:
-            return spaces.real_sup_points(space.real_halfwidth) * radius_scale
+            return spaces.real_sup_points(space.halfwidth) * radius_scale
         pts = spaces.disc_sup_points(space.policy.r_cap)
         return pts if radius_scale == 1.0 else pts * (radius_scale / space.policy.r_cap)
 
@@ -757,6 +758,68 @@ class TestSpaceInvariants:
     def test_sup_cont_halfwidth_must_be_positive(self, halfwidth):
         with pytest.raises(ValueError, match="halfwidth must be positive"):
             SpaceSpec.sup_cont(holo.exp_abs_decay_weight(), halfwidth)
+
+
+# A value for each space parameter, for the kinds that do not take it.
+_SET = {"p": 3.0, "alpha": 0.5, "weight": "one", "halfwidth": 10.0}
+_FOREIGN = [(kind, key) for kind, own in spaces.SPACE_PARAMS.items() for key in _SET
+            if key not in own]
+# Per kind: its constructor, the positional arguments that set every own
+# parameter and the policy, and the config keys that set them alike.
+_POLICY = holo.QuadPolicy(tol=1e-9)
+_ALL_SET = {
+    "hardy": (SpaceSpec.hardy, (3.0, _POLICY), {"p": 3.0}),
+    "bergman": (SpaceSpec.bergman, (0.5, 3.0, _POLICY), {"alpha": 0.5, "p": 3.0}),
+    "dirichlet": (SpaceSpec.dirichlet, (_POLICY,), {}),
+    "bloch": (SpaceSpec.bloch, (2.0, _POLICY), {"alpha": 2.0}),
+    "sup-holo": (SpaceSpec.sup_holo, ("exp-decay", _POLICY), {"weight": "exp-decay"}),
+    "sup-cont": (SpaceSpec.sup_cont, ("one", 10.0, _POLICY), {"weight": "one", "halfwidth": 10.0}),
+}
+
+
+class TestSpaceParams:
+    """spaces.SPACE_PARAMS is the one table of each kind's own parameters."""
+
+    def test_fields_are_the_table_keys_and_a_policy(self):
+        keys = {key for own in spaces.SPACE_PARAMS.values() for key in own}
+        assert {f.name for f in dataclasses.fields(SpaceSpec)} == {"kind", "policy"} | keys
+
+    @pytest.mark.parametrize("kind, key", _FOREIGN)
+    def test_a_foreign_parameter_raises(self, kind, key):
+        with pytest.raises(ValueError, match=f"^{key}: not a parameter of {kind}$"):
+            SpaceSpec(kind, **{key: _SET[key]})
+
+    @pytest.mark.parametrize("kind", sorted(spaces.SPACE_PARAMS))
+    def test_config_and_constructor_build_equal_spaces_with_defaults(self, kind):
+        required = {"alpha": 0.5} if kind == "bergman" else {}
+        built = suites.build_space({"kind": kind, **required})
+        assert built == _ALL_SET[kind][0](*required.values())
+        assert built == SpaceSpec(kind, **required)
+        for key, default in spaces.SPACE_PARAMS[kind].items():
+            if default is not None and key != "weight":
+                assert getattr(built, key) == default
+
+    @pytest.mark.parametrize("kind", sorted(spaces.SPACE_PARAMS))
+    def test_config_and_constructor_build_equal_spaces_with_every_parameter_set(self, kind):
+        make, args, keys = _ALL_SET[kind]
+        built = suites.build_space({"kind": kind, **keys, "policy": {"tol": 1e-9}})
+        assert built == make(*args) == SpaceSpec(kind, **keys, policy=_POLICY)
+        assert built != SpaceSpec(kind, **({"alpha": 0.5} if kind == "bergman" else {}))
+
+    def test_weights_are_derived_or_named(self):
+        assert SpaceSpec.bloch(2.0).weight is holo.bloch_weight(2.0)
+        assert SpaceSpec.sup_holo().weight is holo.unit_weight()
+        assert SpaceSpec.sup_cont().weight is holo.exp_abs_decay_weight()
+        assert SpaceSpec.sup_cont("one").weight is holo.unit_weight(holo.REAL_LINE)
+        assert SpaceSpec.sup_holo("2.0").label == "Hv[2.0]"
+        with pytest.raises(ValueError, match="^weight: bad expression: "):
+            SpaceSpec.sup_holo("*z")
+        with pytest.raises(ValueError, match="^weight: expected a name or an expression string"):
+            SpaceSpec.sup_holo(2.0)
+
+    def test_an_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="^unknown space kind 'hardi'$"):
+            SpaceSpec("hardi")
 
 
 @settings(max_examples=20, deadline=None)
