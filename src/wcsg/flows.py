@@ -105,21 +105,35 @@ CATALOG_PARAMS = {"dilation": {"c": 1 + 0j}, "rotation": {"rate": 1.0}, "attract
                   "translation-real": {}, "cubic-real": {}, "identity": {"domain": "disc"}}
 
 
-def _linear_semiflow(name: str, w: complex, generator_name: str) -> Semiflow:
-    """phi_t(z) = e^(wt) z on the disc, generated by G(z) = w z."""
+def _affine_semiflow(name: str, a, b, generator_name: str, domain: Domain = UNIT_DISC) -> Semiflow:
+    """The flow of G(z) = a z + b: phi_t(z) = e^(at) z + beta - beta e^(at) about
+    the fixed point beta = -b/a, or z + b t for a = 0; G' = a and phi_t' = e^(at).
+    For b = 0 the beta terms are left out, which saves two passes over z."""
+    if a == 0:
+        def flow(t, z):
+            return z + b * t
+    elif b == 0:
+        def flow(t, z):
+            return np.exp(a * t) * z
+    else:
+        beta = -b / a
+
+        def flow(t, z):
+            e = np.exp(a * t)
+            return e * z + beta - beta * e
     return Semiflow(
-        eval=lambda t, z: np.exp(w * t) * z,
-        domain=UNIT_DISC,
+        eval=flow,
+        domain=domain,
         name=name,
-        generator=HoloFn(lambda z: w * z, UNIT_DISC, name=generator_name,
-                         deriv=lambda z: np.full(np.shape(z), w, dtype=complex)),
-        prime=lambda t, z: np.full(np.shape(z), np.exp(w * t), dtype=complex),
+        generator=HoloFn(lambda z: a * z + b, domain, name=generator_name,
+                         deriv=lambda z: np.full(np.shape(z), a, dtype=domain.dtype)),
+        prime=lambda t, z: np.full(np.shape(z), np.exp(a * t), dtype=domain.dtype),
     )
 
 
 def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
     """A closed-form semiflow by name; CATALOG_PARAMS lists its parameters
-    and their defaults."""
+    and their defaults. All but ``cubic-real`` are affine flows."""
     if name not in CATALOG_PARAMS:
         raise UnknownCatalogEntry(f"no catalog semiflow named {name!r}")
     for key in params or {}:
@@ -130,26 +144,13 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
         c = complex(params["c"])
         if c.real < 0:
             raise InvalidParam("dilation requires Re(c) >= 0, else the disc is not invariant")
-        return _linear_semiflow("dilation", -c, "-c*z")
+        return _affine_semiflow(name, -c, 0, "-c*z")
     if name == "rotation":
-        return _linear_semiflow("rotation", 1j * float(params["rate"]), "i*rate*z")
+        return _affine_semiflow(name, 1j * float(params["rate"]), 0, "i*rate*z")
     if name == "attracting":
-        return Semiflow(
-            eval=lambda t, z: np.exp(-t) * z + 1.0 - np.exp(-t),
-            domain=UNIT_DISC,
-            name="attracting",
-            generator=HoloFn(lambda z: 1.0 - z, UNIT_DISC, name="1-z",
-                              deriv=lambda z: np.full(np.shape(z), -1.0, dtype=complex)),
-            prime=lambda t, z: np.full(np.shape(z), np.exp(-t), dtype=complex),
-        )
+        return _affine_semiflow(name, -1.0, 1.0, "1-z")
     if name == "translation-real":
-        return Semiflow(
-            eval=lambda t, x: x + t,
-            domain=REAL_LINE,
-            name="translation-real",
-            generator=HoloFn(lambda x: np.ones(np.shape(x)), REAL_LINE, name="1"),
-            prime=lambda t, x: np.ones(np.shape(x)),
-        )
+        return _affine_semiflow(name, 0, 1.0, "1", REAL_LINE)
     if name == "cubic-real":
         return Semiflow(
             eval=lambda t, x: (np.cbrt(x) + t / 3.0) ** 3,
@@ -160,15 +161,7 @@ def make_catalog_semiflow(name: str, params: dict | None = None) -> Semiflow:
     key = params["domain"]  # "identity", the one name left
     if key not in ("disc", "real"):
         raise InvalidParam(f"identity domain must be disc or real, got {key!r}")
-    dom = UNIT_DISC if key == "disc" else REAL_LINE
-    zero = HoloFn(lambda z: np.zeros(np.shape(z), dtype=dom.dtype), dom, name="0")
-    return Semiflow(
-        eval=lambda t, z: z + 0,
-        domain=dom,
-        name="identity",
-        generator=zero,
-        prime=lambda t, z: np.ones(np.shape(z), dtype=dom.dtype),
-    )
+    return _affine_semiflow(name, 0, 0, "0", UNIT_DISC if key == "disc" else REAL_LINE)
 
 
 # ---------------------------------------------------------------------------

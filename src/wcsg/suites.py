@@ -181,7 +181,9 @@ def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
         return SpaceSpec(**values)
 
 
-def build_flow(cfg: dict, path: str = "flow") -> Semiflow:
+def build_flow(cfg: dict, path: str = "flow", domain=None) -> Semiflow:
+    """A catalog or ODE flow. An ODE generator is compiled on ``domain``, the
+    case's domain, or without one on the disc unless it uses x."""
     v = _read(cfg, path, dict.fromkeys(("name", "params", "generator", "ode"), object))
     name, gen = v["name"], v["generator"]
     if (name is None) == (gen is None):
@@ -190,7 +192,7 @@ def build_flow(cfg: dict, path: str = "flow") -> Semiflow:
         ode = _read(cfg, path, {"generator": object, "ode": {}}, "not a key of an ODE flow")["ode"]
         ode = _settings(OdeCfg, ode, f"{path}.ode")
         with _config_errors(path):
-            return semiflow_from_generator(_expr(gen, None, f"{path}.generator"), ode)
+            return semiflow_from_generator(_expr(gen, domain, f"{path}.generator"), ode)
     own = CATALOG_PARAMS.get(name) if isinstance(name, str) else None
     if own is None:
         raise ConfigError(path, f"no catalog semiflow named {name!r}")
@@ -268,7 +270,8 @@ _SEMIGROUP = {"space": Required(dict), "flow": Required(dict), "cocycle": {"type
 def _build_semigroup(case: dict, path: str) -> WcSemigroup:
     """The semigroup of a case from its ``space``, ``flow`` and ``cocycle``."""
     space = build_space(case["space"], f"{path}.space")
-    phi = build_flow(case["flow"], f"{path}.flow")
+    phi = build_flow(case["flow"], f"{path}.flow",
+                     holo.REAL_LINE if space.is_real else holo.UNIT_DISC)
     return WcSemigroup(phi, build_cocycle(case["cocycle"], phi, f"{path}.cocycle"), space)
 
 
@@ -502,11 +505,8 @@ def run_reconstruct(cfg: dict) -> list:
     ts, rmax, grid_n = _sweep(c["sweep"], [0.25, 0.5, 0.75, 1.0], 0.9, 6)
 
     def run(v, path):
-        phi_ode = build_flow({"generator": v["generator"], "ode": c["ode"]}, path)
         ref = build_flow(v["reference"], f"{path}.reference")
-        if phi_ode.domain.kind != ref.domain.kind:
-            raise ConfigError(f"{path}.generator", f"a {phi_ode.domain.kind}-domain generator "
-                              f"cannot rebuild the {ref.domain.kind}-domain flow {ref.name}")
+        phi_ode = build_flow({"generator": v["generator"], "ode": c["ode"]}, path, ref.domain)
         grid = _grid_for(ref.domain, rmax, grid_n, "sweep.grid_rmax")
         # one flow call per flow for every sweep time; a NaN is kept
         dev = np.max(np.abs(phi_ode.at_times(ts, grid) - ref.at_times(ts, grid)))

@@ -473,7 +473,8 @@ _ERROR_TEXT = {
     "continuity-probe-pole-on-the-sup-grid": {
         "continuity/pole": "sup evaluation is not finite at (0.5+0j)"},
     "reconstruct-generator-domain": {
-        "reconstruct/a": "cases[0].generator: a real-domain generator"},
+        "reconstruct/a":
+            "cases[0].generator: bad expression: complex-domain expressions use the variable z"},
     "cocycle-check-x-on-the-disc": {"cocycle/integral0": "cocycles[0].g: bad expression"},
     "cocycle-check-undeclared-zero": {"cocycle/coboundary0": "omega vanishes at 0j"},
     "cocycle-check-coboundary-pole-on-an-orbit": {
@@ -1217,6 +1218,38 @@ class TestOneFieldPerRadiusAndOnePointPerZero:
                         "cases": [{"g": "-1.0"}]}).cases[0]
         assert case.inputs["fixed_points"] == [0j]
         assert [row["point"] for row in case.rows] == [0j]
+
+
+class TestGeneratorTakesTheCaseDomain:
+    """An ODE generator is compiled on its case's domain, so a constant
+    generator rebuilds the line's flows; a flow-only suite infers the domain."""
+
+    @pytest.mark.parametrize("generator, reference", [
+        ("1.0", {"name": "translation-real"}),
+        ("0", {"name": "identity", "params": {"domain": "real"}})])
+    def test_a_constant_rebuilds_a_line_flow(self, generator, reference):
+        case = cli.run({"suite": "reconstruct", "cases": [
+            {"generator": generator, "reference": reference}]}).cases[0]
+        assert case.verdict is True
+        assert case.numbers["max_deviation"] < 1e-12
+
+    @pytest.mark.parametrize("generator", ["1.0", "0"])
+    def test_a_constant_acts_on_the_spaces_line(self, generator):
+        case = cli.run({"suite": "semigroup-check", "pairs": [
+            {"space": {"kind": "sup-cont"}, "flow": {"generator": generator},
+             "cocycle": {"type": "trivial"}}]}).cases[0]
+        assert case.verdict is True
+
+    def test_a_generator_in_the_wrong_variable_is_the_compilers_error(self):
+        case = cli.run({"suite": "semigroup-check", "pairs": [
+            {"space": {"kind": "sup-cont"}, "flow": {"generator": "1-z"},
+             "cocycle": {"type": "trivial"}}]}).cases[0]
+        assert case.error == ("pairs[0].flow.generator: bad expression: real-domain "
+                              "expressions use the variable x")
+
+    def test_a_flow_only_suite_keeps_a_constant_on_the_disc(self):
+        assert build_flow({"generator": "1.0"}).domain.kind == "disc"
+        assert build_flow({"generator": "1.0 + 0*x"}).domain.kind == "real"
 
 
 class TestEmission:

@@ -72,6 +72,36 @@ class TestCatalog:
             make_catalog_semiflow(name, params)
 
 
+class TestAffineFamily:
+    """Five catalog flows are the flows of G(z) = a z + b: about the fixed
+    point beta = -b/a, phi_t(z) = beta + e^(at) (z - beta), or z + b t for
+    a = 0, with G' = a and phi_t' = e^(at)."""
+
+    @pytest.mark.parametrize("name, params, a, b", [
+        ("dilation", {"c": 0.5 + 0.25j}, -(0.5 + 0.25j), 0.0),
+        ("rotation", {"rate": 0.7}, 0.7j, 0.0),
+        ("attracting", {}, -1.0, 1.0),
+        ("translation-real", {}, 0.0, 1.0),
+        ("identity", {}, 0.0, 0.0),
+        ("identity", {"domain": "real"}, 0.0, 0.0),
+    ])
+    def test_closed_forms_of_az_plus_b(self, name, params, a, b):
+        phi = make_catalog_semiflow(name, params)
+        G, dtype = phi.generator, phi.domain.dtype
+        z = disc_sample_grid(0.95) if phi.domain.kind == "disc" else real_sample_grid(10.0)
+        np.testing.assert_allclose(G(z), a * z + b, rtol=0, atol=1e-15)
+        assert G.deriv is not None
+        dG = holo.derivative_on_grid(G, z)
+        assert dG.dtype == dtype
+        np.testing.assert_array_equal(dG, np.full(z.shape, a))
+        for t in (0.0, 0.3, 1.0):
+            want = z + b * t if a == 0 else -b / a + np.exp(a * t) * (z + b / a)
+            np.testing.assert_allclose(phi(t, z), want, rtol=0, atol=1e-14)
+            prime = phi.space_derivative(t, z)
+            assert prime.dtype == dtype
+            np.testing.assert_allclose(prime, np.exp(a * t), rtol=1e-15, atol=0)
+
+
 class TestLawResidual:
     @pytest.mark.parametrize("name,params", [
         ("dilation", {"c": 1.0}),
