@@ -107,14 +107,10 @@ CATALOG_PARAMS = {"dilation": {"c": 1 + 0j}, "rotation": {"rate": 1.0}, "attract
 
 def _affine_semiflow(name: str, a, b, generator_name: str, domain: Domain = UNIT_DISC) -> Semiflow:
     """The flow of G(z) = a z + b: phi_t(z) = e^(at) z + beta - beta e^(at) about
-    the fixed point beta = -b/a, or z + b t for a = 0; G' = a and phi_t' = e^(at).
-    For b = 0 the beta terms are left out, which saves two passes over z."""
+    the fixed point beta = -b/a, or z + b t for a = 0; G' = a and phi_t' = e^(at)."""
     if a == 0:
         def flow(t, z):
             return z + b * t
-    elif b == 0:
-        def flow(t, z):
-            return np.exp(a * t) * z
     else:
         beta = -b / a
 

@@ -33,10 +33,9 @@ class WcSemigroup:
     space: SpaceSpec
 
     def __post_init__(self):
-        space_domain = "real" if self.space.is_real else "disc"
-        if self.phi.domain.kind != space_domain:
+        if self.phi.domain.kind != self.space.domain.kind:
             raise InvalidParam(f"flow {self.phi.name} acts on the {self.phi.domain.kind} domain, "
-                               f"but {self.space.label} lives on the {space_domain} domain")
+                               f"but {self.space.label} lives on the {self.space.domain.kind} domain")
 
 
 def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:

@@ -121,6 +121,10 @@ class SpaceSpec:
         return self.kind == "sup-cont"
 
     @property
+    def domain(self) -> holo.Domain:
+        return holo.REAL_LINE if self.is_real else holo.UNIT_DISC
+
+    @property
     def label(self) -> str:
         if self.kind == "hardy":
             return f"H^{self.p:g}"
@@ -135,7 +139,7 @@ class SpaceSpec:
 def _weight(space: SpaceSpec) -> HoloFn:
     """A sup-holo or sup-cont weight from a HoloFn, "one", "exp-decay" or an
     expression on the space's domain; real and > 0 on the space's sup grid."""
-    spec, domain = space.weight, holo.REAL_LINE if space.is_real else holo.UNIT_DISC
+    spec, domain = space.weight, space.domain
     names = {"one": holo.unit_weight(domain), "exp-decay": holo.exp_abs_decay_weight()}
     if isinstance(spec, str):
         try:

@@ -270,8 +270,7 @@ _SEMIGROUP = {"space": Required(dict), "flow": Required(dict), "cocycle": {"type
 def _build_semigroup(case: dict, path: str) -> WcSemigroup:
     """The semigroup of a case from its ``space``, ``flow`` and ``cocycle``."""
     space = build_space(case["space"], f"{path}.space")
-    phi = build_flow(case["flow"], f"{path}.flow",
-                     holo.REAL_LINE if space.is_real else holo.UNIT_DISC)
+    phi = build_flow(case["flow"], f"{path}.flow", space.domain)
     return WcSemigroup(phi, build_cocycle(case["cocycle"], phi, f"{path}.cocycle"), space)
 
 

@@ -128,8 +128,7 @@ class TestNorm:
         SpaceSpec.bloch(1.0), SpaceSpec.sup_holo(), SpaceSpec.sup_cont(holo.exp_abs_decay_weight()),
     ], ids=lambda space: space.kind)
     def test_zero_function_has_norm_zero(self, space):
-        dom = holo.REAL_LINE if space.is_real else holo.UNIT_DISC
-        assert norm_detail(space, holo.constant(0.0, dom)).value == 0.0
+        assert norm_detail(space, holo.constant(0.0, space.domain)).value == 0.0
 
     def test_tiny_function_keeps_its_norm(self):
         # a function below 1e-15 everywhere is not the zero function
@@ -805,6 +804,13 @@ class TestSpaceParams:
         built = suites.build_space({"kind": kind, **keys, "policy": {"tol": 1e-9}})
         assert built == make(*args) == SpaceSpec(kind, **keys, policy=_POLICY)
         assert built != SpaceSpec(kind, **({"alpha": 0.5} if kind == "bergman" else {}))
+
+    @pytest.mark.parametrize("kind", sorted(spaces.SPACE_PARAMS))
+    def test_domain_is_the_line_only_for_sup_cont(self, kind):
+        space = SpaceSpec(kind, **({"alpha": 0.5} if kind == "bergman" else {}))
+        assert space.domain is (holo.REAL_LINE if kind == "sup-cont" else holo.UNIT_DISC)
+        if space.weight is not None:
+            assert space.weight.domain.kind == space.domain.kind
 
     def test_weights_are_derived_or_named(self):
         assert SpaceSpec.bloch(2.0).weight is holo.bloch_weight(2.0)
