@@ -10,7 +10,7 @@ small configuration expression grammar), suites/cli (experiment runner).
 
 from .holo import Domain, HoloFn, QuadPolicy, UNIT_DISC, REAL_LINE
 from .spaces import SeminormIndex, SpaceSpec
-from .flows import OdeCfg, Semiflow, make_catalog_semiflow, semiflow_from_generator
+from .flows import Semiflow, make_catalog_semiflow, semiflow_from_generator
 from .cocycles import Semicocycle, cocycle_from_g, coboundary, derivative_cocycle, trivial_cocycle
 from .semigroup import WcSemigroup
 
@@ -24,7 +24,6 @@ __all__ = [
     "REAL_LINE",
     "SeminormIndex",
     "SpaceSpec",
-    "OdeCfg",
     "Semiflow",
     "make_catalog_semiflow",
     "semiflow_from_generator",

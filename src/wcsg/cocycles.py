@@ -234,9 +234,13 @@ def coboundary_admissibility(g: HoloFn, G: HoloFn, fixed_pts,
     whether the point is ``admissible``."""
     pts = np.asarray(fixed_pts, dtype=G.domain.dtype)
     dGs = holo.derivative_on_grid(G, pts)
+    with np.errstate(all="ignore"):  # a pole of g is named below
+        gs = np.asarray(g(pts))
     rows = []
-    for b, dG, gb in zip(pts.tolist(), np.asarray(dGs).tolist(), np.asarray(g(pts)).tolist()):
+    for b, dG, gb in zip(pts.tolist(), np.asarray(dGs).tolist(), gs.tolist()):
         b = complex(b)
+        if not np.isfinite(gb):
+            raise InvalidParam(f"g is not finite at the fixed point {b}")
         if abs(dG) < tol:
             raise DegenerateFixedPoint(f"G'({b}) ~ 0: admissibility ratio undefined")
         ratio = complex(gb) / dG

@@ -27,22 +27,14 @@ from .errors import (
 from .holo import Domain, HoloFn, REAL_LINE, UNIT_DISC, richardson
 
 DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3)
+# RK4 step control of every ODE flow: the first step, the local error a step
+# may make, and how near the circle a disc trajectory may come.
+ODE_H0 = 1e-3
+ODE_TOL_STEP = 1e-10
+ODE_EXIT_MARGIN = 1e-9
 # RK4 passes per _integrate call; the default configs never need more than 66.
 ODE_STEP_BUDGET = 4096
 FIXED_POINT_TOL = 1e-8  # |G| at a fixed point; a verified one drifts < 10x this
-
-
-@dataclass(frozen=True)
-class OdeCfg:
-    """Step control for semiflow reconstruction."""
-
-    h0: float = 1e-3
-    tol_step: float = 1e-10
-    exit_margin: float = 1e-9
-
-    def __post_init__(self):
-        if min(self.h0, self.tol_step, self.exit_margin) <= 0:
-            raise ValueError("all OdeCfg fields must be positive")
 
 
 @dataclass(frozen=True)
@@ -241,7 +233,11 @@ def fixed_points(phi: Semiflow, grid) -> FixedPointSearch:
     (that is exactly how the real cube-root flow escapes its critical point).
     """
     G, pts = phi.generator, np.asarray(grid)
-    gvals = np.abs(np.asarray(G(pts)))
+    with np.errstate(all="ignore"):  # a pole on the grid is named below
+        gvals = np.abs(np.asarray(G(pts)))
+    bad = ~np.isfinite(gvals)
+    if np.any(bad):
+        raise InvalidParam(f"the generator {G.name} is not finite at {pts[np.argmax(bad)].item()}")
     scale = float(np.max(gvals))
     if scale < FIXED_POINT_TOL:
         return FixedPointSearch(points=(), trivial=True)
@@ -271,7 +267,7 @@ def _rk4_step(G, y, h, k1=None):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate(G, z, t_target, cfg: OdeCfg, domain: Domain):
+def _integrate(G, z, t_target, domain: Domain):
     """RK4 from each start point of the 1-d array z to its own time in the
     array t_target, with per-point t, step h and accept/halve/double
     decisions. A failed point (one whose step leaves the domain or is not
@@ -279,8 +275,8 @@ def _integrate(G, z, t_target, cfg: OdeCfg, domain: Domain):
     array order is raised. Every live point takes one step
     per pass, so a point still short of its time after ODE_STEP_BUDGET passes
     fails here as it would alone."""
-    y, t, h = z.copy(), np.zeros(z.shape), np.minimum(cfg.h0, t_target)
-    bound, first, failure, passes = 1.0 - cfg.exit_margin, len(z), None, 0
+    y, t, h = z.copy(), np.zeros(z.shape), np.minimum(ODE_H0, t_target)
+    bound, first, failure, passes = 1.0 - ODE_EXIT_MARGIN, len(z), None, 0
     while (idx := np.flatnonzero(t[:first] < t_target[:first])).size:
         if passes == ODE_STEP_BUDGET:
             raise StepUnderflow(f"trajectory from {z[idx[0]].item()} stalled at t={t[idx[0]]:g} "
@@ -298,7 +294,7 @@ def _integrate(G, z, t_target, cfg: OdeCfg, domain: Domain):
             diff = half - full  # hypot and division by parts round as Python's complex abs and / do
             err = np.hypot(diff.real, diff.imag)
             y_new = half + (diff.view(float) / 15.0).view(diff.dtype)  # local 5th-order correction
-        ok = ~(err > cfg.tol_step)
+        ok = ~(err > ODE_TOL_STEP)
         bad = ~np.isfinite(y_new)
         out = bad | ok & (np.hypot(y_new.real, y_new.imag) >= bound) & (domain.kind == "disc")
         if np.any(out):
@@ -319,17 +315,17 @@ def _integrate(G, z, t_target, cfg: OdeCfg, domain: Domain):
         passes += 1
         y[idx[ok]] = y_new[ok]
         t[idx[ok]] += hi[ok]
-        h[idx] = np.where(ok, np.where(err < cfg.tol_step / 32.0, 2.0 * hi, hi), 0.5 * hi)
+        h[idx] = np.where(ok, np.where(err < ODE_TOL_STEP / 32.0, 2.0 * hi, hi), 0.5 * hi)
     if failure is not None:
         raise failure
     return y
 
 
-def semiflow_from_generator(G: HoloFn, cfg: OdeCfg = OdeCfg()) -> Semiflow:
+def semiflow_from_generator(G: HoloFn) -> Semiflow:
     """Semiflow rebuilt by integrating u' = G(u), u(0) = z with RK4.
 
     Evaluation raises EscapedDomain (with the escape-time estimate) once a
-    trajectory gets within exit_margin of the boundary: the local-semiflow
+    trajectory gets within ODE_EXIT_MARGIN of the boundary: the local-semiflow
     case is surfaced, not clamped.
     """
     is_real = G.domain.kind == "real"
@@ -339,7 +335,7 @@ def semiflow_from_generator(G: HoloFn, cfg: OdeCfg = OdeCfg()) -> Semiflow:
         ts = np.broadcast_to(np.asarray(t, dtype=float), z.shape).ravel()
         if np.any(ts < 0):
             raise DomainExit("semiflow times must be >= 0")
-        return _integrate(field, z.ravel(), ts, cfg, G.domain).reshape(z.shape)
+        return _integrate(field, z.ravel(), ts, G.domain).reshape(z.shape)
 
     return Semiflow(
         eval=eval_fn,

@@ -306,7 +306,8 @@ def time_integral(h, t: float, zs, n: int, tol: float = DEFAULT_POLICY.tol):
 
     Both rules run in one pass over blocks of time nodes x points, the n
     nodes first: h takes a column of times against one row of the points
-    per node, and its values must be finite. Each rule sums its nodes one at
+    per node, and its values must be finite: the first point with a value
+    that is not is named in a NonConvergent. Each rule sums its nodes one at
     a time in node order, so it rounds as one node at a time does."""
     pts = np.ravel(zs)
     (x1, w1), (x2, w2) = gl01(n), gl01(2 * n)
@@ -315,9 +316,13 @@ def time_integral(h, t: float, zs, n: int, tol: float = DEFAULT_POLICY.tol):
     acc = [np.zeros(pts.shape, dtype=complex), np.zeros(pts.shape, dtype=complex)]
     for nodes in row_blocks(3 * n, pts.size):
         taus = xs[nodes, None] * t
-        with np.errstate(all="ignore"):  # a pole of h is reported below
+        with np.errstate(all="ignore"):  # a pole of h is named below
             vals = np.asarray(h(taus, np.broadcast_to(pts, (len(taus), pts.size))))
-        for i, w, v in zip(rule[nodes], ws[nodes], ensure_finite(vals, "time integral")):
+        bad = np.any(~np.isfinite(vals), axis=0)
+        if np.any(bad):
+            z = pts[np.argmax(bad)].item()
+            raise NonConvergent(f"non-finite values in time integral at {z}")
+        for i, w, v in zip(rule[nodes], ws[nodes], vals):
             acc[i] = acc[i] + w * v
     coarse, fine = (t * a.reshape(np.shape(zs)) for a in acc)
     return certify_doubling(coarse, fine, tol, f"time integral at t={t:g}")

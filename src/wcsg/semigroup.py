@@ -263,8 +263,13 @@ def generator_residual(sg: WcSemigroup, f: HoloFn, steps, grid) -> tuple[dict, l
     if sg.m.g is None:
         raise InvalidParam(f"the generator g of cocycle {sg.m.name} is not known")
     pts = np.asarray(grid)
-    target = np.asarray(generator_formula_apply(sg.phi.generator, sg.m.g, f).fn(pts))
-    f_vals = np.asarray(f.fn(pts))
+    with np.errstate(all="ignore"):  # a pole on the grid is named below
+        f_vals = np.asarray(f.fn(pts))
+        target = np.asarray(generator_formula_apply(sg.phi.generator, sg.m.g, f).fn(pts))
+    for what, vals in (("f", f_vals), ("G f' + g f", target)):
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise InvalidParam(f"{what} is not finite at {pts[np.argmax(bad)].item()}")
     rows = []
 
     def quotients(hs):

@@ -149,7 +149,8 @@ def _weight(space: SpaceSpec) -> HoloFn:
     elif not isinstance(spec, HoloFn):
         raise ValueError(f"weight: expected a name or an expression string, got {spec!r}")
     pts = real_sup_points(space.halfwidth) if space.is_real else disc_sup_points(space.policy.r_cap)
-    vals = np.asarray(spec.fn(pts))  # as the norms evaluate it
+    with np.errstate(all="ignore"):  # a pole fails the checks below
+        vals = np.asarray(spec.fn(pts))  # as the norms evaluate it
     if np.any(np.imag(vals) != 0.0):
         raise ValueError("weight must be real-valued on the domain (sampled check)")
     if not np.all(np.real(vals) > 0.0):

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import cocycles, exprs, flows, holo, semigroup, spaces
 from .errors import ConfigError, DegenerateFixedPoint, WcsgError
-from .flows import (CATALOG_PARAMS, OdeCfg, Semiflow, make_catalog_semiflow,
-                    semiflow_from_generator)
+from .flows import CATALOG_PARAMS, Semiflow, make_catalog_semiflow, semiflow_from_generator
 from .holo import HoloFn, QuadPolicy
 from .reporting import Case
 from .semigroup import WcSemigroup
@@ -149,14 +148,6 @@ def _config_errors(path: str):
         raise ConfigError(path, str(e))
 
 
-def _settings(cls, cfg: dict, path: str):
-    """A settings dataclass (QuadPolicy, OdeCfg) from its config section: one
-    key per field, each defaulting to the field's default."""
-    values = _read(cfg, path, {f.name: f.default for f in dataclasses.fields(cls)})
-    with _config_errors(path):
-        return cls(**values)
-
-
 def _expr(spec, domain, path: str) -> HoloFn:
     """Compile a config expression string; anything else is a ConfigError."""
     if not isinstance(spec, str):
@@ -174,7 +165,10 @@ _SPACE_KEYS = {kind: {k: Required(float) if d is None else d for k, d in own.ite
 
 def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
     values = _read(cfg, path, _variant(cfg, path, "kind", _SPACE_KEYS, {"policy": {}}))
-    values["policy"] = _settings(QuadPolicy, values["policy"], f"{path}.policy")
+    policy = _read(values["policy"], f"{path}.policy",
+                   {f.name: f.default for f in dataclasses.fields(QuadPolicy)})
+    with _config_errors(f"{path}.policy"):
+        values["policy"] = QuadPolicy(**policy)
     if not (isinstance(values["kind"], str) and values["kind"] in _SPACE_KEYS):
         raise ConfigError(f"{path}.kind", f"unknown space kind {values['kind']!r}")
     with _config_errors(path):
@@ -184,15 +178,14 @@ def build_space(cfg: dict, path: str = "space") -> SpaceSpec:
 def build_flow(cfg: dict, path: str = "flow", domain=None) -> Semiflow:
     """A catalog or ODE flow. An ODE generator is compiled on ``domain``, the
     case's domain, or without one on the disc unless it uses x."""
-    v = _read(cfg, path, dict.fromkeys(("name", "params", "generator", "ode"), object))
+    v = _read(cfg, path, dict.fromkeys(("name", "params", "generator"), object))
     name, gen = v["name"], v["generator"]
     if (name is None) == (gen is None):
         raise ConfigError(path, "give exactly one of 'name' (catalog) or 'generator' (ODE)")
     if name is None:
-        ode = _read(cfg, path, {"generator": object, "ode": {}}, "not a key of an ODE flow")["ode"]
-        ode = _settings(OdeCfg, ode, f"{path}.ode")
+        _read(cfg, path, {"generator": object}, "not a key of an ODE flow")
         with _config_errors(path):
-            return semiflow_from_generator(_expr(gen, domain, f"{path}.generator"), ode)
+            return semiflow_from_generator(_expr(gen, domain, f"{path}.generator"))
     own = CATALOG_PARAMS.get(name) if isinstance(name, str) else None
     if own is None:
         raise ConfigError(path, f"no catalog semiflow named {name!r}")
@@ -497,7 +490,7 @@ def run_generator_check(cfg: dict) -> list:
 
 
 def run_reconstruct(cfg: dict) -> list:
-    c = _read(cfg, "config", {"suite": object, "tolerances": {}, "sweep": {}, "ode": {},
+    c = _read(cfg, "config", {"suite": object, "tolerances": {}, "sweep": {},
                               "cases": Required([])})
     tols = _read(c["tolerances"], "config.tolerances", {"deviation": 1e-6, "generator_fd": 1e-5})
     _in_range(tols, "config.tolerances", positive=tols)
@@ -505,7 +498,7 @@ def run_reconstruct(cfg: dict) -> list:
 
     def run(v, path):
         ref = build_flow(v["reference"], f"{path}.reference")
-        phi_ode = build_flow({"generator": v["generator"], "ode": c["ode"]}, path, ref.domain)
+        phi_ode = build_flow({"generator": v["generator"]}, path, ref.domain)
         grid = _grid_for(ref.domain, rmax, grid_n, "sweep.grid_rmax")
         # one flow call per flow for every sweep time; a NaN is kept
         dev = np.max(np.abs(phi_ode.at_times(ts, grid) - ref.at_times(ts, grid)))
@@ -551,8 +544,9 @@ def run_admissibility(cfg: dict) -> list:
     _in_range(c, "config", positive=("tol",))
     phi = build_flow(c["flow"], "flow")
     # the Newton seeds reach x = 10 on the real line
-    search = flows.fixed_points(phi, _grid_for(phi.domain, 10.0 if phi.domain.kind == "real"
-                                               else 0.9, 12, "flow"))
+    with _config_errors("flow"):
+        search = flows.fixed_points(phi, _grid_for(phi.domain, 10.0 if phi.domain.kind == "real"
+                                                   else 0.9, 12, "flow"))
 
     def run(v, path):
         g = _expr(v["g"], phi.domain, f"{path}.g")

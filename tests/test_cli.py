@@ -153,6 +153,7 @@ class TestExitCodes:
 _HARDY2 = {"kind": "hardy", "p": 2.0}
 _DILATION = {"name": "dilation", "params": {"c": 1.0}}
 _ATTRACTING = {"name": "attracting"}
+_TRANSLATION = {"name": "translation-real"}
 _POLE_AT_AN_ORBIT = "1/(z-0.5762041267270017)"  # 1/(z - e^-0.5 0.95)
 _CONTINUOUS = {"gamma": True, "norm": True}  # a continuity-probe case's expect
 
@@ -273,8 +274,8 @@ _BAD_INPUTS = {
         {"suite": "continuity-probe",
          "cases": [{"label": label, "space": {"kind": "sup-holo", "weight": "one"},
                     "flow": _DILATION, "f": f, "expect": _CONTINUOUS}
-                   for label, f in [("pole", "1/(z-0.5)"), ("ok", "e_1")]]},
-        {"continuity/pole": "error", "continuity/ok": True},
+                   for label, f in [("pole", "1/(z-0.5)"), ("centre", "1/z"), ("ok", "e_1")]]},
+        {"continuity/pole": "error", "continuity/centre": "error", "continuity/ok": True},
     ),
     "continuity-probe-flag-not-a-boolean": (
         {"suite": "continuity-probe",
@@ -311,8 +312,9 @@ _BAD_INPUTS = {
     "reconstruct-pole-at-a-start-point": (
         {"suite": "reconstruct",
          "cases": [{"label": "a", "generator": "-z + 0.01/z", "reference": _DILATION},
-                   {"label": "b", "generator": "-z", "reference": _DILATION}]},
-        {"reconstruct/a": "error", "reconstruct/b": True},
+                   {"label": "b", "generator": "-z", "reference": _DILATION},
+                   {"label": "c", "generator": "1/z", "reference": _DILATION}]},
+        {"reconstruct/a": "error", "reconstruct/b": True, "reconstruct/c": "error"},
     ),
     "reconstruct-non-lipschitz-zero": (
         {"suite": "reconstruct", "sweep": {"ts": [1.0], "grid_n": 20},
@@ -354,9 +356,11 @@ _BAD_INPUTS = {
                     "cocycle": {"type": "trivial"}},
                    {"label": "catalog-with-ode", "flow": {"name": "dilation", "ode": {}},
                     "cocycle": {"type": "trivial"}},
+                   {"label": "ode-with-ode", "flow": {"generator": "-z", "ode": {}},
+                    "cocycle": {"type": "trivial"}},
                    {"label": "ok", "flow": _DILATION, "cocycle": {"type": "trivial"}}]},
         {"laws/string-rate": "error", "laws/ode-with-params": "error",
-         "laws/catalog-with-ode": "error", "laws/ok": True},
+         "laws/catalog-with-ode": "error", "laws/ode-with-ode": "error", "laws/ok": True},
     ),
     "bound-table-base-point-on-the-circle": (
         {"suite": "bound-table", "ts": [40.0],
@@ -458,6 +462,57 @@ _BAD_INPUTS = {
             "leading-operator")},
          "generator/ok": True},
     ),
+    # a pole at the grid point 0 in each expression key of a case; the grids
+    # of the line hold 0 too
+    "generator-check-pole-on-the-grid": (
+        {"suite": "generator-check",
+         "cases": [{"label": label, "space": space, "flow": flow, "f": f, **extra}
+                   for label, space, flow, f, extra in [
+                       ("f", _HARDY2, _DILATION, "1/z", {}),
+                       ("g", _HARDY2, _DILATION, "z",
+                        {"cocycle": {"type": "integral", "g": "1/z"}}),
+                       ("generator", _HARDY2, {"generator": "1/z"}, "z", {}),
+                       ("weight", {"kind": "sup-holo", "weight": "1/z"}, _DILATION, "z", {}),
+                       ("line-f", {"kind": "sup-cont"}, _TRANSLATION, "1/x", {}),
+                       ("line-g", {"kind": "sup-cont"}, _TRANSLATION, "x",
+                        {"cocycle": {"type": "integral", "g": "1/x"}}),
+                       ("line-generator", {"kind": "sup-cont"}, {"generator": "1/x"}, "x", {}),
+                       ("line-weight", {"kind": "sup-cont", "weight": "1/x"}, _TRANSLATION, "x",
+                        {}),
+                       ("ok", _HARDY2, _DILATION, "z", {})]]},
+        {**{f"generator/{label}": "error" for label in (
+            "f", "g", "generator", "weight", "line-f", "line-g", "line-generator",
+            "line-weight")},
+         "generator/ok": True},
+    ),
+    # the dilation fixes 0; 0/0 is not finite either
+    "admissibility-pole-at-the-fixed-point": (
+        {"suite": "admissibility", "flow": _DILATION,
+         "cases": [{"label": "pole", "g": "1/z"}, {"label": "zero-by-zero", "g": "z/z"},
+                   {"label": "ok", "g": "-1.0"}]},
+        {"admissibility/pole": "error", "admissibility/zero-by-zero": "error",
+         "admissibility/ok": True},
+    ),
+    "bound-table-pole-on-the-grid": (
+        {"suite": "bound-table", "ts": [0.5],
+         "cases": [{"label": "g", "space": _HARDY2, "flow": _DILATION,
+                    "cocycle": {"type": "integral", "g": "1/z"}},
+                   {"label": "generator", "space": _HARDY2, "flow": {"generator": "1/z"}},
+                   {"label": "ok", "space": _HARDY2, "flow": _DILATION}]},
+        {"bound/g": "error", "bound/generator": "error", "bound/ok": True},
+    ),
+    "semigroup-check-generator-pole-on-the-grid": (
+        {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5], "grid_n": 4},
+         "pairs": [{"label": "pole", "flow": {"generator": "1/z"}, "cocycle": {"type": "trivial"}},
+                   {"label": "ok", "flow": _DILATION, "cocycle": {"type": "trivial"}}]},
+        {"laws/pole": "error", "laws/ok": True},
+    ),
+    # the flow is shared, so every cocycle of the sweep meets its pole
+    "cocycle-check-generator-pole-on-the-grid": (
+        {"suite": "cocycle-check", "flow": {"generator": "1/z"},
+         "cocycles": [{"type": "trivial"}, {"type": "integral", "g": "z"}]},
+        {"cocycle/trivial0": "error", "cocycle/integral1": "error"},
+    ),
 }
 
 # What the error of a case in _BAD_INPUTS must name.
@@ -465,13 +520,14 @@ _ERROR_TEXT = {
     "generator-check-radius-one": {
         "generator/disc": "config.radius: a disc grid must lie inside the unit disc, got 1.0"},
     "semigroup-check-integral-pole-on-the-grid": {
-        "laws/pole": "non-finite values in time integral"},
+        "laws/pole": "non-finite values in time integral at 0j"},
     "cocycle-check-integral-pole-on-the-grid": {
-        "cocycle/integral0": "non-finite values in time integral"},
+        "cocycle/integral0": "non-finite values in time integral at 0j"},
     "semigroup-check-grid-on-the-circle": {
         "laws/disc": "sweep.grid_rmax: a disc grid must lie inside the unit disc, got 1.0"},
     "continuity-probe-pole-on-the-sup-grid": {
-        "continuity/pole": "sup evaluation is not finite at (0.5+0j)"},
+        "continuity/pole": "sup evaluation is not finite at (0.5+0j)",
+        "continuity/centre": "sup evaluation is not finite at 0j"},
     "reconstruct-generator-domain": {
         "reconstruct/a":
             "cases[0].generator: bad expression: complex-domain expressions use the variable z"},
@@ -482,7 +538,8 @@ _ERROR_TEXT = {
     "semigroup-check-coboundary-pole-on-an-orbit": {
         "laws/pole": "omega is not finite at (0.5762041267270017+0j)"},
     "reconstruct-pole-at-a-start-point": {
-        "reconstruct/a": "trajectory from 0j took a non-finite RK4 step at t=0"},
+        f"reconstruct/{label}": "trajectory from 0j took a non-finite RK4 step at t=0"
+        for label in "ac"},
     "reconstruct-non-lipschitz-zero": {
         "reconstruct/a": "trajectory from -0.54 stalled at t=0.998521 after 4096 RK4 steps"},
     "bound-table-flow-and-space-domains": {
@@ -511,7 +568,8 @@ _ERROR_TEXT = {
     "semigroup-check-flow-keys": {
         "laws/string-rate": "pairs[0].flow.params.rate: expected a number, got '2'",
         "laws/ode-with-params": "pairs[1].flow.params: not a key of an ODE flow",
-        "laws/catalog-with-ode": "pairs[2].flow.ode: not a key of a catalog flow"},
+        "laws/catalog-with-ode": "pairs[2].flow.ode: unknown key",
+        "laws/ode-with-ode": "pairs[3].flow.ode: unknown key"},
     "continuity-probe-nonpositive-bounds": {
         "continuity/cap": "cases[0].norm_cap: must be positive, got 0.0",
         "continuity/norm": "cases[1].tolerances.norm: must be positive, got 0.0",
@@ -534,6 +592,29 @@ _ERROR_TEXT = {
         "generator/mobius":
             "cases[4].f: bad expression: mobius parameter must lie in the open unit disc",
         "generator/leading-operator": "cases[5].f: bad expression: unexpected token '*'"},
+    # a weight's sampled check names the check, not the point
+    "generator-check-pole-on-the-grid": {
+        "generator/f": "f is not finite at 0j",
+        "generator/g": "G f' + g f is not finite at 0j",
+        "generator/generator": "G f' + g f is not finite at 0j",
+        "generator/weight":
+            "cases[3].space: weight must be real-valued on the domain (sampled check)",
+        "generator/line-f": "f is not finite at 0.0",
+        "generator/line-g": "G f' + g f is not finite at 0.0",
+        "generator/line-generator": "G f' + g f is not finite at 0.0",
+        "generator/line-weight":
+            "cases[7].space: weight must be strictly positive on the domain (sampled check)"},
+    "admissibility-pole-at-the-fixed-point": {
+        f"admissibility/{label}": "g is not finite at the fixed point 0j"
+        for label in ("pole", "zero-by-zero")},
+    "bound-table-pole-on-the-grid": {
+        "bound/g": "non-finite values in time integral at 0j",
+        "bound/generator": "trajectory from 0j took a non-finite RK4 step at t=0"},
+    "semigroup-check-generator-pole-on-the-grid": {
+        "laws/pole": "trajectory from 0j took a non-finite RK4 step at t=0"},
+    "cocycle-check-generator-pole-on-the-grid": {
+        f"cocycle/{cid}": "trajectory from 0j took a non-finite RK4 step at t=0"
+        for cid in ("trivial0", "integral1")},
 }
 
 
@@ -661,6 +742,21 @@ _BAD_CONFIGS = {
         {"suite": "norm-table", "spaces": [{"kind": "hardy"}], "max_degree": -3},
         "config.max_degree",
     ),
+    # the RK4 step control is fixed: no flow and no suite takes an ode key
+    "admissibility-ode-flow-with-ode": (
+        {"suite": "admissibility", "flow": {"generator": "-z", "ode": {}},
+         "cases": [{"g": "-1.0"}]},
+        "flow.ode",
+    ),
+    "cocycle-check-catalog-flow-with-ode": (
+        {"suite": "cocycle-check", "flow": {"name": "dilation", "ode": {"h0": 1e-2}},
+         "cocycles": [{"type": "trivial"}]},
+        "flow.ode",
+    ),
+    "reconstruct-ode": (
+        {"suite": "reconstruct", "ode": {"h0": 1e-2}, "cases": [_RECONSTRUCT]},
+        "config.ode",
+    ),
     # a config that selects no case would pass vacuously
     "norm-table-no-spaces": ({"suite": "norm-table", "spaces": []}, "config"),
     "bound-table-no-cases": ({"suite": "bound-table", "ts": [1.0], "cases": []}, "config"),
@@ -708,6 +804,10 @@ _OUT_OF_RANGE = {
     "bound-table-negative-slack": (
         {"suite": "bound-table", "slack": -1e-3, "cases": [{"space": _HARDY2, "flow": _DILATION}]},
         "config.slack: must be >= 0, got -0.001"),
+    # the fixed-point search seeds Newton on a grid that holds 0
+    "admissibility-generator-pole-on-the-grid": (
+        {"suite": "admissibility", "flow": {"generator": "1/z"}, "cases": [{"g": "-1.0"}]},
+        "flow: the generator (1.0 / z) is not finite at 0j"),
 }
 _BAD_CONFIGS.update({name: (cfg, text.split(":")[0])
                      for name, (cfg, text) in _OUT_OF_RANGE.items()})
@@ -789,7 +889,7 @@ class TestErrorContract:
     def test_bad_config_value_is_a_config_error(self, tmp_path, name):
         cfg, field = _BAD_CONFIGS[name]
         proc = run_cli(tmp_path, cfg)
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert proc.returncode == 2
         assert f"config error: {field}:" in proc.stderr
 
@@ -849,7 +949,6 @@ _TINY_CONFIGS = {
     "reconstruct": {
         "suite": "reconstruct",
         "sweep": {"ts": [0.5], "grid_rmax": 0.5, "grid_n": 2},
-        "ode": {"h0": 1e-2, "tol_step": 1e-10, "exit_margin": 1e-9},
         "tolerances": {"deviation": 1e-6, "generator_fd": 1e-5},
         "cases": [_RECONSTRUCT,
                   {"label": "b", "generator": "1.0 - z", "reference": _ATTRACTING}],
@@ -1035,11 +1134,6 @@ class TestConfigEcho:
                 if _report_or_error(cut) == report:
                     restated.append(path)
         assert restated == []
-
-    def test_ode_defaults(self):
-        report = cli.run(copy.deepcopy(DEFAULT_CONFIGS["reconstruct"]))
-        assert report_to_dict(report)["config"]["ode"] == {
-            "h0": 0.001, "tol_step": 1e-10, "exit_margin": 1e-09}
 
     def test_continuity_tolerance_defaults(self):
         cfg = copy.deepcopy(DEFAULT_CONFIGS["continuity-probe"])

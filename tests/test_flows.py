@@ -16,7 +16,6 @@ from wcsg.errors import (
     UnknownCatalogEntry,
 )
 from wcsg.flows import (
-    OdeCfg,
     disc_sample_grid,
     fixed_points,
     generator_fd,
