@@ -92,8 +92,20 @@ def trivial_cocycle() -> Semicocycle:
     )
 
 
+# Most Gauss-Legendre nodes of an integral cocycle's time rule, reached at
+# t = 16; the default configs never need more than 64. numpy builds the
+# certificate's 2n-node rule by a dense eigensolve, O(n^2) memory and O(n^3)
+# time: 0.13 s at the cap, and about 1.3 GB of matrix at t = 200.
+TIME_NODE_CAP = 512
+
+
 def _time_nodes(t: float):
-    return max(8, int(math.ceil(32.0 * max(1.0, t))))
+    """32 nodes per unit of time, at least 32; past TIME_NODE_CAP an InvalidParam."""
+    n = int(math.ceil(32.0 * max(1.0, t)))
+    if n > TIME_NODE_CAP:
+        raise InvalidParam(f"integral cocycle at t={t:g} needs {n} time nodes, more than "
+                           f"the cap of {TIME_NODE_CAP} (t <= {TIME_NODE_CAP // 32})")
+    return n
 
 
 def cocycle_from_g(g: HoloFn, phi: Semiflow) -> Semicocycle:

@@ -328,8 +328,8 @@ def semiflow_from_generator(G: HoloFn) -> Semiflow:
     trajectory gets within ODE_EXIT_MARGIN of the boundary: the local-semiflow
     case is surfaced, not clamped.
     """
-    is_real = G.domain.kind == "real"
-    field = (lambda y: np.real(G(y))) if is_real else (lambda y: np.asarray(G(y), dtype=complex))
+    is_real, g = G.domain.kind == "real", G.fn  # the steps are 1-d arrays of the domain's dtype
+    field = (lambda y: np.real(g(y))) if is_real else (lambda y: np.asarray(g(y), dtype=complex))
 
     def eval_fn(t, z):
         ts = np.broadcast_to(np.asarray(t, dtype=float), z.shape).ravel()

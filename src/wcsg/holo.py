@@ -307,12 +307,14 @@ def time_integral(h, t: float, zs, n: int, tol: float = DEFAULT_POLICY.tol):
     Both rules run in one pass over blocks of time nodes x points, the n
     nodes first: h takes a column of times against one row of the points
     per node, and its values must be finite: the first point with a value
-    that is not is named in a NonConvergent. Each rule sums its nodes one at
-    a time in node order, so it rounds as one node at a time does."""
+    that is not is named in a NonConvergent. Per block, each rule stacks its
+    running sum on its weighted values w_j h(tau_j, z) and takes one cumsum
+    along the node axis, in place; cumsum adds row after row in node order,
+    so the sum rounds as one node at a time does (a sum over the axis would
+    pair the terms and round differently)."""
     pts = np.ravel(zs)
     (x1, w1), (x2, w2) = gl01(n), gl01(2 * n)
     xs, ws = np.concatenate([x1, x2]), np.concatenate([w1, w2])
-    rule = np.repeat([0, 1], [n, 2 * n])  # the accumulator of each node
     acc = [np.zeros(pts.shape, dtype=complex), np.zeros(pts.shape, dtype=complex)]
     for nodes in row_blocks(3 * n, pts.size):
         taus = xs[nodes, None] * t
@@ -322,8 +324,13 @@ def time_integral(h, t: float, zs, n: int, tol: float = DEFAULT_POLICY.tol):
         if np.any(bad):
             z = pts[np.argmax(bad)].item()
             raise NonConvergent(f"non-finite values in time integral at {z}")
-        for i, w, v in zip(rule[nodes], ws[nodes], vals):
-            acc[i] = acc[i] + w * v
+        for i, (first, last) in enumerate(((0, n), (n, 3 * n))):  # the nodes of each rule
+            lo, hi = max(nodes.start, first), min(nodes.stop, last)
+            if lo < hi:  # rows [acc; w_j h(tau_j)], summed in place row after row
+                part = np.empty((1 + hi - lo, pts.size), dtype=complex)
+                part[0] = acc[i]
+                np.multiply(ws[lo:hi, None], vals[lo - nodes.start:hi - nodes.start], out=part[1:])
+                acc[i] = np.cumsum(part, axis=0, out=part)[-1].copy()
     coarse, fine = (t * a.reshape(np.shape(zs)) for a in acc)
     return certify_doubling(coarse, fine, tol, f"time integral at t={t:g}")
 

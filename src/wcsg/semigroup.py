@@ -48,18 +48,18 @@ def apply(sg: WcSemigroup, t: float, f: HoloFn) -> HoloFn:
     """
     if t < 0:
         raise InvalidParam("semigroup times must be >= 0")
-    trivial = sg.m.trivial
+    trivial, phi, m = sg.m.trivial, sg.phi.eval, sg.m.eval  # z is already an array of points
 
     def fn(z, t=float(t)):
-        out = np.asarray(f.fn(np.asarray(sg.phi(t, z))))
-        return out if trivial else np.asarray(sg.m(t, z)) * out
+        out = np.asarray(f.fn(np.asarray(phi(t, z))))
+        return out if trivial else np.asarray(m(t, z)) * out
 
     deriv = None
     if f.deriv is not None and sg.phi.prime is not None and sg.m.constant_in_z:
         def deriv(z, t=float(t)):
-            out = np.asarray(f.deriv(np.asarray(sg.phi(t, z))))
+            out = np.asarray(f.deriv(np.asarray(phi(t, z))))
             if not trivial:
-                out = np.asarray(sg.m(t, z)) * out
+                out = np.asarray(m(t, z)) * out
             return out * np.asarray(sg.phi.prime(t, z))
 
     return HoloFn(fn, sg.phi.domain, name=f"C({t:g}){f.name or 'f'}", deriv=deriv)

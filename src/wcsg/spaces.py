@@ -151,10 +151,10 @@ def _weight(space: SpaceSpec) -> HoloFn:
     pts = real_sup_points(space.halfwidth) if space.is_real else disc_sup_points(space.policy.r_cap)
     with np.errstate(all="ignore"):  # a pole fails the checks below
         vals = np.asarray(spec.fn(pts))  # as the norms evaluate it
-    if np.any(np.imag(vals) != 0.0):
-        raise ValueError("weight must be real-valued on the domain (sampled check)")
-    if not np.all(np.real(vals) > 0.0):
-        raise ValueError("weight must be strictly positive on the domain (sampled check)")
+    for bad, what in ((~np.isfinite(vals), "not finite"), (np.imag(vals) != 0.0, "not real"),
+                      (~(np.real(vals) > 0.0), "not strictly positive")):
+        if np.any(bad):
+            raise ValueError(f"weight is {what} at {pts[np.argmax(bad)].item()}")
     return spec
 
 
@@ -180,7 +180,8 @@ def _sup_circle():
     of 0. Also the positions of the 512 uniform angles among them."""
     uniform = 2.0 * np.pi * np.arange(512) / 512
     clustered = np.pi * 2.0 ** (-np.arange(4, 65) / 4)
-    angles = np.unique(np.concatenate([uniform, clustered, 2.0 * np.pi - clustered]))
+    angles = np.sort(np.concatenate([uniform, clustered, 2.0 * np.pi - clustered]))
+    angles = angles[np.diff(angles, prepend=-1.0) > 0.0]  # pi 2^-m is a uniform angle too
     return np.exp(1j * angles), np.searchsorted(angles, uniform)
 
 
@@ -189,7 +190,7 @@ def _sup_radii(r_cap: float):
     """The radii of the disc sup grid: those of 0, 0.1, .., 0.4 and
     1 - 2^(-k/4) that lie below r_cap, and r_cap itself, in increasing order."""
     rs = np.concatenate([np.arange(0.0, 0.45, 0.1), 1.0 - 2.0 ** (-np.arange(4, 81) / 4)])
-    return np.unique(np.append(rs[rs < r_cap], r_cap))
+    return np.append(rs[rs < r_cap], r_cap)
 
 
 @lru_cache(maxsize=32)
@@ -348,9 +349,11 @@ def _annulus_increment(space: SpaceSpec, f: HoloFn, r1: float, r2: float) -> flo
     return _area_scale(space, annulus_integral(g, r1, r2, space.policy, radial=radial))
 
 
-def _coefficient_weights(space: SpaceSpec, s: float, n: int):
+@lru_cache(maxsize=64)
+def _coefficient_weights(kind: str, alpha: float | None, s: float, n: int):
     """w_k(s) for k < n, with F(s) = sum_k w_k(s) |a_k|^2 the squared norm
-    (s = 1) or seminorm (s < 1) of f = sum_k a_k z^k.
+    (s = 1) or seminorm (s < 1) of f = sum_k a_k z^k on a space of this kind
+    and alpha; cached, so the array is read-only.
 
     Dirichlet: w_0 = 1 and w_k = k s^2k. Bergman: w_k = (alpha+1) times the
     integral of u^k (1-u)^alpha over [0, s^2]. With x = s^2,
@@ -367,22 +370,24 @@ def _coefficient_weights(space: SpaceSpec, s: float, n: int):
     reference for alpha from -0.9 to 6 and s up to 0.9999)."""
     k = np.arange(n, dtype=float)
     x = s * s
-    if space.kind == "dirichlet":
+    if kind == "dirichlet":
         w = k * x ** k
         w[0] = 1.0
-        return w
-    a1 = space.alpha + 1.0
-    j = np.arange(1.0, 5 * n)
-    P = np.cumprod(np.concatenate(([1.0], j / (j + a1))))
-    if s == 1.0:
-        return P[:n]
-    T = (1.0 - x) ** a1
-    t = x ** j / ((j + a1) * P[1:])  # t[i] is t_{i+1}
-    if t[-1] <= 1e-17 * (1.0 - x) * t[n - 1]:
-        b = a1 * T * np.cumsum(t[::-1])[::-1][:n]
     else:
-        b = 1.0 - T - a1 * T * np.concatenate(([0.0], np.cumsum(t[:n - 1])))
-    return P[:n] * np.maximum(b, 0.0)
+        a1 = alpha + 1.0
+        j = np.arange(1.0, 5 * n)
+        P = np.cumprod(np.concatenate(([1.0], j / (j + a1))))
+        w = P[:n]
+        if s != 1.0:
+            T = (1.0 - x) ** a1
+            t = x ** j / ((j + a1) * P[1:])  # t[i] is t_{i+1}
+            if t[-1] <= 1e-17 * (1.0 - x) * t[n - 1]:
+                b = a1 * T * np.cumsum(t[::-1])[::-1][:n]
+            else:
+                b = 1.0 - T - a1 * T * np.concatenate(([0.0], np.cumsum(t[:n - 1])))
+            w = w * np.maximum(b, 0.0)
+    w.flags.writeable = False
+    return w
 
 
 _EPS = np.finfo(float).eps
@@ -429,7 +434,7 @@ def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | No
     if expansion is None:
         return None
     with np.errstate(all="ignore"):  # a sum that overflows fails the certificate below
-        F_coarse, F_fine = [float(np.dot(_coefficient_weights(space, s, a.size), np.abs(a) ** 2))
+        F_coarse, F_fine = [float(np.dot(_coefficient_weights(space.kind, space.alpha, s, a.size), np.abs(a) ** 2))
                             for a in expansion[:2]]
     try:
         return holo.certify_doubling(F_coarse, F_fine, space.policy.tol, "Taylor coefficient sum")

@@ -592,18 +592,16 @@ _ERROR_TEXT = {
         "generator/mobius":
             "cases[4].f: bad expression: mobius parameter must lie in the open unit disc",
         "generator/leading-operator": "cases[5].f: bad expression: unexpected token '*'"},
-    # a weight's sampled check names the check, not the point
+    # a weight's sampled check names the pole as a config error at the space
     "generator-check-pole-on-the-grid": {
         "generator/f": "f is not finite at 0j",
         "generator/g": "G f' + g f is not finite at 0j",
         "generator/generator": "G f' + g f is not finite at 0j",
-        "generator/weight":
-            "cases[3].space: weight must be real-valued on the domain (sampled check)",
+        "generator/weight": "cases[3].space: weight is not finite at 0j",
         "generator/line-f": "f is not finite at 0.0",
         "generator/line-g": "G f' + g f is not finite at 0.0",
         "generator/line-generator": "G f' + g f is not finite at 0.0",
-        "generator/line-weight":
-            "cases[7].space: weight must be strictly positive on the domain (sampled check)"},
+        "generator/line-weight": "cases[7].space: weight is not finite at 0.0"},
     "admissibility-pole-at-the-fixed-point": {
         f"admissibility/{label}": "g is not finite at the fixed point 0j"
         for label in ("pole", "zero-by-zero")},
@@ -808,6 +806,11 @@ _OUT_OF_RANGE = {
     "admissibility-generator-pole-on-the-grid": (
         {"suite": "admissibility", "flow": {"generator": "1/z"}, "cases": [{"g": "-1.0"}]},
         "flow: the generator (1.0 / z) is not finite at 0j"),
+    # 1/x^2 is +inf at the grid point 0, which passed "> 0"; each of its
+    # norm-table cases was then an error case
+    "norm-table-weight-pole-on-the-grid": (
+        {"suite": "norm-table", "spaces": [{"kind": "sup-cont", "weight": "1/x^2"}]},
+        "spaces[0]: weight is not finite at 0.0"),
 }
 _BAD_CONFIGS.update({name: (cfg, text.split(":")[0])
                      for name, (cfg, text) in _OUT_OF_RANGE.items()})

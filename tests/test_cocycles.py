@@ -202,6 +202,32 @@ class TestBlockedTimeIntegral:
         assert len(calls) <= 2
 
 
+class TestTimeNodeCap:
+    def test_the_cap_is_reached_at_t_16(self):
+        assert cocycles._time_nodes(0.2) == 32
+        assert cocycles._time_nodes(16.0) == cocycles.TIME_NODE_CAP == 512
+
+    @pytest.mark.parametrize("t", [16.01, 200.0])
+    def test_past_the_cap_is_invalid_before_any_rule_is_built(self, monkeypatch, t):
+        built = []
+        monkeypatch.setattr(holo, "gl01", lambda n: built.append(n))
+        m = cocycle_from_g(to_holofn("z"), make_catalog_semiflow("dilation"))
+        with pytest.raises(InvalidParam, match=rf"^integral cocycle at t={t:g} needs \d+ time "
+                                               r"nodes, more than the cap of 512 \(t <= 16\)$"):
+            m(t, GRID)
+        assert built == []
+
+    def test_a_law_check_past_the_cap_is_an_error_case(self):
+        # t + s = 20 needs 640 nodes; the times below the cap keep rules of
+        # at most 2 x 320 nodes
+        cfg = {"flow": {"name": "dilation"}, "sweep": {"ts": [0.0, 10.0]},
+               "cocycles": [{"type": "integral", "g": "z"}]}
+        case, = run_cocycle_check(cfg)
+        assert case.verdict == "error"
+        assert case.error == ("integral cocycle at t=20 needs 640 time nodes, more than the cap "
+                              "of 512 (t <= 16)")
+
+
 class TestCoboundary:
     def test_identity_symbol_dilation(self):
         # omega = z, Fix = {0}, order 1: m_t = e^{-ct} everywhere including 0

@@ -513,6 +513,12 @@ def _per_node_time_integral(h, t, zs, n):
     return t * acc.reshape(np.shape(zs))
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bits, so -0.0 differs from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _orbit_integrand(taus, pts):
     """exp(i tau z) z^2 + tau, standing in for g along a flow."""
     return np.exp(1j * taus * pts) * pts ** 2 + taus
@@ -564,6 +570,39 @@ class TestTimeIntegral:
             k = taus_shape[0]
             assert taus_shape == (k, 1) and pts_shape == (k, 13) and k * 13 <= max(block, 13)
         assert sum(taus_shape[0] for taus_shape, _ in shapes) == 8 + 16
+
+    @pytest.mark.parametrize("n_pts", [1, 43, 100])
+    def test_the_default_rule_equals_the_per_node_loop_bit_for_bit(self, n_pts):
+        # n = 32 puts 3n = 96 nodes in a pass; 4096 // 96 = 42 points fit one
+        # block, so 43 and 100 points split the nodes across blocks
+        zs = np.linspace(0.05, 0.9, n_pts) * np.exp(2j * np.pi * np.arange(n_pts) / 7)
+        certified = []
+        certify = holo.certify_doubling
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holo, "certify_doubling", lambda *a: certified.append(a[:2]) or certify(*a))
+            holo.time_integral(_orbit_integrand, 0.9, zs, 32)
+        for got, n in zip(certified[0], (32, 64)):
+            assert _same_bits(got, _per_node_time_integral(_orbit_integrand, 0.9, zs, n))
+
+    @pytest.mark.parametrize("complex_values", [True, False])
+    def test_signed_zeros_round_as_the_per_node_loop(self, monkeypatch, complex_values):
+        # -0.0 at every node of the points off the right half plane, and a
+        # sum of -0.0 and -1e-300 on it: the running sum starts at +0.0, so a
+        # sum that skipped it or paired terms differently could flip a sign
+        zs = np.array([0.0, -0.0, 0.5, -0.5, 0.25j, -0.25j])
+
+        def h(taus, pts):
+            tiny = np.where((taus > 0.5) & (pts.real > 0.0), -1e-300, 0.0)
+            vals = np.copysign(0.0, -1.0) * pts * taus + tiny
+            return vals if complex_values else np.real(vals)
+
+        certified = []
+        certify = holo.certify_doubling
+        monkeypatch.setattr(holo, "certify_doubling",
+                            lambda *a: certified.append(a[:2]) or certify(*a))
+        holo.time_integral(h, 1.0, zs, 8)
+        for got, n in zip(certified[0], (8, 16)):
+            assert _same_bits(got, _per_node_time_integral(h, 1.0, zs, n))
 
     def test_polynomial_in_time_is_exact(self):
         zs = np.array([0.0, 0.5, -0.3 + 0.4j])

@@ -9,6 +9,10 @@ import copy
 import dataclasses
 import inspect
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -156,7 +160,7 @@ class TestTaylorCoefficientPath:
     def test_weights_at_one_are_the_beta_values(self, alpha):
         # (alpha+1) B(k+1, alpha+1) = prod_{j<=k} j/(j+alpha+1), exact in rationals;
         # the norm-table oracle takes the same product
-        w = spaces._coefficient_weights(SpaceSpec.bergman(alpha), 1.0, 201)
+        w = spaces._coefficient_weights("bergman", alpha, 1.0, 201)
         a1, exact = Fraction(alpha) + 1, Fraction(1)
         for k in range(201):
             if k:
@@ -164,6 +168,18 @@ class TestTaylorCoefficientPath:
             assert w[k] == pytest.approx(float(exact), rel=1e-14, abs=0)
             assert w[k] == pytest.approx(
                 suites._bergman_monomial_power(k, 2.0, alpha), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("space", [SpaceSpec.bergman(0.5), SpaceSpec.dirichlet()],
+                             ids=lambda space: space.label)
+    def test_weights_are_cached_read_only_and_equal_a_fresh_computation(self, space, s):
+        w = spaces._coefficient_weights(space.kind, space.alpha, s, 33)
+        assert spaces._coefficient_weights(space.kind, space.alpha, s, 33) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+        fresh = spaces._coefficient_weights.__wrapped__(space.kind, space.alpha, s, 33)
+        assert fresh is not w and np.array_equal(fresh, w)
 
     @pytest.mark.parametrize("alpha", [0, 1, 2])
     def test_bergman_oracle_at_degree_200_is_exact(self, alpha):
@@ -193,7 +209,7 @@ class TestTaylorCoefficientPath:
                                        SpaceSpec.bergman(1.5), SpaceSpec.dirichlet()],
                              ids=lambda space: space.label)
     def test_weights_below_one_match_the_area_integral(self, space, s):
-        w = spaces._coefficient_weights(space, s, 21)
+        w = spaces._coefficient_weights(space.kind, space.alpha, s, 21)
         for k in range(21):
             if space.kind == "bergman":
                 g, radial = (lambda z, k=k: np.abs(z) ** (2 * k)), (
@@ -378,6 +394,43 @@ class TestBlockedSup:
         with pytest.raises(Unbounded):
             certified_sup(values_at, space)
         assert len(calls) == -(-spaces.disc_sup_points(space.policy.r_cap).size // 1000)
+
+
+class TestSupGridWithoutUnique:
+    """The sup grid's angles and radii are np.unique's, without importing numpy.ma."""
+
+    def test_angles_are_the_unique_sorted_angles(self):
+        uniform = 2.0 * np.pi * np.arange(512) / 512
+        clustered = np.pi * 2.0 ** (-np.arange(4, 65) / 4)
+        angles = np.unique(np.concatenate([uniform, clustered, 2.0 * np.pi - clustered]))
+        circle, at_uniform = spaces._sup_circle()
+        assert angles.size < 512 + 2 * 61  # pi 2^-m, m = 1..8, are uniform angles too
+        assert np.array_equal(circle, np.exp(1j * angles))
+        assert np.array_equal(at_uniform, np.searchsorted(angles, uniform))
+
+    @pytest.mark.parametrize("r_cap", [holo.DEFAULT_POLICY.r_cap, 0.4, 0.05,
+                                       float(1.0 - 2.0 ** (-np.arange(4, 81) / 4)[7])])
+    def test_radii_are_the_unique_sorted_radii(self, r_cap):
+        # 0.4 and 1 - 2^(-11/4) are grid radii themselves
+        rs = np.concatenate([np.arange(0.0, 0.45, 0.1), 1.0 - 2.0 ** (-np.arange(4, 81) / 4)])
+        got = spaces._sup_radii(r_cap)
+        assert np.array_equal(got, np.unique(np.append(rs[rs < r_cap], r_cap)))
+        assert got[-1] == r_cap and np.all(np.diff(got) > 0.0)
+
+    def test_a_default_suite_run_leaves_numpy_ma_unimported(self):
+        code = ("import copy, sys\n"
+                "from wcsg.cli import run\n"
+                "from wcsg.defaults import DEFAULT_CONFIGS\n"
+                "for config in DEFAULT_CONFIGS.values():\n"
+                "    run(copy.deepcopy(config))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(spaces.__file__).resolve().parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 def _spike(theta0):
@@ -742,14 +795,16 @@ class TestSpaceInvariants:
             assert max(ratios) < 1e3
 
     def test_weight_positivity_checked(self):
+        # Re z is 0 at the grid's centre, its first point
         bad = holo.HoloFn(lambda z: np.real(z), holo.UNIT_DISC, name="signed")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weight is not strictly positive at 0j$"):
             SpaceSpec.sup_holo(bad)
 
     def test_complex_weight_rejected(self):
-        # Re(1 + 0.9iz) > 0 on the disc, but the weight is not real
+        # Re(1 + 0.9iz) > 0 on the disc, but the weight is not real; the
+        # grid's first point off the centre is 0.1 (radius 0.1, angle 0)
         bad = holo.HoloFn(lambda z: 1.0 + 0.9j * z, holo.UNIT_DISC, name="1 + 0.9iz")
-        with pytest.raises(ValueError, match="real-valued"):
+        with pytest.raises(ValueError, match=r"^weight is not real at \(0\.1\+0j\)$"):
             SpaceSpec.sup_holo(bad)
         assert norm(SpaceSpec.sup_holo(holo.constant(2.0 + 0j)), holo.one()) == 2.0
 
