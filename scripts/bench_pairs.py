@@ -14,12 +14,14 @@ strictly better, in the layout of BENCH_26.json's ``alternating_pairs``.
 With ``--trace-runs N`` each side also runs ``--trace 1`` N times per workload,
 and every per-layer metric lands under ``trace1`` as ``[parent, change]``
 lists. A summary line per workload goes to stdout. Exit code 1 if a run fails
-or reports ``correct: false``, 2 if a checkout holds no perfbench/run.py.
+or reports ``correct: false``, 2 if a checkout holds no perfbench/run.py or
+holds a ``__pycache__`` under ``src/``.
 
 Compare two clean exports (``git archive``): where PYTHONDONTWRITEBYTECODE
 is set, a checkout that still holds ``__pycache__`` from a test run skips
 compiling its sources, and starts faster and peaks lower than one that does
-not (1.4 MB lower ``peak_rss_mb`` on ``ode-flows``).
+not (1.4 MB lower ``peak_rss_mb`` on ``ode-flows``), so the script refuses
+such a checkout and names the directory.
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ def main(argv=None) -> int:
     for side, path in dirs.items():
         if not (path / "perfbench" / "run.py").is_file():
             print(f"{side} checkout {path} holds no perfbench/run.py", file=sys.stderr)
+            return 2
+        cached = next((path / "src").rglob("__pycache__"), None)
+        if cached is not None:
+            print(f"{side} checkout holds {cached}: compare clean exports", file=sys.stderr)
             return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}

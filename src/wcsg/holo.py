@@ -40,8 +40,15 @@ OVERFLOW_GUARD = 1e12
 # complex temporaries, glibc's default mmap threshold) whether each block
 # faulted its pages in afresh depended on the heap layout alone: one
 # benchmark workload took 6k or 170k minor faults as the size of the
-# environment varied. Blocks of 16,384 points doubled the faults.
+# environment varied. Blocks of 16,384 points doubled the faults. Cached
+# radial rows keep their point blocks per ring and per value of this constant
+# (:class:`_Rows`), so each block is built once.
 BLOCK_POINTS = 1 << 12
+
+# Most points one set of cached radial rows keeps as point blocks (2 MB): all
+# 512 angles of the 240 fine rows to r_cap, or of 256 rows to a seminorm
+# radius, at the default policy. Blocks past it are built on each use.
+ROW_POINTS_KEPT = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,14 @@ class HoloFn:
         deriv = None if df is None or dg is None else (lambda z: df(z) - dg(z))
         return HoloFn(lambda z: f(z) - g(z), self.domain,
                       name=f"({self.name or '?'}-{other.name or '?'})", deriv=deriv)
+
+
+def read_only(a):
+    """``a``, made read-only. Every array a cache of this package returns is
+    shared by all later callers: an in-place write then raises instead of
+    silently changing every later result."""
+    a.flags.writeable = False
+    return a
 
 
 def ensure_finite(values, what: str):
@@ -284,20 +299,27 @@ def exp_abs_decay_weight() -> HoloFn:
 @lru_cache(maxsize=64)
 def _circle_nodes(n: int):
     theta = 2.0 * np.pi * np.arange(n) / n
-    return np.exp(1j * theta)
+    return read_only(np.exp(1j * theta))
+
+
+@lru_cache(maxsize=64)
+def _odd_circle_nodes(n: int):
+    """The odd-index nodes of :func:`_circle_nodes` (n): those that doubling
+    n / 2 angles to n adds."""
+    return read_only(_circle_nodes(n)[1::2].copy())
 
 
 @lru_cache(maxsize=64)
 def _gl_nodes(m: int):
     x, w = np.polynomial.legendre.leggauss(m)
-    return x, w
+    return read_only(x), read_only(w)
 
 
 @lru_cache(maxsize=32)
 def gl01(n: int):
     """The n-point Gauss-Legendre rule mapped to [0, 1]: (nodes, weights)."""
     x, w = _gl_nodes(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return read_only(0.5 * (x + 1.0)), read_only(0.5 * w)
 
 
 def time_integral(h, t: float, zs, n: int, tol: float = DEFAULT_POLICY.tol):
@@ -360,9 +382,25 @@ def circle_mean_p(f: HoloFn, r: float, p: float, policy: QuadPolicy = DEFAULT_PO
         raise DomainExit(f"circle radius {r:g} outside the domain")
     if r == 0.0:
         return float(abs(f(0.0)) ** p)
-    row = (np.array([float(r)]), lambda means: float(means[0]))
+    row = _circle_rule(float(r))
     return _certified_rows(lambda z: np.abs(f.fn(z)) ** p, row, row, policy,
                            f"circle mean of |f|^{p:g} at r={r:g}", "circle mean")
+
+
+@lru_cache(maxsize=32)
+def _circle_rule(r: float):
+    """``(rows, total)`` of the one circle |z| = r: its row and the function
+    taking the row's angular mean to itself. Cached, so the row keeps its
+    point blocks (:class:`_Rows`)."""
+    return _Rows(np.array([r])), lambda means: float(means[0])
+
+
+@lru_cache(maxsize=8)
+def _fft_circle(n: int):
+    """The n points rho e^(2 pi i j / n) of :func:`taylor_coefficients` and
+    the damping rho^k, k < n / 2, with rho = 1 - 2/n."""
+    rho = 1.0 - 2.0 / n
+    return read_only(rho * _circle_nodes(n)), read_only(rho ** np.arange(n // 2))
 
 
 @lru_cache(maxsize=8)
@@ -376,19 +414,19 @@ def taylor_coefficients(f: HoloFn, n: int):
     are taken one after another, share one expansion; the returned array is
     read-only. A value on the circle or a coefficient that is not finite
     raises NonConvergent."""
-    rho = 1.0 - 2.0 / n
-    vals = ensure_finite(f(rho * _circle_nodes(n)), "Taylor coefficients")
+    circle, damping = _fft_circle(n)
+    vals = ensure_finite(f(circle), "Taylor coefficients")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        a = ensure_finite(np.fft.fft(vals)[: n // 2] / n / rho ** np.arange(n // 2),
-                          "Taylor coefficients")
-    a.flags.writeable = False
-    return a
+        a = ensure_finite(np.fft.fft(vals)[: n // 2] / n / damping, "Taylor coefficients")
+    return read_only(a)
 
 
 def _radial_panels(r: float):
-    """Dyadic panel breakpoints clustering toward |z| = 1."""
+    """Dyadic panel breakpoints clustering toward |z| = 1, as a tuple of
+    (a, b) pairs (a key of :func:`_radial_rows` and :func:`_radial_total`)."""
+    r = float(r)
     if r <= 0.5:
-        return [(0.0, r)]
+        return ((0.0, r),)
     pts = [0.0, 0.5]
     while True:
         nxt = 1.0 - (1.0 - pts[-1]) / 2.0
@@ -396,38 +434,89 @@ def _radial_panels(r: float):
             break
         pts.append(nxt)
     pts.append(r)
-    return list(zip(pts[:-1], pts[1:]))
+    return tuple(zip(pts[:-1], pts[1:]))
+
+
+class _Rows:
+    """The angular rows of a certified rule, at the radii ``s`` (read-only).
+    :meth:`blocks` builds their points on a ring once and keeps them, up to
+    ROW_POINTS_KEPT points in all, so cached rows rarely rebuild them."""
+
+    def __init__(self, s):
+        self.s, self._blocks, self._kept = read_only(s), {}, 0
+
+    def blocks(self, ring):
+        """The pairs (rows, s[rows, None] * ring[None, :]) over
+        :func:`row_blocks`, each array read-only. Kept per ring and per
+        BLOCK_POINTS while the kept points stay within ROW_POINTS_KEPT;
+        past it each block is built as it is used, so at most one is alive.
+        Rings are cached read-only arrays and are told apart by identity;
+        each entry holds its ring, so no other array can take its id while
+        the entry lives."""
+        key = (id(ring), BLOCK_POINTS)
+        if key in self._blocks:
+            return self._blocks[key][1]
+        blocks = ((rows, read_only(self.s[rows, None] * ring[None, :]))
+                  for rows in row_blocks(self.s.size, ring.size))
+        if self._kept + self.s.size * ring.size > ROW_POINTS_KEPT:
+            return blocks
+        self._kept += self.s.size * ring.size
+        self._blocks[key] = ring, tuple(blocks)
+        return self._blocks[key][1]
+
+
+@lru_cache(maxsize=16)
+def _radial_rows(panels, m: int) -> _Rows:
+    """The rows at the m Gauss-Legendre radii of each of ``panels`` (a tuple
+    of (a, b) pairs, a <= |z| <= b each), stacked in panel order. Cached, and
+    only here, so every rule on these radii, whatever its radial weight,
+    shares one set of point blocks: at most 16 sets of ROW_POINTS_KEPT
+    points, 32 MB."""
+    x, _ = _gl_nodes(m)
+    return _Rows(np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in panels]))
 
 
 def _radial_rule(panels, m: int, radial):
-    """The Gauss-Legendre radii of all ``panels`` (a <= |z| <= b each), m per
-    panel, stacked in panel order, and the function taking their angular row
-    means to the area integral. ``radial`` (None means 1) runs once, here, on
-    the stacked radii and joins the Gauss-Legendre weights. Each panel's sum
-    runs in panel order, so the value rounds as one g call per panel does."""
-    x, w = _gl_nodes(m)
-    halves = [0.5 * (b - a) for a, b in panels]
-    s = np.concatenate([0.5 * (a + b) + h * x for (a, b), h in zip(panels, halves)])
-    rw = (s if radial is None else s * radial(s)).reshape(-1, m)
-
-    def total(rows):
-        return sum(2.0 * np.pi * h * float(np.dot(w, pw * pr))
-                   for h, pw, pr in zip(halves, rw, rows.reshape(-1, m)))
-
-    return s, total
+    """``(rows, total)``: the rows of :func:`_radial_rows` and the function
+    taking their angular row means to the area integral
+    (:func:`_radial_total`)."""
+    return _radial_rows(panels, m), _radial_total(panels, m, radial)
 
 
-def _row_sums(g, s, ring, integrand: str):
-    """The sum of g over each row s_i ring, with g called on blocks of whole
-    rows, at most BLOCK_POINTS points per call. A NaN or inf at any node, or
-    a row sum that overflows, makes its row sum non-finite and raises
-    NonConvergent naming ``integrand``."""
-    rows = np.empty(s.size)
-    for block in row_blocks(s.size, ring.size):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            sums = np.asarray(g(s[block, None] * ring[None, :]), dtype=float).sum(axis=1)
-        rows[block] = ensure_finite(sums, integrand)
-    return rows
+@lru_cache(maxsize=32)
+def _radial_total(panels, m: int, radial):
+    """The function taking the angular row means of :func:`_radial_rows`
+    (panels, m) to the area integral. ``radial`` (None means 1) runs once,
+    here, on the stacked radii and joins the Gauss-Legendre weights. Cached
+    per (panels, m, radial).
+
+    The total multiplies the folded weights into the row means at once and
+    takes every panel's dot product with the Gauss-Legendre weights in one
+    batched matmul, which runs on each panel the dot product np.dot runs;
+    the panel values are then added in panel order, so the value rounds as
+    one g call per panel does."""
+    s, (_, w) = _radial_rows(panels, m).s, _gl_nodes(m)
+    scales = [2.0 * np.pi * (0.5 * (b - a)) for a, b in panels]
+    rw = read_only((s if radial is None else s * radial(s)).reshape(-1, m))
+    w_col = w[:, None]
+
+    def total(means):
+        dots = np.matmul((rw * means.reshape(rw.shape))[:, None, :], w_col).ravel()
+        return sum(c * d for c, d in zip(scales, dots.tolist()))
+
+    return total
+
+
+def _row_sums(g, rows: _Rows, ring, integrand: str):
+    """The sum of g over each row s_i ring of ``rows``, with g called on its
+    point blocks (:meth:`_Rows.blocks`), at most BLOCK_POINTS points per
+    call. A NaN or inf at any node, or a row sum that overflows, makes its
+    row sum non-finite and raises NonConvergent naming ``integrand``."""
+    sums = np.empty(rows.s.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for block, pts in rows.blocks(ring):
+            sums[block] = ensure_finite(np.asarray(g(pts), dtype=float).sum(axis=1), integrand)
+    return sums
 
 
 @lru_cache(maxsize=64)
@@ -445,36 +534,37 @@ def _offset_circle_nodes(n: int):
     """The n-th roots of unity turned by the golden fraction (sqrt(5) - 1)/2
     of their spacing: a mode that a fine grid aliases to a constant enters a
     trapezoid on these nodes with another phase."""
-    return _circle_nodes(n) * np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) / n)
+    return read_only(_circle_nodes(n) * np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) / n))
 
 
 def _certified_rows(g, fine_rule, coarse_rule, policy: QuadPolicy, what: str,
                     integrand: str) -> float:
     """total(row means of g), certified: the one angular rule of every circle
-    and area integral. Each rule is ``(s, total)``: the radii of its rows and
-    the function taking their angular means to the value. A non-finite row
-    sum raises NonConvergent naming ``integrand``.
+    and area integral. Each rule is ``(rows, total)``: its :class:`_Rows`
+    and the function taking their angular means to the value. A non-finite
+    row sum raises NonConvergent naming ``integrand``.
 
     The fine rows' angles double along :func:`_angle_ladder`, from
     n_theta / 4 up to the cap 2 n_theta: each doubling evaluates only the new
-    odd-index nodes and adds them to the running row sums. At the first level
-    N where the doubling moved the fine value by at most tol max(1, |fine|),
-    or at the cap, the coarse rows run on N / 2 angles turned by
-    :func:`_offset_circle_nodes`, and :func:`certify_doubling` judges the
-    two values. A failed certificate below the cap doubles on; at the cap it
-    raises NonConvergent naming ``what``.
+    odd-index nodes (:func:`_odd_circle_nodes`) and adds them to the running
+    row sums. At the first level N where the doubling moved the fine value
+    by at most tol max(1, |fine|), or at the cap, the coarse rows run on
+    N / 2 angles turned by :func:`_offset_circle_nodes`, and
+    :func:`certify_doubling` judges the two values. A failed certificate
+    below the cap doubles on; at the cap it raises NonConvergent naming
+    ``what``.
     """
     ladder = _angle_ladder(policy.n_theta)
-    (s, total), (coarse_s, coarse_total) = fine_rule, coarse_rule
-    sums = _row_sums(g, s, _circle_nodes(ladder[0]), integrand)
+    (rows, total), (coarse_rows, coarse_total) = fine_rule, coarse_rule
+    sums = _row_sums(g, rows, _circle_nodes(ladder[0]), integrand)
     fine = total(sums / ladder[0])
     for n in ladder[1:]:
-        sums = sums + _row_sums(g, s, _circle_nodes(n)[1::2], integrand)
+        sums = sums + _row_sums(g, rows, _odd_circle_nodes(n), integrand)
         fine, before = total(sums / n), fine
         if n < ladder[-1] and not abs(fine - before) <= policy.tol * max(1.0, abs(fine)):
             continue
         ring = _offset_circle_nodes(n // 2)
-        coarse = coarse_total(_row_sums(g, coarse_s, ring, integrand) / ring.size)
+        coarse = coarse_total(_row_sums(g, coarse_rows, ring, integrand) / ring.size)
         try:
             return certify_doubling(coarse, fine, policy.tol, what)
         except NonConvergent:
@@ -514,7 +604,7 @@ def annulus_integral(g, r_inner: float, r_outer: float, policy: QuadPolicy = DEF
     """Integral over the thin annulus r_inner <= |z| <= r_outer (extrapolation
     helper): one radial panel of m = 16 nodes, certified by
     :func:`_certified_area`; ``g`` and ``radial`` as in :func:`disc_integral`."""
-    return _certified_area(g, [(r_inner, r_outer)], 16, policy, radial,
+    return _certified_area(g, ((float(r_inner), float(r_outer)),), 16, policy, radial,
                            f"annulus integral over [{float(r_inner)!r}, {float(r_outer)!r}]")
 
 

@@ -47,6 +47,7 @@ from .holo import (
     circle_mean_p,
     derivative_on_grid,
     disc_integral,
+    read_only,
 )
 
 INTEGRAL_KINDS = ("hardy", "bergman", "dirichlet")
@@ -182,7 +183,7 @@ def _sup_circle():
     clustered = np.pi * 2.0 ** (-np.arange(4, 65) / 4)
     angles = np.sort(np.concatenate([uniform, clustered, 2.0 * np.pi - clustered]))
     angles = angles[np.diff(angles, prepend=-1.0) > 0.0]  # pi 2^-m is a uniform angle too
-    return np.exp(1j * angles), np.searchsorted(angles, uniform)
+    return read_only(np.exp(1j * angles)), read_only(np.searchsorted(angles, uniform))
 
 
 @lru_cache(maxsize=32)
@@ -190,19 +191,19 @@ def _sup_radii(r_cap: float):
     """The radii of the disc sup grid: those of 0, 0.1, .., 0.4 and
     1 - 2^(-k/4) that lie below r_cap, and r_cap itself, in increasing order."""
     rs = np.concatenate([np.arange(0.0, 0.45, 0.1), 1.0 - 2.0 ** (-np.arange(4, 81) / 4)])
-    return np.append(rs[rs < r_cap], r_cap)
+    return read_only(np.append(rs[rs < r_cap], r_cap))
 
 
 @lru_cache(maxsize=32)
 def disc_sup_points(r_cap: float):
     """Polar sup grid: the radii of :func:`_sup_radii` times the angles of
     :func:`_sup_circle`; one row of angles per radius, the outermost last."""
-    return (_sup_radii(r_cap)[:, None] * _sup_circle()[0][None, :]).ravel()
+    return read_only((_sup_radii(r_cap)[:, None] * _sup_circle()[0][None, :]).ravel())
 
 
 @lru_cache(maxsize=32)
 def real_sup_points(halfwidth: float):
-    return np.linspace(-halfwidth, halfwidth, 8193)
+    return read_only(np.linspace(-halfwidth, halfwidth, 8193))
 
 
 def _grid_scale(space: SpaceSpec, radius_scale: float) -> float:
@@ -310,9 +311,16 @@ def _density(space: SpaceSpec, f: HoloFn):
     radial weight of the radius (Bergman: |f|^p and (1 - s^2)^alpha;
     Dirichlet: |f'|^2 and None)."""
     if space.kind == "bergman":
-        a, p = space.alpha, space.p
-        return lambda z: np.abs(f.fn(z)) ** p, lambda s: (1.0 - s * s) ** a
+        p = space.p
+        return lambda z: np.abs(f.fn(z)) ** p, _bergman_radial(space.alpha)
     return lambda z: np.abs(derivative_on_grid(f, z)) ** 2, None
+
+
+@lru_cache(maxsize=32)
+def _bergman_radial(alpha: float):
+    """(1 - s^2)^alpha, one callable per alpha: a key of holo's cached radial
+    rules, so every Bergman integral with this alpha reuses their rows."""
+    return lambda s: (1.0 - s * s) ** alpha
 
 
 def _area_scale(space: SpaceSpec, integral: float) -> float:
@@ -386,8 +394,7 @@ def _coefficient_weights(kind: str, alpha: float | None, s: float, n: int):
             else:
                 b = 1.0 - T - a1 * T * np.concatenate(([0.0], np.cumsum(t[:n - 1])))
             w = w * np.maximum(b, 0.0)
-    w.flags.writeable = False
-    return w
+    return read_only(w)
 
 
 _EPS = np.finfo(float).eps
@@ -396,7 +403,7 @@ _EPS = np.finfo(float).eps
 @lru_cache(maxsize=8)
 def _probe_powers(n: int):
     """The powers 0 .. n-1 of each point of _PROBES, one row per probe."""
-    return np.vander(_PROBES, n, increasing=True)
+    return read_only(np.vander(_PROBES, n, increasing=True))
 
 
 def _expansion(f: HoloFn, policy: QuadPolicy):
@@ -446,7 +453,7 @@ def _coefficient_functional(space: SpaceSpec, f: HoloFn, s: float) -> float | No
 def _radius_powers(R: float, n: int):
     """k R^(k-1) for k = 1 .. n-1: the weights of the uniform bound of f'."""
     k = np.arange(1.0, n)
-    return k * R ** (k - 1.0)
+    return read_only(k * R ** (k - 1.0))
 
 
 def _bloch_search(space: SpaceSpec, f: HoloFn, s: float) -> float | None:
@@ -483,7 +490,7 @@ def _bloch_search(space: SpaceSpec, f: HoloFn, s: float) -> float | None:
 @lru_cache(maxsize=32)
 def _sweep_radii(r_cap: float):
     """Every third radius of :func:`_sup_radii`, counted back from r_cap."""
-    return _sup_radii(r_cap)[::-3][::-1].copy()
+    return read_only(_sup_radii(r_cap)[::-3][::-1].copy())
 
 
 def _sample_peaks(vals, first_row: int, most: int = 8):

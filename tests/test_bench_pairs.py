@@ -73,3 +73,14 @@ def test_a_checkout_without_the_benchmark_exits_two(tmp_path):
     proc, out = run_script(tmp_path, parent, tmp_path / "nothing")
     assert proc.returncode == 2 and "change checkout" in proc.stderr
     assert not out.exists()
+
+
+def test_a_checkout_with_compiled_sources_exits_two_and_names_the_directory(tmp_path):
+    parent = checkout(tmp_path, "parent", [1.0, 1.0])
+    change = checkout(tmp_path, "change", [1.0, 1.0])
+    cached = change / "src" / "wcsg" / "__pycache__"
+    cached.mkdir(parents=True)
+    proc, out = run_script(tmp_path, parent, change, "--pairs", "2")
+    assert proc.returncode == 2 and str(cached.resolve()) in proc.stderr
+    assert "change checkout" in proc.stderr
+    assert not out.exists() and not (tmp_path / "order.log").exists()

@@ -1,8 +1,11 @@
 """Quadrature and differentiation primitives against closed-form oracles."""
 
 import cmath
+import copy
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -124,9 +127,9 @@ def _coarse_pass(g, r, policy=DEFAULT_POLICY, radial=None):
     """holo's radial rule and row sums on disc_integral's panels to r: m
     nodes per panel times n_theta angles, with no certificate."""
     panels = holo._radial_panels(r)
-    s, total = holo._radial_rule(panels, max(6, policy.n_radial // len(panels)), radial)
+    rows, total = holo._radial_rule(panels, max(6, policy.n_radial // len(panels)), radial)
     ring = holo._circle_nodes(policy.n_theta)
-    return total(holo._row_sums(g, s, ring, "disc integrand") / policy.n_theta)
+    return total(holo._row_sums(g, rows, ring, "disc integrand") / policy.n_theta)
 
 
 class TestDiscIntegral:
@@ -306,6 +309,110 @@ class TestBlockedPass:
         assert len(calls) == n_calls
 
 
+_R_CAP = DEFAULT_POLICY.r_cap
+# r_cap, the extrapolation radius past it, and radii from 0.5 toward 1
+_PLAN_RADII = [_R_CAP, 1.0 - (1.0 - _R_CAP) / 10.0, 0.5, 0.9, 0.99, 0.999, 0.9999]
+
+
+def _built_rules(r):
+    """Every (panels, m) that disc_integral to r and annulus_integral from r
+    build, fine and coarse, with the rings each runs on: the fine rows the
+    first ring of the ladder and the odd nodes of each doubling, the coarse
+    rows the turned ring of each level."""
+    panels = holo._radial_panels(r)
+    m = max(6, DEFAULT_POLICY.n_radial // len(panels))
+    annulus = ((r, 1.0 - (1.0 - r) / 10.0),)
+    ladder = holo._angle_ladder(DEFAULT_POLICY.n_theta)
+    fine = [holo._circle_nodes(ladder[0])] + [holo._odd_circle_nodes(n) for n in ladder[1:]]
+    coarse = [holo._offset_circle_nodes(n // 2) for n in ladder[1:]]
+    return [(panels, 2 * m, fine), (panels, m, coarse), (annulus, 32, fine),
+            (annulus, 16, coarse)]
+
+
+def _live_rows():
+    return [o for o in gc.get_objects() if isinstance(o, holo._Rows)]
+
+
+def _kept_bytes(rows):
+    return sum(r.s.nbytes + sum(p.nbytes for _, blocks in r._blocks.values() for _, p in blocks)
+               for r in rows)
+
+
+class TestQuadraturePlans:
+    """Radial rules and their point blocks are built once and reused; the
+    batched total rounds as the per-panel loop does."""
+
+    @pytest.mark.parametrize("radial", [None, _bergman_weight(0.5), _bergman_weight(-0.5)],
+                             ids=["plain", "bergman", "bergman-negative"])
+    @pytest.mark.parametrize("r", _PLAN_RADII)
+    def test_total_is_the_per_panel_sum_bit_for_bit(self, r, radial):
+        rng = np.random.default_rng(7)
+        for panels, m, _ in _built_rules(r):
+            rows, total = holo._radial_rule(panels, m, radial)
+            _, w = holo._gl_nodes(m)
+            halves = [0.5 * (b - a) for a, b in panels]
+            rw = (rows.s if radial is None else rows.s * radial(rows.s)).reshape(-1, m)
+            for _ in range(5):
+                means = 10.0 ** rng.uniform(-5.0, 5.0, rows.s.size)
+                ref = sum(2.0 * np.pi * h * float(np.dot(w, pw * pr))
+                          for h, pw, pr in zip(halves, rw, means.reshape(-1, m)))
+                assert total(means) == ref
+
+    @pytest.mark.parametrize("block", [3000, holo.BLOCK_POINTS])
+    @pytest.mark.parametrize("r", [_R_CAP, 0.5])
+    def test_point_blocks_are_the_fresh_products_and_kept(self, monkeypatch, r, block):
+        monkeypatch.setattr(holo, "BLOCK_POINTS", block)
+        holo._radial_rows.cache_clear()  # rows that kept blocks of another size
+        for panels, m, rings in _built_rules(r):
+            rows = holo._radial_rows(panels, m)
+            assert rows is holo._radial_rule(panels, m, None)[0]
+            for ring in rings:
+                blocks = rows.blocks(ring)
+                assert [i for sl, _ in blocks for i in range(rows.s.size)[sl]] == \
+                    list(range(rows.s.size))
+                for sl, pts in blocks:
+                    assert _same_bits(pts, rows.s[sl, None] * ring[None, :])
+                    assert not pts.flags.writeable
+                    assert pts.size <= block
+                assert rows.blocks(ring) is blocks
+
+    def test_blocks_past_the_kept_budget_are_built_on_use(self, monkeypatch):
+        monkeypatch.setattr(holo, "ROW_POINTS_KEPT", 100)
+        monkeypatch.setattr(holo, "BLOCK_POINTS", 256)
+        rows = holo._Rows(np.linspace(0.1, 0.9, 4))
+        small, large = holo._circle_nodes(16), holo._circle_nodes(128)
+        assert rows.blocks(small) is rows.blocks(small)
+        alive = []
+        for sl, pts in rows.blocks(large):  # 2 rows of 128 angles per block
+            assert _same_bits(pts, rows.s[sl, None] * large[None, :])
+            alive.append(weakref.ref(pts))
+            assert [ref() is not None for ref in alive] == [False] * (len(alive) - 1) + [True]
+        assert len(alive) == 2 and list(rows._blocks) == [(id(small), 256)]
+
+    def test_bergman_rules_share_the_rows_and_hit_the_cache(self):
+        space = spaces.SpaceSpec.bergman(0.5, 3.0)
+        spaces.norm(space, mobius(0.3))
+        before = holo._radial_total.cache_info(), holo._radial_rows.cache_info()
+        spaces.norm(space, mobius(-0.4))
+        after = holo._radial_total.cache_info(), holo._radial_rows.cache_info()
+        assert all(a.misses == b.misses and a.hits > b.hits for a, b in zip(after, before))
+
+    def test_a_second_pass_of_the_default_tables_builds_nothing(self):
+        from wcsg import cli
+        from wcsg.defaults import DEFAULT_CONFIGS
+
+        def run_pass():
+            for suite in ("norm-table", "bound-table"):
+                cli.run(copy.deepcopy(DEFAULT_CONFIGS[suite]))
+            return (holo._radial_total.cache_info().misses,
+                    holo._radial_rows.cache_info().misses,
+                    holo._circle_rule.cache_info().misses,
+                    sum(len(r._blocks) for r in _live_rows()))
+
+        first = run_pass()
+        assert run_pass() == first
+
+
 def _angular(k):
     """1 + cos(k arg z): 2 on any grid of N angles with N | k."""
     return lambda z: 1.0 + np.cos(k * np.angle(z))
@@ -345,7 +452,7 @@ class TestAngleLadder:
         r, n = 1.0 - 1e-6, DEFAULT_POLICY.n_theta
         panels = holo._radial_panels(r)
         m = max(6, DEFAULT_POLICY.n_radial // len(panels))
-        fine_s, _ = holo._radial_rule(panels, 2 * m, None)
+        fine_s = holo._radial_rows(panels, 2 * m).s
         calls = []
         if settles:
             assert disc_integral(_recording(g, calls), r) == pytest.approx(math.pi * r * r,

@@ -895,3 +895,25 @@ def test_hardy_seminorm_monotone_property(s1, s2):
     v_lo = co_seminorm(space, f, SeminormIndex(lo))
     v_hi = co_seminorm(space, f, SeminormIndex(hi))
     assert v_lo <= v_hi + 1e-10
+
+
+_R_CAP = holo.DEFAULT_POLICY.r_cap
+
+
+# an in-place write to a cached array would change every later result
+@pytest.mark.parametrize("cached", [
+    lambda: holo._circle_nodes(16), lambda: holo._offset_circle_nodes(16),
+    lambda: holo._odd_circle_nodes(16), lambda: holo._gl_nodes(12), lambda: holo.gl01(12),
+    lambda: holo._fft_circle(64), lambda: spaces.disc_sup_points(_R_CAP),
+    lambda: spaces._sup_radii(_R_CAP), spaces._sup_circle,
+    lambda: spaces.real_sup_points(10.0), lambda: spaces._radius_powers(0.9, 16),
+    lambda: spaces._probe_powers(16), lambda: spaces._sweep_radii(_R_CAP)],
+    ids=["circle", "offset-circle", "odd-circle", "gl", "gl01", "fft-circle",
+         "disc-sup-points", "sup-radii", "sup-circle", "real-sup-points", "radius-powers",
+         "probe-powers", "sweep-radii"])
+def test_every_cached_array_is_read_only(cached):
+    out = cached()
+    for a in out if isinstance(out, tuple) else (out,):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
