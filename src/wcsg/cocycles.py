@@ -3,19 +3,17 @@
 A semicocycle for phi is a scalar family with m_0 = 1 and
 m_{t+s}(z) = m_t(z) m_s(phi_t(z)). Three constructions are provided:
 
+* trivial:    m_t = 1, with generator 0;
 * integral:   m_t(z) = exp(integral_0^t g(phi_s(z)) ds), the integral by
               holo.time_integral (Gauss-Legendre in time, certified by node
               doubling, g finite along every orbit);
-* coboundary: m_t = (omega o phi_t)/omega off the zeros of omega, extended
-              across each zero by (phi_t')^order; declared zeros are checked
-              to be fixed points and the two branches are cross-checked on
-              the guard circle;
 * derivative: m_t = phi_t', whose generator is G' for the flow's vector
               field G.
 
 A semicocycle is fixed by its generator g = d/dt m_t |_{t=0}, since
-m_t = exp(integral_0^t g(phi_s) ds); so whether m_t is constant in z is
-read off g (:attr:`Semicocycle.constant_in_z`), once, whatever built it.
+m_t = exp(integral_0^t g(phi_s) ds), and every one carries it: whether m_t
+is constant in z is read off g (:attr:`Semicocycle.constant_in_z`), once,
+whatever built it.
 """
 
 from __future__ import annotations
@@ -28,17 +26,10 @@ from typing import Callable
 import numpy as np
 
 from . import holo
-from .errors import (
-    DegenerateFixedPoint,
-    InvalidParam,
-    OrderMismatch,
-    ZeroNotFixed,
-)
+from .errors import DegenerateFixedPoint, InvalidParam
 from .flows import DEFAULT_FD_STEPS, Semiflow, right_derivative
 from .holo import HoloFn
 
-BRANCH_TOL = 5e-2
-CHECK_TS = (0.25, 1.0)  # times at which declared zeros and the two branches are checked
 # Where a generator must take one value for its cocycle to be constant in z.
 # The disc probes sit at distinct radii 0.2 .. 0.8 with golden-angle
 # arguments: a nonconstant polynomial of degree <= 6 cannot take one value on
@@ -48,32 +39,23 @@ _PROBES = {"real": np.linspace(-3, 3, 7),
                              for k in range(7)])}
 
 
-def zero_guard(order: int) -> float:
-    """Radius about a declared zero of this order inside which (phi_t')^order,
-    off by O(|z - b|), replaces the quotient, off by O(eps / |z - b|^order) if
-    omega cancels near the zero: the two meet here (1.5e-8 for order 1)."""
-    return float(np.finfo(float).eps) ** (1.0 / (order + 1))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Semicocycle:
-    """Time-indexed scalar family with, when known, its generator ``g``, the
+    """Time-indexed scalar family with its generator ``g``, the
     time-derivative of m_t at 0. ``trivial`` marks m_t = 1; only
     :func:`trivial_cocycle` sets it, whatever the name."""
 
     eval: Callable
     name: str = ""
-    g: HoloFn | None = None
+    g: HoloFn
     trivial: bool = False
 
     @cached_property
     def constant_in_z(self) -> bool:
-        """m_t is constant in z: g is known and takes one value on the seven
-        probe points of its domain, so m_t = exp(t g). Multiplication by such
-        a cocycle has exact operator norm sup|m_t|. A pole of g makes it
+        """m_t is constant in z: g takes one value on the seven probe points
+        of its domain, so m_t = exp(t g). Multiplication by such a cocycle
+        has exact operator norm sup|m_t|. A pole of g makes it
         non-constant."""
-        if self.g is None:
-            return False
         with np.errstate(all="ignore"):
             probe = np.asarray(self.g(_PROBES[self.g.domain.kind]))
             return bool(np.max(np.abs(probe - probe.flat[0])) < 1e-14)
@@ -129,81 +111,14 @@ def cocycle_from_g(g: HoloFn, phi: Semiflow) -> Semicocycle:
 
 def derivative_cocycle(phi: Semiflow) -> Semicocycle:
     """m_t = phi_t' (a semicocycle by the chain rule), with generator G' for
-    the flow's vector field G, or no generator when G is not known."""
-    gprime = None
-    if (gen := phi.generator) is not None:
-        gprime = HoloFn(lambda z: holo.derivative_on_grid(gen, z), phi.domain,
-                        name=f"({gen.name or 'G'})'")
+    the flow's vector field G."""
+    gen = phi.generator
     return Semicocycle(
         eval=lambda t, z: np.asarray(phi.space_derivative(t, z)),
         name=f"{phi.name or 'phi'}-prime",
-        g=gprime,
+        g=HoloFn(lambda z: holo.derivative_on_grid(gen, z), phi.domain,
+                 name=f"({gen.name or 'G'})'"),
     )
-
-
-def coboundary(omega: HoloFn, phi: Semiflow, orders: dict) -> Semicocycle:
-    """Quotient cocycle (omega o phi_t)/omega with declared zero orders.
-
-    ``orders`` maps each zero of omega (complex) to its order. Declared zeros
-    must be fixed points of phi (checked by sampling, ZeroNotFixed otherwise);
-    within :func:`zero_guard` of a zero the derivative-power branch
-    (phi_t'(z))^order is used, and the two branches are cross-checked on the
-    guard circle (OrderMismatch unless they agree to BRANCH_TOL).
-    """
-    zeros = [(complex(b), int(n)) for b, n in orders.items()]
-    for b, n in zeros:
-        if n < 1:
-            raise ValueError("zero orders must be positive integers")
-        drift = max(abs(phi(t, b) - b) for t in CHECK_TS)
-        if drift > 1e-8:
-            raise ZeroNotFixed(f"declared zero {b} moves by {drift:.3e} under the semiflow")
-
-    def omega_at(pts):
-        with np.errstate(all="ignore"):  # a pole is named below
-            w = np.asarray(omega(pts))
-        bad = ~np.isfinite(w)
-        if np.any(bad):
-            raise InvalidParam(f"omega is not finite at {complex(pts[np.argmax(bad)])}")
-        return w
-
-    def eval_fn(t, z):
-        """(phi_t')^order within the guard of a declared zero, the quotient
-        elsewhere; omega vanishing there is an undeclared zero, and omega
-        not finite at a point or at its image is a pole."""
-        t, zs = float(t), np.asarray(z, dtype=complex)
-        out = np.empty(zs.shape, dtype=complex)
-        rest = np.ones(zs.shape, dtype=bool)
-        for b, n in zeros:
-            mask = np.abs(zs - b) <= zero_guard(n)
-            if np.any(mask):
-                out[mask] = np.asarray(phi.space_derivative(t, zs[mask])) ** n
-                rest &= ~mask
-        if np.any(rest):
-            w = omega_at(zs[rest])
-            if np.any(w == 0):
-                raise InvalidParam(f"omega vanishes at {complex(zs[rest][np.argmax(w == 0)])}, "
-                                   "which is not a declared zero")
-            with np.errstate(all="ignore"):  # an overflow is reported below
-                quot = omega_at(np.asarray(phi(t, zs[rest]))) / w
-            out[rest] = holo.ensure_finite(quot, "coboundary quotient")
-        return out
-
-    # branch agreement on the guard circle
-    ring = np.exp(2j * np.pi * np.arange(16) / 16)
-    for b, n in zeros:
-        pts = b + zero_guard(n) * ring
-        for t in CHECK_TS:
-            with np.errstate(all="ignore"):  # a non-finite quotient fails below
-                quot = np.asarray(omega(np.asarray(phi(t, pts)))) / np.asarray(omega(pts))
-            power = np.asarray(phi.space_derivative(t, pts)) ** n
-            gap = float(np.max(np.abs(quot - power)))
-            if not gap <= BRANCH_TOL * max(1.0, float(np.max(np.abs(power)))):
-                raise OrderMismatch(
-                    f"zero {b}: quotient and derivative-power branches differ by {gap:.3e} "
-                    f"on the guard circle (declared order {n})"
-                )
-
-    return Semicocycle(eval=eval_fn, name=f"cob[{omega.name or 'omega'}]")
 
 
 def cocycle_law_residual(m: Semicocycle, phi: Semiflow, ts, grid) -> float:

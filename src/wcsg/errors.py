@@ -43,14 +43,6 @@ class StepUnderflow(WcsgError):
     not reach the requested time within the RK4 step budget."""
 
 
-class ZeroNotFixed(WcsgError):
-    """A declared zero of a coboundary symbol moves under the semiflow."""
-
-
-class OrderMismatch(WcsgError):
-    """Coboundary quotient and derivative-power branches disagree near a zero."""
-
-
 class DegenerateFixedPoint(WcsgError):
     """Admissibility ratio undefined because G'(b) vanishes."""
 

@@ -37,7 +37,7 @@ ODE_STEP_BUDGET = 4096
 FIXED_POINT_TOL = 1e-8  # |G| at a fixed point; a verified one drifts < 10x this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Semiflow:
     """Time-indexed family phi_t.
 
@@ -46,7 +46,7 @@ class Semiflow:
     time per point); calling the semiflow passes a scalar z as a one-point
     array. A law check takes one call per set of times (:meth:`at_times`),
     so an ODE flow runs one RK4 batch for all of them.
-    ``generator`` carries the closed-form vector field when known.
+    ``generator`` carries the vector field G = d/dt phi_t at t = 0.
     ``prime`` carries the closed-form space derivative phi_t'(z) when known;
     otherwise differentiation goes through ``holo.derivative_on_grid``.
     """
@@ -54,7 +54,7 @@ class Semiflow:
     eval: Callable
     domain: Domain = UNIT_DISC
     name: str = ""
-    generator: HoloFn | None = None
+    generator: HoloFn
     prime: Callable | None = None
 
     def __call__(self, t: float, z):

@@ -135,10 +135,10 @@ class HoloFn:
         return at_points(self.fn, z, self.domain.dtype)
 
     def __sub__(self, other: HoloFn) -> HoloFn:
-        """f - g on f's domain, carrying f' - g' when both derivatives are known."""
-        f, g, df, dg = self.fn, other.fn, self.deriv, other.deriv
-        deriv = None if df is None or dg is None else (lambda z: df(z) - dg(z))
-        return HoloFn(lambda z: f(z) - g(z), self.domain,
+        """f - h on f's domain, carrying f' - h' when both derivatives are known."""
+        f, h, df, dh = self.fn, other.fn, self.deriv, other.deriv
+        deriv = None if df is None or dh is None else (lambda z: df(z) - dh(z))
+        return HoloFn(lambda z: f(z) - h(z), self.domain,
                       name=f"({self.name or '?'}-{other.name or '?'})", deriv=deriv)
 
 

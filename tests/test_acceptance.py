@@ -16,7 +16,6 @@ import pytest
 from wcsg import cli, holo
 from wcsg.cocycles import (
     cocycle_from_g,
-    coboundary,
     coboundary_admissibility,
     derivative_cocycle,
     trivial_cocycle,
@@ -229,16 +228,23 @@ def test_criterion_8_coboundary_admissibility():
     v2, _ = coboundary_admissibility(holo.constant(-0.5), phi.generator, [0.0])
     second_ok = not v2["admissible"]
 
-    m = coboundary(holo.monomial(2), phi, {0.0: 2})
-    worst = max(
-        abs(complex(np.asarray(m(t, 0.0))) - math.exp(-2.0 * t)) for t in (0.3, 1.0, 2.0)
-    )
-    ok = first_ok and second_ok and worst < 1e-9
+    # g = -2 is admissible with order 2: its integral cocycle is the quotient
+    # (omega o phi_t)/omega of omega = z^2, that is (phi_t(z)/z)^2 = e^{-2t},
+    # also at the zero of omega
+    v3, rows3 = coboundary_admissibility(holo.constant(-2.0), phi.generator, [0.0])
+    third_ok = v3["admissible"] and rows3[0]["nearest_order"] == 2
+    m = cocycle_from_g(holo.constant(-2.0), phi)
+    worst = 0.0
+    for t in (0.3, 1.0, 2.0):
+        for z in (0.0, 0.5, 0.2 - 0.4j):
+            quotient = (complex(phi(t, z)) / z) ** 2 if z else math.exp(-2.0 * t)
+            worst = max(worst, abs(complex(np.asarray(m(t, z))) - quotient))
+    ok = first_ok and second_ok and third_ok and worst < 1e-9
     record(
         8,
         ok,
         f"admissibility: g=-1 -> ord 1 {first_ok}, g=-1/2 rejected {second_ok},"
-        f" coboundary value error {worst:.2e} (<1e-9)",
+        f" g=-2 -> ord 2 {third_ok}, quotient value error {worst:.2e} (<1e-9)",
     )
 
 

@@ -100,18 +100,6 @@ class TestExitCodes:
         assert code == 0 and case["verdict"] is True
         assert case["numbers"]["order"] == "inf"
 
-    def test_cocycle_of_unknown_generator_is_an_error_case(self):
-        # both cocycles give m_t = e^{-t}; only the integral one knows its g
-        base = {"space": _HARDY2, "flow": _DILATION, "f": "z"}
-        cfg = {"suite": "generator-check", "cases": [
-            {**base, "label": "cob", "cocycle": {
-                "type": "coboundary", "omega": "z", "zeros": [{"re": 0.0, "im": 0.0, "order": 1}]}},
-            {**base, "label": "int", "cocycle": {"type": "integral", "g": "-1.0"}}]}
-        cob, integral = cli.run(cfg).cases
-        assert cob.verdict == "error"
-        assert cob.error == "the generator g of cocycle cob[z] is not known"
-        assert integral.verdict is True
-
     def test_real_line_derivative_cocycle_is_checked_against_its_generator(self):
         # A f = G f' + G' f for m_t = phi_t'; against g = 0 the residual is 1.73
         cfg = {"suite": "generator-check", "cases": [
@@ -131,16 +119,13 @@ class TestExitCodes:
         assert case.verdict is True
 
     def test_bad_case_embedded_not_fatal(self, tmp_path):
-        # one broken case (integral cocycle with a bad expression is a config
-        # error; use a flow the coboundary rejects instead) is recorded, the
+        # one broken case (the orbit of the grid point 0 starts at the pole
+        # of g, so its time integral does not converge) is recorded, the
         # other cases still run
         cfg = {
             "suite": "cocycle-check",
             "flow": {"name": "attracting"},
-            "cocycles": [
-                {"type": "coboundary", "omega": "z", "zeros": [{"re": 0.0, "im": 0.0, "order": 1}]},
-                {"type": "trivial"},
-            ],
+            "cocycles": [{"type": "integral", "g": "1/z"}, {"type": "trivial"}],
         }
         out = tmp_path / "r.json"
         code = cli.main(["cocycle-check", "--config", write_config(tmp_path, cfg), "--out", str(out)])
@@ -229,12 +214,12 @@ _BAD_INPUTS = {
             "suite": "cocycle-check",
             "flow": _DILATION,
             "cocycles": [
-                {"type": "coboundary", "omega": "z", "zeros": 5},
+                {"type": "integral", "g": 5},
                 {"type": "integral", "g": ["z"]},
                 {"type": "trivial"},
             ],
         },
-        {"cocycle/coboundary0": "error", "cocycle/integral1": "error", "cocycle/trivial2": True},
+        {"cocycle/integral0": "error", "cocycle/integral1": "error", "cocycle/trivial2": True},
     ),
     "semigroup-check-catalog-params": (
         {
@@ -302,9 +287,11 @@ _BAD_INPUTS = {
          "cocycles": [{"type": "integral", "g": "x"}, {"type": "trivial"}]},
         {"cocycle/integral0": "error", "cocycle/trivial1": True},
     ),
-    "cocycle-check-undeclared-zero": (
+    # the coboundary type is gone: a config that still names it fails at its type
+    "cocycle-check-removed-coboundary-type": (
         {"suite": "cocycle-check", "flow": _DILATION,
-         "cocycles": [{"type": "coboundary", "omega": "z"}, {"type": "trivial"}]},
+         "cocycles": [{"type": "coboundary", "omega": "z^2",
+                       "zeros": [{"re": 0.0, "im": 0.0, "order": 2}]}, {"type": "trivial"}]},
         {"cocycle/coboundary0": "error", "cocycle/trivial1": True},
     ),
     # 0.01/z has its pole at the grid point 0: the first RK4 step from 0 is
@@ -399,17 +386,17 @@ _BAD_INPUTS = {
          "cocycles": [{"type": "integral", "g": "1/z"}, {"type": "integral", "g": "z"}]},
         {"cocycle/integral0": "error", "cocycle/integral1": True},
     ),
-    # the pole of omega is phi_0.5(0.95), and 0.95 is a grid point: only the
-    # pair (0.5, 0.5) meets it, after finite residuals
-    "cocycle-check-coboundary-pole-on-an-orbit": (
+    # the pole of g is phi_0.5(0.95), off the grid, and 0.95 is a grid point:
+    # the time integral of m_0.5(0.95) ends at the pole
+    "cocycle-check-integral-pole-on-an-orbit": (
         {"suite": "cocycle-check", "flow": _DILATION, "sweep": {"ts": [0.0, 0.5]},
-         "cocycles": [{"type": "coboundary", "omega": _POLE_AT_AN_ORBIT}, {"type": "trivial"}]},
-        {"cocycle/coboundary0": "error", "cocycle/trivial1": True},
+         "cocycles": [{"type": "integral", "g": _POLE_AT_AN_ORBIT}, {"type": "trivial"}]},
+        {"cocycle/integral0": "error", "cocycle/trivial1": True},
     ),
-    "semigroup-check-coboundary-pole-on-an-orbit": (
+    "semigroup-check-integral-pole-on-an-orbit": (
         {"suite": "semigroup-check", "sweep": {"ts": [0.0, 0.5]},
          "pairs": [{"label": "pole", "flow": _DILATION,
-                    "cocycle": {"type": "coboundary", "omega": _POLE_AT_AN_ORBIT}},
+                    "cocycle": {"type": "integral", "g": _POLE_AT_AN_ORBIT}},
                    {"label": "ok", "flow": _DILATION, "cocycle": {"type": "trivial"}}]},
         {"laws/pole": "error", "laws/ok": True},
     ),
@@ -532,11 +519,14 @@ _ERROR_TEXT = {
         "reconstruct/a":
             "cases[0].generator: bad expression: complex-domain expressions use the variable z"},
     "cocycle-check-x-on-the-disc": {"cocycle/integral0": "cocycles[0].g: bad expression"},
-    "cocycle-check-undeclared-zero": {"cocycle/coboundary0": "omega vanishes at 0j"},
-    "cocycle-check-coboundary-pole-on-an-orbit": {
-        "cocycle/coboundary0": "omega is not finite at (0.5762041267270017+0j)"},
-    "semigroup-check-coboundary-pole-on-an-orbit": {
-        "laws/pole": "omega is not finite at (0.5762041267270017+0j)"},
+    "cocycle-check-entry-types": {
+        "cocycle/integral0": "cocycles[0].g: expected an expression string, got 5"},
+    "cocycle-check-removed-coboundary-type": {
+        "cocycle/coboundary0": "cocycles[0].type: unknown cocycle type 'coboundary'"},
+    "cocycle-check-integral-pole-on-an-orbit": {
+        "cocycle/integral0": "time integral at t=0.5: doubling moved the value"},
+    "semigroup-check-integral-pole-on-an-orbit": {
+        "laws/pole": "time integral at t=0.5: doubling moved the value"},
     "reconstruct-pole-at-a-start-point": {
         f"reconstruct/{label}": "trajectory from 0j took a non-finite RK4 step at t=0"
         for label in "ac"},
@@ -926,9 +916,7 @@ _TINY_CONFIGS = {
         "suite": "cocycle-check",
         "flow": _DILATION,
         "sweep": {"ts": [0.0, 0.5], "grid_rmax": 0.9, "grid_n": 4},
-        "cocycles": [{"type": "coboundary", "omega": "z",
-                      "zeros": [{"re": 0.0, "im": 0.0, "order": 1}]},
-                     {"type": "integral", "g": "z"}],
+        "cocycles": [{"type": "integral", "g": "-1.0"}, {"type": "integral", "g": "z"}],
         "tolerances": {"law": 1e-7, "mdot0": 1e-5},
     },
     "bound-table": {

@@ -12,31 +12,19 @@ from wcsg import cocycles, flows, holo
 from wcsg.cocycles import (
     cocycle_from_g,
     cocycle_law_residual,
-    coboundary,
     coboundary_admissibility,
     derivative_cocycle,
     mdot0,
     trivial_cocycle,
 )
 from wcsg.defaults import DEFAULT_CONFIGS
-from wcsg.errors import (
-    DegenerateFixedPoint,
-    InvalidParam,
-    NonConvergent,
-    OrderMismatch,
-    ZeroNotFixed,
-)
+from wcsg.errors import DegenerateFixedPoint, InvalidParam, NonConvergent
 from wcsg.exprs import to_holofn
 from wcsg.flows import disc_sample_grid, make_catalog_semiflow, semiflow_from_generator
-from wcsg.suites import run_cocycle_check
+from wcsg.suites import _COCYCLE_KEYS, build_cocycle, build_flow, run_cocycle_check
 
 TS = (0.0, 0.1, 0.5, 1.0)
 GRID = disc_sample_grid(0.95)
-
-
-def _exp_tail(z):
-    """(exp(z) - 1 - z) / z^2 by its power series, for |z| < 1e-3."""
-    return sum(z**k / math.factorial(k + 2) for k in range(8))
 
 
 def dilation(c=1.0):
@@ -105,10 +93,19 @@ class TestIntegralCocycle:
             assert not rebuilt.trivial
         one = trivial_cocycle()
         assert dataclasses.replace(one, eval=lambda t, z: one.eval(t, z)).trivial
+        zero = holo.constant(0.0)
         with pytest.raises(TypeError):
-            cocycles.Semicocycle(eval=phi.eval, constant_in_z=True)
+            cocycles.Semicocycle(eval=phi.eval, g=zero, constant_in_z=True)
         with pytest.raises(TypeError):
-            cocycles.Semicocycle(eval=phi.eval, provenance="trivial")
+            cocycles.Semicocycle(eval=phi.eval, g=zero, provenance="trivial")
+
+    def test_a_cocycle_without_its_generator_cannot_be_built(self):
+        # every cocycle carries g = d/dt m_t at 0, and every flow its G
+        phi = dilation()
+        with pytest.raises(TypeError, match="'g'"):
+            cocycles.Semicocycle(eval=phi.eval)
+        with pytest.raises(TypeError, match="'generator'"):
+            flows.Semiflow(eval=phi.eval)
 
     def test_symmetric_generators_are_not_constant(self):
         # z^7 and z^14 take one value on seven equally spaced points of a
@@ -130,7 +127,8 @@ class TestIntegralCocycle:
     def test_law_residual_keeps_a_nan_after_the_first_pair(self):
         # m_1 is NaN: only the pair (0.5, 0.5) reaches it, after finite residuals
         m = cocycles.Semicocycle(
-            eval=lambda t, z: np.full(np.shape(z), np.nan if t == 1.0 else 1.0, dtype=complex))
+            eval=lambda t, z: np.full(np.shape(z), np.nan if t == 1.0 else 1.0, dtype=complex),
+            g=holo.constant(0.0))
         assert math.isnan(cocycle_law_residual(m, dilation(), (0.0, 0.5), GRID))
 
     def test_a_pole_of_g_on_an_orbit_is_nonconvergent(self):
@@ -228,94 +226,25 @@ class TestTimeNodeCap:
                               "of 512 (t <= 16)")
 
 
-class TestCoboundary:
-    def test_identity_symbol_dilation(self):
-        # omega = z, Fix = {0}, order 1: m_t = e^{-ct} everywhere including 0
-        phi = dilation(1.0)
-        m = coboundary(holo.monomial(1), phi, {0.0: 1})
-        t = 0.8
-        for z in (0.0, 0.5, 0.2 - 0.4j):
-            assert complex(np.asarray(m(t, z))) == pytest.approx(math.exp(-t), abs=1e-11)
-
-    def test_square_symbol_value_at_zero(self):
-        # omega = z^2: the quotient limit at 0 is e^{-2t}
-        phi = dilation(1.0)
-        m = coboundary(holo.monomial(2), phi, {0.0: 2})
-        assert complex(np.asarray(m(1.0, 0.0))) == pytest.approx(
-            math.exp(-2.0), abs=1e-12
-        )
-
-    def test_nonvanishing_symbol_gives_quotient(self):
-        # omega with no zeros: plain quotient, equals 1 for the identity flow
-        phi = make_catalog_semiflow("identity")
-        m = coboundary(holo.exp_fn(), phi, {})
-        assert complex(np.asarray(m(3.0, 0.3))) == pytest.approx(1.0, abs=1e-14)
-
-    def test_moving_zero_rejected(self):
-        phi = make_catalog_semiflow("attracting")  # fixes nothing inside the disc
-        with pytest.raises(ZeroNotFixed):
-            coboundary(holo.monomial(1), phi, {0.0: 1})
-
-    def test_wrong_order_detected(self):
-        phi = dilation(1.0)
-        with pytest.raises(OrderMismatch):
-            coboundary(holo.monomial(2), phi, {0.0: 1})
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_wrong_order_of_a_cancelling_zero_detected(self, n):
-        # exp(z) - 1.0 - z has a zero of order 2 at 0, its value there a cancellation
-        with pytest.raises(OrderMismatch):
-            coboundary(to_holofn("exp(z) - 1.0 - z"), dilation(1.0), {0.0: n})
-
-    def test_no_finite_quotient_on_the_guard_circle_detected(self):
-        # omega = 0 gives 0/0 on the guard circle: no order fits
-        with pytest.raises(OrderMismatch):
-            coboundary(to_holofn("z - z"), dilation(1.0), {0.0: 1})
-
-    @pytest.mark.parametrize("omega, order, exact, floor, rounding", [
-        ("z + z^2", 1, lambda z, q: q * (1.0 + q * z) / (1.0 + z), 1e-8, 0.0),
-        # exp(z) - 1.0 cancels near 0, so its quotient carries ~eps/|z| of rounding
-        ("exp(z) - 1.0", 1, lambda z, q: np.expm1(q * z) / np.expm1(z), 1e-8,
-         4.0 * np.finfo(float).eps),
-        # and exp(z) - 1.0 - z carries ~eps/|z|^2; omega(z) / z^2 by its series
-        ("exp(z) - 1.0 - z", 2,
-         lambda z, q: q * q * _exp_tail(q * z) / _exp_tail(z), 2e-6, 32.0 * np.finfo(float).eps),
-    ], ids=["z+z^2", "exp(z)-1", "exp(z)-1-z"])
-    def test_no_jump_at_the_zero_guard(self, omega, order, exact, floor, rounding):
-        # m_t = omega(e^-t z) / omega(z) in closed form, on both sides of the guard
-        t = 1.0
-        m = coboundary(to_holofn(omega), dilation(1.0), {0.0: order})
-        r = np.logspace(-12, math.log10(9.9e-4), 50)
-        zs = (r[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
-        want = exact(zs, math.exp(-t))
-        err = np.abs(np.asarray(m(t, zs)) - want) / np.abs(want)
-        assert np.all(err <= np.maximum(floor, rounding / np.abs(zs) ** order))
-
-    def test_law_residual(self):
-        phi = dilation(1.0)
-        m = coboundary(holo.monomial(2), phi, {0.0: 2})
-        assert cocycle_law_residual(m, phi, TS, GRID) < 1e-10
-
-    def test_coboundary_equals_integral_form(self):
-        # quotient cocycle == exp-integral of G omega'/omega: for G = -z and
-        # omega = z^2 that integrand is -2 everywhere, and both are e^{-2t}
-        phi = dilation(1.0)
-        m_cob = coboundary(holo.monomial(2), phi, {0.0: 2})
-        m_int = cocycle_from_g(holo.constant(-2.0), phi)
-        pts = disc_sample_grid(0.9)
-        for t in (0.25, 1.0):
-            gap = np.max(np.abs(np.asarray(m_cob(t, pts)) - np.asarray(m_int(t, pts))))
-            assert gap < 1e-7
-
-
 class TestMdot0:
-    def test_default_cocycle_check_round_trips_every_known_generator(self):
+    def test_default_cocycle_check_round_trips_every_generator(self):
         # the trivial (g = 0) and derivative (g = G') cocycles carry g too
         cases = run_cocycle_check(copy.deepcopy(DEFAULT_CONFIGS["cocycle-check"]))
-        roundtrip = {c.id: c.numbers.get("mdot0_roundtrip") for c in cases}
+        roundtrip = {c.id: c.numbers["mdot0_roundtrip"] for c in cases}
         assert roundtrip["cocycle/trivial0"] == 0.0
         assert roundtrip["cocycle/derivative3"] < 1e-8
         assert all(c.passed for c in cases)
+
+    @pytest.mark.parametrize("kind", sorted(_COCYCLE_KEYS))
+    def test_every_cocycle_type_carries_its_generator(self, kind):
+        # built on the default cocycle-check flow, each type's case reports
+        # the round trip of its g and passes the default tolerance on it
+        cfg = copy.deepcopy(DEFAULT_CONFIGS["cocycle-check"])
+        entry = {"type": kind, **({"g": "z"} if kind == "integral" else {})}
+        m = build_cocycle(copy.deepcopy(entry), build_flow(cfg["flow"]))
+        assert isinstance(m.g, holo.HoloFn)
+        (case,) = run_cocycle_check({**cfg, "cocycles": [entry]})
+        assert "mdot0_roundtrip" in case.numbers and case.passed
 
     def test_round_trip_with_square_integrand(self):
         phi = make_catalog_semiflow("attracting")

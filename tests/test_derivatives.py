@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wcsg import exprs, holo, spaces
-from wcsg.cocycles import coboundary, derivative_cocycle, trivial_cocycle
+from wcsg.cocycles import cocycle_from_g, derivative_cocycle, trivial_cocycle
 from wcsg.flows import make_catalog_semiflow
 from wcsg.semigroup import WcSemigroup, apply, default_test_functions
 from wcsg.spaces import SpaceSpec
@@ -129,10 +129,12 @@ def test_fallback_reaches_cauchy(cauchy_calls):
     assert len(cauchy_calls) == 1
 
     phi = make_catalog_semiflow("dilation", {"c": 1.0})
-    sg = WcSemigroup(phi, coboundary(holo.monomial(1), phi, {0.0: 1}), SpaceSpec.dirichlet())
+    # g = z is not constant in z, so C(t) e_2 has no closed-form derivative:
+    # m_t = e^{a z} with a = 1 - e^{-t}, and C(t) e_2 = e^{-2t} z^2 e^{a z}
+    sg = WcSemigroup(phi, cocycle_from_g(exprs.to_holofn("z"), phi), SpaceSpec.dirichlet())
     moved = apply(sg, 0.5, holo.monomial(2))
     assert moved.deriv is None
-    # m_t = e^{-t} off the zero guard, so C(t) e_2 = e^{-3t} z^2
-    expected = 2.0 * np.exp(-1.5) * zs
+    a = 1.0 - np.exp(-0.5)
+    expected = np.exp(-1.0) * np.exp(a * zs) * (2.0 * zs + a * zs ** 2)
     assert np.allclose(holo.derivative_on_grid(moved, zs), expected, rtol=0, atol=1e-12)
     assert len(cauchy_calls) == 2

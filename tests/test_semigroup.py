@@ -10,7 +10,6 @@ from wcsg import flows, holo, semigroup, spaces
 from wcsg.cli import run
 from wcsg.cocycles import (
     Semicocycle,
-    coboundary,
     cocycle_from_g,
     cocycle_law_residual,
     derivative_cocycle,
@@ -132,7 +131,8 @@ class TestSemigroupResidual:
 
     def test_phi_t_leaving_the_disc_names_its_start_point(self):
         # phi_t(z) = e^t z carries 0.9 out of the disc by t = 0.5; 0.1 stays in
-        phi = Semiflow(eval=lambda t, z: np.exp(t) * z, name="expanding")
+        phi = Semiflow(eval=lambda t, z: np.exp(t) * z, name="expanding",
+                       generator=holo.monomial(1))
         sg = WcSemigroup(phi, trivial_cocycle(), SpaceSpec.hardy(2.0))
         with pytest.raises(DomainExit, match=r"^phi_t left the domain at t=0.5 from \(0\.9\+0j\)$"):
             semigroup_residual(sg, (0.0, 0.5), np.array([0.1, 0.9 + 0j]))
@@ -141,7 +141,8 @@ class TestSemigroupResidual:
         # m_1 is NaN: only the pair (0.5, 0.5) reaches it, after finite residuals
         phi = make_catalog_semiflow("dilation", {"c": 1.0})
         m = Semicocycle(
-            eval=lambda t, z: np.full(np.shape(z), np.nan if t == 1.0 else 1.0, dtype=complex))
+            eval=lambda t, z: np.full(np.shape(z), np.nan if t == 1.0 else 1.0, dtype=complex),
+            g=holo.constant(0.0))
         flow, cocycle, semigroup = semigroup_residual(
             WcSemigroup(phi, m, SpaceSpec.hardy(2.0)), (0.0, 0.5), disc_sample_grid(0.9))
         assert flow < 1e-15 and math.isnan(cocycle) and math.isnan(semigroup)
@@ -445,13 +446,6 @@ class TestGeneratorResidual:
         sg = WcSemigroup(phi, cocycle_from_g(g, phi), SpaceSpec.sup_holo())
         rep, _ = generator_residual(sg, holo.monomial(1), DEFAULT_FD_STEPS, GENERATOR_GRID)
         assert rep["residual"] < 1e-8
-
-    def test_unknown_cocycle_generator_is_invalid(self):
-        # a coboundary carries no g, so Af = G f' + g f has no target
-        phi = make_catalog_semiflow("dilation", {"c": 1.0})
-        sg = WcSemigroup(phi, coboundary(holo.monomial(2), phi, {0.0: 2}), SpaceSpec.hardy(2.0))
-        with pytest.raises(InvalidParam, match=r"the generator g of cocycle cob\[e_2\] is not"):
-            generator_residual(sg, holo.monomial(1), DEFAULT_FD_STEPS, GENERATOR_GRID)
 
     def test_trivial_case_zero_residual(self):
         phi = make_catalog_semiflow("identity")
