@@ -226,6 +226,44 @@ class TestTimeNodeCap:
                               "of 512 (t <= 16)")
 
 
+# (flow, its fixed point b, omega, g = G omega'/omega, the zero order of omega
+# at b, omega(phi_t(z))/omega(z) in closed form): the integral cocycle of g
+# is that quotient, and g(b)/G'(b) is that order
+_QUOTIENTS = {
+    "z": ("dilation", 0.0, "-1", 1, lambda t, z: np.exp(-t) + 0 * z),
+    "z^2": ("dilation", 0.0, "-2", 2, lambda t, z: np.exp(-2 * t) + 0 * z),
+    "z+z^2": ("dilation", 0.0, "-(1+2*z)/(1+z)", 1,
+              lambda t, z: np.exp(-t) * (1 + np.exp(-t) * z) / (1 + z)),
+    "2+z": ("dilation", 0.0, "-z/(2+z)", 0, lambda t, z: (2 + np.exp(-t) * z) / (2 + z)),
+    "exp(z)": ("dilation", 0.0, "-z", 0, lambda t, z: np.exp((np.exp(-t) - 1) * z)),
+    "z^3-rotation": ("rotation", 0.0, "3*i", 3, lambda t, z: np.exp(3j * t) + 0 * z),
+    "1-z-attracting": ("attracting", 1.0, "-1", 1, lambda t, z: np.exp(-t) + 0 * z),
+}
+
+
+class TestQuotientForm:
+    @pytest.mark.parametrize("omega", sorted(_QUOTIENTS))
+    def test_integral_cocycle_equals_the_quotient(self, omega):
+        # on a grid, at the fixed point and on circles down to radius 1e-12
+        # about it, where the quotient is 0/0 and its limit
+        name, b, g, _, exact = _QUOTIENTS[omega]
+        phi = make_catalog_semiflow(name)
+        r = np.logspace(-12, -1, 12)
+        zs = np.concatenate([disc_sample_grid(0.8), [b],
+                             (b + r[:, None] * np.exp(2j * np.pi * np.arange(5) / 5)).ravel()])
+        if b != 0.0:
+            zs = zs[np.abs(zs) < 1.0]
+        m = cocycle_from_g(to_holofn(g), phi)
+        for t in (0.3, 1.0):
+            assert np.max(np.abs(np.asarray(m(t, zs)) - exact(t, zs))) < 1e-10
+
+    def test_identity_flow_integrates_g_at_a_standing_point(self):
+        # phi_t(z) = z, so m_t(z) = exp(t g(z)) for any g
+        m = cocycle_from_g(to_holofn("exp(z)"), make_catalog_semiflow("identity"))
+        for t in (0.5, 2.0):
+            assert np.max(np.abs(np.asarray(m(t, GRID)) - np.exp(t * np.exp(GRID)))) < 1e-10
+
+
 class TestMdot0:
     def test_default_cocycle_check_round_trips_every_generator(self):
         # the trivial (g = 0) and derivative (g = G') cocycles carry g too
@@ -349,6 +387,15 @@ class TestAdmissibility:
         _, rows = coboundary_admissibility(holo.constant(0.0), phi.generator, [0.0])
         rec = rows[0]
         assert rec["admissible"] and rec["nearest_order"] == 0
+
+    # the ratio takes G'(b), defined at fixed points inside the disc
+    @pytest.mark.parametrize("omega", sorted(k for k, v in _QUOTIENTS.items() if abs(v[1]) < 1))
+    def test_ratio_is_the_zero_order_of_the_quotient_symbol(self, omega):
+        name, b, g, order, _ = _QUOTIENTS[omega]
+        (verdict, (rec,)) = coboundary_admissibility(
+            to_holofn(g), make_catalog_semiflow(name).generator, [b])
+        assert verdict["admissible"] and rec["nearest_order"] == order
+        assert rec["ratio"] == pytest.approx(order, abs=1e-12)
 
     def test_degenerate_derivative(self):
         G = holo.monomial(2)  # G'(0) = 0
